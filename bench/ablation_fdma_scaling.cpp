@@ -27,8 +27,8 @@ std::vector<channel::Vec3> ring_positions(std::size_t n) {
   return pos;
 }
 
-core::NetworkRunConfig plan_for(std::size_t n) {
-  core::NetworkRunConfig cfg;
+sim::FdmaPlan plan_for(std::size_t n) {
+  sim::FdmaPlan cfg;
   if (n == 1) {
     cfg.carriers_hz = {16500.0};
     return cfg;

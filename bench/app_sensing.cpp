@@ -32,7 +32,7 @@ Result run_query(core::LinkSimulator& sim, node::PabNode& node,
   if (!received) return r;
   const auto response = node.process_query(*received);
   if (!response) return r;
-  core::UplinkRunConfig ucfg;
+  sim::Waveform ucfg;
   ucfg.bitrate = node.bitrate();
   const auto out = sim.run_and_decode(proj, node.front_end(),
                                       response->to_bits(false), ucfg);

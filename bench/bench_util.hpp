@@ -184,13 +184,4 @@ inline int run_bench_main(int argc, char** argv, const BenchSpec& spec) {
   return detail::check_required_counters(spec);
 }
 
-// Pre-BenchSpec entry point, kept one release for out-of-tree callers.
-[[deprecated("construct a BenchSpec and call run_bench_main(argc, argv, spec)")]]
-inline int run_bench_main(int argc, char** argv, void (*print_series)()) {
-  BenchSpec spec;
-  spec.name = metrics_sidecar_path(argc > 0 ? argv[0] : nullptr);
-  spec.print_series = print_series;
-  return run_bench_main(argc, argv, spec);
-}
-
 }  // namespace pab::bench

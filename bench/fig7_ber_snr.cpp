@@ -145,7 +145,7 @@ void print_series() {
     (void)session.run_trial<sim::TrialKind::kUplink>(i);
   const std::uint64_t allocs_before = alloc_before.allocations();
   const auto t4 = clock::now();
-  sim::Session::UplinkTrial reused;
+  sim::UplinkTrial reused;
   (void)session.run_into(0, reused);  // warm the pooled workspace + buffers
   const auto t5 = clock::now();
   const obs::AllocScope alloc_after;

@@ -75,7 +75,7 @@ void bm_uplink_run(benchmark::State& state) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(1);
   const auto bits = rng.bits(96);
-  core::UplinkRunConfig cfg;
+  sim::Waveform cfg;
   for (auto _ : state) {
     auto out = sim.run_uplink(proj, fe, bits, cfg);
     benchmark::DoNotOptimize(out.hydrophone_v.samples.data());

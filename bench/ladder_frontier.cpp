@@ -134,7 +134,7 @@ void bm_fsk4_trial(benchmark::State& state) {
   sc.waveform.bitrate = 2000.0;
   sc.waveform.payload_bits = 96;
   const sim::Session session(sc);
-  sim::Session::UplinkTrial trial;
+  sim::UplinkTrial trial;
   std::uint64_t i = 0;
   for (auto _ : state) {
     const auto r = session.run_into(i++, trial);
@@ -147,7 +147,7 @@ void bm_fm0_trial(benchmark::State& state) {
   sim::Scenario sc = sim::Scenario::pool_a().with_seed(9);
   sc.waveform.payload_bits = 96;
   const sim::Session session(sc);
-  sim::Session::UplinkTrial trial;
+  sim::UplinkTrial trial;
   std::uint64_t i = 0;
   for (auto _ : state) {
     const auto r = session.run_into(i++, trial);

@@ -58,7 +58,7 @@ int main() {
     if (!received) return Error{ErrorCode::kTimeout, "query not decoded"};
     const auto response = node.process_query(*received);
     if (!response) return Error{ErrorCode::kTimeout, "node did not respond"};
-    core::UplinkRunConfig ucfg;
+    sim::Waveform ucfg;
     ucfg.bitrate = node.bitrate();
     const auto out = sim.run_and_decode(projector, node.front_end(),
                                         response->to_bits(false), ucfg);

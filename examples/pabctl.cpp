@@ -76,7 +76,7 @@ int cmd_link(const Args& a) {
   const auto fe = circuit::make_recto_piezo(a.num("carrier", 15000.0));
   Rng rng(sc.seed);
   const auto bits = rng.bits(static_cast<std::size_t>(a.num("bits", 96)));
-  core::UplinkRunConfig cfg;
+  sim::Waveform cfg;
   cfg.carrier_hz = a.num("carrier", 15000.0);
   cfg.bitrate = a.num("bitrate", 1000.0);
   const auto run = sim.run_uplink(proj, fe, bits, cfg);
@@ -175,7 +175,7 @@ int cmd_sense(const Args& a) {
     if (!received) continue;
     const auto resp = node.process_query(*received);
     if (!resp) continue;
-    core::UplinkRunConfig ucfg;
+    sim::Waveform ucfg;
     ucfg.bitrate = node.bitrate();
     const auto out =
         sim.run_and_decode(proj, node.front_end(), resp->to_bits(false), ucfg);

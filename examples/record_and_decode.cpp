@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   packet.payload = {'P', 'A', 'B', '!'};
   const Bits bits = packet.to_bits(false);
 
-  core::UplinkRunConfig link;
+  sim::Waveform link;
   link.bitrate = 1000.0;
   const auto run = sim.run_uplink(projector, node, bits, link);
 

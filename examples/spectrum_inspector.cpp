@@ -34,7 +34,7 @@ dsp::Signal synthesize_session() {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(3);
   const auto bits = rng.bits(192);
-  core::UplinkRunConfig cfg;
+  sim::Waveform cfg;
   cfg.bitrate = 500.0;
   cfg.node_start_s = 0.15;
   auto run = sim.run_uplink(proj, fe, bits, cfg);

@@ -89,16 +89,21 @@ std::shared_ptr<const TapCache::Taps> TapCache::taps(const Vec3& a, const Vec3& 
       return it->second;
     }
   }
-  if (misses_ != nullptr) misses_->add();
   // Compute outside the lock; a concurrent duplicate computation is benign
-  // (both produce identical taps, the first insert wins).
+  // (both produce identical taps, the first insert wins).  Only the winner
+  // counts a miss, so misses equal evaluations however threads interleave.
   auto computed = std::make_shared<const Taps>(
       use_image_method_
           ? image_method_taps(tank_, ka, kb, max_image_order_, freq_hz)
           : free_field_tap(ka, kb, freq_hz, tank_.water));
   std::unique_lock lock(mutex_);
   const auto [it, inserted] = cache_.emplace(key, std::move(computed));
-  if (inserted) evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    if (misses_ != nullptr) misses_->add();
+  } else if (hits_ != nullptr) {
+    hits_->add();
+  }
   return it->second;
 }
 

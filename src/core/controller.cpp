@@ -75,7 +75,7 @@ pab::Expected<phy::UplinkPacket> ReaderController::transact_once(
 
   // Uplink at the node's current bitrate; in robust mode the body is
   // FEC-protected on air and recovered here.
-  UplinkRunConfig ucfg;
+  sim::Waveform ucfg;
   ucfg.carrier_hz = carrier_hz_;
   ucfg.bitrate = entry.node->bitrate();
   const bool robust = entry.node->robust_uplink();

@@ -67,7 +67,7 @@ double LinkSimulator::incident_pressure(const Projector& projector,
 void LinkSimulator::run_uplink_into(const Projector& projector,
                                     const ModulationStates& states,
                                     std::span<const std::uint8_t> data_bits,
-                                    const UplinkRunConfig& cfg, pab::Rng& rng,
+                                    const sim::Waveform& cfg, pab::Rng& rng,
                                     phy::Workspace& ws,
                                     UplinkRunResult& out) const {
   const double fs = config_.sample_rate;
@@ -159,7 +159,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
 UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
                                           const ModulationStates& states,
                                           std::span<const std::uint8_t> data_bits,
-                                          const UplinkRunConfig& cfg,
+                                          const sim::Waveform& cfg,
                                           pab::Rng& rng) const {
   phy::Workspace ws;
   UplinkRunResult result;
@@ -170,7 +170,7 @@ UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
 UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
                                           const circuit::RectoPiezo& front_end,
                                           std::span<const std::uint8_t> data_bits,
-                                          const UplinkRunConfig& cfg) {
+                                          const sim::Waveform& cfg) {
   return run_uplink(projector,
                     modulation_states(front_end, cfg.carrier_hz,
                                       phy::scheme_descriptor(cfg.scheme)
@@ -180,7 +180,7 @@ UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
 
 pab::Expected<bool> LinkSimulator::run_and_decode_into(
     const Projector& projector, const ModulationStates& states,
-    std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg,
+    std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
     pab::Rng& rng, phy::Workspace& ws, DecodedRun& out) const {
   {
     const obs::ScopedTimer timer(t_uplink_run_);
@@ -201,7 +201,7 @@ pab::Expected<bool> LinkSimulator::run_and_decode_into(
 
 pab::Expected<LinkSimulator::DecodedRun> LinkSimulator::run_and_decode(
     const Projector& projector, const ModulationStates& states,
-    std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg,
+    std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
     pab::Rng& rng) const {
   phy::Workspace ws;
   DecodedRun out;
@@ -213,7 +213,7 @@ pab::Expected<LinkSimulator::DecodedRun> LinkSimulator::run_and_decode(
 
 pab::Expected<LinkSimulator::DecodedRun> LinkSimulator::run_and_decode(
     const Projector& projector, const circuit::RectoPiezo& front_end,
-    std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg) {
+    std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg) {
   return run_and_decode(projector,
                         modulation_states(front_end, cfg.carrier_hz,
                                           phy::scheme_descriptor(cfg.scheme)

@@ -30,10 +30,6 @@
 
 namespace pab::core {
 
-// The per-run uplink parameters are shared with the sim layer; the old name
-// forwards to sim::Waveform (same fields, same defaults).
-using UplinkRunConfig = sim::Waveform;
-
 // The node's two backscatter states at a given carrier/bitrate: the complex
 // scatter gains with the bandwidth-efficiency derating folded in.  Deriving
 // these from a circuit::RectoPiezo walks the BVD + matching-network model;
@@ -73,12 +69,12 @@ class LinkSimulator {
   [[nodiscard]] UplinkRunResult run_uplink(const Projector& projector,
                                            const ModulationStates& states,
                                            std::span<const std::uint8_t> data_bits,
-                                           const UplinkRunConfig& cfg,
+                                           const sim::Waveform& cfg,
                                            pab::Rng& rng) const;
   [[nodiscard]] UplinkRunResult run_uplink(const Projector& projector,
                                            const circuit::RectoPiezo& front_end,
                                            std::span<const std::uint8_t> data_bits,
-                                           const UplinkRunConfig& cfg);
+                                           const sim::Waveform& cfg);
 
   // Zero-allocation variant: every intermediate waveform (switch stream, CW
   // envelope, propagated basebands, scattered envelope) lives in the
@@ -87,7 +83,7 @@ class LinkSimulator {
   // run_uplink, which wraps this.
   void run_uplink_into(const Projector& projector, const ModulationStates& states,
                        std::span<const std::uint8_t> data_bits,
-                       const UplinkRunConfig& cfg, pab::Rng& rng,
+                       const sim::Waveform& cfg, pab::Rng& rng,
                        phy::Workspace& ws, UplinkRunResult& out) const;
 
   // Run + decode with the standard receiver.  Returns the demod result and
@@ -100,11 +96,11 @@ class LinkSimulator {
   };
   [[nodiscard]] pab::Expected<DecodedRun> run_and_decode(
       const Projector& projector, const ModulationStates& states,
-      std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg,
+      std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
       pab::Rng& rng) const;
   [[nodiscard]] pab::Expected<DecodedRun> run_and_decode(
       const Projector& projector, const circuit::RectoPiezo& front_end,
-      std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg);
+      std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg);
 
   // Zero-allocation variant: synthesizes into out.run, decodes into
   // out.demod with the workspace's cached demodulator and arena scratch.
@@ -112,7 +108,7 @@ class LinkSimulator {
   // workspace have warmed up.  run_and_decode wraps this.
   [[nodiscard]] pab::Expected<bool> run_and_decode_into(
       const Projector& projector, const ModulationStates& states,
-      std::span<const std::uint8_t> data_bits, const UplinkRunConfig& cfg,
+      std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
       pab::Rng& rng, phy::Workspace& ws, DecodedRun& out) const;
 
   // CW amplitude [Pa] at the node position for a projector transmitting at

@@ -63,13 +63,13 @@ MultiNodeSimulator::MultiNodeSimulator(SimConfig config, channel::Vec3 projector
 
 NetworkRunResult MultiNodeSimulator::run(
     const Projector& projector, const std::vector<circuit::RectoPiezo>& front_ends,
-    const NetworkRunConfig& cfg) {
+    const sim::FdmaPlan& cfg) {
   return run(projector, front_ends, cfg, rng_);
 }
 
 NetworkRunResult MultiNodeSimulator::run(
     const Projector& projector, const std::vector<circuit::RectoPiezo>& front_ends,
-    const NetworkRunConfig& cfg, pab::Rng& rng) const {
+    const sim::FdmaPlan& cfg, pab::Rng& rng) const {
   const std::size_t n = nodes_.size();
   require(front_ends.size() == n, "MultiNodeSimulator: front-end count mismatch");
   require(cfg.carriers_hz.size() == n, "MultiNodeSimulator: carrier count mismatch");

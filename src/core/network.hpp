@@ -21,10 +21,6 @@
 
 namespace pab::core {
 
-// The frame parameters are shared with the sim layer; the old name forwards
-// to sim::FdmaPlan (same fields, same defaults).
-using NetworkRunConfig = sim::FdmaPlan;
-
 struct NetworkRunResult {
   std::vector<double> sinr_before_db;  // per node, own-carrier readout
   std::vector<double> sinr_after_db;   // per node, after NxN zero-forcing
@@ -54,11 +50,11 @@ class MultiNodeSimulator {
   // overload draws from the simulator's own stream.
   [[nodiscard]] NetworkRunResult run(const Projector& projector,
                                      const std::vector<circuit::RectoPiezo>& front_ends,
-                                     const NetworkRunConfig& cfg,
+                                     const sim::FdmaPlan& cfg,
                                      pab::Rng& rng) const;
   [[nodiscard]] NetworkRunResult run(const Projector& projector,
                                      const std::vector<circuit::RectoPiezo>& front_ends,
-                                     const NetworkRunConfig& cfg);
+                                     const sim::FdmaPlan& cfg);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const std::shared_ptr<channel::TapCache>& tap_cache() const {

@@ -13,75 +13,6 @@ std::size_t correlation_length(std::size_t nx, std::size_t nt) {
   return nx - nt + 1;
 }
 
-void cross_correlate_into(std::span<const std::complex<double>> x,
-                          std::span<const std::complex<double>> t,
-                          std::span<std::complex<double>> out) {
-  require(out.size() == correlation_length(x.size(), t.size()),
-          "cross_correlate_into: output size mismatch");
-  // Sliding conjugate dot product through the dispatch layer: the scalar
-  // table is the original accumulation loop verbatim.
-  for (std::size_t k = 0; k < out.size(); ++k)
-    out[k] = simd::dot_conj(x.subspan(k, t.size()), t);
-}
-
-void cross_correlate_into(std::span<const double> x, std::span<const double> t,
-                          std::span<double> out) {
-  require(out.size() == correlation_length(x.size(), t.size()),
-          "cross_correlate_into: output size mismatch");
-  for (std::size_t k = 0; k < out.size(); ++k)
-    out[k] = simd::dot(x.subspan(k, t.size()), t);
-}
-
-std::vector<std::complex<double>> cross_correlate(
-    std::span<const std::complex<double>> x,
-    std::span<const std::complex<double>> t) {
-  if (t.empty() || x.size() < t.size()) return {};
-  std::vector<std::complex<double>> out(x.size() - t.size() + 1);
-  cross_correlate_into(x, t, out);
-  return out;
-}
-
-std::vector<double> cross_correlate(std::span<const double> x,
-                                    std::span<const double> t) {
-  if (t.empty() || x.size() < t.size()) return {};
-  std::vector<double> out(x.size() - t.size() + 1);
-  cross_correlate_into(x, t, out);
-  return out;
-}
-
-void normalized_correlation_into(std::span<const std::complex<double>> x,
-                                 std::span<const std::complex<double>> t,
-                                 std::span<double> out) {
-  require(out.size() == correlation_length(x.size(), t.size()),
-          "normalized_correlation_into: output size mismatch");
-  double t_energy = 0.0;
-  for (const auto& v : t) t_energy += std::norm(v);
-  const double t_norm = std::sqrt(t_energy);
-  if (t_norm == 0.0) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-
-  // Running window energy of x.
-  double win_energy = 0.0;
-  for (std::size_t i = 0; i < t.size(); ++i) win_energy += std::norm(x[i]);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    const std::complex<double> acc = simd::dot_conj(x.subspan(k, t.size()), t);
-    const double denom = std::sqrt(std::max(win_energy, 1e-300)) * t_norm;
-    out[k] = std::abs(acc) / denom;
-    if (k + t.size() < x.size())
-      win_energy += std::norm(x[k + t.size()]) - std::norm(x[k]);
-  }
-}
-
-std::vector<double> normalized_correlation(std::span<const std::complex<double>> x,
-                                           std::span<const std::complex<double>> t) {
-  if (t.empty() || x.size() < t.size()) return {};
-  std::vector<double> out(x.size() - t.size() + 1);
-  normalized_correlation_into(x, t, out);
-  return out;
-}
-
 void pearson_correlation_into(std::span<const double> x,
                               std::span<const double> t, std::span<double> out) {
   require(t.size() >= 2, "pearson_correlation_into: template too short");

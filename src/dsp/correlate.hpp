@@ -1,25 +1,11 @@
 // Correlation utilities for packet detection and timing recovery.
 #pragma once
 
-#include <complex>
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace pab::dsp {
-
-// Sliding cross-correlation of `x` against template `t` (valid range only):
-// out[k] = sum_i x[k+i] * conj(t[i]), k = 0 .. |x|-|t|.
-[[nodiscard]] std::vector<std::complex<double>> cross_correlate(
-    std::span<const std::complex<double>> x,
-    std::span<const std::complex<double>> t);
-
-[[nodiscard]] std::vector<double> cross_correlate(std::span<const double> x,
-                                                  std::span<const double> t);
-
-// Normalized correlation magnitude in [0, 1]: |<x_k, t>| / (|x_k| * |t|).
-[[nodiscard]] std::vector<double> normalized_correlation(
-    std::span<const std::complex<double>> x,
-    std::span<const std::complex<double>> t);
 
 // Sliding Pearson correlation in [-1, 1]: both the window of `x` and the
 // template are locally mean-removed and normalized.  Robust to DC offsets and
@@ -37,18 +23,8 @@ namespace pab::dsp {
 // empty or longer than the signal (the wrappers return {} in that case).
 [[nodiscard]] std::size_t correlation_length(std::size_t nx, std::size_t nt);
 
-// All into-kernels require a non-degenerate template (the wrapper-level
-// empty/short guards) and out.size() == correlation_length(|x|, |t|); `out`
+// Requires |t| >= 2 and out.size() == correlation_length(|x|, |t|); `out`
 // must not alias `x` or `t`.
-void cross_correlate_into(std::span<const std::complex<double>> x,
-                          std::span<const std::complex<double>> t,
-                          std::span<std::complex<double>> out);
-void cross_correlate_into(std::span<const double> x, std::span<const double> t,
-                          std::span<double> out);
-void normalized_correlation_into(std::span<const std::complex<double>> x,
-                                 std::span<const std::complex<double>> t,
-                                 std::span<double> out);
-// Requires |t| >= 2 in addition to the above.
 void pearson_correlation_into(std::span<const double> x,
                               std::span<const double> t, std::span<double> out);
 

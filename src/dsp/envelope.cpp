@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/mixer.hpp"
-#include "dsp/simd.hpp"
 #include "util/error.hpp"
 
 namespace pab::dsp {
@@ -28,26 +26,6 @@ std::vector<double> envelope_rc(std::span<const double> x, double sample_rate,
                                 double tau_s) {
   std::vector<double> env(x.size());
   envelope_rc_into(x, sample_rate, tau_s, env);
-  return env;
-}
-
-std::span<double> envelope_coherent(std::span<const double> x, double sample_rate,
-                                    double carrier_hz, double lowpass_hz,
-                                    int order, Arena& arena) {
-  const CplxView bb = downconvert_filtered(x, sample_rate, carrier_hz,
-                                           lowpass_hz, order, /*decim=*/1, arena);
-  auto env = arena.alloc<double>(bb.size());
-  simd::magnitude(bb.samples, env);
-  return env;
-}
-
-std::vector<double> envelope_coherent(const Signal& x, double carrier_hz,
-                                      double lowpass_hz, int order) {
-  const BasebandSignal bb = downconvert_filtered(x, carrier_hz, lowpass_hz, order);
-  std::vector<double> env(bb.size());
-  // Same dispatched kernel as the arena overload so the two entry points stay
-  // exactly equal under every ISA table.
-  simd::magnitude(bb.samples, env);
   return env;
 }
 

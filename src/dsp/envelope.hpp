@@ -19,11 +19,6 @@ namespace pab::dsp {
 [[nodiscard]] std::vector<double> envelope_rc(std::span<const double> x,
                                               double sample_rate, double tau_s);
 
-// Envelope via complex magnitude after quadrature down-conversion: the
-// hydrophone-side (software) detector used when the carrier is known.
-[[nodiscard]] std::vector<double> envelope_coherent(const Signal& x, double carrier_hz,
-                                                    double lowpass_hz, int order = 5);
-
 // Two-level slicer with hysteresis, modeling a Schmitt trigger.  Returns a
 // 0/1 level per sample.  Thresholds are fractions of the max envelope value
 // (e.g. 0.55 high / 0.45 low).
@@ -36,14 +31,6 @@ namespace pab::dsp {
 // out.size() must equal x.size(); `out` may alias `x`.
 void envelope_rc_into(std::span<const double> x, double sample_rate,
                       double tau_s, std::span<double> out);
-
-// Arena variant of envelope_coherent; the returned span lives in `arena`
-// until the enclosing frame ends.
-[[nodiscard]] std::span<double> envelope_coherent(std::span<const double> x,
-                                                  double sample_rate,
-                                                  double carrier_hz,
-                                                  double lowpass_hz, int order,
-                                                  Arena& arena);
 
 // out.size() must equal envelope.size(); `out` must not alias `envelope`.
 void schmitt_slice_into(std::span<const double> envelope, double high_fraction,

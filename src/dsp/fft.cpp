@@ -70,115 +70,4 @@ std::vector<cplx> ifft(std::span<const cplx> input) {
   return data;
 }
 
-namespace {
-
-// Exact-length DFT of a real signal.  Power-of-two lengths go straight
-// through the radix-2 kernel; other lengths use Bluestein's chirp-z identity
-// nk = (n^2 + k^2 - (k - n)^2) / 2, which turns the DFT into one circular
-// convolution of chirp-premultiplied samples against the conjugate chirp --
-// computed with power-of-two FFTs of size >= 2 * len - 1.  This keeps the
-// frequency axis (df = fs / len) and the amplitude normalization (2 / len)
-// tied to the *same* length: zero-padding to a power of two would smear a
-// bin-aligned sine across bins and shrink its peak below the unit read-out.
-std::vector<cplx> dft_exact(std::span<const double> x) {
-  const std::size_t len = x.size();
-  if ((len & (len - 1)) == 0) {  // power of two (len > 0)
-    std::vector<cplx> data(len);
-    std::transform(x.begin(), x.end(), data.begin(),
-                   [](double v) { return cplx(v, 0.0); });
-    fft_inplace(data);
-    return data;
-  }
-
-  // chirp[n] = exp(+i pi n^2 / len); angles reduced via n^2 mod 2*len so the
-  // argument stays small and exact for any length.
-  std::vector<cplx> chirp(len);
-  for (std::size_t n = 0; n < len; ++n) {
-    const double r = static_cast<double>((n * n) % (2 * len));
-    const double ang = kPi * r / static_cast<double>(len);
-    chirp[n] = cplx(std::cos(ang), std::sin(ang));
-  }
-
-  const std::size_t m = next_pow2(2 * len - 1);
-  std::vector<cplx> a(m, cplx{});
-  std::vector<cplx> b(m, cplx{});
-  for (std::size_t n = 0; n < len; ++n) a[n] = x[n] * std::conj(chirp[n]);
-  b[0] = chirp[0];
-  for (std::size_t n = 1; n < len; ++n) b[n] = b[m - n] = chirp[n];
-  fft_inplace(a);
-  fft_inplace(b);
-  for (std::size_t i = 0; i < m; ++i) a[i] *= b[i];
-  fft_inplace(a, /*inverse=*/true);
-
-  std::vector<cplx> out(len);
-  for (std::size_t k = 0; k < len; ++k) out[k] = std::conj(chirp[k]) * a[k];
-  return out;
-}
-
-}  // namespace
-
-Spectrum magnitude_spectrum(const Signal& signal) {
-  require(signal.sample_rate > 0.0, "magnitude_spectrum: sample rate unset");
-  const std::size_t len = signal.size();
-
-  Spectrum s;
-  if (len == 0) {
-    s.frequency.assign(1, 0.0);
-    s.magnitude.assign(1, 0.0);
-    return s;
-  }
-
-  const auto bins = dft_exact(signal.samples);
-  const std::size_t half = len / 2 + 1;
-  s.frequency.resize(half);
-  s.magnitude.resize(half);
-  // Exact-length DFT: bin spacing and amplitude scale both derive from the
-  // signal length, so a bin-aligned unit sine reads ~1.0 at its true
-  // frequency even when len is not a power of two.
-  const double df = signal.sample_rate / static_cast<double>(len);
-  const double scale = 2.0 / static_cast<double>(len);
-  for (std::size_t i = 0; i < half; ++i) {
-    s.frequency[i] = df * static_cast<double>(i);
-    // DC and (for even lengths) Nyquist have no mirrored negative-frequency
-    // half, so the one-sided fold-in factor of 2 does not apply to them.
-    const double sc = (i == 0 || 2 * i == len)
-                          ? 1.0 / static_cast<double>(len)
-                          : scale;
-    s.magnitude[i] = std::abs(bins[i]) * sc;
-  }
-  return s;
-}
-
-std::vector<double> spectral_peaks(const Signal& signal, double threshold_ratio,
-                                   double min_separation_hz) {
-  const Spectrum s = magnitude_spectrum(signal);
-  if (s.magnitude.size() < 3) return {};
-  const double global_max = *std::max_element(s.magnitude.begin(), s.magnitude.end());
-  if (global_max <= 0.0) return {};
-  const double threshold = threshold_ratio * global_max;
-
-  struct Peak {
-    double freq;
-    double mag;
-  };
-  std::vector<Peak> peaks;
-  for (std::size_t i = 1; i + 1 < s.magnitude.size(); ++i) {
-    if (s.magnitude[i] >= threshold && s.magnitude[i] >= s.magnitude[i - 1] &&
-        s.magnitude[i] >= s.magnitude[i + 1]) {
-      peaks.push_back({s.frequency[i], s.magnitude[i]});
-    }
-  }
-  std::sort(peaks.begin(), peaks.end(),
-            [](const Peak& a, const Peak& b) { return a.mag > b.mag; });
-
-  std::vector<double> out;
-  for (const Peak& p : peaks) {
-    bool close = false;
-    for (double f : out)
-      if (std::abs(f - p.freq) < min_separation_hz) { close = true; break; }
-    if (!close) out.push_back(p.freq);
-  }
-  return out;
-}
-
 }  // namespace pab::dsp

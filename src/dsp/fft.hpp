@@ -1,8 +1,5 @@
-// Radix-2 FFT and spectrum utilities.
-//
-// Used by the hydrophone receiver to identify active downlink carriers (the
-// paper's decoder "identifies the different transmitted frequencies on the
-// downlink using FFT and peak detection", section 5.1b).
+// Radix-2 FFT, behind the spectrogram (dsp/spectrogram) and the overlap-save
+// fast convolution (dsp/fftconv).
 #pragma once
 
 #include <complex>
@@ -24,25 +21,5 @@ void fft_inplace(std::span<cplx> data, bool inverse = false);
 [[nodiscard]] std::vector<cplx> ifft(std::span<const cplx> input);
 
 [[nodiscard]] std::size_t next_pow2(std::size_t n);
-
-// One-sided magnitude spectrum of a real signal with its frequency axis.
-struct Spectrum {
-  std::vector<double> frequency;  // [Hz], bins 0..fs/2
-  std::vector<double> magnitude;  // linear amplitude per bin
-};
-
-// Exact-length DFT (Bluestein for non-power-of-two lengths): bin spacing is
-// fs / signal.size() and amplitudes are normalized so a bin-aligned
-// unit-amplitude sine reads ~1.0 at its exact frequency.  DC and (for even
-// lengths) the Nyquist bin carry no mirrored negative-frequency energy and
-// are scaled by 1/N instead of 2/N, so a unit-DC signal also reads ~1.0.
-[[nodiscard]] Spectrum magnitude_spectrum(const Signal& signal);
-
-// Frequencies of local maxima of the one-sided spectrum that exceed
-// `threshold_ratio` * global max, separated by at least `min_separation_hz`.
-// Returns peaks sorted by descending magnitude.
-[[nodiscard]] std::vector<double> spectral_peaks(const Signal& signal,
-                                                 double threshold_ratio = 0.25,
-                                                 double min_separation_hz = 500.0);
 
 }  // namespace pab::dsp

@@ -8,75 +8,6 @@
 
 namespace pab::dsp {
 
-std::size_t decimated_length(std::size_t n, std::size_t factor) {
-  require(factor >= 1, "decimate: factor must be >= 1");
-  return (n + factor - 1) / factor;
-}
-
-namespace {
-
-template <typename T>
-void decimate_into_impl(std::span<const T> x, std::size_t factor,
-                        std::span<T> out) {
-  require(out.size() == decimated_length(x.size(), factor),
-          "decimate_into: output size mismatch");
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < x.size(); i += factor) out[j++] = x[i];
-}
-
-template <typename T>
-std::vector<T> decimate_impl(std::span<const T> x, std::size_t factor) {
-  std::vector<T> out(decimated_length(x.size(), factor));
-  decimate_into_impl<T>(x, factor, out);
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> decimate(std::span<const double> x, std::size_t factor) {
-  return decimate_impl<double>(x, factor);
-}
-
-std::vector<cplx> decimate(std::span<const cplx> x, std::size_t factor) {
-  return decimate_impl<cplx>(x, factor);
-}
-
-void decimate_into(std::span<const double> x, std::size_t factor,
-                   std::span<double> out) {
-  decimate_into_impl<double>(x, factor, out);
-}
-
-void decimate_into(std::span<const cplx> x, std::size_t factor,
-                   std::span<cplx> out) {
-  decimate_into_impl<cplx>(x, factor, out);
-}
-
-std::size_t delayed_length(std::size_t n, double delay_samples) {
-  require(delay_samples >= 0.0, "fractional_delay: negative delay");
-  const auto int_delay = static_cast<std::size_t>(std::floor(delay_samples));
-  const double frac = delay_samples - static_cast<double>(int_delay);
-  return n + int_delay + (frac > 0.0 ? 1 : 0);
-}
-
-void fractional_delay_into(std::span<const double> x, double delay_samples,
-                           std::span<double> out) {
-  require(out.size() == delayed_length(x.size(), delay_samples),
-          "fractional_delay_into: output size mismatch");
-  const auto int_delay = static_cast<std::size_t>(std::floor(delay_samples));
-  const double frac = delay_samples - static_cast<double>(int_delay);
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i + int_delay] += x[i] * (1.0 - frac);
-    if (frac > 0.0) out[i + int_delay + 1] += x[i] * frac;
-  }
-}
-
-std::vector<double> fractional_delay(std::span<const double> x, double delay_samples) {
-  std::vector<double> out(delayed_length(x.size(), delay_samples));
-  fractional_delay_into(x, delay_samples, out);
-  return out;
-}
-
 namespace {
 
 template <typename T, typename G>

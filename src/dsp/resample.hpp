@@ -1,4 +1,4 @@
-// Decimation and fractional-delay utilities.
+// Delayed-accumulate utilities: the image-method channel's echo placement.
 #pragma once
 
 #include <span>
@@ -8,19 +8,9 @@
 
 namespace pab::dsp {
 
-// Keep every `factor`-th sample.  Caller is responsible for anti-alias
-// filtering first.
-[[nodiscard]] std::vector<double> decimate(std::span<const double> x, std::size_t factor);
-[[nodiscard]] std::vector<cplx> decimate(std::span<const cplx> x, std::size_t factor);
-
-// Delay `x` by a fractional number of samples using linear interpolation,
-// producing an output of length |x| + ceil(delay).  Used by the multipath
-// channel to place echoes at non-integer sample offsets.
-[[nodiscard]] std::vector<double> fractional_delay(std::span<const double> x,
-                                                   double delay_samples);
-
-// Add `y`, delayed by `delay_samples` and scaled by `gain`, into `acc`
-// (resizing `acc` as needed).  The workhorse of the image-method channel.
+// Add `y`, delayed by a fractional `delay_samples` (linear interpolation)
+// and scaled by `gain`, into `acc` (resizing `acc` as needed).  The
+// workhorse of the image-method channel.
 void add_delayed_scaled(std::vector<double>& acc, std::span<const double> y,
                         double delay_samples, double gain);
 
@@ -30,22 +20,6 @@ void add_delayed_scaled(std::vector<cplx>& acc, std::span<const cplx> y,
                         double delay_samples, cplx gain);
 
 // ---- into-output kernels (allocation-free; wrapped by the above) ----
-
-// Output length of decimate(x, factor) for |x| == n: ceil(n / factor).
-[[nodiscard]] std::size_t decimated_length(std::size_t n, std::size_t factor);
-
-// out must have exactly decimated_length(x.size(), factor) elements; `out`
-// may alias the front of `x` (forward-stride compaction).
-void decimate_into(std::span<const double> x, std::size_t factor, std::span<double> out);
-void decimate_into(std::span<const cplx> x, std::size_t factor, std::span<cplx> out);
-
-// Output length of fractional_delay(x, d) for |x| == n.
-[[nodiscard]] std::size_t delayed_length(std::size_t n, double delay_samples);
-
-// out must have exactly delayed_length(x.size(), delay) elements and must
-// not alias x; it is zero-filled before accumulation.
-void fractional_delay_into(std::span<const double> x, double delay_samples,
-                           std::span<double> out);
 
 // Accumulate `gain * y` delayed by `delay_samples` into `acc`, which the
 // caller has zero-initialized (or already holds prior taps) and sized to at

@@ -32,12 +32,6 @@ double scalar_dot(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-cplx scalar_dot_conj(const cplx* x, const cplx* t, std::size_t n) {
-  cplx acc{};
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * std::conj(t[i]);
-  return acc;
-}
-
 CovVarRaw scalar_cov_var(const double* x, const double* t, std::size_t n,
                          double x_mean) {
   double cov = 0.0, x_var = 0.0;
@@ -94,9 +88,9 @@ void scalar_chip_sum_diff(const double* soft, double* sum, double* diff,
 }
 
 constexpr KernelTable kScalarTable = {
-    scalar_sum,     scalar_dot,     scalar_dot_conj, scalar_cov_var,
-    scalar_axpy_d,  scalar_axpy_c,  scalar_magnitude, scalar_cmul,
-    scalar_mix_down, scalar_mix_up, scalar_tone,     scalar_chip_sum_diff,
+    scalar_sum,      scalar_dot,       scalar_cov_var,
+    scalar_axpy_d,   scalar_axpy_c,    scalar_magnitude, scalar_cmul,
+    scalar_mix_down, scalar_mix_up,    scalar_tone,      scalar_chip_sum_diff,
 };
 
 // ---- dispatch ---------------------------------------------------------------
@@ -221,11 +215,6 @@ double sum(std::span<const double> x) {
 double dot(std::span<const double> a, std::span<const double> b) {
   require(a.size() == b.size(), "simd::dot: size mismatch");
   return kernels().dot(a.data(), b.data(), a.size());
-}
-
-cplx dot_conj(std::span<const cplx> x, std::span<const cplx> t) {
-  require(x.size() == t.size(), "simd::dot_conj: size mismatch");
-  return kernels().dot_conj(x.data(), t.data(), x.size());
 }
 
 CovVar centered_cov_var(std::span<const double> x, std::span<const double> t,

@@ -78,9 +78,6 @@ class DispatchGuard {
 // Dot product sum_i a[i]*b[i]; sizes must match.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
-// Conjugate dot product sum_i x[i]*conj(t[i]); sizes must match.
-[[nodiscard]] cplx dot_conj(std::span<const cplx> x, std::span<const cplx> t);
-
 // One Pearson window: cov = sum (x[i]-x_mean)*t[i], var = sum (x[i]-x_mean)^2.
 struct CovVar {
   double cov;

@@ -51,29 +51,6 @@ PAB_AVX2 double avx2_dot(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-PAB_AVX2 cplx avx2_dot_conj(const cplx* x, const cplx* t, std::size_t n) {
-  // Lanes hold interleaved (re, im) pairs; acc_re accumulates xr*tr + xi*ti
-  // pairwise, acc_im accumulates xi*tr (even lanes) and -xr*ti (odd lanes).
-  const __m256d sign = _mm256_set_pd(-1.0, 1.0, -1.0, 1.0);
-  __m256d acc_re = _mm256_setzero_pd(), acc_im = _mm256_setzero_pd();
-  const auto* xd = reinterpret_cast<const double*>(x);
-  const auto* td = reinterpret_cast<const double*>(t);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d xv = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d tv = _mm256_loadu_pd(td + 2 * i);
-    acc_re = _mm256_fmadd_pd(xv, tv, acc_re);
-    const __m256d xs = _mm256_permute_pd(xv, 0b0101);  // (xi, xr) per pair
-    acc_im = _mm256_fmadd_pd(_mm256_mul_pd(xs, sign), tv, acc_im);
-  }
-  double re = hsum(acc_re), im = hsum(acc_im);
-  for (; i < n; ++i) {
-    re += x[i].real() * t[i].real() + x[i].imag() * t[i].imag();
-    im += x[i].imag() * t[i].real() - x[i].real() * t[i].imag();
-  }
-  return {re, im};
-}
-
 PAB_AVX2 CovVarRaw avx2_cov_var(const double* x, const double* t, std::size_t n,
                                 double x_mean) {
   const __m256d mean = _mm256_set1_pd(x_mean);
@@ -198,7 +175,7 @@ PAB_AVX2 void avx2_chip_sum_diff(const double* soft, double* sum, double* diff,
 }
 
 constexpr KernelTable kAvx2Table = {
-    avx2_sum,      avx2_dot,    avx2_dot_conj,  avx2_cov_var,
+    avx2_sum,      avx2_dot,    avx2_cov_var,
     avx2_axpy_d,   avx2_axpy_c, avx2_magnitude, avx2_cmul,
     avx2_mix_down, avx2_mix_up, avx2_tone,      avx2_chip_sum_diff,
 };

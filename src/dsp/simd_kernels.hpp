@@ -29,7 +29,6 @@ struct CovVarRaw {
 struct KernelTable {
   double (*sum)(const double* x, std::size_t n);
   double (*dot)(const double* a, const double* b, std::size_t n);
-  cplx (*dot_conj)(const cplx* x, const cplx* t, std::size_t n);
   CovVarRaw (*centered_cov_var)(const double* x, const double* t, std::size_t n,
                                 double x_mean);
   void (*axpy_d)(double g, const double* x, double* y, std::size_t n);
@@ -131,23 +130,6 @@ inline double dot4(const double* a, const double* b, std::size_t n) {
   double s = (a0 + a1) + (a2 + a3);
   for (; i < n; ++i) s += a[i] * b[i];
   return s;
-}
-
-inline cplx dot_conj2(const cplx* x, const cplx* t, std::size_t n) {
-  double re0 = 0.0, re1 = 0.0, im0 = 0.0, im1 = 0.0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    re0 += x[i].real() * t[i].real() + x[i].imag() * t[i].imag();
-    im0 += x[i].imag() * t[i].real() - x[i].real() * t[i].imag();
-    re1 += x[i + 1].real() * t[i + 1].real() + x[i + 1].imag() * t[i + 1].imag();
-    im1 += x[i + 1].imag() * t[i + 1].real() - x[i + 1].real() * t[i + 1].imag();
-  }
-  double re = re0 + re1, im = im0 + im1;
-  for (; i < n; ++i) {
-    re += x[i].real() * t[i].real() + x[i].imag() * t[i].imag();
-    im += x[i].imag() * t[i].real() - x[i].real() * t[i].imag();
-  }
-  return {re, im};
 }
 
 inline CovVarRaw cov_var4(const double* x, const double* t, std::size_t n,

@@ -39,10 +39,6 @@ double neon_dot(const double* a, const double* b, std::size_t n) {
   return s;
 }
 
-cplx neon_dot_conj(const cplx* x, const cplx* t, std::size_t n) {
-  return detail::dot_conj2(x, t, n);
-}
-
 CovVarRaw neon_cov_var(const double* x, const double* t, std::size_t n,
                        double x_mean) {
   const float64x2_t mean = vdupq_n_f64(x_mean);
@@ -101,7 +97,7 @@ void neon_chip_sum_diff(const double* soft, double* sum, double* diff,
 }
 
 constexpr KernelTable kNeonTable = {
-    neon_sum,      neon_dot,    neon_dot_conj,  neon_cov_var,
+    neon_sum,      neon_dot,    neon_cov_var,
     neon_axpy_d,   neon_axpy_c, neon_magnitude, neon_cmul,
     neon_mix_down, neon_mix_up, neon_tone,      neon_chip_sum_diff,
 };

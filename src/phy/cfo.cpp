@@ -20,22 +20,4 @@ double estimate_cfo_hz(std::span<const std::complex<double>> segment,
   return std::arg(acc) * sample_rate / kTwoPi;
 }
 
-void correct_cfo_into(std::span<const std::complex<double>> x, double cfo_hz,
-                      double sample_rate, std::span<std::complex<double>> out) {
-  require(sample_rate > 0.0, "correct_cfo: sample rate must be positive");
-  require(out.size() == x.size(), "correct_cfo_into: size mismatch");
-  const double w = -kTwoPi * cfo_hz / sample_rate;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double ph = w * static_cast<double>(i);
-    out[i] = x[i] * std::complex<double>(std::cos(ph), std::sin(ph));
-  }
-}
-
-std::vector<std::complex<double>> correct_cfo(
-    std::span<const std::complex<double>> x, double cfo_hz, double sample_rate) {
-  std::vector<std::complex<double>> y(x.size());
-  correct_cfo_into(x, cfo_hz, sample_rate, y);
-  return y;
-}
-
 }  // namespace pab::phy

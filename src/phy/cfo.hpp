@@ -1,16 +1,15 @@
-// Carrier frequency offset (CFO) estimation and correction.
+// Carrier frequency offset (CFO) estimation.
 //
 // "In contrast to RF backscatter where the reader is typically full-duplex,
 // PAB uses a separate transmitter (projector) and receiver (hydrophone).
 // Hence, the receiver observes a CFO due to the different oscillators"
 // (paper footnote 12).  The receiver estimates the residual rotation from a
 // segment that is known to carry a constant reflection state (or the
-// preamble) and de-rotates the baseband.
+// preamble).
 #pragma once
 
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace pab::phy {
 
@@ -19,14 +18,5 @@ namespace pab::phy {
 // samples (robust to amplitude modulation as long as it is slower than fs).
 [[nodiscard]] double estimate_cfo_hz(std::span<const std::complex<double>> segment,
                                      double sample_rate);
-
-// De-rotate a baseband stream by `cfo_hz`.
-[[nodiscard]] std::vector<std::complex<double>> correct_cfo(
-    std::span<const std::complex<double>> x, double cfo_hz, double sample_rate);
-
-// Into-output variant: out.size() must equal x.size(); `out` may alias `x`
-// (pure per-sample rotation).  The vector overload wraps this.
-void correct_cfo_into(std::span<const std::complex<double>> x, double cfo_hz,
-                      double sample_rate, std::span<std::complex<double>> out);
 
 }  // namespace pab::phy

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/correlate.hpp"
 #include "dsp/goertzel.hpp"
-#include "dsp/mixer.hpp"
-#include "dsp/simd.hpp"
-#include "obs/metrics.hpp"
 #include "phy/packet.hpp"
 
 namespace pab::phy {
@@ -89,116 +85,44 @@ void fsk_waveform_into(const FskParams& params,
   }
 }
 
-FskDemodulator::FskDemodulator(DemodConfig config, int bits_per_symbol)
-    : config_(config) {
-  require(config.bitrate > 0.0, "FskDemodulator: bitrate must be positive");
-  require(config.sample_rate > 0.0,
-          "FskDemodulator: sample rate must be positive");
-  require(config.carrier_hz > 0.0, "FskDemodulator: carrier must be positive");
+namespace {
+
+FskParams checked_params(const DemodConfig& config, int bits_per_symbol) {
   require(bits_per_symbol == 1 || bits_per_symbol == 2,
           "FskDemodulator: 1 or 2 bits per symbol");
-  params_.bitrate = config.bitrate;
-  params_.sample_rate = config.sample_rate;
-  params_.bits_per_symbol = bits_per_symbol;
-  preamble_chips_ = fm0_encode(uplink_preamble_bits(), /*initial_level=*/-1);
-  // The receiver low-pass must pass the top tone plus one symbol-rate of
-  // sideband, whatever `lowpass_factor` asks for (the FM0 default of
-  // 2.5*bitrate would clip the 3*bitrate tone).
-  const double cutoff =
-      std::min(std::max(config_.lowpass_factor * config_.bitrate,
-                        params_.max_tone_hz() + params_.symbol_rate()),
-               config_.sample_rate / 2.5);
-  lowpass_ = dsp::butterworth_lowpass(config_.lowpass_order, cutoff,
-                                      config_.sample_rate);
-  if (config_.metrics != nullptr) {
-    auto& m = *config_.metrics;
-    n_attempts_ = &m.counter("phy.demod.attempts");
-    n_ok_ = &m.counter("phy.demod.ok");
-    n_no_preamble_ = &m.counter("phy.demod.no_preamble");
-    n_decode_failures_ = &m.counter("phy.demod.decode_failures");
-  }
+  FskParams p;
+  p.bitrate = config.bitrate;
+  p.sample_rate = config.sample_rate;
+  p.bits_per_symbol = bits_per_symbol;
+  return p;
 }
+
+}  // namespace
+
+// The receiver low-pass must pass the top tone plus one symbol-rate of
+// sideband, whatever `lowpass_factor` asks for (the FM0 default of
+// 2.5*bitrate would clip the 3*bitrate tone).
+FskDemodulator::FskDemodulator(DemodConfig config, int bits_per_symbol)
+    : config_(config),
+      params_(checked_params(config_, bits_per_symbol)),
+      front_(config_, params_.max_tone_hz() + params_.symbol_rate()) {}
 
 Expected<bool> FskDemodulator::demodulate_envelope_into(
     std::span<const double> envelope, double envelope_rate, std::size_t n_bits,
     dsp::Arena& scratch, DemodResult& out) const {
   const auto arena_frame = scratch.frame();
-  const double spc = envelope_rate / (2.0 * config_.bitrate);
-  require(spc >= 2.0, "demodulate: fewer than 2 samples per chip");
-  const std::size_t n_pre_chips = preamble_chips_.size();
+  const double spc = front_.samples_per_chip(envelope_rate);
   const std::size_t n_sym = params_.symbols_for(n_bits);
   const double sps = envelope_rate / params_.symbol_rate();
-  const double pre_exact = static_cast<double>(n_pre_chips) * spc;
+  const double pre_exact =
+      static_cast<double>(front_.preamble_chips().size()) * spc;
   const auto needed = static_cast<std::size_t>(
       std::ceil(pre_exact + static_cast<double>(n_sym) * sps));
-  if (n_attempts_ != nullptr) n_attempts_->add();
-  if (envelope.size() < needed) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "capture shorter than one packet"};
-  }
-
-  // Packet detection: the shared FM0 preamble through the same windowed
-  // Pearson correlation as BackscatterDemodulator.
-  std::size_t best = 0;
-  double corr_norm = 0.0;
-  {
-    auto tmpl = scratch.alloc<double>(static_cast<std::size_t>(
-        std::ceil(static_cast<double>(n_pre_chips) * spc)));
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      const auto chip = std::min<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(i) / spc),
-          n_pre_chips - 1);
-      tmpl[i] = static_cast<double>(preamble_chips_[chip]);
-    }
-    const std::size_t corr_len =
-        dsp::correlation_length(envelope.size(), tmpl.size());
-    if (corr_len == 0 || tmpl.size() < 2) {
-      if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-      return Error{ErrorCode::kNoPreamble, "correlation empty"};
-    }
-    auto corr = scratch.alloc<double>(corr_len);
-    dsp::pearson_correlation_into(envelope, tmpl, corr);
-    std::size_t search_end = corr.size();
-    if (needed < envelope.size())
-      search_end = std::min(search_end, envelope.size() - needed + 1);
-    double best_v = -1e300;
-    for (std::size_t i = 0; i < search_end; ++i) {
-      const double m = std::abs(corr[i]);
-      if (m > best_v) { best_v = m; best = i; }
-    }
-    corr_norm = best_v;
-  }
-  if (corr_norm < config_.detect_threshold) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "no preamble above threshold"};
-  }
-
-  // Two-level channel estimate from the FM0 preamble chips (mid level feeds
-  // the tone detector's mean removal; amp only reports the link swing).
-  double amp = 0.0, mid = 0.0;
-  {
-    auto pre_soft = scratch.alloc<double>(n_pre_chips);
-    BackscatterDemodulator::integrate_chips_into(
-        envelope, static_cast<double>(best), spc, pre_soft);
-    double hi = 0.0, lo = 0.0;
-    std::size_t nhi = 0, nlo = 0;
-    for (std::size_t c = 0; c < n_pre_chips; ++c) {
-      if (preamble_chips_[c] > 0) { hi += pre_soft[c]; ++nhi; }
-      else { lo += pre_soft[c]; ++nlo; }
-    }
-    if (nhi == 0 || nlo == 0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "degenerate preamble"};
-    }
-    hi /= static_cast<double>(nhi);
-    lo /= static_cast<double>(nlo);
-    amp = (hi - lo) / 2.0;
-    mid = (hi + lo) / 2.0;
-    if (amp == 0.0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "zero modulation depth"};
-    }
-  }
+  const auto acquired = front_.acquire(envelope, spc, needed, scratch);
+  if (!acquired.ok()) return acquired.error();
+  // The mid level feeds the tone detector's mean removal; amp only reports
+  // the link swing.
+  const double mid = acquired.value().mid;
 
   // Goertzel bank per symbol window: argmax tone decides the symbol;
   // off-tone energy is the error vector (tone magnitudes are insensitive to
@@ -211,7 +135,7 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
   auto amps = scratch.alloc<double>(static_cast<std::size_t>(n_tones));
   auto window = scratch.alloc<double>(
       static_cast<std::size_t>(std::ceil(sps)) + 2);
-  const double data_start = static_cast<double>(best) + pre_exact;
+  const double data_start = acquired.value().payload_start;
   const auto bps = static_cast<std::size_t>(params_.bits_per_symbol);
   out.bits.resize(n_bits);  // reuses capacity in steady state
   double sig_power = 0.0, err_power = 0.0;
@@ -221,10 +145,7 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
     auto w_hi = static_cast<std::size_t>(
         std::lround(data_start + static_cast<double>(s + 1) * sps));
     w_hi = std::min(w_hi, envelope.size());
-    if (w_lo >= w_hi) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "empty symbol window"};
-    }
+    if (w_lo >= w_hi) return front_.decode_failure("empty symbol window");
     const std::size_t n = w_hi - w_lo;
     for (std::size_t i = 0; i < n; ++i) window[i] = envelope[w_lo + i] - mid;
     dsp::tone_amplitudes_into(window.first(n), tones, envelope_rate, amps);
@@ -245,15 +166,8 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
             static_cast<std::uint8_t>((win >> (bps - 1 - b)) & 1);
     }
   }
-  if (sig_power <= 0.0) {
-    if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-    return Error{ErrorCode::kDecodeFailure, "no tone energy"};
-  }
+  if (sig_power <= 0.0) return front_.decode_failure("no tone energy");
 
-  out.start_sample = best;
-  out.channel_amp = std::abs(amp);
-  out.mid_level = mid;
-  out.preamble_corr = corr_norm;
   out.snr_db =
       err_power > 0.0
           ? std::clamp(10.0 * std::log10(sig_power / err_power), -60.0, 60.0)
@@ -261,7 +175,7 @@ Expected<bool> FskDemodulator::demodulate_envelope_into(
   // Detection bandwidth = the symbol rate (one Goertzel bin per symbol).
   out.quality = link_quality_from_error_ratio(err_power / sig_power,
                                               params_.symbol_rate());
-  if (n_ok_ != nullptr) n_ok_->add();
+  front_.accept(acquired.value(), out);
   return true;
 }
 
@@ -270,15 +184,10 @@ Expected<bool> FskDemodulator::demodulate_into(std::span<const double> passband,
                                                std::size_t n_bits,
                                                dsp::Arena& scratch,
                                                DemodResult& out) const {
-  require(sample_rate == config_.sample_rate,
-          "demodulate: sample rate mismatch");
   const auto arena_frame = scratch.frame();
-  const dsp::CplxView bb = dsp::downconvert_filtered(
-      passband, sample_rate, config_.carrier_hz, lowpass_, /*decim=*/1,
-      scratch);
-  auto env = scratch.alloc<double>(bb.size());
-  dsp::simd::magnitude(bb.samples, env);
-  return demodulate_envelope_into(env, bb.sample_rate, n_bits, scratch, out);
+  const dsp::SignalView env = front_.envelope(passband, sample_rate, scratch);
+  return demodulate_envelope_into(env.samples, env.sample_rate, n_bits, scratch,
+                                  out);
 }
 
 }  // namespace pab::phy

@@ -21,7 +21,6 @@
 #include <span>
 
 #include "dsp/arena.hpp"
-#include "dsp/iir.hpp"
 #include "phy/modem.hpp"
 #include "phy/scheme_id.hpp"
 
@@ -64,11 +63,12 @@ void fsk_waveform_into(const FskParams& params,
                        std::span<const std::uint8_t> data_bits,
                        std::span<SwitchState> out, dsp::Arena& scratch);
 
-// Goertzel-bank demodulator for the format above.  Mirrors
-// BackscatterDemodulator's contract (same DemodConfig front end, same
-// Expected error codes, same zero-allocation discipline); `config.bitrate`
-// is the data bit rate and the low-pass cutoff is widened to pass the top
-// tone regardless of `lowpass_factor`.
+// Goertzel-bank demodulator for the format above.  Runs the same receiver
+// front end as BackscatterDemodulator (phy/receiver.hpp: detection, channel
+// estimate, `phy.demod.*` instruments) and the same zero-allocation
+// discipline, and adds only the tone decoder; `config.bitrate` is the data
+// bit rate and the low-pass cutoff is widened to pass the top tone
+// regardless of `lowpass_factor`.
 class FskDemodulator {
  public:
   FskDemodulator(DemodConfig config, int bits_per_symbol);
@@ -88,12 +88,7 @@ class FskDemodulator {
  private:
   DemodConfig config_;
   FskParams params_;
-  Chips preamble_chips_;
-  dsp::BiquadCascade lowpass_;
-  obs::Counter* n_attempts_ = nullptr;
-  obs::Counter* n_ok_ = nullptr;
-  obs::Counter* n_no_preamble_ = nullptr;
-  obs::Counter* n_decode_failures_ = nullptr;
+  detail::ReceiverFrontEnd front_;
 };
 
 }  // namespace pab::phy

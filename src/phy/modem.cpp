@@ -4,12 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "dsp/correlate.hpp"
-#include "dsp/simd.hpp"
 #include "obs/metrics.hpp"
 #include "phy/equalizer.hpp"
 #include "phy/fec.hpp"
-#include "dsp/mixer.hpp"
 
 namespace pab::phy {
 
@@ -76,165 +73,40 @@ std::vector<SwitchState> backscatter_waveform(std::span<const std::uint8_t> bits
 }
 
 BackscatterDemodulator::BackscatterDemodulator(DemodConfig config)
-    : config_(config) {
-  require(config.bitrate > 0.0, "Demodulator: bitrate must be positive");
-  require(config.sample_rate > 0.0, "Demodulator: sample rate must be positive");
-  require(config.carrier_hz > 0.0, "Demodulator: carrier must be positive");
-  preamble_chips_ = fm0_encode(uplink_preamble_bits(), /*initial_level=*/-1);
-  // Level at the end of the preamble: the last chip emitted.
-  post_preamble_level_ = preamble_chips_.back();
-  // Receiver low-pass, designed once here and reused on every demodulation.
-  const double cutoff = std::min(config_.lowpass_factor * config_.bitrate,
-                                 config_.sample_rate / 2.5);
-  lowpass_ = dsp::butterworth_lowpass(config_.lowpass_order, cutoff,
-                                      config_.sample_rate);
-  if (config_.metrics != nullptr) {
-    auto& m = *config_.metrics;
-    t_correlate_ = &m.histogram("phy.demod.correlate_seconds");
-    t_chanest_ = &m.histogram("phy.demod.chanest_seconds");
-    t_equalize_ = &m.histogram("phy.demod.equalize_seconds");
-    t_downconvert_ = &m.histogram("phy.demod.downconvert_seconds");
-    n_attempts_ = &m.counter("phy.demod.attempts");
-    n_ok_ = &m.counter("phy.demod.ok");
-    n_no_preamble_ = &m.counter("phy.demod.no_preamble");
-    n_decode_failures_ = &m.counter("phy.demod.decode_failures");
-  }
-}
-
-void BackscatterDemodulator::integrate_chips_into(std::span<const double> env,
-                                                  double start,
-                                                  double samples_per_chip,
-                                                  std::span<double> out) {
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    const auto lo = static_cast<std::size_t>(
-        std::lround(start + static_cast<double>(c) * samples_per_chip));
-    const auto hi = static_cast<std::size_t>(
-        std::lround(start + static_cast<double>(c + 1) * samples_per_chip));
-    double acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = lo; i < hi && i < env.size(); ++i) {
-      acc += env[i];
-      ++n;
-    }
-    out[c] = n > 0 ? acc / static_cast<double>(n) : 0.0;
-  }
-}
-
-std::vector<double> BackscatterDemodulator::integrate_chips(
-    std::span<const double> env, double start, double samples_per_chip,
-    std::size_t n_chips) {
-  std::vector<double> out(n_chips, 0.0);
-  integrate_chips_into(env, start, samples_per_chip, out);
-  return out;
-}
+    : config_(config),
+      front_(config_, /*min_cutoff_hz=*/0.0),
+      // Level at the end of the preamble: the last chip emitted.
+      post_preamble_level_(front_.preamble_chips().back()) {}
 
 Expected<bool> BackscatterDemodulator::demodulate_envelope_into(
     std::span<const double> envelope, double envelope_rate, std::size_t n_bits,
     dsp::Arena& scratch, DemodResult& out) const {
   const auto arena_frame = scratch.frame();
-  const double spc = envelope_rate / (2.0 * config_.bitrate);
-  require(spc >= 2.0, "demodulate: fewer than 2 samples per chip");
-  const std::size_t n_pre_chips = preamble_chips_.size();
+  const double spc = front_.samples_per_chip(envelope_rate);
+  const std::size_t n_pre_chips = front_.preamble_chips().size();
   const std::size_t n_data_chips = 2 * n_bits;
   const auto needed = static_cast<std::size_t>(
       std::ceil(static_cast<double>(n_pre_chips + n_data_chips) * spc));
-  if (n_attempts_ != nullptr) n_attempts_->add();
-  if (envelope.size() < needed) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "capture shorter than one packet"};
-  }
+  const auto acquired = front_.acquire(envelope, spc, needed, scratch);
+  if (!acquired.ok()) return acquired.error();
+  const double amp = acquired.value().amp;
+  const double mid = acquired.value().mid;
 
-  // Packet detection: preamble template correlation + peak search.
-  std::size_t best = 0;
-  double corr_norm = 0.0;
-  {
-    const obs::ScopedTimer timer(t_correlate_);
-
-    // Zero-mean preamble template at envelope rate.
-    auto tmpl = scratch.alloc<double>(static_cast<std::size_t>(
-        std::ceil(static_cast<double>(n_pre_chips) * spc)));
-    for (std::size_t i = 0; i < tmpl.size(); ++i) {
-      const auto chip = std::min<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(i) / spc), n_pre_chips - 1);
-      tmpl[i] = static_cast<double>(preamble_chips_[chip]);
-    }
-
-    // Windowed Pearson correlation: immune to the un-modulated carrier offset
-    // beneath the packet and to level transients at the capture edges.
-    const std::size_t corr_len =
-        dsp::correlation_length(envelope.size(), tmpl.size());
-    if (corr_len == 0 || tmpl.size() < 2) {
-      if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-      return Error{ErrorCode::kNoPreamble, "correlation empty"};
-    }
-    auto corr = scratch.alloc<double>(corr_len);
-    dsp::pearson_correlation_into(envelope, tmpl, corr);
-
-    // Restrict the search so the whole packet fits after the detected start.
-    std::size_t search_end = corr.size();
-    if (needed < envelope.size())
-      search_end = std::min(search_end, envelope.size() - needed + 1);
-    // The backscatter component may add in anti-phase with the direct carrier,
-    // inverting the envelope levels; search on |corr| and let the signed
-    // channel estimate absorb the inversion.
-    double best_v = -1e300;
-    for (std::size_t i = 0; i < search_end; ++i) {
-      const double m = std::abs(corr[i]);
-      if (m > best_v) { best_v = m; best = i; }
-    }
-    corr_norm = best_v;
-  }
-  if (corr_norm < config_.detect_threshold) {
-    if (n_no_preamble_ != nullptr) n_no_preamble_->add();
-    return Error{ErrorCode::kNoPreamble, "no preamble above threshold"};
-  }
-
-  // Channel estimation from the preamble chips + soft chip integration.
-  double amp = 0.0, mid = 0.0;
+  // Soft data chips, normalized to +/-1 nominal.
   auto soft = scratch.alloc<double>(n_data_chips);
-  {
-    const obs::ScopedTimer timer(t_chanest_);
-    auto pre_soft = scratch.alloc<double>(n_pre_chips);
-    integrate_chips_into(envelope, static_cast<double>(best), spc, pre_soft);
-    double hi = 0.0, lo = 0.0;
-    std::size_t nhi = 0, nlo = 0;
-    for (std::size_t c = 0; c < n_pre_chips; ++c) {
-      if (preamble_chips_[c] > 0) { hi += pre_soft[c]; ++nhi; }
-      else { lo += pre_soft[c]; ++nlo; }
-    }
-    if (nhi == 0 || nlo == 0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "degenerate preamble"};
-    }
-    hi /= static_cast<double>(nhi);
-    lo /= static_cast<double>(nlo);
-    amp = (hi - lo) / 2.0;  // signed: negative for inverted levels
-    mid = (hi + lo) / 2.0;
-    if (amp == 0.0) {
-      if (n_decode_failures_ != nullptr) n_decode_failures_->add();
-      return Error{ErrorCode::kDecodeFailure, "zero modulation depth"};
-    }
-
-    // Soft data chips, normalized to +/-1 nominal.
-    const double data_start =
-        static_cast<double>(best) + static_cast<double>(n_pre_chips) * spc;
-    integrate_chips_into(envelope, data_start, spc, soft);
-    for (double& v : soft) v = (v - mid) / amp;
-  }
+  detail::integrate_chips_into(envelope, acquired.value().payload_start, spc,
+                               soft);
+  for (double& v : soft) v = (v - mid) / amp;
 
   out.bits.resize(n_bits);  // reuses capacity in steady state
   fm0_decode_ml_into(soft, post_preamble_level_, out.bits, scratch);
-  out.start_sample = best;
-  out.channel_amp = std::abs(amp);
-  out.mid_level = mid;
-  out.preamble_corr = corr_norm;
 
   if (config_.decision_directed_equalizer) {
     // Second pass: treat the first decision as training, equalize the chip
     // stream, decode again.  With a mostly-correct first pass this cancels
     // the reverberation tail that limits chip SNR.  (This optional pass
     // still allocates: the normal-equation solve is vector-based.)
-    const obs::ScopedTimer timer(t_equalize_);
+    const obs::ScopedTimer timer(front_.equalize_timer());
     const Chips ref_chips = fm0_encode(out.bits, post_preamble_level_);
     std::vector<std::complex<double>> rx(soft.size());
     for (std::size_t c = 0; c < soft.size(); ++c) rx[c] = {soft[c], 0.0};
@@ -266,7 +138,7 @@ Expected<bool> BackscatterDemodulator::demodulate_envelope_into(
   // Detection bandwidth = the chip rate.
   out.quality = link_quality_from_error_ratio(noise / (amp * amp),
                                               2.0 * config_.bitrate);
-  if (n_ok_ != nullptr) n_ok_->add();
+  front_.accept(acquired.value(), out);
   return true;
 }
 
@@ -284,20 +156,10 @@ Expected<DemodResult> BackscatterDemodulator::demodulate_envelope(
 Expected<bool> BackscatterDemodulator::demodulate_into(
     std::span<const double> passband, double sample_rate, std::size_t n_bits,
     dsp::Arena& scratch, DemodResult& out) const {
-  require(sample_rate == config_.sample_rate, "demodulate: sample rate mismatch");
   const auto arena_frame = scratch.frame();
-  std::span<double> env;
-  double envelope_rate = 0.0;
-  {
-    const obs::ScopedTimer timer(t_downconvert_);
-    const dsp::CplxView bb = dsp::downconvert_filtered(
-        passband, sample_rate, config_.carrier_hz, lowpass_, /*decim=*/1, scratch);
-    auto e = scratch.alloc<double>(bb.size());
-    dsp::simd::magnitude(bb.samples, e);
-    env = e;
-    envelope_rate = bb.sample_rate;
-  }
-  return demodulate_envelope_into(env, envelope_rate, n_bits, scratch, out);
+  const dsp::SignalView env = front_.envelope(passband, sample_rate, scratch);
+  return demodulate_envelope_into(env.samples, env.sample_rate, n_bits, scratch,
+                                  out);
 }
 
 Expected<DemodResult> BackscatterDemodulator::demodulate(

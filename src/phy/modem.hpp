@@ -14,16 +14,14 @@
 #include <vector>
 
 #include "dsp/arena.hpp"
-#include "dsp/iir.hpp"
 #include "dsp/signal.hpp"
 #include "phy/fm0.hpp"
 #include "phy/packet.hpp"
+#include "phy/receiver.hpp"
 #include "util/error.hpp"
 
 namespace pab::obs {
 class MetricRegistry;
-class Counter;
-class Histogram;
 }  // namespace pab::obs
 
 namespace pab::phy {
@@ -72,7 +70,7 @@ struct DemodConfig {
   // outlive every demodulator built from this config.
   obs::MetricRegistry* metrics = nullptr;
 
-  // Member-wise equality: lets a phy::Workspace cache one demodulator per
+  // Member-wise equality: lets a phy::Workspace cache one receiver per
   // operating point instead of rebuilding it every trial.
   [[nodiscard]] bool operator==(const DemodConfig&) const = default;
 };
@@ -152,32 +150,12 @@ class BackscatterDemodulator {
 
   [[nodiscard]] const DemodConfig& config() const { return config_; }
 
-  // Soft chip integration: mean of `env` over each chip period.
-  [[nodiscard]] static std::vector<double> integrate_chips(
-      std::span<const double> env, double start, double samples_per_chip,
-      std::size_t n_chips);
-
-  // Into-output variant: out.size() is the chip count.
-  static void integrate_chips_into(std::span<const double> env, double start,
-                                   double samples_per_chip,
-                                   std::span<double> out);
-
  private:
   DemodConfig config_;
-  Chips preamble_chips_;
+  // Detection and channel estimation (phy/receiver.hpp); this class adds
+  // only the FM0 payload decoder.
+  detail::ReceiverFrontEnd front_;
   std::int8_t post_preamble_level_;
-  // Receiver low-pass, designed once at construction (designing per call
-  // would allocate in the hot path).
-  dsp::BiquadCascade lowpass_;
-  // Resolved once at construction from config_.metrics (null = metrics off).
-  obs::Histogram* t_correlate_ = nullptr;
-  obs::Histogram* t_chanest_ = nullptr;
-  obs::Histogram* t_equalize_ = nullptr;
-  obs::Histogram* t_downconvert_ = nullptr;
-  obs::Counter* n_attempts_ = nullptr;
-  obs::Counter* n_ok_ = nullptr;
-  obs::Counter* n_no_preamble_ = nullptr;
-  obs::Counter* n_decode_failures_ = nullptr;
 };
 
 // Convenience: demodulate and reassemble a full uplink packet with

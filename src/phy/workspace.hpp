@@ -1,5 +1,5 @@
 // Per-trial receiver workspace: one arena for every intermediate waveform in
-// the modem chain plus a cached demodulator.
+// the modem chain plus a cached scheme receiver.
 //
 // Ownership rules (see src/README.md):
 //   * One Workspace per worker thread.  It is not synchronized; never share a
@@ -7,17 +7,15 @@
 //     per trial.
 //   * The arena is sized on first use and only grows; steady-state trials
 //     reuse the same blocks, so the hot loop performs zero heap allocations.
-//   * demodulator(config) / scheme_demodulator(config) rebuild only when the
-//     config changes (member-wise equality on DemodConfig / SchemeConfig); a
-//     Monte-Carlo sweep that fixes the operating point constructs the
-//     demodulator exactly once.
+//   * scheme_demodulator(config) rebuilds only when the config changes
+//     (member-wise equality on SchemeConfig); a Monte-Carlo sweep that fixes
+//     the operating point constructs the receiver exactly once.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 
 #include "dsp/arena.hpp"
-#include "phy/modem.hpp"
 #include "phy/scheme.hpp"
 
 namespace pab::phy {
@@ -41,19 +39,9 @@ class Workspace {
   // allocations.  `bytes` is the expected per-trial high-water mark.
   void reserve(std::size_t bytes) { arena_.reserve(bytes); }
 
-  // The demodulator for `config`, building it on first use and rebuilding
-  // only when the config changes.  The reference stays valid until the next
-  // call with a different config.
-  [[nodiscard]] const BackscatterDemodulator& demodulator(
-      const DemodConfig& config) {
-    if (!demod_.has_value() || !(demod_->config() == config))
-      demod_.emplace(config);
-    return *demod_;
-  }
-
-  // Scheme-seam variant: one cached receiver per (scheme, config) operating
-  // point.  For SchemeId::kFm0 the facade forwards to a
-  // BackscatterDemodulator, so results are bit-identical to demodulator().
+  // The receiver for one (scheme, config) operating point, built on first
+  // use and rebuilt only when the config changes.  The reference stays valid
+  // until the next call with a different config.
   [[nodiscard]] const SchemeDemodulator& scheme_demodulator(
       const SchemeConfig& config) {
     if (!scheme_demod_.has_value() || !(scheme_demod_->config() == config))
@@ -63,7 +51,6 @@ class Workspace {
 
  private:
   dsp::Arena arena_;
-  std::optional<BackscatterDemodulator> demod_;
   std::optional<SchemeDemodulator> scheme_demod_;
 };
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
 #include <utility>
 
 #include "channel/spatial.hpp"
@@ -75,6 +76,15 @@ Session::Session(Scenario scenario, obs::MetricRegistry* metrics)
   n_mod_hits_ = &metrics_->counter("sim.session.modulation_cache_hits");
   n_mod_misses_ = &metrics_->counter("sim.session.modulation_cache_misses");
   t_trial_ = &metrics_->histogram("sim.session.trial_seconds");
+  for (std::size_t k = 0; k < kTrialKindCount; ++k)
+    n_kind_trials_[k] = &metrics_->counter(
+        std::string("sim.session.") + to_string(static_cast<TrialKind>(k)) +
+        ".trials");
+  n_timeline_events_ = &metrics_->counter("sim.session.timeline.events");
+  n_field_events_ = &metrics_->counter("sim.session.field.events");
+  g_timeline_events_ = &metrics_->gauge("sim.timeline.events_processed");
+  g_timeline_simulated_ = &metrics_->gauge("sim.timeline.simulated_s");
+  g_timeline_pending_ = &metrics_->gauge("sim.timeline.pending");
   g_arena_capacity_ = &metrics_->gauge("sim.session.arena.capacity_bytes");
   g_arena_high_water_ = &metrics_->gauge("sim.session.arena.high_water_bytes");
   g_arena_blocks_ = &metrics_->gauge("sim.session.arena.heap_blocks");
@@ -110,24 +120,103 @@ const core::ModulationStates& Session::modulation(std::size_t j,
       return it->second;
     }
   }
-  n_mod_misses_->add();
   // Evaluate outside the lock (circuit-model walk); losing a concurrent race
-  // is benign, both compute identical values and the first insert wins.
+  // is benign, both compute identical values and the first insert wins.  Only
+  // the winner counts a miss, so the hit/miss split does not depend on how
+  // worker threads interleave.
   const core::ModulationStates states =
       core::modulation_states(front_ends_.at(j), carrier_hz, bitrate);
   std::unique_lock lock(modulation_mutex_);
   const auto [it, inserted] = modulation_cache_.emplace(key, states);
-  if (inserted) modulation_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted) {
+    modulation_evaluations_.fetch_add(1, std::memory_order_relaxed);
+    n_mod_misses_->add();
+  } else {
+    n_mod_hits_->add();
+  }
   return it->second;
 }
 
+template <TrialKind K>
+pab::Expected<bool> Session::run_kind(
+    std::uint64_t trial, [[maybe_unused]] const TrialOptions& opts,
+    typename TrialTraits<K>::Result& out) const {
+  const obs::ScopedTimer timer(t_trial_);
+  n_trials_->add();
+  n_kind_trials_[static_cast<std::size_t>(K)]->add();
+  if constexpr (K == TrialKind::kUplink) {
+    const auto ctx = trial_contexts_.lease();
+    const auto ok = uplink_into(trial, *ctx, out);
+    // Last write wins; in steady state every pooled workspace reports the
+    // same numbers.
+    const dsp::Arena& arena = ctx->workspace.arena();
+    g_arena_capacity_->set(static_cast<double>(arena.capacity_bytes()));
+    g_arena_high_water_->set(static_cast<double>(arena.high_water_bytes()));
+    g_arena_blocks_->set(static_cast<double>(arena.block_allocations()));
+    return ok;
+  } else if constexpr (K == TrialKind::kNetwork) {
+    return network_into(trial, out);
+  } else {
+    Timeline tl;
+    const pab::Expected<bool> ok = [&] {
+      if constexpr (K == TrialKind::kTimeline)
+        return timeline_into(trial, opts.timeline, tl, out);
+      else
+        return field_into(trial, opts.field, tl, out);
+    }();
+    if (ok.ok()) {
+      // Counters accumulate across trials; the gauges are a last-writer
+      // snapshot (benign race under parallel batches -- relaxed atomics).
+      (K == TrialKind::kTimeline ? n_timeline_events_ : n_field_events_)
+          ->add(tl.events_processed());
+      g_timeline_events_->set(static_cast<double>(tl.events_processed()));
+      g_timeline_simulated_->set(tl.now());
+      g_timeline_pending_->set(static_cast<double>(tl.pending()));
+    }
+    return ok;
+  }
+}
+
+template pab::Expected<bool> Session::run_kind<TrialKind::kUplink>(
+    std::uint64_t, const TrialOptions&, UplinkTrial&) const;
+template pab::Expected<bool> Session::run_kind<TrialKind::kNetwork>(
+    std::uint64_t, const TrialOptions&, core::NetworkRunResult&) const;
+template pab::Expected<bool> Session::run_kind<TrialKind::kTimeline>(
+    std::uint64_t, const TrialOptions&, TimelineRunResult&) const;
+template pab::Expected<bool> Session::run_kind<TrialKind::kField>(
+    std::uint64_t, const TrialOptions&, FieldRunResult&) const;
+
 pab::Expected<bool> Session::run_into(std::uint64_t trial,
                                       UplinkTrial& out) const {
+  return run_kind<TrialKind::kUplink>(trial, {}, out);
+}
+
+pab::Expected<TrialResult> Session::run_trial(TrialKind kind,
+                                              std::uint64_t trial,
+                                              const TrialOptions& opts) const {
+  const auto as_variant = [](auto r) -> pab::Expected<TrialResult> {
+    if (!r.ok()) return r.error();
+    return TrialResult{std::move(r).value()};
+  };
+  switch (kind) {
+    case TrialKind::kUplink:
+      return as_variant(run_trial<TrialKind::kUplink>(trial, opts));
+    case TrialKind::kNetwork:
+      return as_variant(run_trial<TrialKind::kNetwork>(trial, opts));
+    case TrialKind::kTimeline:
+      return as_variant(run_trial<TrialKind::kTimeline>(trial, opts));
+    case TrialKind::kField:
+      return as_variant(run_trial<TrialKind::kField>(trial, opts));
+  }
+  return pab::Error{pab::ErrorCode::kInvalidArgument,
+                    "run_trial: unknown trial kind"};
+}
+
+pab::Expected<bool> Session::uplink_into(std::uint64_t trial, TrialContext& ctx,
+                                         UplinkTrial& out) const {
   if (front_ends_.empty())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "scenario has no front ends"};
-  const obs::ScopedTimer timer(t_trial_);
-  n_trials_->add();
   const Waveform& w = scenario_.waveform;
   pab::Rng rng = trial_rng(trial);
   out.sent.resize(w.payload_bits);  // reuses capacity in steady state
@@ -137,39 +226,22 @@ pab::Expected<bool> Session::run_into(std::uint64_t trial,
   const core::ModulationStates& states = modulation(
       0, w.carrier_hz,
       phy::scheme_descriptor(w.scheme).effective_bitrate(w.bitrate));
-  const auto ctx = trial_contexts_.lease();
   const auto ok = link_.run_and_decode_into(projector_, states, out.sent, w,
-                                            rng, ctx->workspace, ctx->decoded);
-  {
-    // Arena footprint of this trial's workspace; last write wins, and in
-    // steady state every pooled workspace reports the same numbers.
-    const dsp::Arena& arena = ctx->workspace.arena();
-    g_arena_capacity_->set(static_cast<double>(arena.capacity_bytes()));
-    g_arena_high_water_->set(static_cast<double>(arena.high_water_bytes()));
-    g_arena_blocks_->set(static_cast<double>(arena.block_allocations()));
-  }
+                                            rng, ctx.workspace, ctx.decoded);
   if (!ok.ok()) {
     n_decode_failures_->add();
     return ok.error();
   }
 
-  out.incident_pressure_pa = ctx->decoded.run.incident_pressure_pa;
-  out.modulation_pressure_pa = ctx->decoded.run.modulation_pressure_pa;
-  std::swap(out.demod, ctx->decoded.demod);
+  out.incident_pressure_pa = ctx.decoded.run.incident_pressure_pa;
+  out.modulation_pressure_pa = ctx.decoded.run.modulation_pressure_pa;
+  std::swap(out.demod, ctx.decoded.demod);
   out.ber = phy::bit_error_rate(out.sent, out.demod.bits);
   return true;
 }
 
-pab::Expected<Session::UplinkTrial> Session::uplink_trial(
-    std::uint64_t trial) const {
-  UplinkTrial out;
-  const auto ok = run_into(trial, out);
-  if (!ok.ok()) return ok.error();
-  return out;
-}
-
-pab::Expected<core::NetworkRunResult> Session::network_trial(
-    std::uint64_t trial) const {
+pab::Expected<bool> Session::network_into(std::uint64_t trial,
+                                          core::NetworkRunResult& out) const {
   if (!network_.has_value())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "scenario nodes not placeable inside the tank"};
@@ -180,40 +252,14 @@ pab::Expected<core::NetworkRunResult> Session::network_trial(
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "scenario must specify one front end per node"};
   pab::Rng rng = trial_rng(trial);
-  return network_->run(projector_, front_ends_, scenario_.fdma, rng);
+  out = network_->run(projector_, front_ends_, scenario_.fdma, rng);
+  return true;
 }
 
-pab::Expected<TrialResult> Session::run_trial(TrialKind kind,
-                                              std::uint64_t trial,
-                                              const TrialOptions& opts) const {
-  switch (kind) {
-    case TrialKind::kUplink: {
-      auto r = uplink_trial(trial);
-      if (!r.ok()) return r.error();
-      return TrialResult{std::in_place_index<0>, std::move(r).value()};
-    }
-    case TrialKind::kNetwork: {
-      auto r = network_trial(trial);
-      if (!r.ok()) return r.error();
-      return TrialResult{std::in_place_index<1>, std::move(r).value()};
-    }
-    case TrialKind::kTimeline: {
-      auto r = timeline_trial(trial, opts.timeline);
-      if (!r.ok()) return r.error();
-      return TrialResult{std::in_place_index<2>, std::move(r).value()};
-    }
-    case TrialKind::kField: {
-      auto r = field_trial(trial, opts.field);
-      if (!r.ok()) return r.error();
-      return TrialResult{std::in_place_index<3>, std::move(r).value()};
-    }
-  }
-  return pab::Error{pab::ErrorCode::kInvalidArgument,
-                    "run_trial: unknown trial kind"};
-}
-
-pab::Expected<Session::TimelineRunResult> Session::timeline_trial(
-    std::uint64_t trial, const TimelineRoundConfig& config) const {
+pab::Expected<bool> Session::timeline_into(std::uint64_t trial,
+                                           const TimelineRoundConfig& config,
+                                           Timeline& tl,
+                                           TimelineRunResult& out) const {
   if (node_count() > 200)
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "run_timeline: node ids are uint8 (<= 200 nodes)"};
@@ -228,7 +274,6 @@ pab::Expected<Session::TimelineRunResult> Session::timeline_trial(
   // event loop reaches them.  Nothing here reads wall clocks or shared
   // mutable state, so results are bit-identical at any thread count.
   pab::Rng rng = trial_rng(trial);
-  Timeline tl;
   tl.set_logging(config.keep_log);
 
   const double carrier = scenario_.waveform.carrier_hz;
@@ -270,8 +315,6 @@ pab::Expected<Session::TimelineRunResult> Session::timeline_trial(
   std::vector<std::uint8_t> population(n);
   for (std::size_t j = 0; j < n; ++j)
     population[j] = static_cast<std::uint8_t>(j + 1);
-
-  TimelineRunResult out;
 
   // Discovery: timed slotted ALOHA through the event queue.  Lifecycle ticks
   // interleave with the reply slots, so a node that browns out mid-round
@@ -324,19 +367,13 @@ pab::Expected<Session::TimelineRunResult> Session::timeline_trial(
   out.simulated_s = tl.now();
   out.events_processed = tl.events_processed();
   if (config.keep_log) out.event_log = tl.log();
-
-  // Shared-registry instrumentation: counters accumulate across trials;
-  // gauges are a last-writer snapshot (benign race under parallel batches --
-  // all relaxed atomics).
-  metrics_->counter("sim.session.timeline.trials").add();
-  metrics_->counter("sim.session.timeline.events")
-      .add(tl.events_processed());
-  tl.export_to(*metrics_, "sim.timeline");
-  return out;
+  return true;
 }
 
-pab::Expected<FieldRunResult> Session::field_trial(
-    std::uint64_t trial, const FieldRoundConfig& config) const {
+pab::Expected<bool> Session::field_into(std::uint64_t trial,
+                                        const FieldRoundConfig& config,
+                                        Timeline& tl,
+                                        FieldRunResult& out) const {
   const std::size_t n = node_count();
   if (n == 0)
     return pab::Error{pab::ErrorCode::kInvalidArgument,
@@ -357,16 +394,12 @@ pab::Expected<FieldRunResult> Session::field_trial(
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: interference parameters must be >= 0"};
 
-  const obs::ScopedTimer timer(t_trial_);
-  n_trials_->add();
-
   const double carrier = scenario_.waveform.carrier_hz;
   const auto& positions = scenario_.field.positions();
   const channel::Vec3& extent = scenario_.medium.tank.size;
   const double diagonal =
       std::sqrt(extent.x * extent.x + extent.y * extent.y + extent.z * extent.z);
 
-  FieldRunResult out;
   out.population = n;
 
   // Per-trial tap cache: exact per-pair keys on the brute-force reference
@@ -479,7 +512,6 @@ pab::Expected<FieldRunResult> Session::field_trial(
   // randomness is the inventory's frame nonces, which derive from the
   // trial's substream seed (and, inside, each zone's id): bit-identical at
   // any thread count.
-  Timeline tl;
   tl.set_logging(config.keep_log);
   mac::InventoryConfig inventory;
   inventory.seed = substream_seed(scenario_.medium.seed, trial);
@@ -540,22 +572,7 @@ pab::Expected<FieldRunResult> Session::field_trial(
       static_cast<double>(n) * out.simulated_s / 3600.0;
   out.events_processed = tl.events_processed();
   if (config.keep_log) out.event_log = tl.log();
-
-  // Arena footprint: the field path's per-trial scratch is density-bound
-  // (neighbor scans), never population-bound, so the workspace arena gauges
-  // stay flat as the population sweeps -- published from the same pooled
-  // context the uplink path uses.
-  {
-    const auto ctx = trial_contexts_.lease();
-    const dsp::Arena& arena = ctx->workspace.arena();
-    g_arena_capacity_->set(static_cast<double>(arena.capacity_bytes()));
-    g_arena_high_water_->set(static_cast<double>(arena.high_water_bytes()));
-    g_arena_blocks_->set(static_cast<double>(arena.block_allocations()));
-  }
-  metrics_->counter("sim.session.field.trials").add();
-  metrics_->counter("sim.session.field.events").add(tl.events_processed());
-  tl.export_to(*metrics_, "sim.timeline");
-  return out;
+  return true;
 }
 
 }  // namespace pab::sim

@@ -13,6 +13,7 @@
 // results are bit-identical at any thread count.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -174,12 +175,6 @@ class Session {
   }
 
   // ---- Monte-Carlo trials ---------------------------------------------------
-  // The three trial kinds (see sim/trial.hpp); the old nested names remain
-  // as aliases so existing `Session::UplinkTrial` spellings keep compiling.
-  using UplinkTrial = sim::UplinkTrial;
-  using TimelineRoundConfig = sim::TimelineRoundConfig;
-  using TimelineRunResult = sim::TimelineRunResult;
-
   // Unified entry point, compile-time kind: one trial of kind K with a typed
   // result.  kUplink draws `waveform.payload_bits` random bits, simulates the
   // backscatter uplink, and decodes with the standard receiver (decode
@@ -192,20 +187,17 @@ class Session {
   // node that browns out mid-inventory misses its slot and rejoins after
   // recharge.  Every kind draws all randomness from trial_rng(trial):
   // results are bit-identical at any BatchRunner thread count.
+  //
+  // This is the one instrumented trial path: every kind counts
+  // `sim.session.trials` and `sim.session.<kind>.trials` and lands one
+  // sample in `sim.session.trial_seconds`, failed trials included.
   template <TrialKind K>
   [[nodiscard]] pab::Expected<typename TrialTraits<K>::Result> run_trial(
       std::uint64_t trial, const TrialOptions& opts = {}) const {
-    if constexpr (K == TrialKind::kUplink) {
-      (void)opts;
-      return uplink_trial(trial);
-    } else if constexpr (K == TrialKind::kNetwork) {
-      (void)opts;
-      return network_trial(trial);
-    } else if constexpr (K == TrialKind::kTimeline) {
-      return timeline_trial(trial, opts.timeline);
-    } else {
-      return field_trial(trial, opts.field);
-    }
+    typename TrialTraits<K>::Result out;
+    const pab::Expected<bool> ok = run_kind<K>(trial, opts, out);
+    if (!ok.ok()) return ok.error();
+    return out;
   }
 
   // Unified entry point, runtime kind: the form the campaign engine and the
@@ -218,21 +210,37 @@ class Session {
   // buffers) is leased from an internal pool keyed by nothing -- one context
   // per concurrently in-flight trial, reused across trials.  `out` fields
   // resize in place, so a caller that reuses one UplinkTrial per worker sees
-  // no heap allocation after the first few trials.  Bit-identical to
-  // run_trial<kUplink>, which wraps this.
+  // no heap allocation after the first few trials.  Same instrumented path
+  // as run_trial<kUplink>, so results are bit-identical.
   [[nodiscard]] pab::Expected<bool> run_into(std::uint64_t trial,
                                              UplinkTrial& out) const;
 
  private:
-  // Per-kind implementations behind the run_trial dispatch.
-  [[nodiscard]] pab::Expected<UplinkTrial> uplink_trial(
-      std::uint64_t trial) const;
-  [[nodiscard]] pab::Expected<core::NetworkRunResult> network_trial(
-      std::uint64_t trial) const;
-  [[nodiscard]] pab::Expected<TimelineRunResult> timeline_trial(
-      std::uint64_t trial, const TimelineRoundConfig& config) const;
-  [[nodiscard]] pab::Expected<FieldRunResult> field_trial(
-      std::uint64_t trial, const FieldRoundConfig& config) const;
+  struct TrialContext;
+
+  // The instrumented dispatch behind run_trial and run_into: counts and
+  // times the trial, owns its per-trial scratch (a leased TrialContext for
+  // kUplink, a Timeline for kTimeline/kField), runs the kind's body into
+  // `out`, and publishes the scratch's gauges.  Instantiated for every kind
+  // in session.cpp.
+  template <TrialKind K>
+  [[nodiscard]] pab::Expected<bool> run_kind(
+      std::uint64_t trial, const TrialOptions& opts,
+      typename TrialTraits<K>::Result& out) const;
+
+  // Per-kind bodies behind run_kind: no instrumentation of their own.
+  [[nodiscard]] pab::Expected<bool> uplink_into(std::uint64_t trial,
+                                                TrialContext& ctx,
+                                                UplinkTrial& out) const;
+  [[nodiscard]] pab::Expected<bool> network_into(
+      std::uint64_t trial, core::NetworkRunResult& out) const;
+  [[nodiscard]] pab::Expected<bool> timeline_into(
+      std::uint64_t trial, const TimelineRoundConfig& config, Timeline& tl,
+      TimelineRunResult& out) const;
+  [[nodiscard]] pab::Expected<bool> field_into(std::uint64_t trial,
+                                               const FieldRoundConfig& config,
+                                               Timeline& tl,
+                                               FieldRunResult& out) const;
 
   Scenario scenario_;
   obs::MetricRegistry* metrics_;
@@ -247,10 +255,10 @@ class Session {
   mutable std::map<ModKey, core::ModulationStates> modulation_cache_;
   mutable std::atomic<std::uint64_t> modulation_evaluations_{0};
 
-  // Per-trial scratch: a workspace (arena + cached demodulator) plus the
-  // synthesis/decode result buffers.  Pooled like the tap cache -- one
-  // context per concurrently in-flight trial, leased per run_into call and
-  // returned warm, so steady-state trials allocate nothing.
+  // Per-trial scratch of uplink trials: a workspace (arena + cached scheme
+  // receiver) plus the synthesis/decode result buffers.  Pooled like the tap
+  // cache -- one context per concurrently in-flight trial, leased per trial
+  // and returned warm, so steady-state trials allocate nothing.
   struct TrialContext {
     phy::Workspace workspace;
     core::LinkSimulator::DecodedRun decoded;
@@ -263,8 +271,18 @@ class Session {
   obs::Counter* n_mod_hits_ = nullptr;
   obs::Counter* n_mod_misses_ = nullptr;
   obs::Histogram* t_trial_ = nullptr;
-  // Arena footprint of the most recent trial's workspace (bytes / blocks):
-  // how much scratch one trial needs and whether it ever re-grew.
+  // sim.session.<kind>.trials, indexed by TrialKind.
+  std::array<obs::Counter*, kTrialKindCount> n_kind_trials_{};
+  // sim.session.<kind>.events of the two Timeline kinds.
+  obs::Counter* n_timeline_events_ = nullptr;
+  obs::Counter* n_field_events_ = nullptr;
+  // The most recent Timeline trial's clock (`sim.timeline.*`, the names
+  // Timeline::export_to publishes).
+  obs::Gauge* g_timeline_events_ = nullptr;
+  obs::Gauge* g_timeline_simulated_ = nullptr;
+  obs::Gauge* g_timeline_pending_ = nullptr;
+  // Arena footprint of the most recent uplink trial's workspace (bytes /
+  // blocks): how much scratch one trial needs and whether it ever re-grew.
   obs::Gauge* g_arena_capacity_ = nullptr;
   obs::Gauge* g_arena_high_water_ = nullptr;
   obs::Gauge* g_arena_blocks_ = nullptr;

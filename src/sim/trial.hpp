@@ -11,10 +11,7 @@
 // `Session::run_trial` and `BatchRunner::run` dispatch on TrialKind, either
 // at compile time (template parameter, typed result) or at run time (enum
 // value, std::variant result -- the form the campaign engine and the worker
-// protocol use, where the kind arrives over the wire).  This header replaces
-// the old three-method sprawl (`run`/`run_network`/`run_timeline` on Session,
-// `run_uplink`/`run_network`/`run_timeline` on BatchRunner); the old names
-// remain as deprecated shims for one release.
+// protocol use, where the kind arrives over the wire).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +30,7 @@ enum class TrialKind : std::uint8_t {
   kTimeline = 2,
   kField = 3,
 };
+inline constexpr std::size_t kTrialKindCount = 4;
 
 [[nodiscard]] constexpr const char* to_string(TrialKind kind) {
   switch (kind) {
@@ -60,8 +58,7 @@ enum class TrialKind : std::uint8_t {
 // ALOHA inventory once powered, then answer a poll round.  Link outcomes at
 // this level are protocol abstractions (per-reply decode/CRC probabilities)
 // rather than full waveform simulations -- kUplink/kNetwork remain the
-// sample-level paths.  (Formerly Session::TimelineRoundConfig, which is now
-// an alias of this type.)
+// sample-level paths.
 struct TimelineRoundConfig {
   mac::InventoryConfig inventory{};
   mac::TimedInventoryOptions slots{};  // `available` is filled in per run

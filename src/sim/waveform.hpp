@@ -1,13 +1,9 @@
-// Shared waveform parameter structs consumed by sim::Scenario.
-//
-// These collapse the duplicated per-run config structs that used to live on
-// each simulator (core::UplinkRunConfig / core::NetworkRunConfig): a single
-// `Waveform` describes a one-node backscatter uplink and a single `FdmaPlan`
-// describes a concurrent multi-node frame.  The legacy names remain as
-// aliases in core/ so existing callers keep compiling.
+// Shared waveform parameter structs consumed by sim::Scenario and by the
+// core simulators: a single `Waveform` describes a one-node backscatter
+// uplink and a single `FdmaPlan` describes a concurrent multi-node frame.
 //
 // This header is deliberately near-dependency-free so the lower core/ layer
-// can alias these types without linking against the sim module; the one
+// can take these types without linking against the sim module; the one
 // include is the tiny phy/scheme_id.hpp enum header (core already depends on
 // phy).
 #pragma once
@@ -19,7 +15,7 @@
 
 namespace pab::sim {
 
-// Single-link backscatter uplink parameters (the former core::UplinkRunConfig).
+// Single-link backscatter uplink parameters.
 struct Waveform {
   double carrier_hz = 15000.0;
   double bitrate = 1000.0;
@@ -34,8 +30,7 @@ struct Waveform {
   phy::SchemeId scheme = phy::SchemeId::kFm0;
 };
 
-// FDMA channel plan for concurrent multi-node frames (the former
-// core::NetworkRunConfig).  One carrier per node.
+// FDMA channel plan for concurrent multi-node frames.  One carrier per node.
 struct FdmaPlan {
   std::vector<double> carriers_hz;  // one per node (the FDMA plan)
   double bitrate = 250.0;

@@ -23,7 +23,7 @@ TEST(Integration, UplinkDecodesCleanly) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   pab::Rng rng(21);
   const auto bits = rng.bits(64);
-  UplinkRunConfig cfg;
+  sim::Waveform cfg;
   const auto out = sim.run_and_decode(proj, fe, bits, cfg);
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0);
@@ -40,7 +40,7 @@ TEST(Integration, FullPacketWithCrc) {
   packet.payload = node::encode_ph_payload(7.4);
   const auto bits = packet.to_bits(/*include_preamble=*/false);
 
-  UplinkRunConfig cfg;
+  sim::Waveform cfg;
   const auto out = sim.run_and_decode(proj, fe, bits, cfg);
   ASSERT_TRUE(out.ok());
   const auto decoded =
@@ -64,8 +64,8 @@ TEST(Integration, SnrDropsWithDistance) {
 
   LinkSimulator sim_near(sc, near);
   LinkSimulator sim_far(sc, far);
-  const auto rn = sim_near.run_and_decode(proj, fe, bits, UplinkRunConfig{});
-  const auto rf = sim_far.run_and_decode(proj, fe, bits, UplinkRunConfig{});
+  const auto rn = sim_near.run_and_decode(proj, fe, bits, sim::Waveform{});
+  const auto rf = sim_far.run_and_decode(proj, fe, bits, sim::Waveform{});
   ASSERT_TRUE(rn.ok());
   // The far node's channel amplitude must be weaker.
   if (rf.ok()) {
@@ -79,9 +79,9 @@ TEST(Integration, OffResonanceCarrierWeakensModulation) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   pab::Rng rng(23);
   const auto bits = rng.bits(32);
-  UplinkRunConfig on;
+  sim::Waveform on;
   on.carrier_hz = 15000.0;
-  UplinkRunConfig off;
+  sim::Waveform off;
   off.carrier_hz = 12000.0;
   const auto r_on = sim.run_uplink(proj, fe, bits, on);
   const auto r_off = sim.run_uplink(proj, fe, bits, off);
@@ -137,7 +137,7 @@ TEST(Integration, EndToEndQueryResponseTransaction) {
 
   // Uplink.
   const auto bits = response->to_bits(/*include_preamble=*/false);
-  UplinkRunConfig ucfg;
+  sim::Waveform ucfg;
   ucfg.bitrate = node.bitrate();
   const auto out = sim.run_and_decode(proj, node.front_end(), bits, ucfg);
   ASSERT_TRUE(out.ok()) << out.error().message();
@@ -186,7 +186,7 @@ TEST(Integration, SwimmingPoolLinkDecodes) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   pab::Rng rng(61);
   const auto bits = rng.bits(64);
-  const auto out = sim.run_and_decode(proj, fe, bits, UplinkRunConfig{});
+  const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{});
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0);
 }

@@ -1,10 +1,9 @@
-// FFT, spectrum, and peak detection tests.
+// FFT tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "dsp/fft.hpp"
-#include "dsp/mixer.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -64,98 +63,6 @@ TEST(Fft, SinglebinTone) {
   auto spec = fft(std::span<const double>(x));
   EXPECT_NEAR(std::abs(spec[32]), 512.0, 1e-6);
   EXPECT_NEAR(std::abs(spec[33]), 0.0, 1e-6);
-}
-
-TEST(Spectrum, UnitSineReadsUnity) {
-  const Signal s = make_tone(1500.0, 1.0, 0.1, 48000.0);
-  const Spectrum spec = magnitude_spectrum(s);
-  double peak = 0.0, peak_f = 0.0;
-  for (std::size_t i = 0; i < spec.magnitude.size(); ++i)
-    if (spec.magnitude[i] > peak) { peak = spec.magnitude[i]; peak_f = spec.frequency[i]; }
-  EXPECT_NEAR(peak, 1.0, 0.05);
-  EXPECT_NEAR(peak_f, 1500.0, 15.0);
-}
-
-// Regression: the one-sided 2/N scale double-counts DC and Nyquist, which
-// carry no mirrored negative-frequency energy.  A constant signal and a
-// Nyquist-rate square wave must both read ~1.0, not ~2.0.
-TEST(Spectrum, DcAndNyquistBinsAreNotDoubleCounted) {
-  const double fs = 48000.0;
-  Signal dc;
-  dc.sample_rate = fs;
-  dc.samples.assign(1024, 1.0);
-  const Spectrum dc_spec = magnitude_spectrum(dc);
-  ASSERT_FALSE(dc_spec.magnitude.empty());
-  EXPECT_NEAR(dc_spec.magnitude[0], 1.0, 1e-9);
-  EXPECT_EQ(dc_spec.frequency[0], 0.0);
-
-  // Alternating +1/-1 is a pure tone at exactly fs/2: all energy in the
-  // last (Nyquist) bin of the one-sided spectrum.
-  Signal nyq;
-  nyq.sample_rate = fs;
-  nyq.samples.resize(1024);
-  for (std::size_t i = 0; i < nyq.samples.size(); ++i)
-    nyq.samples[i] = (i % 2 == 0) ? 1.0 : -1.0;
-  const Spectrum nyq_spec = magnitude_spectrum(nyq);
-  const std::size_t last = nyq_spec.magnitude.size() - 1;
-  EXPECT_NEAR(nyq_spec.frequency[last], fs / 2.0, 1e-9);
-  EXPECT_NEAR(nyq_spec.magnitude[last], 1.0, 1e-9);
-
-  // Interior bins are unaffected by the edge-bin fix: a bin-aligned
-  // mid-band unit sine still reads ~1.0.
-  Signal mid;
-  mid.sample_rate = fs;
-  mid.samples.resize(1024);
-  for (std::size_t i = 0; i < mid.samples.size(); ++i)
-    mid.samples[i] =
-        std::sin(kTwoPi * 96.0 * static_cast<double>(i) / 1024.0);
-  const Spectrum mid_spec = magnitude_spectrum(mid);
-  EXPECT_NEAR(mid_spec.magnitude[96], 1.0, 1e-9);
-}
-
-// Regression: the spectrum used to zero-pad to a power of two but compute
-// the bin spacing from the padded length while scaling amplitudes by the
-// unpadded length, so non-power-of-two inputs reported both a shifted peak
-// frequency and a wrong magnitude.  The exact-length DFT keeps df = fs/N and
-// scale = 2/N tied to the same N: a bin-aligned sine lands exactly on its
-// frequency with magnitude ~1.0.
-TEST(Spectrum, NonPowerOfTwoLengthKeepsExactBinsAndScale) {
-  const double fs = 48000.0;
-  constexpr std::size_t kLen = 4800;  // not a power of two
-  Signal s;
-  s.sample_rate = fs;
-  s.samples.resize(kLen);
-  // 1000 Hz = bin 100 of a 4800-point transform at 48 kHz: exactly
-  // bin-aligned for the true length, not for the 8192 padded one.
-  for (std::size_t i = 0; i < kLen; ++i)
-    s.samples[i] = std::sin(kTwoPi * 1000.0 * static_cast<double>(i) / fs);
-  const Spectrum spec = magnitude_spectrum(s);
-  ASSERT_EQ(spec.frequency.size(), kLen / 2 + 1);
-  double peak = 0.0, peak_f = -1.0;
-  for (std::size_t i = 0; i < spec.magnitude.size(); ++i)
-    if (spec.magnitude[i] > peak) { peak = spec.magnitude[i]; peak_f = spec.frequency[i]; }
-  EXPECT_NEAR(peak_f, 1000.0, 1e-9);   // df = fs / 4800 puts bin 100 at 1 kHz
-  EXPECT_NEAR(peak, 1.0, 1e-9);        // scale = 2 / 4800 over the same length
-}
-
-TEST(SpectralPeaks, FindsTwoCarriers) {
-  // The receiver identifies concurrent downlink carriers by FFT peaks
-  // (paper section 5.1b).
-  Signal s = make_tone(15000.0, 1.0, 0.05, 96000.0);
-  s.accumulate(make_tone(18000.0, 0.7, 0.05, 96000.0));
-  const auto peaks = spectral_peaks(s, 0.25, 500.0);
-  ASSERT_GE(peaks.size(), 2u);
-  EXPECT_NEAR(peaks[0], 15000.0, 60.0);
-  EXPECT_NEAR(peaks[1], 18000.0, 60.0);
-}
-
-TEST(SpectralPeaks, IgnoresWeakNoise) {
-  pab::Rng rng(9);
-  Signal s = make_tone(15000.0, 1.0, 0.05, 96000.0);
-  for (auto& v : s.samples) v += rng.gaussian(0.0, 0.01);
-  const auto peaks = spectral_peaks(s, 0.25, 500.0);
-  ASSERT_EQ(peaks.size(), 1u);
-  EXPECT_NEAR(peaks[0], 15000.0, 60.0);
 }
 
 }  // namespace

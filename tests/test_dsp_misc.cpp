@@ -78,17 +78,6 @@ TEST(Envelope, SchmittHysteresis) {
   EXPECT_EQ(sliced2.back(), 1);
 }
 
-TEST(Correlate, FindsKnownOffset) {
-  pab::Rng rng(1);
-  std::vector<double> t(64);
-  for (auto& v : t) v = rng.gaussian();
-  std::vector<double> x(512, 0.0);
-  const std::size_t offset = 200;
-  for (std::size_t i = 0; i < t.size(); ++i) x[offset + i] = t[i];
-  const auto corr = cross_correlate(x, t);
-  EXPECT_EQ(argmax(corr), offset);
-}
-
 TEST(Correlate, PearsonInvariantToOffsetAndScale) {
   pab::Rng rng(2);
   std::vector<double> t(64);
@@ -112,35 +101,10 @@ TEST(Correlate, PearsonBounded) {
   }
 }
 
-TEST(Correlate, NormalizedComplexPeakIsOne) {
-  pab::Rng rng(4);
-  std::vector<cplx> t(48);
-  for (auto& v : t) v = {rng.gaussian(), rng.gaussian()};
-  std::vector<cplx> x(300, cplx{});
-  for (std::size_t i = 0; i < t.size(); ++i) x[77 + i] = t[i] * cplx(0.0, 2.0);
-  const auto corr = normalized_correlation(x, t);
-  EXPECT_EQ(argmax(corr), 77u);
-  EXPECT_NEAR(corr[77], 1.0, 1e-9);
-}
-
 TEST(Goertzel, MatchesToneAmplitude) {
   const Signal s = make_tone(15000.0, 0.7, 0.05, 96000.0);
   EXPECT_NEAR(tone_amplitude(s.samples, 15000.0, 96000.0), 0.7, 0.01);
   EXPECT_LT(tone_amplitude(s.samples, 10000.0, 96000.0), 0.01);
-}
-
-TEST(Resample, Decimate) {
-  std::vector<double> x = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto y = decimate(std::span<const double>(x), 3);
-  EXPECT_EQ(y, (std::vector<double>{0, 3, 6, 9}));
-}
-
-TEST(Resample, FractionalDelayInterpolates) {
-  std::vector<double> x = {1.0, 0.0};
-  const auto y = fractional_delay(x, 0.5);
-  ASSERT_GE(y.size(), 2u);
-  EXPECT_NEAR(y[0], 0.5, 1e-12);
-  EXPECT_NEAR(y[1], 0.5, 1e-12);
 }
 
 TEST(Resample, AddDelayedScaledAccumulates) {

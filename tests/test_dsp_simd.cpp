@@ -66,7 +66,6 @@ TEST(SimdDispatch, ScalarTableMatchesReferenceLoopsExactly) {
   const auto a = random_vec(rng, 257);
   const auto b = random_vec(rng, 257);
   const auto cx = random_cvec(rng, 191);
-  const auto ct = random_cvec(rng, 191);
 
   const DispatchGuard guard(Isa::kScalar, false);
 
@@ -77,11 +76,6 @@ TEST(SimdDispatch, ScalarTableMatchesReferenceLoopsExactly) {
   double want_dot = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) want_dot += a[i] * b[i];
   EXPECT_EQ(want_dot, simd::dot(a, b));
-
-  cplx want_dc{};
-  for (std::size_t i = 0; i < cx.size(); ++i)
-    want_dc += cx[i] * std::conj(ct[i]);
-  EXPECT_EQ(want_dc, simd::dot_conj(cx, ct));
 
   const double mean = want_sum / static_cast<double>(a.size());
   double want_cov = 0.0, want_var = 0.0;
@@ -151,7 +145,6 @@ TEST(SimdDispatch, VectorKernelsMatchScalarWithinTolerance) {
   const double w = kTwoPi * 18500.0 / 96000.0;
 
   double s_sum, s_dot;
-  cplx s_dc;
   simd::CovVar s_cv{};
   std::vector<double> s_axpy, s_mag(cx.size()), s_up(cx.size()), s_tone(900);
   std::vector<cplx> s_caxpy, s_down(a.size()), s_cmul(cx.size());
@@ -159,7 +152,6 @@ TEST(SimdDispatch, VectorKernelsMatchScalarWithinTolerance) {
     const DispatchGuard guard(Isa::kScalar, false);
     s_sum = simd::sum(a);
     s_dot = simd::dot(a, b);
-    s_dc = simd::dot_conj(cx, ct);
     s_cv = simd::centered_cov_var(a, b, s_sum / 1001.0);
     s_axpy = b;
     simd::axpy(0.37, a, s_axpy);
@@ -175,9 +167,6 @@ TEST(SimdDispatch, VectorKernelsMatchScalarWithinTolerance) {
   const DispatchGuard guard(host_isa(), true);
   expect_close(s_sum, simd::sum(a), max_abs(a) * 1001, "sum");
   expect_close(s_dot, simd::dot(a, b), std::abs(s_dot) + 1001, "dot");
-  const cplx v_dc = simd::dot_conj(cx, ct);
-  expect_close(s_dc.real(), v_dc.real(), std::abs(s_dc) + 773, "dot_conj.re");
-  expect_close(s_dc.imag(), v_dc.imag(), std::abs(s_dc) + 773, "dot_conj.im");
   const auto v_cv = simd::centered_cov_var(a, b, s_sum / 1001.0);
   expect_close(s_cv.cov, v_cv.cov, std::abs(s_cv.cov) + 1001, "cov");
   expect_close(s_cv.var, v_cv.var, s_cv.var, "var");

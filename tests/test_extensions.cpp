@@ -164,7 +164,7 @@ TEST(Equalizer, DecisionDirectedPassLiftsChipSnr) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(3);
   const auto bits = rng.bits(192);
-  core::UplinkRunConfig cfg;
+  sim::Waveform cfg;
   cfg.bitrate = 2800.0;
   const auto run = sim.run_uplink(proj, fe, bits, cfg);
 

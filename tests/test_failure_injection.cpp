@@ -20,7 +20,7 @@ using core::LinkSimulator;
 using core::Placement;
 using core::Projector;
 using core::SimConfig;
-using core::UplinkRunConfig;
+using sim::Waveform;
 
 Projector strong_projector() {
   return Projector(piezo::make_projector_transducer(), 300.0);
@@ -124,7 +124,7 @@ TEST(FailureInjection, SameChannelCollisionCorruptsWithoutZf) {
   const auto bits1 = rng.bits(64);
   const auto bits2 = rng.bits(64);
 
-  UplinkRunConfig cfg;
+  Waveform cfg;
   auto run1 = sim.run_uplink(proj, fe, bits1, cfg);
   // Second node at comparable link strength, same channel, same time.
   Placement pl2 = pl;
@@ -160,7 +160,7 @@ TEST(FailureInjection, ClockSkewToleratedByEnvelopeReceiver) {
     const auto fe = circuit::make_recto_piezo(15000.0);
     Rng rng(23);
     const auto bits = rng.bits(64);
-    const auto out = sim.run_and_decode(proj, fe, bits, UplinkRunConfig{});
+    const auto out = sim.run_and_decode(proj, fe, bits, Waveform{});
     ASSERT_TRUE(out.ok()) << "ppm=" << ppm;
     EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0)
         << "ppm=" << ppm;
@@ -174,7 +174,7 @@ TEST(FailureInjection, WrongBitrateAssumptionFailsCleanly) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(29);
   const auto bits = rng.bits(64);
-  UplinkRunConfig cfg;
+  Waveform cfg;
   cfg.bitrate = 1000.0;
   const auto run = sim.run_uplink(proj, fe, bits, cfg);
 
@@ -195,7 +195,7 @@ TEST(FailureInjection, TruncatedCaptureReportsNoPreamble) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(31);
   const auto bits = rng.bits(64);
-  auto run = sim.run_uplink(proj, fe, bits, UplinkRunConfig{});
+  auto run = sim.run_uplink(proj, fe, bits, Waveform{});
   run.hydrophone_v.samples.resize(run.hydrophone_v.size() / 10);
 
   phy::DemodConfig dc;

@@ -25,8 +25,8 @@ std::vector<channel::Vec3> ring_positions(std::size_t n) {
   return pos;
 }
 
-NetworkRunConfig plan_for(std::size_t n) {
-  NetworkRunConfig cfg;
+sim::FdmaPlan plan_for(std::size_t n) {
+  sim::FdmaPlan cfg;
   if (n == 1) {
     cfg.carriers_hz = {16500.0};
     return cfg;
@@ -37,7 +37,7 @@ NetworkRunConfig plan_for(std::size_t n) {
   return cfg;
 }
 
-std::vector<circuit::RectoPiezo> front_ends_for(const NetworkRunConfig& cfg) {
+std::vector<circuit::RectoPiezo> front_ends_for(const sim::FdmaPlan& cfg) {
   std::vector<circuit::RectoPiezo> fes;
   for (double f : cfg.carriers_hz) fes.push_back(circuit::make_recto_piezo(f));
   return fes;
@@ -103,7 +103,7 @@ TEST(MultiNode, SingleNodeIsCleanBaseline) {
 TEST(MultiNode, MismatchedInputsThrow) {
   Rig s;
   MultiNodeSimulator sim(s.config, s.projector, s.hydrophone, ring_positions(2));
-  NetworkRunConfig cfg = plan_for(3);  // 3 carriers for 2 nodes
+  sim::FdmaPlan cfg = plan_for(3);  // 3 carriers for 2 nodes
   EXPECT_THROW((void)sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg),
                std::invalid_argument);
 }

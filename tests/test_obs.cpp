@@ -216,6 +216,50 @@ TEST(SessionMetrics, MetricsDoNotPerturbTrialResults) {
   }
 }
 
+// Regression: Session::run_trial is the one instrumented path, so every trial
+// kind counts and times its trials the same way.  kNetwork used to count
+// nothing and kTimeline counted only under its own name, which left
+// sim.session.trials at zero in the fig10 and FDMA-scaling bench sidecars.
+TEST(SessionMetrics, EveryTrialKindIsCountedAndTimed) {
+  MetricRegistry reg;
+  const sim::BatchRunner pool(4, &reg);
+  sim::FieldSpec field;
+  field.layout = sim::FieldLayout::kGrid;
+  field.population = 40;
+  const sim::Session uplink(sim::Scenario::pool_a().with_seed(3), &reg);
+  const sim::Session concurrent(sim::Scenario::pool_a_concurrent().with_seed(3),
+                                &reg);
+  const sim::Session open_water(sim::Scenario::open_water(field), &reg);
+  sim::TrialOptions opts;
+  opts.timeline.horizon_s = 15.0;  // keep per-trial event counts modest
+
+  const auto kind_trials = [&](sim::TrialKind k) {
+    return reg.counter(std::string("sim.session.") + sim::to_string(k) +
+                       ".trials")
+        .value();
+  };
+  const auto expect_batch = [&](sim::TrialKind kind,
+                                const sim::Session& session, std::size_t n) {
+    const std::uint64_t trials = reg.counter("sim.session.trials").value();
+    const std::uint64_t timed =
+        reg.histogram("sim.session.trial_seconds").count();
+    const std::uint64_t own = kind_trials(kind);
+    for (const auto& r : pool.run(session, kind, n, opts))
+      ASSERT_TRUE(r.ok()) << sim::to_string(kind) << ": "
+                          << r.error().message();
+    EXPECT_EQ(reg.counter("sim.session.trials").value() - trials, n)
+        << sim::to_string(kind);
+    EXPECT_EQ(reg.histogram("sim.session.trial_seconds").count() - timed, n)
+        << sim::to_string(kind);
+    EXPECT_EQ(kind_trials(kind) - own, n) << sim::to_string(kind);
+  };
+  expect_batch(sim::TrialKind::kUplink, uplink, 8);
+  expect_batch(sim::TrialKind::kNetwork, concurrent, 4);
+  expect_batch(sim::TrialKind::kTimeline, concurrent, 8);
+  expect_batch(sim::TrialKind::kField, open_water, 4);
+  EXPECT_EQ(reg.counter("sim.session.trials").value(), 24u);
+}
+
 // Worker accounting: every executed trial is attributed to exactly one
 // worker, and the per-worker counts sum to the batch total.
 TEST(BatchMetrics, PerWorkerTrialCountsSumToTotal) {

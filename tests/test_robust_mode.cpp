@@ -71,7 +71,7 @@ TEST(RobustMode, EndToEndThroughSimulator) {
   Bits body = packet.to_bits(false);
   const Bits coded = phy::fec_protect(body);
 
-  const auto run = sim.run_uplink(proj, fe, coded, core::UplinkRunConfig{});
+  const auto run = sim.run_uplink(proj, fe, coded, sim::Waveform{});
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
   const auto decoded = phy::demodulate_packet(run.hydrophone_v, dc,

@@ -107,7 +107,7 @@ TEST(SchemeSeamGolden, Fm0DemodulatorMatchesLegacyExactly) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(43);
   const auto bits = rng.bits(64);
-  core::UplinkRunConfig cfg;  // default scheme = kFm0
+  sim::Waveform cfg;  // default scheme = kFm0
 
   const auto states =
       core::modulation_states(fe, cfg.carrier_hz, cfg.bitrate);  // legacy key
@@ -262,7 +262,7 @@ TEST(FskScheme, EndToEndLinkDecodes) {
     const auto fe = circuit::make_recto_piezo(15000.0);
     Rng rng(67);
     const auto bits = rng.bits(64);
-    core::UplinkRunConfig cfg;
+    sim::Waveform cfg;
     cfg.scheme = scheme;
     const auto out = sim.run_and_decode(proj, fe, bits, cfg);
     ASSERT_TRUE(out.ok()) << phy::to_string(scheme) << ": "
@@ -308,7 +308,7 @@ TEST(SchemeSeam, WorkspaceCachesDemodulatorPerOperatingPoint) {
   b.scheme = phy::SchemeId::kFsk2;
   const auto* second = &ws.scheme_demodulator(b);
   EXPECT_EQ(second->config().scheme, phy::SchemeId::kFsk2);
-  // Back to the first point rebuilds (single-slot cache, like demodulator()).
+  // Back to the first point rebuilds (single-slot cache).
   EXPECT_EQ(ws.scheme_demodulator(a).config().scheme, phy::SchemeId::kFm0);
 }
 

@@ -293,7 +293,7 @@ TEST(UnifiedTrialApi, TemplateAndRuntimeKindFormsAgreeExactly) {
   const auto dynamic = session.run_trial(TrialKind::kUplink, 1);
   ASSERT_EQ(typed.ok(), dynamic.ok());
   if (typed.ok()) {
-    const auto& row = std::get<Session::UplinkTrial>(dynamic.value());
+    const auto& row = std::get<UplinkTrial>(dynamic.value());
     EXPECT_EQ(typed.value().ber, row.ber);
     EXPECT_EQ(typed.value().demod.bits, row.demod.bits);
     EXPECT_EQ(typed.value().demod.snr_db, row.demod.snr_db);
@@ -305,7 +305,7 @@ TEST(UnifiedTrialApi, TemplateAndRuntimeKindFormsAgreeExactly) {
   for (std::size_t i = 0; i < pool_typed.size(); ++i) {
     ASSERT_EQ(pool_typed[i].ok(), pool_dynamic[i].ok()) << i;
     if (pool_typed[i].ok()) {
-      const auto& row = std::get<Session::UplinkTrial>(pool_dynamic[i].value());
+      const auto& row = std::get<UplinkTrial>(pool_dynamic[i].value());
       EXPECT_EQ(pool_typed[i].value().ber, row.ber) << i;
     }
   }

@@ -96,7 +96,7 @@ TEST(ZeroAlloc, SteadyStateUplinkTrialAllocatesNothing) {
   scenario.waveform.payload_bits = 16;
   const sim::Session session(scenario, &metrics);
 
-  sim::Session::UplinkTrial trial;
+  sim::UplinkTrial trial;
   // Warm-up: grows the workspace arena to its high water mark and sizes the
   // reused output buffers (and any lazily-built caches inside the session).
   for (std::uint64_t i = 0; i < 5; ++i) {
@@ -130,7 +130,7 @@ TEST(ZeroAlloc, SteadyStateTrialsAllocateNothingForEveryScheme) {
     scenario.waveform.scheme = scheme;
     const sim::Session session(scenario, &metrics);
 
-    sim::Session::UplinkTrial trial;
+    sim::UplinkTrial trial;
     for (std::uint64_t i = 0; i < 5; ++i) {
       const auto r = session.run_into(i, trial);
       ASSERT_TRUE(r.ok()) << phy::to_string(scheme) << ": "
@@ -157,7 +157,7 @@ TEST(ZeroAlloc, RunIntoMatchesRunExactly) {
   const sim::Session a(scenario, &m1);
   const sim::Session b(scenario, &m2);
 
-  sim::Session::UplinkTrial reused;
+  sim::UplinkTrial reused;
   for (std::uint64_t i = 0; i < 8; ++i) {
     const auto want = a.run_trial<sim::TrialKind::kUplink>(i);
     const auto got = b.run_into(i, reused);
