@@ -14,13 +14,11 @@
 // MAC outcome (identified set, rounds, simulated time) is bit-identical and
 // the wall-clock ratio isolates the channel-census cost.  The sidecar
 // publishes sim.field.node_hours_per_sec (culled throughput at the largest
-// population), sim.field.node_hours_per_sec_brute, their ratio
-// sim.field.speedup_vs_brute, and sim.field.arena.high_water_delta_bytes
-// (max - min of the session arena high-water mark across the sweep; the
-// field path keeps per-trial scratch density-bound, so this must stay 0).
-// A final interference-on pass at the largest population publishes
-// sim.field.mean_slot_sinr_db and sim.field.interference_corrupted_slots,
-// the cross-zone SINR corruption gauges.
+// population), sim.field.node_hours_per_sec_brute, and their ratio
+// sim.field.speedup_vs_brute.  A final interference-on pass at the largest
+// population publishes sim.field.mean_slot_sinr_db and
+// sim.field.interference_corrupted_slots, the cross-zone SINR corruption
+// gauges.
 //
 // PAB_DEPLOY_MAX_POP caps the sweep (CI smoke runs at 200); the brute-force
 // reference is skipped above kBruteCap nodes to keep the sweep bounded.
@@ -63,7 +61,6 @@ sim::FieldSpec field_spec(std::uint64_t population) {
 struct TimedRun {
   sim::FieldRunResult result;
   double wall_s = 0.0;
-  double arena_high_water = 0.0;
 };
 
 pab::Expected<TimedRun> timed_field_trial(const sim::Session& session,
@@ -82,9 +79,6 @@ pab::Expected<TimedRun> timed_field_trial(const sim::Session& session,
   TimedRun timed;
   timed.result = std::move(run).value();
   timed.wall_s = wall_s;
-  timed.arena_high_water = obs::MetricRegistry::global()
-                               .gauge("sim.session.arena.high_water_bytes")
-                               .value();
   return timed;
 }
 
@@ -99,12 +93,10 @@ void print_series() {
   const std::uint64_t cap = max_population();
   bench::print_row({"nodes", "radius_m", "kept", "culled", "tap_eval",
                     "tap_lkup", "zones", "rounds", "found", "nodeh/s",
-                    "brute nodeh/s", "arena_hw"});
+                    "brute nodeh/s"});
 
   auto& registry = obs::MetricRegistry::global();
   double last_culled_rate = 0.0;
-  double arena_min = 0.0, arena_max = 0.0;
-  bool arena_seen = false;
   double speedup_at = 0.0;  // largest population with both paths run
   double speedup = 0.0;
   std::uint64_t last_population = 0;
@@ -125,11 +117,6 @@ void print_series() {
     }
     const TimedRun& c = culled.value();
     last_culled_rate = node_hours_per_sec(c);
-    if (!arena_seen || c.arena_high_water < arena_min)
-      arena_min = c.arena_high_water;
-    if (!arena_seen || c.arena_high_water > arena_max)
-      arena_max = c.arena_high_water;
-    arena_seen = true;
 
     std::string brute_cell = "-";
     if (population <= kBruteCap) {
@@ -155,15 +142,12 @@ void print_series() {
          bench::fmt(static_cast<double>(c.result.zones), 0),
          bench::fmt(static_cast<double>(c.result.zone_rounds), 0),
          bench::fmt(static_cast<double>(c.result.identified.size()), 0),
-         bench::fmt(last_culled_rate, 1), brute_cell,
-         bench::fmt(c.arena_high_water, 0)});
+         bench::fmt(last_culled_rate, 1), brute_cell});
   }
 
   registry.gauge("sim.field.node_hours_per_sec").set(last_culled_rate);
   registry.gauge("sim.field.speedup_vs_brute").set(speedup);
   registry.gauge("sim.field.speedup_population").set(speedup_at);
-  registry.gauge("sim.field.arena.high_water_delta_bytes")
-      .set(arena_seen ? arena_max - arena_min : 0.0);
 
   // Cross-zone interference pass at the largest population run above: same
   // field, SINR model on (culled path), so the sidecar carries the corruption
@@ -198,9 +182,6 @@ void print_series() {
   std::printf("\nculled vs brute-force speedup: %.1fx at %.0f nodes "
               "(node-hours simulated per wall-second)\n",
               speedup, speedup_at);
-  std::printf("arena high-water delta across populations: %.0f bytes "
-              "(flat scratch: per-trial memory is density-bound)\n",
-              arena_seen ? arena_max - arena_min : 0.0);
   std::printf("Paper shape: deployment cost grows with kept pairs (constant\n"
               "density => linear in population), not with O(n^2) geometry.\n");
 }

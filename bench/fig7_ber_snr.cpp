@@ -11,7 +11,6 @@
 #include <chrono>
 
 #include "bench_util.hpp"
-#include "obs/alloccount.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
 #include "sim/batch.hpp"
@@ -110,8 +109,10 @@ void print_series() {
   // (phy.demod.*) of the real receiver.
   const sim::Session session(sim::Scenario::pool_a().with_seed(kBaseSeed));
   constexpr std::size_t kWaveformTrials = 16;
+  const auto t3 = clock::now();
   const auto trials =
       sim::BatchRunner(4).run<sim::TrialKind::kUplink>(session, kWaveformTrials);
+  const auto t4 = clock::now();
   std::size_t decoded = 0;
   double ber_sum = 0.0, snr_sum = 0.0;
   for (const auto& t : trials) {
@@ -132,53 +133,12 @@ void print_series() {
               100.0 * (1.0 - static_cast<double>(taps.evaluations()) /
                                  static_cast<double>(taps.lookups())));
 
-  // Zero-allocation signal path, before vs after: the same waveform-level
-  // trials through the per-trial-allocation API (run_trial, fresh UplinkTrial
-  // and workspace buffers every call) and through the pooled-workspace API
-  // (run_into(), reused UplinkTrial).  Identical results by construction --
-  // this measures only the allocation cost.  This bench links the counting
-  // allocator (pab::alloccount), so it can also report allocations/trial.
-  constexpr std::size_t kThroughputTrials = 24;
-  const auto t3 = clock::now();
-  const obs::AllocScope alloc_before;
-  for (std::size_t i = 0; i < kThroughputTrials; ++i)
-    (void)session.run_trial<sim::TrialKind::kUplink>(i);
-  const std::uint64_t allocs_before = alloc_before.allocations();
-  const auto t4 = clock::now();
-  sim::UplinkTrial reused;
-  (void)session.run_into(0, reused);  // warm the pooled workspace + buffers
-  const auto t5 = clock::now();
-  const obs::AllocScope alloc_after;
-  for (std::size_t i = 0; i < kThroughputTrials; ++i)
-    (void)session.run_into(i, reused);
-  const std::uint64_t allocs_after = alloc_after.allocations();
-  const auto t6 = clock::now();
-
-  const double before_s = std::chrono::duration<double>(t4 - t3).count();
-  const double after_s = std::chrono::duration<double>(t6 - t5).count();
-  const double tps_before = static_cast<double>(kThroughputTrials) /
-                            std::max(before_s, 1e-9);
-  const double tps_after = static_cast<double>(kThroughputTrials) /
-                           std::max(after_s, 1e-9);
-  std::printf("\nZero-allocation path: %.1f trials/s allocating (%.1f allocs/"
-              "trial) -> %.1f trials/s pooled (%.1f allocs/trial), %.2fx\n",
-              tps_before,
-              static_cast<double>(allocs_before) / kThroughputTrials,
-              tps_after,
-              static_cast<double>(allocs_after) / kThroughputTrials,
-              tps_after / std::max(tps_before, 1e-9));
-
-  auto& reg = obs::MetricRegistry::global();
-  // Headline throughput of the steady-state trial path (pooled workspace),
-  // asserted by CI alongside the dsp.simd.* / dsp.fftconv.* dispatch keys.
-  reg.gauge("bench.fig7.trials_per_sec").set(tps_after);
-  reg.gauge("bench.fig7.trials_per_sec_before").set(tps_before);
-  reg.gauge("bench.fig7.trials_per_sec_after").set(tps_after);
-  reg.gauge("bench.fig7.speedup").set(tps_after / std::max(tps_before, 1e-9));
-  reg.gauge("bench.fig7.allocs_per_trial_before")
-      .set(static_cast<double>(allocs_before) / kThroughputTrials);
-  reg.gauge("bench.fig7.allocs_per_trial_after")
-      .set(static_cast<double>(allocs_after) / kThroughputTrials);
+  // Headline throughput of the waveform trial path, asserted by CI alongside
+  // the dsp.simd.* / dsp.fftconv.* dispatch keys.
+  const double waveform_s = std::chrono::duration<double>(t4 - t3).count();
+  obs::MetricRegistry::global()
+      .gauge("bench.fig7.trials_per_sec")
+      .set(static_cast<double>(kWaveformTrials) / std::max(waveform_s, 1e-9));
 }
 
 void bm_fm0_ml_decode(benchmark::State& state) {

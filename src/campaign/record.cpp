@@ -185,6 +185,11 @@ pab::Expected<RecordBatch> RecordBatch::deserialize(ByteReader& r) {
                       "RecordBatch: unknown trial kind on the wire"};
   RecordBatch out(static_cast<sim::TrialKind>(kind));
   const std::uint64_t rows = r.u64();
+  // A row is a u64 trial index, ok and error-code bytes, and one f64 per
+  // column: reject a count the payload cannot hold before reserving for it.
+  if (rows > r.remaining() / (10 + 8 * out.columns_.size()))
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "RecordBatch: row count exceeds the payload"};
   out.trial_.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) out.trial_.push_back(r.u64());
   out.ok_.reserve(rows);

@@ -81,9 +81,13 @@ obs::MetricsSnapshot read_metrics(ByteReader& r) {
     std::string name = r.str();
     obs::HistogramSnapshot h;
     const std::uint32_t bounds = r.u32();
+    // Each bound and bucket is an 8-byte f64/u64: a count the payload
+    // cannot hold is a lie, rejected before anything is sized from it.
+    if (bounds > r.remaining() / 8)
+      throw std::runtime_error("campaign wire: truncated payload");
     h.bounds.reserve(bounds);
     for (std::uint32_t b = 0; b < bounds; ++b) h.bounds.push_back(r.f64());
-    h.buckets.resize(bounds + 1);
+    h.buckets.resize(std::size_t{bounds} + 1);
     for (auto& c : h.buckets) c = r.u64();
     h.count = r.u64();
     h.sum = r.f64();

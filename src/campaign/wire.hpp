@@ -68,6 +68,8 @@ class ByteReader {
   [[nodiscard]] std::string str();
 
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
+  // Unread bytes: decoders bound untrusted counts by it before sizing.
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   std::string_view bytes_;

@@ -5,7 +5,6 @@
 
 #include "dsp/fftconv.hpp"
 #include "dsp/resample.hpp"
-#include "dsp/simd.hpp"
 #include "util/units.hpp"
 #include "util/error.hpp"
 
@@ -26,31 +25,12 @@ std::size_t dense_impulse_length(double sample_rate,
   return max_d + 2;
 }
 
-// FFT fast path shared by the real and baseband kernels: render the sparse
-// taps as a dense impulse response in arena scratch and run one overlap-save
+// FFT fast path: render the sparse taps (with their carrier phase rotations)
+// as a dense impulse response in arena scratch and run one overlap-save
 // convolution.  The full linear convolution length n + dense - 1 equals
 // apply_taps_length exactly, so `y` is written in its entirety (no zero-fill
 // needed).  Returns false (leaving `y` untouched) when the cost model says
-// the direct accumulation loops are cheaper.
-bool try_fft_taps(std::span<const double> x, double sample_rate,
-                  const std::vector<PathTap>& taps, std::span<double> y,
-                  dsp::Arena& arena) {
-  if (taps.empty()) return false;
-  const std::size_t dense = dense_impulse_length(sample_rate, taps);
-  if (!dsp::fftconv_use_for_taps(taps.size(), x.size(), dense)) return false;
-  const auto frame = arena.frame();
-  auto h = arena.alloc_zero<double>(dense);
-  for (const PathTap& t : taps) {
-    const double d = t.delay_s * sample_rate;
-    const auto int_delay = static_cast<std::size_t>(std::floor(d));
-    const double frac = d - static_cast<double>(int_delay);
-    h[int_delay] += t.gain * (1.0 - frac);
-    h[int_delay + 1] += t.gain * frac;
-  }
-  dsp::fftconv_full(h, x, y, &arena);
-  return true;
-}
-
+// the direct accumulation loop is cheaper.
 bool try_fft_taps_baseband(std::span<const dsp::cplx> x, double sample_rate,
                            double carrier_hz, const std::vector<PathTap>& taps,
                            std::span<dsp::cplx> y, dsp::Arena& arena) {
@@ -80,16 +60,6 @@ dsp::Arena& local_arena() {
 
 }  // namespace
 
-dsp::Signal apply_taps(const dsp::Signal& x, const std::vector<PathTap>& taps) {
-  require(x.sample_rate > 0.0, "apply_taps: sample rate unset");
-  dsp::Signal y;
-  y.sample_rate = x.sample_rate;
-  y.samples.resize(apply_taps_length(x.size(), x.sample_rate, taps));
-  if (!taps.empty())
-    apply_taps_into(x.samples, x.sample_rate, taps, y.samples);
-  return y;
-}
-
 dsp::BasebandSignal apply_taps_baseband(const dsp::BasebandSignal& x,
                                         const std::vector<PathTap>& taps) {
   require(x.sample_rate > 0.0, "apply_taps_baseband: sample rate unset");
@@ -113,22 +83,6 @@ std::size_t apply_taps_length(std::size_t n, double sample_rate,
     len = std::max(len, n + int_delay + 1);
   }
   return len;
-}
-
-void apply_taps_into(std::span<const double> x, double sample_rate,
-                     const std::vector<PathTap>& taps, std::span<double> y,
-                     dsp::Arena& scratch) {
-  require(y.size() == apply_taps_length(x.size(), sample_rate, taps),
-          "apply_taps_into: output size mismatch");
-  if (try_fft_taps(x, sample_rate, taps, y, scratch)) return;
-  std::fill(y.begin(), y.end(), 0.0);
-  for (const PathTap& t : taps)
-    dsp::add_delayed_scaled_into(y, x, t.delay_s * sample_rate, t.gain);
-}
-
-void apply_taps_into(std::span<const double> x, double sample_rate,
-                     const std::vector<PathTap>& taps, std::span<double> y) {
-  apply_taps_into(x, sample_rate, taps, y, local_arena());
 }
 
 void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
@@ -160,13 +114,6 @@ dsp::CplxView apply_taps_baseband(dsp::CplxView x,
   apply_taps_baseband_into(x.samples, x.sample_rate, x.carrier_hz, taps, out,
                            arena);
   return dsp::CplxView(out, x.sample_rate, x.carrier_hz);
-}
-
-Propagator::Propagator(const Tank& tank, const Vec3& src, const Vec3& rx,
-                       double freq_hz, int max_order, bool use_image_method) {
-  taps_ = use_image_method
-              ? image_method_taps(tank, src, rx, max_order, freq_hz)
-              : free_field_tap(src, rx, freq_hz, tank.water);
 }
 
 }  // namespace pab::channel

@@ -11,11 +11,6 @@
 
 namespace pab::channel {
 
-// Convolve `x` with the sparse tap set: y(t) = sum_k g_k * x(t - tau_k).
-// Output length covers the longest tap delay.
-[[nodiscard]] dsp::Signal apply_taps(const dsp::Signal& x,
-                                     const std::vector<PathTap>& taps);
-
 // Baseband-equivalent propagation of a complex envelope at carrier f_c:
 // y(t) = sum_k g_k e^{-j 2 pi f_c tau_k} x(t - tau_k).  The envelope delay is
 // applied at sample resolution and the carrier phase as a complex rotation,
@@ -25,7 +20,7 @@ namespace pab::channel {
 
 // ---- into-output kernels (allocation-free; wrapped by the above) ----
 
-// Output length of either apply_taps variant for an n-sample input:
+// Output length of apply_taps_baseband for an n-sample input:
 // max_k(floor(tau_k * fs) + n + 1), or 0 when `taps` is empty.
 [[nodiscard]] std::size_t apply_taps_length(std::size_t n, double sample_rate,
                                             const std::vector<PathTap>& taps);
@@ -34,13 +29,8 @@ namespace pab::channel {
 // + accumulate on the direct path, overwrite on the FFT path) and must not
 // alias `x`.  Dense tap sets over long signals switch to overlap-save fast
 // convolution (dsp/fftconv.hpp) when the cost model favours it; `scratch`
-// backs the dense impulse response and FFT buffers.  The overloads without an
-// arena use a thread-local fallback.
-void apply_taps_into(std::span<const double> x, double sample_rate,
-                     const std::vector<PathTap>& taps, std::span<double> y,
-                     dsp::Arena& scratch);
-void apply_taps_into(std::span<const double> x, double sample_rate,
-                     const std::vector<PathTap>& taps, std::span<double> y);
+// backs the dense impulse response and FFT buffers.  The overload without an
+// arena uses a thread-local fallback.
 void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
                               double carrier_hz, const std::vector<PathTap>& taps,
                               std::span<dsp::cplx> y, dsp::Arena& scratch);
@@ -53,30 +43,5 @@ void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
 [[nodiscard]] dsp::CplxView apply_taps_baseband(dsp::CplxView x,
                                                 const std::vector<PathTap>& taps,
                                                 dsp::Arena& arena);
-
-// A point-to-point acoustic link inside a tank (or free field when
-// `use_image_method` is false): caches the taps for a given geometry.
-class Propagator {
- public:
-  Propagator(const Tank& tank, const Vec3& src, const Vec3& rx, double freq_hz,
-             int max_order = 2, bool use_image_method = true);
-
-  [[nodiscard]] dsp::Signal propagate(const dsp::Signal& x) const {
-    return apply_taps(x, taps_);
-  }
-
-  // Coherent CW amplitude gain at `freq_hz` (phasor sum of taps).
-  [[nodiscard]] double gain_at(double freq_hz) const {
-    return coherent_gain(taps_, freq_hz);
-  }
-
-  [[nodiscard]] const std::vector<PathTap>& taps() const { return taps_; }
-  [[nodiscard]] double direct_delay_s() const {
-    return taps_.empty() ? 0.0 : taps_.front().delay_s;
-  }
-
- private:
-  std::vector<PathTap> taps_;
-};
 
 }  // namespace pab::channel

@@ -9,9 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/arena.hpp"
-#include "dsp/signal.hpp"
-
 namespace pab::dsp {
 
 // Full-wave rectifier + single-pole RC low-pass with time constant `tau_s`.
@@ -25,15 +22,5 @@ namespace pab::dsp {
 [[nodiscard]] std::vector<std::uint8_t> schmitt_slice(std::span<const double> envelope,
                                                       double high_fraction = 0.55,
                                                       double low_fraction = 0.45);
-
-// ---- into-output kernels (allocation-free; wrapped by the above) ----
-
-// out.size() must equal x.size(); `out` may alias `x`.
-void envelope_rc_into(std::span<const double> x, double sample_rate,
-                      double tau_s, std::span<double> out);
-
-// out.size() must equal envelope.size(); `out` must not alias `envelope`.
-void schmitt_slice_into(std::span<const double> envelope, double high_fraction,
-                        double low_fraction, std::span<std::uint8_t> out);
 
 }  // namespace pab::dsp

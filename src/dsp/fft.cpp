@@ -1,7 +1,10 @@
 #include "dsp/fft.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -14,60 +17,82 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-void fft_inplace(std::span<cplx> data, bool inverse) {
-  const std::size_t n = data.size();
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   require(n != 0 && (n & (n - 1)) == 0, "fft: size must be a power of two");
-
-  // Bit-reversal permutation.
+  rev_.assign(n, 0);
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
+    rev_[i] = j;
   }
+  tw_.resize(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double a = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+    tw_[k] = cplx(std::cos(a), std::sin(a));
+  }
+}
 
+namespace {
+
+// The butterfly passes, with the direction fixed at compile time so the
+// innermost loop carries no branch.
+template <bool kInverse>
+void butterflies(cplx* data, std::size_t n, const cplx* tw) {
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? kTwoPi : -kTwoPi) / static_cast<double>(len);
-    const cplx wlen(std::cos(angle), std::sin(angle));
+    const std::size_t stride = n / len;
     for (std::size_t i = 0; i < n; i += len) {
-      cplx w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
+        const cplx w = kInverse ? std::conj(tw[k * stride]) : tw[k * stride];
         const cplx u = data[i + k];
         const cplx v = data[i + k + len / 2] * w;
         data[i + k] = u + v;
         data[i + k + len / 2] = u - v;
-        w *= wlen;
       }
     }
   }
+}
 
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x *= inv_n;
+std::mutex& plan_mutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+// Leaked on purpose: kernels may run during static destruction of test
+// fixtures and the cache must outlive every caller.
+std::map<std::size_t, std::unique_ptr<FftPlan>>& plan_cache() {
+  static auto* cache = new std::map<std::size_t, std::unique_ptr<FftPlan>>();
+  return *cache;
+}
+
+}  // namespace
+
+void FftPlan::transform(std::span<cplx> data, bool inverse) const {
+  require(data.size() == n_, "fft: data size does not match the plan");
+  for (std::size_t i = 1; i < n_; ++i)
+    if (i < rev_[i]) std::swap(data[i], data[rev_[i]]);
+  if (!inverse) {
+    butterflies<false>(data.data(), n_, tw_.data());
+    return;
   }
+  butterflies<true>(data.data(), n_, tw_.data());
+  const double inv_n = 1.0 / static_cast<double>(n_);
+  for (auto& x : data) x *= inv_n;
 }
 
-std::vector<cplx> fft(std::span<const cplx> input) {
-  std::vector<cplx> data(input.begin(), input.end());
-  data.resize(next_pow2(std::max<std::size_t>(input.size(), 1)), cplx{});
-  fft_inplace(data);
-  return data;
+const FftPlan& fft_plan(std::size_t n) {
+  const std::lock_guard<std::mutex> lock(plan_mutex());
+  auto& cache = plan_cache();
+  auto it = cache.find(n);
+  // Construct before inserting: a rejected size leaves no entry behind.
+  if (it == cache.end())
+    it = cache.emplace(n, std::make_unique<FftPlan>(n)).first;
+  return *it->second;
 }
 
-std::vector<cplx> fft(std::span<const double> input) {
-  std::vector<cplx> data(input.size());
-  std::transform(input.begin(), input.end(), data.begin(),
-                 [](double v) { return cplx(v, 0.0); });
-  data.resize(next_pow2(std::max<std::size_t>(input.size(), 1)), cplx{});
-  fft_inplace(data);
-  return data;
-}
-
-std::vector<cplx> ifft(std::span<const cplx> input) {
-  std::vector<cplx> data(input.begin(), input.end());
-  data.resize(next_pow2(std::max<std::size_t>(input.size(), 1)), cplx{});
-  fft_inplace(data, /*inverse=*/true);
-  return data;
+std::size_t fft_plan_cache_size() {
+  const std::lock_guard<std::mutex> lock(plan_mutex());
+  return plan_cache().size();
 }
 
 }  // namespace pab::dsp

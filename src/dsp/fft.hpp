@@ -2,7 +2,6 @@
 // fast convolution (dsp/fftconv).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -11,14 +10,30 @@
 
 namespace pab::dsp {
 
-// In-place iterative radix-2 Cooley-Tukey FFT.  Size must be a power of two.
-void fft_inplace(std::span<cplx> data, bool inverse = false);
+// An in-place iterative radix-2 Cooley-Tukey transform of one power-of-two
+// size.  Immutable after construction: the bit-reversal permutation plus
+// exact twiddles exp(-2*pi*i*k/n), each computed from its own index rather
+// than by a running product, so long transforms keep full twiddle precision.
+class FftPlan {
+ public:
+  // Throws std::invalid_argument unless `n` is a power of two.
+  explicit FftPlan(std::size_t n);
 
-// Out-of-place convenience wrappers.  Input is zero-padded to the next power
-// of two.
-[[nodiscard]] std::vector<cplx> fft(std::span<const cplx> input);
-[[nodiscard]] std::vector<cplx> fft(std::span<const double> input);
-[[nodiscard]] std::vector<cplx> ifft(std::span<const cplx> input);
+  // data.size() must equal n.  The inverse transform scales by 1/n.
+  void transform(std::span<cplx> data, bool inverse = false) const;
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> rev_;
+  std::vector<cplx> tw_;
+};
+
+// The process-wide plan for size `n`, built on first use and cached for the
+// life of the process.  The mutex guards only the lookup; use is lock-free.
+[[nodiscard]] const FftPlan& fft_plan(std::size_t n);
+
+// Number of distinct FFT sizes planned so far (test/diagnostic hook).
+[[nodiscard]] std::size_t fft_plan_cache_size();
 
 [[nodiscard]] std::size_t next_pow2(std::size_t n);
 

@@ -2,86 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
 
 #include "dsp/fft.hpp"
 #include "dsp/simd.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/units.hpp"
 
 namespace pab::dsp {
 namespace {
 
 using cplx = std::complex<double>;
-
-// ---- plan cache -------------------------------------------------------------
-// A Plan is immutable after construction: bit-reversal permutation plus exact
-// twiddles exp(-2*pi*i*k/n) (computed per index, not by the accumulated
-// `w *= wlen` recurrence of dsp::fft_inplace, so long transforms keep full
-// twiddle precision).  Cached per power-of-two size; the mutex guards only
-// the lookup, use is lock-free.
-
-struct Plan {
-  explicit Plan(std::size_t size) : n(size), rev(size, 0), tw(size / 2) {
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      rev[i] = j;
-    }
-    for (std::size_t k = 0; k < n / 2; ++k) {
-      const double a = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      tw[k] = cplx(std::cos(a), std::sin(a));
-    }
-  }
-
-  void transform(cplx* data, bool inverse) const {
-    for (std::size_t i = 1; i < n; ++i)
-      if (i < rev[i]) std::swap(data[i], data[rev[i]]);
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t stride = n / len;
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          const cplx w = inverse ? std::conj(tw[k * stride]) : tw[k * stride];
-          const cplx u = data[i + k];
-          const cplx v = data[i + k + len / 2] * w;
-          data[i + k] = u + v;
-          data[i + k + len / 2] = u - v;
-        }
-      }
-    }
-    if (inverse) {
-      const double inv_n = 1.0 / static_cast<double>(n);
-      for (std::size_t i = 0; i < n; ++i) data[i] *= inv_n;
-    }
-  }
-
-  std::size_t n;
-  std::vector<std::size_t> rev;
-  std::vector<cplx> tw;
-};
-
-std::mutex& plan_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-// Leaked on purpose: kernels may run during static destruction of test
-// fixtures and the cache must outlive every caller.
-std::map<std::size_t, std::unique_ptr<Plan>>& plan_cache() {
-  static auto* cache = new std::map<std::size_t, std::unique_ptr<Plan>>();
-  return *cache;
-}
-
-const Plan& plan_for(std::size_t n) {
-  const std::lock_guard<std::mutex> lock(plan_mutex());
-  auto& p = plan_cache()[n];
-  if (p == nullptr) p = std::make_unique<Plan>(n);
-  return *p;
-}
 
 // Scratch source: the caller's arena (trial path: the phy::Workspace arena)
 // or a thread-local fallback that grows once and is reused forever after.
@@ -104,54 +34,7 @@ std::size_t choose_block(std::size_t nh, std::size_t nfull) {
   return std::min(blocked, next_pow2(nfull));
 }
 
-// Full linear convolution of complex sequences via overlap-save: for each
-// output chunk [pos, pos+S) the transform input is x[pos-(nh-1) .. pos+S)
-// (zero-padded outside x), and the last S samples of the circular product
-// are exactly the linear convolution there.
-void conv_complex(std::span<const cplx> h, std::span<const cplx> x,
-                  std::span<cplx> y, Arena& arena) {
-  require(!h.empty(), "fftconv: empty kernel");
-  const std::size_t nh = h.size();
-  const std::size_t nfull = x.size() + nh - 1;
-  require(y.size() == nfull, "fftconv: output size mismatch");
-  if (x.empty()) {
-    std::fill(y.begin(), y.end(), cplx{});
-    return;
-  }
-  const std::size_t B = choose_block(nh, nfull);
-  const std::size_t S = B - nh + 1;
-  const Plan& plan = plan_for(B);
-  const auto frame = arena.frame();
-
-  auto hspec = arena.alloc_zero<cplx>(B);
-  std::copy(h.begin(), h.end(), hspec.begin());
-  plan.transform(hspec.data(), /*inverse=*/false);
-
-  auto buf = arena.alloc<cplx>(B);
-  const auto nx = static_cast<std::ptrdiff_t>(x.size());
-  for (std::size_t pos = 0; pos < nfull; pos += S) {
-    const auto start =
-        static_cast<std::ptrdiff_t>(pos) - static_cast<std::ptrdiff_t>(nh - 1);
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(start, 0);
-    const std::ptrdiff_t hi =
-        std::min(start + static_cast<std::ptrdiff_t>(B), nx);
-    std::fill(buf.begin(), buf.end(), cplx{});
-    if (hi > lo)
-      std::copy(x.begin() + lo, x.begin() + hi, buf.begin() + (lo - start));
-    plan.transform(buf.data(), /*inverse=*/false);
-    simd::cmul(buf, hspec, buf);
-    plan.transform(buf.data(), /*inverse=*/true);
-    const std::size_t m = std::min(S, nfull - pos);
-    std::copy(buf.begin() + static_cast<std::ptrdiff_t>(nh - 1),
-              buf.begin() + static_cast<std::ptrdiff_t>(nh - 1 + m),
-              y.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
-  hits_counter().add();
-}
-
 }  // namespace
-
-std::size_t fftconv_fir_crossover() { return 64; }
 
 bool fftconv_use_for_taps(std::size_t ntaps, std::size_t n,
                           std::size_t dense_len) {
@@ -174,63 +57,50 @@ bool fftconv_use_for_taps(std::size_t ntaps, std::size_t n,
   return fft_cost < direct_cost;
 }
 
+// Full linear convolution of complex sequences via overlap-save: for each
+// output chunk [pos, pos+S) the transform input is x[pos-(nh-1) .. pos+S)
+// (zero-padded outside x), and the last S samples of the circular product
+// are exactly the linear convolution there.
 void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
                   std::span<cplx> y, Arena* scratch) {
-  conv_complex(h, x, y, scratch_arena(scratch));
-}
-
-void fftconv_full(std::span<const double> h, std::span<const double> x,
-                  std::span<double> y, Arena* scratch) {
   require(!h.empty(), "fftconv: empty kernel");
-  require(y.size() == x.size() + h.size() - 1, "fftconv: output size mismatch");
+  const std::size_t nh = h.size();
+  const std::size_t nfull = x.size() + nh - 1;
+  require(y.size() == nfull, "fftconv: output size mismatch");
+  if (x.empty()) {
+    std::fill(y.begin(), y.end(), cplx{});
+    return;
+  }
+  const std::size_t B = choose_block(nh, nfull);
+  const std::size_t S = B - nh + 1;
+  const FftPlan& plan = fft_plan(B);
   Arena& arena = scratch_arena(scratch);
   const auto frame = arena.frame();
-  auto hc = arena.alloc<cplx>(h.size());
-  auto xc = arena.alloc<cplx>(x.size());
-  auto yc = arena.alloc<cplx>(y.size());
-  for (std::size_t i = 0; i < h.size(); ++i) hc[i] = cplx(h[i], 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) xc[i] = cplx(x[i], 0.0);
-  conv_complex(hc, xc, yc, arena);
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = yc[i].real();
-}
 
-void fftconv_fir(std::span<const double> h, std::span<const double> x,
-                 std::span<double> y, Arena* scratch) {
-  require(!h.empty(), "fir_filter: empty kernel");
-  require(y.size() == x.size(), "fir_filter_into: output size mismatch");
-  if (x.empty()) return;
-  Arena& arena = scratch_arena(scratch);
-  const auto frame = arena.frame();
-  auto hc = arena.alloc<cplx>(h.size());
-  auto xc = arena.alloc<cplx>(x.size());
-  auto full = arena.alloc<cplx>(x.size() + h.size() - 1);
-  for (std::size_t i = 0; i < h.size(); ++i) hc[i] = cplx(h[i], 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) xc[i] = cplx(x[i], 0.0);
-  conv_complex(hc, xc, full, arena);
-  const std::size_t delay = (h.size() - 1) / 2;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = full[i + delay].real();
-}
+  auto hspec = arena.alloc_zero<cplx>(B);
+  std::copy(h.begin(), h.end(), hspec.begin());
+  plan.transform(hspec, /*inverse=*/false);
 
-void fftconv_fir(std::span<const double> h, std::span<const cplx> x,
-                 std::span<cplx> y, Arena* scratch) {
-  require(!h.empty(), "fir_filter: empty kernel");
-  require(y.size() == x.size(), "fir_filter_into: output size mismatch");
-  if (x.empty()) return;
-  Arena& arena = scratch_arena(scratch);
-  const auto frame = arena.frame();
-  auto hc = arena.alloc<cplx>(h.size());
-  auto full = arena.alloc<cplx>(x.size() + h.size() - 1);
-  for (std::size_t i = 0; i < h.size(); ++i) hc[i] = cplx(h[i], 0.0);
-  conv_complex(hc, x, full, arena);
-  const std::size_t delay = (h.size() - 1) / 2;
-  std::copy(full.begin() + static_cast<std::ptrdiff_t>(delay),
-            full.begin() + static_cast<std::ptrdiff_t>(delay + y.size()),
-            y.begin());
-}
-
-std::size_t fftconv_plan_cache_size() {
-  const std::lock_guard<std::mutex> lock(plan_mutex());
-  return plan_cache().size();
+  auto buf = arena.alloc<cplx>(B);
+  const auto nx = static_cast<std::ptrdiff_t>(x.size());
+  for (std::size_t pos = 0; pos < nfull; pos += S) {
+    const auto start =
+        static_cast<std::ptrdiff_t>(pos) - static_cast<std::ptrdiff_t>(nh - 1);
+    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(start, 0);
+    const std::ptrdiff_t hi =
+        std::min(start + static_cast<std::ptrdiff_t>(B), nx);
+    std::fill(buf.begin(), buf.end(), cplx{});
+    if (hi > lo)
+      std::copy(x.begin() + lo, x.begin() + hi, buf.begin() + (lo - start));
+    plan.transform(buf, /*inverse=*/false);
+    simd::cmul(buf, hspec, buf);
+    plan.transform(buf, /*inverse=*/true);
+    const std::size_t m = std::min(S, nfull - pos);
+    std::copy(buf.begin() + static_cast<std::ptrdiff_t>(nh - 1),
+              buf.begin() + static_cast<std::ptrdiff_t>(nh - 1 + m),
+              y.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  hits_counter().add();
 }
 
 }  // namespace pab::dsp

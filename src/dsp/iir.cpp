@@ -23,32 +23,14 @@ Biquad rbj_lowpass(double fc, double fs, double q) {
   return s;
 }
 
-Biquad rbj_highpass(double fc, double fs, double q) {
-  const double w0 = kTwoPi * fc / fs;
-  const double cw = std::cos(w0);
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double a0 = 1.0 + alpha;
-  Biquad s;
-  s.b0 = (1.0 + cw) / 2.0 / a0;
-  s.b1 = -(1.0 + cw) / a0;
-  s.b2 = (1.0 + cw) / 2.0 / a0;
-  s.a1 = -2.0 * cw / a0;
-  s.a2 = (1.0 - alpha) / a0;
-  return s;
-}
-
-// First-order section via bilinear transform, expressed as a degenerate biquad.
-Biquad first_order(double fc, double fs, bool highpass) {
+// First-order low-pass section via bilinear transform, expressed as a
+// degenerate biquad.
+Biquad first_order_lowpass(double fc, double fs) {
   const double w = std::tan(kPi * fc / fs);  // prewarped
   const double a0 = w + 1.0;
   Biquad s;
-  if (!highpass) {
-    s.b0 = w / a0;
-    s.b1 = w / a0;
-  } else {
-    s.b0 = 1.0 / a0;
-    s.b1 = -1.0 / a0;
-  }
+  s.b0 = w / a0;
+  s.b1 = w / a0;
   s.b2 = 0.0;
   s.a1 = (w - 1.0) / a0;
   s.a2 = 0.0;
@@ -71,13 +53,7 @@ void check_design(int order, double fc, double fs) {
   require(fc > 0.0 && fc < fs / 2.0, "butterworth: cutoff must be in (0, fs/2)");
 }
 
-}  // namespace
-
-// One direct-form-II-transposed step of one section.  The single definition
-// shared by the streaming process() and the buffer filter_into() guarantees
-// identical arithmetic (same expressions, same order) on both paths.
-namespace {
-
+// One direct-form-II-transposed step of one section.
 inline double biquad_step(const Biquad& c, double x, double& s1, double& s2) {
   const double y = c.b0 * x + s1;
   s1 = c.b1 * x - c.a1 * y + s2;
@@ -85,53 +61,17 @@ inline double biquad_step(const Biquad& c, double x, double& s1, double& s2) {
   return y;
 }
 
-}  // namespace
+// Per-section filter state, real and imaginary channels.
+struct State {
+  double s1r = 0.0, s2r = 0.0;
+  double s1i = 0.0, s2i = 0.0;
+};
 
-double BiquadCascade::process(double x) {
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    State& st = state_[i];
-    x = biquad_step(sections_[i], x, st.s1r, st.s2r);
-  }
-  return x;
-}
-
-std::complex<double> BiquadCascade::process(std::complex<double> x) {
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const Biquad& c = sections_[i];
-    State& st = state_[i];
-    const double yr = biquad_step(c, x.real(), st.s1r, st.s2r);
-    const double yi = biquad_step(c, x.imag(), st.s1i, st.s2i);
-    x = {yr, yi};
-  }
-  return x;
-}
-
-namespace {
-
-// Designer-produced cascades top out at 12 sections (bandpass: order-12
-// high-pass + order-12 low-pass = 6 + 6).  24 leaves headroom for
-// hand-assembled cascades without touching the heap.
+// The designer tops out at 6 sections (order-12 low-pass).  24 leaves
+// headroom for hand-assembled cascades without touching the heap.
 constexpr std::size_t kMaxStackSections = 24;
 
 }  // namespace
-
-void BiquadCascade::filter_into(std::span<const double> x,
-                                std::span<double> y) const {
-  require(y.size() == x.size(), "BiquadCascade::filter_into: size mismatch");
-  State stack_state[kMaxStackSections] = {};
-  std::vector<State> heap_state;  // only for oversized hand-built cascades
-  State* st = stack_state;
-  if (sections_.size() > kMaxStackSections) {
-    heap_state.resize(sections_.size());
-    st = heap_state.data();
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double v = x[i];
-    for (std::size_t s = 0; s < sections_.size(); ++s)
-      v = biquad_step(sections_[s], v, st[s].s1r, st[s].s2r);
-    y[i] = v;
-  }
-}
 
 void BiquadCascade::filter_into(std::span<const std::complex<double>> x,
                                 std::span<std::complex<double>> y) const {
@@ -156,8 +96,14 @@ void BiquadCascade::filter_into(std::span<const std::complex<double>> x,
 }
 
 std::vector<double> BiquadCascade::filter(std::span<const double> x) const {
+  std::vector<State> st(sections_.size());
   std::vector<double> y(x.size());
-  filter_into(x, y);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    double v = x[i];
+    for (std::size_t s = 0; s < sections_.size(); ++s)
+      v = biquad_step(sections_[s], v, st[s].s1r, st[s].s2r);
+    y[i] = v;
+  }
   return y;
 }
 
@@ -166,10 +112,6 @@ std::vector<std::complex<double>> BiquadCascade::filter(
   std::vector<std::complex<double>> y(x.size());
   filter_into(x, y);
   return y;
-}
-
-void BiquadCascade::reset() {
-  state_.assign(sections_.size(), State{});
 }
 
 std::complex<double> BiquadCascade::response(double freq_hz, double fs) const {
@@ -197,27 +139,7 @@ BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double fs) {
   check_design(order, cutoff_hz, fs);
   std::vector<Biquad> sections;
   for (double q : butterworth_qs(order)) sections.push_back(rbj_lowpass(cutoff_hz, fs, q));
-  if (order % 2 == 1) sections.push_back(first_order(cutoff_hz, fs, /*highpass=*/false));
-  return BiquadCascade(std::move(sections));
-}
-
-BiquadCascade butterworth_highpass(int order, double cutoff_hz, double fs) {
-  check_design(order, cutoff_hz, fs);
-  std::vector<Biquad> sections;
-  for (double q : butterworth_qs(order)) sections.push_back(rbj_highpass(cutoff_hz, fs, q));
-  if (order % 2 == 1) sections.push_back(first_order(cutoff_hz, fs, /*highpass=*/true));
-  return BiquadCascade(std::move(sections));
-}
-
-BiquadCascade butterworth_bandpass(int order, double low_hz, double high_hz, double fs) {
-  require(low_hz > 0.0 && high_hz > low_hz && high_hz < fs / 2.0,
-          "butterworth_bandpass: invalid band");
-  // Cascade of an order-n high-pass at the low edge and an order-n low-pass at
-  // the high edge; adequate for channel isolation and unconditionally stable.
-  BiquadCascade hp = butterworth_highpass(order, low_hz, fs);
-  BiquadCascade lp = butterworth_lowpass(order, high_hz, fs);
-  std::vector<Biquad> sections = hp.sections();
-  for (const Biquad& s : lp.sections()) sections.push_back(s);
+  if (order % 2 == 1) sections.push_back(first_order_lowpass(cutoff_hz, fs));
   return BiquadCascade(std::move(sections));
 }
 

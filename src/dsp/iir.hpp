@@ -2,11 +2,12 @@
 //
 // The paper's receiver "employs a Butterworth filter on each of the receive
 // channels to isolate the signal of interest and reduce interference from
-// concurrent transmissions" (section 5.1b).  We implement analog Butterworth
-// prototypes mapped through the bilinear transform with frequency prewarping.
+// concurrent transmissions" (section 5.1b).  Each channel is first
+// down-converted to baseband (dsp/mixer), so isolation is one low-pass: an
+// analog Butterworth prototype mapped through the bilinear transform with
+// frequency prewarping.
 #pragma once
 
-#include <array>
 #include <complex>
 #include <span>
 #include <vector>
@@ -24,27 +25,20 @@ class BiquadCascade {
  public:
   BiquadCascade() = default;
   explicit BiquadCascade(std::vector<Biquad> sections)
-      : sections_(std::move(sections)), state_(sections_.size()) {}
-
-  // Process one sample, maintaining state across calls (streaming).
-  [[nodiscard]] double process(double x);
-  [[nodiscard]] std::complex<double> process(std::complex<double> x);
+      : sections_(std::move(sections)) {}
 
   // Filter a whole buffer from zero initial state.
   [[nodiscard]] std::vector<double> filter(std::span<const double> x) const;
   [[nodiscard]] std::vector<std::complex<double>> filter(
       std::span<const std::complex<double>> x) const;
 
-  // Into-output kernels from zero initial state; y.size() must equal
-  // x.size() and `y` may alias `x` (in-place filtering).  Filter state lives
-  // on the stack for the designer-produced section counts (<= 24), so these
-  // perform no heap allocation.  The vector-returning overloads above are
-  // thin wrappers, bit-identical by construction.
-  void filter_into(std::span<const double> x, std::span<double> y) const;
+  // Into-output form of the complex filter (the receiver's trial path), from
+  // zero initial state; y.size() must equal x.size() and `y` may alias `x`
+  // (in-place filtering).  Filter state lives on the stack for up to 24
+  // sections, so this performs no heap allocation.  The complex filter()
+  // above is a thin wrapper, bit-identical by construction.
   void filter_into(std::span<const std::complex<double>> x,
                    std::span<std::complex<double>> y) const;
-
-  void reset();
 
   [[nodiscard]] const std::vector<Biquad>& sections() const { return sections_; }
 
@@ -55,19 +49,10 @@ class BiquadCascade {
   [[nodiscard]] bool is_stable() const;
 
  private:
-  struct State {
-    double s1r = 0.0, s2r = 0.0;  // real channel
-    double s1i = 0.0, s2i = 0.0;  // imaginary channel
-  };
   std::vector<Biquad> sections_;
-  std::vector<State> state_;
 };
 
-// Designers.  `order` is the analog prototype order (1..12 supported).
+// Designer.  `order` is the analog prototype order (1..12 supported).
 [[nodiscard]] BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double fs);
-[[nodiscard]] BiquadCascade butterworth_highpass(int order, double cutoff_hz, double fs);
-// Band-pass of total order 2*`order` between [low_hz, high_hz].
-[[nodiscard]] BiquadCascade butterworth_bandpass(int order, double low_hz,
-                                                 double high_hz, double fs);
 
 }  // namespace pab::dsp

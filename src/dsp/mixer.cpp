@@ -9,27 +9,16 @@
 
 namespace pab::dsp {
 
-std::size_t tone_length(double duration_s, double sample_rate) {
-  require(sample_rate > 0.0, "tone_length: sample rate must be positive");
-  require(duration_s >= 0.0, "tone_length: negative duration");
-  return static_cast<std::size_t>(duration_s * sample_rate);
-}
-
-void make_tone_into(double freq_hz, double amplitude, double sample_rate,
-                    double phase, std::span<double> out) {
-  require(sample_rate > 0.0, "make_tone: sample rate must be positive");
-  const double w = kTwoPi * freq_hz / sample_rate;
-  // Dispatched oscillator: the scalar table is the per-sample libm loop
-  // verbatim; vector tables rotate block-anchored phasors.
-  simd::tone(w, amplitude, phase, out);
-}
-
 Signal make_tone(double freq_hz, double amplitude, double duration_s,
                  double sample_rate, double phase) {
+  require(sample_rate > 0.0, "make_tone: sample rate must be positive");
+  require(duration_s >= 0.0, "make_tone: negative duration");
+  const double w = kTwoPi * freq_hz / sample_rate;
   Signal s;
   s.sample_rate = sample_rate;
-  s.samples.resize(tone_length(duration_s, sample_rate));
-  make_tone_into(freq_hz, amplitude, sample_rate, phase, s.samples);
+  s.samples.resize(static_cast<std::size_t>(duration_s * sample_rate));
+  for (std::size_t i = 0; i < s.samples.size(); ++i)
+    s.samples[i] = amplitude * std::sin(w * static_cast<double>(i) + phase);
   return s;
 }
 
@@ -88,26 +77,12 @@ CplxView downconvert_filtered(std::span<const double> x, double sample_rate,
                   carrier_hz);
 }
 
-CplxView downconvert_filtered(std::span<const double> x, double sample_rate,
-                              double carrier_hz, double lowpass_hz, int order,
-                              std::size_t decim, Arena& arena) {
-  const BiquadCascade lp = butterworth_lowpass(order, lowpass_hz, sample_rate);
-  return downconvert_filtered(x, sample_rate, carrier_hz, lp, decim, arena);
-}
-
-void upconvert_into(std::span<const cplx> x, double sample_rate,
-                    double carrier_hz, std::span<double> out) {
-  require(sample_rate > 0.0, "upconvert: sample rate unset");
-  require(out.size() == x.size(), "upconvert_into: size mismatch");
-  const double w = kTwoPi * carrier_hz / sample_rate;
-  simd::mix_up(x, w, out);
-}
-
 Signal upconvert(const BasebandSignal& x, double carrier_hz) {
+  require(x.sample_rate > 0.0, "upconvert: sample rate unset");
   Signal y;
   y.sample_rate = x.sample_rate;
   y.samples.resize(x.size());
-  upconvert_into(x.samples, x.sample_rate, carrier_hz, y.samples);
+  simd::mix_up(x.samples, kTwoPi * carrier_hz / x.sample_rate, y.samples);
   return y;
 }
 

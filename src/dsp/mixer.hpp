@@ -9,7 +9,8 @@
 
 namespace pab::dsp {
 
-// Real sine carrier: amplitude * sin(2*pi*f*t + phase).
+// Real sine carrier: amplitude * sin(2*pi*f*t + phase), floor(duration_s *
+// fs) samples.
 [[nodiscard]] Signal make_tone(double freq_hz, double amplitude, double duration_s,
                                double sample_rate, double phase = 0.0);
 
@@ -24,41 +25,26 @@ namespace pab::dsp {
                                                   double lowpass_hz, int order = 5,
                                                   std::size_t decim = 1);
 
-// Upconvert a complex baseband signal back to a real passband signal.
+// Upconvert a complex baseband signal back to a real passband signal:
+// y[n] = Re(x[n]) cos(w n) - Im(x[n]) sin(w n), w = 2*pi*fc/fs.
 [[nodiscard]] Signal upconvert(const BasebandSignal& x, double carrier_hz);
 
 // ---- into-output kernels (allocation-free; the overloads above wrap them
 // or compute the same arithmetic in the same order) ----
 
-// Samples of a tone of `duration_s`: floor(duration_s * fs).
-[[nodiscard]] std::size_t tone_length(double duration_s, double sample_rate);
-
-// out[i] = amplitude * sin(2*pi*f*i/fs + phase); the tone length is out.size().
-void make_tone_into(double freq_hz, double amplitude, double sample_rate,
-                    double phase, std::span<double> out);
-
 // out[i] = 2 * x[i] * exp(-j*2*pi*fc*i/fs); out.size() must equal x.size().
 void downconvert_into(std::span<const double> x, double sample_rate,
                       double carrier_hz, std::span<cplx> out);
 
-// Arena variant of downconvert_filtered: down-convert, low-pass, and
-// decimate entirely in arena scratch.  Returns a view into the arena valid
-// until the enclosing frame ends.
-[[nodiscard]] CplxView downconvert_filtered(std::span<const double> x,
-                                            double sample_rate, double carrier_hz,
-                                            double lowpass_hz, int order,
-                                            std::size_t decim, Arena& arena);
-
-// As above with a caller-owned low-pass cascade (build it once with
-// butterworth_lowpass and reuse it; designing a filter allocates).
+// Arena variant of downconvert_filtered with a caller-owned low-pass cascade
+// (build it once with butterworth_lowpass and reuse it; designing a filter
+// allocates): down-convert, low-pass, and decimate entirely in arena
+// scratch.  Returns a view into the arena valid until the enclosing frame
+// ends.
 class BiquadCascade;
 [[nodiscard]] CplxView downconvert_filtered(std::span<const double> x,
                                             double sample_rate, double carrier_hz,
                                             const BiquadCascade& lowpass,
                                             std::size_t decim, Arena& arena);
-
-// out[i] = Re(x[i]) cos(w i) - Im(x[i]) sin(w i); out.size() == x.size().
-void upconvert_into(std::span<const cplx> x, double sample_rate,
-                    double carrier_hz, std::span<double> out);
 
 }  // namespace pab::dsp

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "dsp/fftconv.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -26,12 +25,6 @@ double scalar_sum(const double* x, std::size_t n) {
   return s;
 }
 
-double scalar_dot(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 CovVarRaw scalar_cov_var(const double* x, const double* t, std::size_t n,
                          double x_mean) {
   double cov = 0.0, x_var = 0.0;
@@ -43,11 +36,7 @@ CovVarRaw scalar_cov_var(const double* x, const double* t, std::size_t n,
   return {cov, x_var};
 }
 
-void scalar_axpy_d(double g, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += g * x[i];
-}
-
-void scalar_axpy_c(cplx g, const cplx* x, cplx* y, std::size_t n) {
+void scalar_axpy(cplx g, const cplx* x, cplx* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += g * x[i];
 }
 
@@ -73,12 +62,6 @@ void scalar_mix_up(const cplx* x, double w, double* out, std::size_t n) {
   }
 }
 
-void scalar_tone(double w, double amplitude, double phase, double* out,
-                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = amplitude * std::sin(w * static_cast<double>(i) + phase);
-}
-
 void scalar_chip_sum_diff(const double* soft, double* sum, double* diff,
                           std::size_t n) {
   for (std::size_t t = 0; t < n; ++t) {
@@ -88,9 +71,8 @@ void scalar_chip_sum_diff(const double* soft, double* sum, double* diff,
 }
 
 constexpr KernelTable kScalarTable = {
-    scalar_sum,      scalar_dot,       scalar_cov_var,
-    scalar_axpy_d,   scalar_axpy_c,    scalar_magnitude, scalar_cmul,
-    scalar_mix_down, scalar_mix_up,    scalar_tone,      scalar_chip_sum_diff,
+    scalar_sum,  scalar_cov_var,  scalar_axpy,   scalar_magnitude,
+    scalar_cmul, scalar_mix_down, scalar_mix_up, scalar_chip_sum_diff,
 };
 
 // ---- dispatch ---------------------------------------------------------------
@@ -149,8 +131,6 @@ struct Dispatch {
     auto& reg = obs::MetricRegistry::global();
     reg.gauge("dsp.simd.dispatch")
         .set(static_cast<double>(isa.load(std::memory_order_relaxed)));
-    reg.gauge("dsp.fftconv.crossover_len")
-        .set(static_cast<double>(fftconv_fir_crossover()));
     (void)reg.counter("dsp.fftconv.hits");
   }
 };
@@ -212,11 +192,6 @@ double sum(std::span<const double> x) {
   return kernels().sum(x.data(), x.size());
 }
 
-double dot(std::span<const double> a, std::span<const double> b) {
-  require(a.size() == b.size(), "simd::dot: size mismatch");
-  return kernels().dot(a.data(), b.data(), a.size());
-}
-
 CovVar centered_cov_var(std::span<const double> x, std::span<const double> t,
                         double x_mean) {
   require(x.size() == t.size(), "simd::centered_cov_var: size mismatch");
@@ -225,14 +200,9 @@ CovVar centered_cov_var(std::span<const double> x, std::span<const double> t,
   return {r.cov, r.var};
 }
 
-void axpy(double g, std::span<const double> x, std::span<double> y) {
-  require(y.size() >= x.size(), "simd::axpy: output too small");
-  kernels().axpy_d(g, x.data(), y.data(), x.size());
-}
-
 void axpy(cplx g, std::span<const cplx> x, std::span<cplx> y) {
   require(y.size() >= x.size(), "simd::axpy: output too small");
-  kernels().axpy_c(g, x.data(), y.data(), x.size());
+  kernels().axpy(g, x.data(), y.data(), x.size());
 }
 
 void magnitude(std::span<const cplx> x, std::span<double> out) {
@@ -255,10 +225,6 @@ void mix_down(std::span<const double> x, double w, std::span<cplx> out) {
 void mix_up(std::span<const cplx> x, double w, std::span<double> out) {
   require(out.size() == x.size(), "simd::mix_up: size mismatch");
   kernels().mix_up(x.data(), w, out.data(), x.size());
-}
-
-void tone(double w, double amplitude, double phase, std::span<double> out) {
-  kernels().tone(w, amplitude, phase, out.data(), out.size());
 }
 
 void chip_sum_diff(std::span<const double> soft, std::span<double> sum,

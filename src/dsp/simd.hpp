@@ -5,8 +5,8 @@
 // (aarch64) paths compiled with per-function target attributes and selected
 // ONCE at startup.  Callers either call the dispatched wrappers below
 // (identical arithmetic under scalar dispatch) or branch on `enabled()` when
-// the vector path restructures the computation (FIR interior windows, FM0
-// branch-metric precompute, add_delayed_scaled axpy split).
+// the vector path restructures the computation (FM0 branch-metric
+// precompute, add_delayed_scaled_into axpy split).
 //
 // Contract (see DESIGN.md §12):
 //   * scalar dispatch  -> bit-identical to the pre-SIMD reference loops;
@@ -75,9 +75,6 @@ class DispatchGuard {
 // Sequential-order sum of x (reference: `for v: s += v`).
 [[nodiscard]] double sum(std::span<const double> x);
 
-// Dot product sum_i a[i]*b[i]; sizes must match.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
 // One Pearson window: cov = sum (x[i]-x_mean)*t[i], var = sum (x[i]-x_mean)^2.
 struct CovVar {
   double cov;
@@ -87,7 +84,6 @@ struct CovVar {
                                       std::span<const double> t, double x_mean);
 
 // y[i] += g * x[i]  (x.size() elements; y must be at least as long).
-void axpy(double g, std::span<const double> x, std::span<double> y);
 void axpy(cplx g, std::span<const cplx> x, std::span<cplx> y);
 
 // out[i] = |x[i]|  (reference: std::abs on std::complex).
@@ -108,9 +104,6 @@ void mix_down(std::span<const double> x, double w, std::span<cplx> out);
 
 // out[i] = Re(x[i]) cos(w i) - Im(x[i]) sin(w i)   (up-conversion).
 void mix_up(std::span<const cplx> x, double w, std::span<double> out);
-
-// out[i] = amplitude * sin(w*i + phase)   (tone synthesis).
-void tone(double w, double amplitude, double phase, std::span<double> out);
 
 // ---- FM0 branch-metric precompute ------------------------------------------
 // sum[t] = soft[2t] + soft[2t+1], diff[t] = soft[2t] - soft[2t+1].

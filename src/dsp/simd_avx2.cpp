@@ -36,21 +36,6 @@ PAB_AVX2 double avx2_sum(const double* x, std::size_t n) {
   return s;
 }
 
-PAB_AVX2 double avx2_dot(const double* a, const double* b, std::size_t n) {
-  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    a0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), a0);
-    a1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4),
-                         a1);
-  }
-  for (; i + 4 <= n; i += 4)
-    a0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), a0);
-  double s = hsum(_mm256_add_pd(a0, a1));
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 PAB_AVX2 CovVarRaw avx2_cov_var(const double* x, const double* t, std::size_t n,
                                 double x_mean) {
   const __m256d mean = _mm256_set1_pd(x_mean);
@@ -80,16 +65,7 @@ PAB_AVX2 CovVarRaw avx2_cov_var(const double* x, const double* t, std::size_t n,
   return {cov, var};
 }
 
-PAB_AVX2 void avx2_axpy_d(double g, const double* x, double* y, std::size_t n) {
-  const __m256d gv = _mm256_set1_pd(g);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        y + i, _mm256_fmadd_pd(gv, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  for (; i < n; ++i) y[i] += g * x[i];
-}
-
-PAB_AVX2 void avx2_axpy_c(cplx g, const cplx* x, cplx* y, std::size_t n) {
+PAB_AVX2 void avx2_axpy(cplx g, const cplx* x, cplx* y, std::size_t n) {
   // (gr + j gi)(xr + j xi): per interleaved pair, gr*x +/- gi*swap(x).
   const __m256d gr = _mm256_set1_pd(g.real());
   const __m256d gi = _mm256_set1_pd(g.imag());
@@ -164,20 +140,14 @@ PAB_AVX2 void avx2_mix_up(const cplx* x, double w, double* out, std::size_t n) {
   detail::osc_mix_up(x, w, out, n);
 }
 
-PAB_AVX2 void avx2_tone(double w, double amplitude, double phase, double* out,
-                        std::size_t n) {
-  detail::osc_tone(w, amplitude, phase, out, n);
-}
-
 PAB_AVX2 void avx2_chip_sum_diff(const double* soft, double* sum, double* diff,
                                  std::size_t n) {
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
 constexpr KernelTable kAvx2Table = {
-    avx2_sum,      avx2_dot,    avx2_cov_var,
-    avx2_axpy_d,   avx2_axpy_c, avx2_magnitude, avx2_cmul,
-    avx2_mix_down, avx2_mix_up, avx2_tone,      avx2_chip_sum_diff,
+    avx2_sum,  avx2_cov_var,  avx2_axpy,   avx2_magnitude,
+    avx2_cmul, avx2_mix_down, avx2_mix_up, avx2_chip_sum_diff,
 };
 
 }  // namespace

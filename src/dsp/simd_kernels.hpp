@@ -3,10 +3,10 @@
 // part of the public dsp API -- include dsp/simd.hpp instead.
 //
 // The generic implementations here are deliberately written in a
-// vectorization-friendly style (independent accumulators, block-anchored
-// oscillators).  Each vector TU wraps them in target-attributed functions:
-// GCC inlines default-option callees into callers with wider ISA options, so
-// the same source vectorizes per ISA.  They are NOT bit-identical to the
+// vectorization-friendly style (block-anchored oscillators, branch-free
+// element-wise loops).  Each vector TU wraps them in target-attributed
+// functions: GCC inlines default-option callees into callers with wider ISA
+// options, so the same source vectorizes per ISA.  They are NOT bit-identical to the
 // scalar reference loops (which live verbatim in simd.cpp) -- they are the
 // tolerance-bounded (<= 1e-9 relative) vector path.
 #pragma once
@@ -28,17 +28,13 @@ struct CovVarRaw {
 // at startup (simd.cpp) and publishes it through an atomic pointer.
 struct KernelTable {
   double (*sum)(const double* x, std::size_t n);
-  double (*dot)(const double* a, const double* b, std::size_t n);
   CovVarRaw (*centered_cov_var)(const double* x, const double* t, std::size_t n,
                                 double x_mean);
-  void (*axpy_d)(double g, const double* x, double* y, std::size_t n);
-  void (*axpy_c)(cplx g, const cplx* x, cplx* y, std::size_t n);
+  void (*axpy)(cplx g, const cplx* x, cplx* y, std::size_t n);
   void (*magnitude)(const cplx* x, double* out, std::size_t n);
   void (*cmul)(const cplx* a, const cplx* b, cplx* out, std::size_t n);
   void (*mix_down)(const double* x, double w, cplx* out, std::size_t n);
   void (*mix_up)(const cplx* x, double w, double* out, std::size_t n);
-  void (*tone)(double w, double amplitude, double phase, double* out,
-               std::size_t n);
   void (*chip_sum_diff)(const double* soft, double* sum, double* diff,
                         std::size_t n);
 };
@@ -92,78 +88,7 @@ inline void osc_mix_up(const cplx* x, double w, double* out, std::size_t n) {
   }
 }
 
-inline void osc_tone(double w, double amplitude, double phase, double* out,
-                     std::size_t n) {
-  double c[kAnchor], s[kAnchor];
-  for (std::size_t base = 0; base < n; base += kAnchor) {
-    const std::size_t m = n - base < kAnchor ? n - base : kAnchor;
-    osc_block(w, phase, base, m, c, s);
-    for (std::size_t i = 0; i < m; ++i) out[base + i] = amplitude * s[i];
-  }
-}
-
-// Four-accumulator reductions: explicit independent partial sums (the
-// reassociation the autovectorizer is not allowed to invent on its own).
-inline double sum4(const double* x, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += x[i];
-    a1 += x[i + 1];
-    a2 += x[i + 2];
-    a3 += x[i + 3];
-  }
-  double s = (a0 + a1) + (a2 + a3);
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-inline double dot4(const double* a, const double* b, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += a[i] * b[i];
-    a1 += a[i + 1] * b[i + 1];
-    a2 += a[i + 2] * b[i + 2];
-    a3 += a[i + 3] * b[i + 3];
-  }
-  double s = (a0 + a1) + (a2 + a3);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-inline CovVarRaw cov_var4(const double* x, const double* t, std::size_t n,
-                          double x_mean) {
-  double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-  double v0 = 0.0, v1 = 0.0, v2 = 0.0, v3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double x0 = x[i] - x_mean, x1 = x[i + 1] - x_mean;
-    const double x2 = x[i + 2] - x_mean, x3 = x[i + 3] - x_mean;
-    c0 += x0 * t[i];
-    c1 += x1 * t[i + 1];
-    c2 += x2 * t[i + 2];
-    c3 += x3 * t[i + 3];
-    v0 += x0 * x0;
-    v1 += x1 * x1;
-    v2 += x2 * x2;
-    v3 += x3 * x3;
-  }
-  double cov = (c0 + c1) + (c2 + c3);
-  double var = (v0 + v1) + (v2 + v3);
-  for (; i < n; ++i) {
-    const double xc = x[i] - x_mean;
-    cov += xc * t[i];
-    var += xc * xc;
-  }
-  return {cov, var};
-}
-
-inline void axpy_d(double g, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += g * x[i];
-}
-
-inline void axpy_c(cplx g, const cplx* x, cplx* y, std::size_t n) {
+inline void axpy(cplx g, const cplx* x, cplx* y, std::size_t n) {
   const double gr = g.real(), gi = g.imag();
   for (std::size_t i = 0; i < n; ++i) {
     const double xr = x[i].real(), xi = x[i].imag();

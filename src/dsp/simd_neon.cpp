@@ -27,18 +27,6 @@ double neon_sum(const double* x, std::size_t n) {
   return s;
 }
 
-double neon_dot(const double* a, const double* b, std::size_t n) {
-  float64x2_t a0 = vdupq_n_f64(0.0), a1 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = vfmaq_f64(a0, vld1q_f64(a + i), vld1q_f64(b + i));
-    a1 = vfmaq_f64(a1, vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-  }
-  double s = vaddvq_f64(vaddq_f64(a0, a1));
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 CovVarRaw neon_cov_var(const double* x, const double* t, std::size_t n,
                        double x_mean) {
   const float64x2_t mean = vdupq_n_f64(x_mean);
@@ -58,16 +46,8 @@ CovVarRaw neon_cov_var(const double* x, const double* t, std::size_t n,
   return {c, v};
 }
 
-void neon_axpy_d(double g, const double* x, double* y, std::size_t n) {
-  const float64x2_t gv = vdupq_n_f64(g);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(y + i, vfmaq_f64(vld1q_f64(y + i), gv, vld1q_f64(x + i)));
-  for (; i < n; ++i) y[i] += g * x[i];
-}
-
-void neon_axpy_c(cplx g, const cplx* x, cplx* y, std::size_t n) {
-  detail::axpy_c(g, x, y, n);
+void neon_axpy(cplx g, const cplx* x, cplx* y, std::size_t n) {
+  detail::axpy(g, x, y, n);
 }
 
 void neon_magnitude(const cplx* x, double* out, std::size_t n) {
@@ -86,20 +66,14 @@ void neon_mix_up(const cplx* x, double w, double* out, std::size_t n) {
   detail::osc_mix_up(x, w, out, n);
 }
 
-void neon_tone(double w, double amplitude, double phase, double* out,
-               std::size_t n) {
-  detail::osc_tone(w, amplitude, phase, out, n);
-}
-
 void neon_chip_sum_diff(const double* soft, double* sum, double* diff,
                         std::size_t n) {
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
 constexpr KernelTable kNeonTable = {
-    neon_sum,      neon_dot,    neon_cov_var,
-    neon_axpy_d,   neon_axpy_c, neon_magnitude, neon_cmul,
-    neon_mix_down, neon_mix_up, neon_tone,      neon_chip_sum_diff,
+    neon_sum,  neon_cov_var,  neon_axpy,   neon_magnitude,
+    neon_cmul, neon_mix_down, neon_mix_up, neon_chip_sum_diff,
 };
 
 }  // namespace

@@ -29,13 +29,14 @@ Spectrogram compute_spectrogram(const Signal& signal,
   out.magnitude.reserve(n_frames);
   out.time_s.reserve(n_frames);
 
+  const FftPlan& plan = fft_plan(config.fft_size);
   std::vector<cplx> frame(config.fft_size);
   const double scale = 2.0 / static_cast<double>(config.fft_size);
   for (std::size_t f = 0; f < n_frames; ++f) {
     const std::size_t start = f * config.hop;
     for (std::size_t i = 0; i < config.fft_size; ++i)
       frame[i] = cplx(signal.samples[start + i] * window[i], 0.0);
-    fft_inplace(frame);
+    plan.transform(frame);
     std::vector<double> mags(half);
     for (std::size_t b = 0; b < half; ++b) mags[b] = std::abs(frame[b]) * scale;
     out.magnitude.push_back(std::move(mags));

@@ -6,64 +6,39 @@
 
 namespace pab::phy {
 
-void walsh_code_into(std::size_t index, std::span<std::int8_t> out) {
-  const std::size_t length = out.size();
+std::vector<std::int8_t> walsh_code(std::size_t length, std::size_t index) {
   require(length >= 1 && (length & (length - 1)) == 0,
           "walsh_code: length must be a power of two");
   require(index < length, "walsh_code: index out of range");
+  std::vector<std::int8_t> code(length);
   for (std::size_t n = 0; n < length; ++n) {
     // Hadamard entry = (-1)^{popcount(n & index)}.
     const int bits = __builtin_popcountll(n & index);
-    out[n] = (bits % 2 == 0) ? 1 : -1;
+    code[n] = (bits % 2 == 0) ? 1 : -1;
   }
-}
-
-std::vector<std::int8_t> walsh_code(std::size_t length, std::size_t index) {
-  require(length >= 1, "walsh_code: length must be a power of two");
-  std::vector<std::int8_t> code(length);
-  walsh_code_into(index, code);
   return code;
-}
-
-void cdma_spread_into(std::span<const std::int8_t> data_chips,
-                      std::span<const std::int8_t> code,
-                      std::span<std::int8_t> out) {
-  require(!code.empty(), "cdma_spread: empty code");
-  require(out.size() == data_chips.size() * code.size(),
-          "cdma_spread_into: output size mismatch");
-  std::size_t j = 0;
-  for (std::int8_t d : data_chips)
-    for (std::int8_t c : code)
-      out[j++] = static_cast<std::int8_t>(d * c);
 }
 
 std::vector<std::int8_t> cdma_spread(std::span<const std::int8_t> data_chips,
                                      std::span<const std::int8_t> code) {
   require(!code.empty(), "cdma_spread: empty code");
-  std::vector<std::int8_t> out(data_chips.size() * code.size());
-  cdma_spread_into(data_chips, code, out);
+  std::vector<std::int8_t> out;
+  out.reserve(data_chips.size() * code.size());
+  for (std::int8_t d : data_chips)
+    for (std::int8_t c : code) out.push_back(static_cast<std::int8_t>(d * c));
   return out;
-}
-
-void cdma_despread_into(std::span<const double> rx,
-                        std::span<const std::int8_t> code,
-                        std::span<double> out) {
-  require(!code.empty(), "cdma_despread: empty code");
-  require(out.size() == rx.size() / code.size(),
-          "cdma_despread_into: output size mismatch");
-  for (std::size_t p = 0; p < out.size(); ++p) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < code.size(); ++i)
-      acc += rx[p * code.size() + i] * static_cast<double>(code[i]);
-    out[p] = acc / static_cast<double>(code.size());
-  }
 }
 
 std::vector<double> cdma_despread(std::span<const double> rx,
                                   std::span<const std::int8_t> code) {
   require(!code.empty(), "cdma_despread: empty code");
   std::vector<double> out(rx.size() / code.size(), 0.0);
-  cdma_despread_into(rx, code, out);
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < code.size(); ++i)
+      acc += rx[p * code.size() + i] * static_cast<double>(code[i]);
+    out[p] = acc / static_cast<double>(code.size());
+  }
   return out;
 }
 

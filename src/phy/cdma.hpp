@@ -41,19 +41,4 @@ namespace pab::phy {
                                             std::span<const std::int8_t> b,
                                             std::size_t offset);
 
-// ---- into-output kernels (allocation-free; wrapped by the above) ----
-
-// out.size() must equal `length` (power of two).
-void walsh_code_into(std::size_t index, std::span<std::int8_t> out);
-
-// out.size() must equal data_chips.size() * code.size().
-void cdma_spread_into(std::span<const std::int8_t> data_chips,
-                      std::span<const std::int8_t> code,
-                      std::span<std::int8_t> out);
-
-// out.size() must equal rx.size() / code.size() (whole periods only).
-void cdma_despread_into(std::span<const double> rx,
-                        std::span<const std::int8_t> code,
-                        std::span<double> out);
-
 }  // namespace pab::phy

@@ -56,12 +56,12 @@ void LinearEqualizer::train(std::span<const std::complex<double>> rx,
   taps_ = r.solve(std::move(p));
 }
 
-void LinearEqualizer::apply_into(std::span<const std::complex<double>> rx,
-                                 std::span<std::complex<double>> out) const {
+std::vector<std::complex<double>> LinearEqualizer::apply(
+    std::span<const std::complex<double>> rx) const {
   require(trained(), "LinearEqualizer: not trained");
-  require(out.size() == rx.size(), "LinearEqualizer::apply_into: size mismatch");
   const int pre = config_.pre_taps;
   const int n_taps = tap_count();
+  std::vector<std::complex<double>> out(rx.size());
   for (std::size_t t = 0; t < rx.size(); ++t) {
     std::complex<double> acc{};
     for (int a = 0; a < n_taps; ++a) {
@@ -71,12 +71,6 @@ void LinearEqualizer::apply_into(std::span<const std::complex<double>> rx,
     }
     out[t] = acc;
   }
-}
-
-std::vector<std::complex<double>> LinearEqualizer::apply(
-    std::span<const std::complex<double>> rx) const {
-  std::vector<std::complex<double>> out(rx.size());
-  apply_into(rx, out);
   return out;
 }
 

@@ -33,12 +33,6 @@ class LinearEqualizer {
   [[nodiscard]] std::vector<std::complex<double>> apply(
       std::span<const std::complex<double>> rx) const;
 
-  // Into-output variant: out.size() must equal rx.size(); `out` must not
-  // alias `rx` (the FIR reads neighbours after the write).  The vector
-  // overload wraps this.
-  void apply_into(std::span<const std::complex<double>> rx,
-                  std::span<std::complex<double>> out) const;
-
   [[nodiscard]] bool trained() const { return !taps_.empty(); }
   [[nodiscard]] const std::vector<std::complex<double>>& taps() const {
     return taps_;

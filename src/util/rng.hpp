@@ -21,9 +21,12 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  // Standard normal (or scaled) sample.
+  // Standard normal (or scaled) sample.  std::normal_distribution requires
+  // stddev > 0, so the draw is standard normal, rescaled here: the same
+  // arithmetic libstdc++ applies inside the distribution, so every stream is
+  // unchanged, and stddev == 0 (an ideal, noiseless component) yields `mean`.
   [[nodiscard]] double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
   // Uniform integer in [lo, hi] inclusive.
@@ -54,11 +57,12 @@ class Rng {
     return out;
   }
 
-  // White Gaussian noise vector with the given standard deviation.
+  // White Gaussian noise vector with the given standard deviation (rescaled
+  // from standard normal draws, as in gaussian()).
   [[nodiscard]] std::vector<double> awgn(std::size_t n, double stddev) {
     std::vector<double> out(n);
-    std::normal_distribution<double> dist(0.0, stddev);
-    for (auto& v : out) v = dist(engine_);
+    std::normal_distribution<double> dist(0.0, 1.0);
+    for (auto& v : out) v = dist(engine_) * stddev;
     return out;
   }
 

@@ -114,6 +114,29 @@ TEST(CampaignWire, MetricsSnapshotRoundTrip) {
   EXPECT_EQ(back.to_json(), snap.to_json());
 }
 
+// Untrusted counts are bounded by the bytes left to read: a 9-byte payload
+// claiming 2^40 rows is an Expected error, not a runaway reserve().
+TEST(CampaignWire, RecordBatchRejectsRowCountBeyondPayload) {
+  campaign::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(sim::TrialKind::kUplink));
+  w.u64(std::uint64_t{1} << 40);
+  campaign::ByteReader r(w.bytes());
+  const auto batch = campaign::RecordBatch::deserialize(r);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.error().code, pab::ErrorCode::kInvalidArgument);
+}
+
+TEST(CampaignWire, MetricsRejectBucketCountBeyondPayload) {
+  campaign::ByteWriter w;
+  w.u32(0);  // counters
+  w.u32(0);  // gauges
+  w.u32(1);  // histograms
+  w.str("h");
+  w.u32(0xFFFFFFFFu);  // bucket bounds: would also wrap bounds + 1 in u32
+  campaign::ByteReader r(w.bytes());
+  EXPECT_THROW((void)campaign::read_metrics(r), std::runtime_error);
+}
+
 TEST(CampaignSpec, SerializeParseIsFixedPoint) {
   campaign::CampaignSpec spec = small_uplink_spec();
   spec.timeline["horizon_s"] = 12.25;  // exercised even for uplink specs

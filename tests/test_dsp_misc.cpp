@@ -108,18 +108,20 @@ TEST(Goertzel, MatchesToneAmplitude) {
 }
 
 TEST(Resample, AddDelayedScaledAccumulates) {
-  std::vector<double> acc;
-  std::vector<double> y = {1.0, 1.0};
-  add_delayed_scaled(acc, y, 2.0, 0.5);
-  add_delayed_scaled(acc, y, 2.0, 0.5);
-  EXPECT_NEAR(acc[2], 1.0, 1e-12);
-  EXPECT_NEAR(acc[3], 1.0, 1e-12);
+  std::vector<cplx> acc(5);
+  const std::vector<cplx> y = {1.0, 1.0};
+  add_delayed_scaled_into(acc, y, 2.0, 0.5);
+  add_delayed_scaled_into(acc, y, 2.0, 0.5);
+  EXPECT_NEAR(acc[2].real(), 1.0, 1e-12);
+  EXPECT_NEAR(acc[3].real(), 1.0, 1e-12);
+  EXPECT_THROW(add_delayed_scaled_into(acc, y, 3.0, 0.5),
+               std::invalid_argument);  // needs floor(3) + 2 + 1 = 6 samples
 }
 
 TEST(Resample, ComplexGainRotates) {
-  std::vector<cplx> acc;
-  std::vector<cplx> y = {cplx(1.0, 0.0)};
-  add_delayed_scaled(acc, y, 0.0, cplx(0.0, 1.0));
+  std::vector<cplx> acc(2);
+  const std::vector<cplx> y = {cplx(1.0, 0.0)};
+  add_delayed_scaled_into(acc, y, 0.0, cplx(0.0, 1.0));
   EXPECT_NEAR(acc[0].imag(), 1.0, 1e-12);
   EXPECT_NEAR(acc[0].real(), 0.0, 1e-12);
 }

@@ -8,14 +8,12 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <stdexcept>
 #include <vector>
 
 #include "channel/propagation.hpp"
 #include "dsp/arena.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/fftconv.hpp"
-#include "dsp/fir.hpp"
-#include "dsp/mixer.hpp"
 #include "dsp/simd.hpp"
 #include "phy/fm0.hpp"
 #include "util/rng.hpp"
@@ -73,10 +71,6 @@ TEST(SimdDispatch, ScalarTableMatchesReferenceLoopsExactly) {
   for (double v : a) want_sum += v;
   EXPECT_EQ(want_sum, simd::sum(a));
 
-  double want_dot = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) want_dot += a[i] * b[i];
-  EXPECT_EQ(want_dot, simd::dot(a, b));
-
   const double mean = want_sum / static_cast<double>(a.size());
   double want_cov = 0.0, want_var = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -88,10 +82,11 @@ TEST(SimdDispatch, ScalarTableMatchesReferenceLoopsExactly) {
   EXPECT_EQ(want_cov, cov);
   EXPECT_EQ(want_var, var);
 
-  auto want_axpy = b;
-  for (std::size_t i = 0; i < a.size(); ++i) want_axpy[i] += 0.37 * a[i];
-  auto got_axpy = b;
-  simd::axpy(0.37, a, got_axpy);
+  const cplx g(0.3, -0.4);
+  auto want_axpy = cx;
+  for (std::size_t i = 0; i < cx.size(); ++i) want_axpy[i] += g * cx[i];
+  auto got_axpy = cx;
+  simd::axpy(g, cx, got_axpy);
   EXPECT_EQ(want_axpy, got_axpy);
 
   std::vector<double> want_mag(cx.size()), got_mag(cx.size());
@@ -116,12 +111,6 @@ TEST(SimdDispatch, ScalarTableMatchesReferenceLoopsExactly) {
   simd::mix_up(cx, w, got_up);
   EXPECT_EQ(want_up, got_up);
 
-  std::vector<double> want_tone(300), got_tone(300);
-  for (std::size_t i = 0; i < want_tone.size(); ++i)
-    want_tone[i] = 0.8 * std::sin(w * static_cast<double>(i) + 0.3);
-  simd::tone(w, 0.8, 0.3, got_tone);
-  EXPECT_EQ(want_tone, got_tone);
-
   const auto soft = random_vec(rng, 2 * 77);
   std::vector<double> ws(77), wd(77), gs(77), gd(77);
   for (std::size_t t = 0; t < 77; ++t) {
@@ -144,37 +133,28 @@ TEST(SimdDispatch, VectorKernelsMatchScalarWithinTolerance) {
   const auto ct = random_cvec(rng, 773);
   const double w = kTwoPi * 18500.0 / 96000.0;
 
-  double s_sum, s_dot;
+  double s_sum;
   simd::CovVar s_cv{};
-  std::vector<double> s_axpy, s_mag(cx.size()), s_up(cx.size()), s_tone(900);
+  std::vector<double> s_mag(cx.size()), s_up(cx.size());
   std::vector<cplx> s_caxpy, s_down(a.size()), s_cmul(cx.size());
   {
     const DispatchGuard guard(Isa::kScalar, false);
     s_sum = simd::sum(a);
-    s_dot = simd::dot(a, b);
     s_cv = simd::centered_cov_var(a, b, s_sum / 1001.0);
-    s_axpy = b;
-    simd::axpy(0.37, a, s_axpy);
     s_caxpy = ct;
     simd::axpy(cplx(0.3, -0.4), cx, s_caxpy);
     simd::magnitude(cx, s_mag);
     simd::cmul(cx, ct, s_cmul);
     simd::mix_down(a, w, s_down);
     simd::mix_up(cx, w, s_up);
-    simd::tone(w, 0.8, 0.3, s_tone);
   }
 
   const DispatchGuard guard(host_isa(), true);
   expect_close(s_sum, simd::sum(a), max_abs(a) * 1001, "sum");
-  expect_close(s_dot, simd::dot(a, b), std::abs(s_dot) + 1001, "dot");
   const auto v_cv = simd::centered_cov_var(a, b, s_sum / 1001.0);
   expect_close(s_cv.cov, v_cv.cov, std::abs(s_cv.cov) + 1001, "cov");
   expect_close(s_cv.var, v_cv.var, s_cv.var, "var");
 
-  auto v_axpy = b;
-  simd::axpy(0.37, a, v_axpy);
-  for (std::size_t i = 0; i < v_axpy.size(); ++i)
-    expect_close(s_axpy[i], v_axpy[i], std::abs(s_axpy[i]), "axpy", i);
   auto v_caxpy = ct;
   simd::axpy(cplx(0.3, -0.4), cx, v_caxpy);
   for (std::size_t i = 0; i < v_caxpy.size(); ++i) {
@@ -204,10 +184,6 @@ TEST(SimdDispatch, VectorKernelsMatchScalarWithinTolerance) {
   simd::mix_up(cx, w, v_up);
   for (std::size_t i = 0; i < v_up.size(); ++i)
     expect_close(s_up[i], v_up[i], 10.0, "mix_up", i);
-  std::vector<double> v_tone(900);
-  simd::tone(w, 0.8, 0.3, v_tone);
-  for (std::size_t i = 0; i < v_tone.size(); ++i)
-    expect_close(s_tone[i], v_tone[i], 1.0, "tone", i);
 }
 
 TEST(SimdDispatch, GuardRestoresPreviousState) {
@@ -250,19 +226,6 @@ TEST(SimdDispatch, Fm0MlDecodeAgreesAcrossDispatch) {
 
 TEST(FftConv, FullConvolutionMatchesNaiveWithinTolerance) {
   Rng rng(4);
-  const auto h = random_vec(rng, 37);
-  const auto x = random_vec(rng, 700);
-  std::vector<double> naive(x.size() + h.size() - 1, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    for (std::size_t k = 0; k < h.size(); ++k) naive[i + k] += x[i] * h[k];
-
-  std::vector<double> got(naive.size());
-  fftconv_full(h, x, got);
-  const double scale = max_abs(naive);
-  for (std::size_t i = 0; i < naive.size(); ++i)
-    expect_close(naive[i], got[i], scale, "fftconv_full", i);
-
-  // Complex pair through the same path.
   const auto ch = random_cvec(rng, 21);
   const auto cx = random_cvec(rng, 500);
   std::vector<cplx> cnaive(cx.size() + ch.size() - 1, cplx{});
@@ -276,43 +239,16 @@ TEST(FftConv, FullConvolutionMatchesNaiveWithinTolerance) {
   }
 }
 
-TEST(FftConv, SameAlignedFirMatchesDirectPath) {
-  Rng rng(5);
-  // Kernel long enough to clear the crossover, signal >= 2x kernel.
-  const auto h = random_vec(rng, 129, 0.2);
-  const auto x = random_vec(rng, 2000);
-  std::vector<double> direct(x.size());
-  {
-    const DispatchGuard guard(Isa::kScalar, false);
-    fir_filter_into(h, x, direct);
-  }
-  std::vector<double> fft_path(x.size());
-  fftconv_fir(h, x, fft_path);
-  const double scale = max_abs(direct);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    expect_close(direct[i], fft_path[i], scale, "fftconv_fir", i);
-
-  // The public dispatcher takes the same FFT path for long kernels; it must
-  // agree with the scalar-forced direct loop too.
-  std::vector<double> dispatched(x.size());
-  {
-    const DispatchGuard guard(host_isa(), true);
-    fir_filter_into(h, x, dispatched);
-  }
-  for (std::size_t i = 0; i < x.size(); ++i)
-    expect_close(direct[i], dispatched[i], scale, "dispatched fir", i);
-}
-
 TEST(FftConv, PlanCacheReusesPlansAcrossCalls) {
   Rng rng(6);
-  const auto h = random_vec(rng, 64);
-  const auto x = random_vec(rng, 600);
-  std::vector<double> y(x.size() + h.size() - 1);
+  const auto h = random_cvec(rng, 64);
+  const auto x = random_cvec(rng, 600);
+  std::vector<cplx> y(x.size() + h.size() - 1);
   fftconv_full(h, x, y);
-  const std::size_t planned = fftconv_plan_cache_size();
+  const std::size_t planned = fft_plan_cache_size();
   EXPECT_GE(planned, 1u);
   fftconv_full(h, x, y);  // same sizes -> no new plan
-  EXPECT_EQ(fftconv_plan_cache_size(), planned);
+  EXPECT_EQ(fft_plan_cache_size(), planned);
 }
 
 // ---- channel tap convolution through the FFT path ---------------------------
@@ -327,25 +263,7 @@ TEST(FftConv, ApplyTapsFftPathMatchesDirectAccumulation) {
     t.gain = 0.8 / (1.0 + k);
     taps.push_back(t);
   }
-  const auto x = random_vec(rng, 4000);
-  const std::size_t out_len = channel::apply_taps_length(x.size(), fs, taps);
-
-  std::vector<double> direct(out_len);
-  {
-    const DispatchGuard guard(Isa::kScalar, false);
-    channel::apply_taps_into(x, fs, taps, direct);
-  }
-  std::vector<double> fft_path(out_len);
-  {
-    const DispatchGuard guard(host_isa(), true);
-    Arena arena;
-    channel::apply_taps_into(x, fs, taps, fft_path, arena);
-  }
-  const double scale = max_abs(direct);
-  for (std::size_t i = 0; i < out_len; ++i)
-    expect_close(direct[i], fft_path[i], scale, "apply_taps", i);
-
-  // Baseband variant with carrier phase rotations.
+  // Baseband signal with per-tap carrier phase rotations.
   const auto cx = random_cvec(rng, 4000);
   const std::size_t cout_len = channel::apply_taps_length(cx.size(), fs, taps);
   std::vector<cplx> cdirect(cout_len), cfft(cout_len);
@@ -362,62 +280,6 @@ TEST(FftConv, ApplyTapsFftPathMatchesDirectAccumulation) {
     expect_close(cdirect[i].real(), cfft[i].real(), 10.0, "taps_bb.re", i);
     expect_close(cdirect[i].imag(), cfft[i].imag(), 10.0, "taps_bb.im", i);
   }
-}
-
-// ---- fir_filter group-delay and aliasing contracts (satellite) --------------
-
-TEST(FirFilter, GroupDelayAlignsImpulseAtEdgesAndMiddle) {
-  const auto h = design_lowpass_fir(4000.0, 96000.0, 31);
-  constexpr std::size_t kN = 256;
-  for (const std::size_t pos : {std::size_t{0}, kN / 2, kN - 1}) {
-    std::vector<double> x(kN, 0.0);
-    x[pos] = 1.0;
-    const auto y = fir_filter(h, x);
-    ASSERT_EQ(y.size(), x.size());
-    const std::size_t peak = static_cast<std::size_t>(
-        std::distance(y.begin(), std::max_element(y.begin(), y.end())));
-    EXPECT_EQ(peak, pos) << "impulse at " << pos
-                         << " should round-trip to the same index";
-  }
-}
-
-TEST(FirFilter, GroupDelayPropertyHoldsOnEveryDispatchPath) {
-  // Long kernel so the FFT path engages; the alignment contract must be
-  // dispatch-invariant.
-  const auto h = design_lowpass_fir(4000.0, 96000.0, 129);
-  constexpr std::size_t kN = 1024;
-  for (const bool vector_path : {false, true}) {
-    const DispatchGuard guard(vector_path ? host_isa() : Isa::kScalar,
-                              vector_path);
-    for (const std::size_t pos : {std::size_t{0}, kN / 2, kN - 1}) {
-      std::vector<double> x(kN, 0.0);
-      x[pos] = 1.0;
-      const auto y = fir_filter(h, x);
-      const std::size_t peak = static_cast<std::size_t>(
-          std::distance(y.begin(), std::max_element(y.begin(), y.end())));
-      EXPECT_EQ(peak, pos) << "impulse at " << pos << ", vector_path "
-                           << vector_path;
-    }
-  }
-}
-
-TEST(FirFilter, RejectsAliasedOutput) {
-  const auto h = design_lowpass_fir(4000.0, 96000.0, 15);
-  std::vector<double> buf(100, 1.0);
-  const std::span<double> s(buf);
-  // In-place filtering corrupts later windows; the kernel must refuse.
-  EXPECT_THROW(fir_filter_into(h, std::span<const double>(s), s),
-               std::invalid_argument);
-  // Partial overlap is just as invalid.
-  EXPECT_THROW(
-      fir_filter_into(h, std::span<const double>(s.data(), 50),
-                      s.subspan(10, 50)),
-      std::invalid_argument);
-  // Disjoint halves are fine.
-  std::vector<double> io(200, 1.0);
-  const std::span<double> whole(io);
-  EXPECT_NO_THROW(fir_filter_into(h, std::span<const double>(whole.data(), 100),
-                                  whole.subspan(100)));
 }
 
 }  // namespace
