@@ -8,8 +8,7 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "phy/fm0.hpp"
-#include "phy/modem.hpp"
+#include "phy/scheme.hpp"
 #include "sim/batch.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -27,10 +26,9 @@ std::vector<double> make_envelope(bool with_packet, double snr_db, Rng& rng) {
   const double noise = amp / std::sqrt(power_ratio_from_db(snr_db));
   std::vector<double> env(24000, 1.0);
   if (with_packet) {
-    Bits full(phy::uplink_preamble_bits());
     const auto payload = rng.bits(64);
-    full.insert(full.end(), payload.begin(), payload.end());
-    const auto sw = phy::backscatter_waveform(full, kBitrate, kFs);
+    const auto sw =
+        phy::scheme_waveform(phy::SchemeId::kFm0, payload, kBitrate, kFs);
     const std::size_t start = 4000;
     for (std::size_t i = 0; i < sw.size() && start + i < env.size(); ++i)
       env[start + i] += sw[i] == phy::SwitchState::kReflective ? amp : -amp;
@@ -47,7 +45,7 @@ double detection_rate(double threshold, double snr_db, bool with_packet,
   phy::DemodConfig cfg;
   cfg.bitrate = kBitrate;
   cfg.detect_threshold = threshold;
-  const phy::BackscatterDemodulator demod(cfg);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, cfg});
   const auto hits =
       batch.map_seeded(trials, base_seed, [&](std::size_t, Rng& rng) {
         const auto env = make_envelope(with_packet, snr_db, rng);
@@ -89,7 +87,7 @@ void print_series() {
 void bm_detection(benchmark::State& state) {
   Rng rng(1);
   const auto env = make_envelope(true, 6.0, rng);
-  const phy::BackscatterDemodulator demod{phy::DemodConfig{}};
+  const phy::SchemeDemodulator demod{phy::SchemeConfig{}};
   for (auto _ : state) {
     auto r = demod.demodulate_envelope(env, kFs, 64);
     benchmark::DoNotOptimize(&r);

@@ -104,6 +104,7 @@ void print_series() {
                     "EVM", "decoded"});
   for (const auto& rung : kRungs) {
     const auto& sd = phy::scheme_descriptor(rung.scheme);
+    const std::string name(phy::to_string(rung.scheme));
     double peak_bps = 0.0;
     double quiet_evm = 9.99;
     for (std::size_t n = 0; n < std::size(kNoisePsd); ++n) {
@@ -111,12 +112,12 @@ void print_series() {
       if (n == 0) quiet_evm = p.evm_rms;
       peak_bps = std::max(peak_bps, p.delivered_bps);
       bench::print_row(
-          {std::string(sd.name), bench::fmt(rung.clock_hz, 0),
+          {name, bench::fmt(rung.clock_hz, 0),
            bench::fmt(kNoisePsd[n], 0), bench::fmt(p.delivered_bps, 0),
            bench::fmt(p.mer_db, 1), bench::fmt(p.evm_rms, 3),
            bench::fmt(p.decoded, 0) + "/" + bench::fmt(kTrialsPerPoint, 0)});
     }
-    const std::string stem = "ladder." + std::string(sd.name);
+    const std::string stem = "ladder." + name;
     registry.gauge(stem + ".throughput_bps").set(peak_bps);
     registry.gauge(stem + ".evm_rms").set(quiet_evm);
     registry.gauge(stem + ".decode_floor_db").set(sd.decode_floor_db);

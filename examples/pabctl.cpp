@@ -86,8 +86,8 @@ int cmd_link(const Args& a) {
   dc.bitrate = cfg.bitrate;
   dc.sample_rate = sc.sample_rate;
   dc.decision_directed_equalizer = a.has("equalize");
-  const auto r = phy::BackscatterDemodulator(dc).demodulate(run.hydrophone_v,
-                                                            bits.size());
+  const auto r = phy::SchemeDemodulator({phy::SchemeId::kFm0, dc})
+                     .demodulate(run.hydrophone_v, bits.size());
   std::printf("incident at node : %8.2f Pa\n", run.incident_pressure_pa);
   std::printf("carrier at hydro : %8.2f Pa\n", run.direct_pressure_pa);
   std::printf("modulation       : %8.4f Pa\n", run.modulation_pressure_pa);

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -13,6 +14,8 @@ namespace {
 // Frames larger than this are a protocol error, not a workload: one chunk of
 // records is a few KiB, a metrics delta tens of KiB.
 constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+// read_frame grows a frame body by at most this much per read.
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 }  // namespace
 
@@ -160,9 +163,16 @@ pab::Expected<Frame> read_frame(int fd) {
   if (len == 0 || len > kMaxFrameBytes)
     return pab::Error{pab::ErrorCode::kBusError,
                       "campaign wire: bad frame length"};
-  std::string body(len, '\0');
-  ok = read_all(fd, body.data(), body.size(), nullptr);
-  if (!ok.ok()) return ok.error();
+  // The length prefix is untrusted: grow the body as bytes arrive, so memory
+  // tracks what the peer actually sent, not what the prefix claims.
+  std::string body;
+  while (body.size() < len) {
+    const std::size_t have = body.size();
+    const std::size_t n = std::min<std::size_t>(len - have, kReadChunkBytes);
+    body.resize(have + n);
+    ok = read_all(fd, body.data() + have, n, nullptr);
+    if (!ok.ok()) return ok.error();
+  }
   Frame f;
   f.type = static_cast<MsgType>(static_cast<std::uint8_t>(body[0]));
   f.payload = body.substr(1);

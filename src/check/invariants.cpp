@@ -10,8 +10,8 @@
 #include "campaign/batch_executor.hpp"
 #include "channel/water.hpp"
 #include "obs/metrics.hpp"
-#include "phy/modem.hpp"
 #include "phy/packet.hpp"
+#include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
 #include "util/units.hpp"
 
@@ -45,7 +45,7 @@ LinkQualityFn real_link_quality() {
   return [](std::span<const double> envelope, double sample_rate,
             std::size_t n_bits,
             const phy::DemodConfig& config) -> pab::Expected<phy::DemodResult> {
-    const phy::BackscatterDemodulator demod(config);
+    const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, config});
     return demod.demodulate_envelope(envelope, sample_rate, n_bits);
   };
 }
@@ -699,9 +699,8 @@ CheckResult check_decode_roundtrip(std::uint64_t seed) {
 
   // FM0-modulate preamble + payload into an envelope, then perturb: random
   // lead-in, mid level, swing (possibly inverted), and mild noise.
-  Bits full(phy::uplink_preamble_bits());
-  full.insert(full.end(), bits.begin(), bits.end());
-  const auto sw = phy::backscatter_waveform(full, waveform.bitrate, fs);
+  const auto sw =
+      phy::scheme_waveform(phy::SchemeId::kFm0, bits, waveform.bitrate, fs);
   const double mid = rng.uniform(0.5, 2.0);
   double amp = mid * rng.uniform(0.02, 0.1);
   if (rng.bernoulli(0.5)) amp = -amp;  // anti-phase backscatter
@@ -719,7 +718,7 @@ CheckResult check_decode_roundtrip(std::uint64_t seed) {
   phy::DemodConfig config;
   config.bitrate = waveform.bitrate;
   config.sample_rate = fs;
-  const phy::BackscatterDemodulator demod(config);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, config});
   const auto r = demod.demodulate_envelope(env, fs, bits.size());
   if (!r.ok())
     return CheckResult::fail("round-trip decode failed: " +
@@ -744,9 +743,8 @@ CheckResult check_link_quality(std::uint64_t seed,
   // One FM0 burst, replayed at three noise levels (clean, mild, heavy) with
   // identical geometry: the soft metrics must be internally consistent at
   // every level and ordered across them.
-  Bits full(phy::uplink_preamble_bits());
-  full.insert(full.end(), bits.begin(), bits.end());
-  const auto sw = phy::backscatter_waveform(full, waveform.bitrate, fs);
+  const auto sw =
+      phy::scheme_waveform(phy::SchemeId::kFm0, bits, waveform.bitrate, fs);
   const double mid = rng.uniform(0.5, 2.0);
   double amp = mid * rng.uniform(0.02, 0.1);
   if (rng.bernoulli(0.5)) amp = -amp;  // anti-phase backscatter

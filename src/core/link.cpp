@@ -76,8 +76,7 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   const auto frame = arena.frame();
 
   // On-air switch stream for [uplink preamble + data] under the scenario's
-  // modulation scheme (phy::Scheme seam; kFm0 reproduces the legacy
-  // backscatter_waveform_into call bit for bit).
+  // modulation scheme.
   auto sw = arena.alloc<phy::SwitchState>(
       phy::scheme_waveform_length(cfg.scheme, data_bits.size(), cfg.bitrate, fs));
   phy::scheme_waveform_into(cfg.scheme, data_bits, cfg.bitrate, fs, sw, arena);

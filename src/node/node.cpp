@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "phy/fec.hpp"
+#include "phy/scheme.hpp"
 #include "util/error.hpp"
 
 namespace pab::node {
@@ -154,11 +155,9 @@ std::optional<phy::UplinkPacket> PabNode::process_query(
 
 std::vector<phy::SwitchState> PabNode::make_uplink_waveform(
     const phy::UplinkPacket& packet, double sample_rate) const {
-  pab::Bits bits(phy::uplink_preamble_bits());
   pab::Bits body = packet.to_bits(/*include_preamble=*/false);
   if (config_.robust_uplink) body = phy::fec_protect(body);
-  bits.insert(bits.end(), body.begin(), body.end());
-  return phy::backscatter_waveform(bits, bitrate(), sample_rate);
+  return phy::scheme_waveform(phy::SchemeId::kFm0, body, bitrate(), sample_rate);
 }
 
 pab::Expected<sense::Ms5837Reading> PabNode::read_pressure_sensor() {

@@ -12,7 +12,6 @@
 //     the operating point constructs the receiver exactly once.
 #pragma once
 
-#include <cstddef>
 #include <optional>
 
 #include "dsp/arena.hpp"
@@ -23,7 +22,6 @@ namespace pab::phy {
 class Workspace {
  public:
   Workspace() = default;
-  explicit Workspace(std::size_t initial_bytes) : arena_(initial_bytes) {}
 
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
@@ -31,13 +29,6 @@ class Workspace {
   Workspace& operator=(Workspace&&) = default;
 
   [[nodiscard]] dsp::Arena& arena() { return arena_; }
-
-  // Convenience: open a scratch frame directly on the workspace arena.
-  [[nodiscard]] dsp::Arena::Frame frame() { return arena_.frame(); }
-
-  // Grow the arena up-front so the first trial doesn't pay the block
-  // allocations.  `bytes` is the expected per-trial high-water mark.
-  void reserve(std::size_t bytes) { arena_.reserve(bytes); }
 
   // The receiver for one (scheme, config) operating point, built on first
   // use and rebuilt only when the config changes.  The reference stays valid

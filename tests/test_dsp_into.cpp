@@ -17,8 +17,8 @@
 #include "dsp/iir.hpp"
 #include "dsp/mixer.hpp"
 #include "phy/fm0.hpp"
-#include "phy/modem.hpp"
 #include "phy/packet.hpp"
+#include "phy/scheme.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -155,16 +155,19 @@ TEST(DspInto, Fm0EncodeDecodeMatchWrappers) {
   expect_exactly_equal<std::uint8_t>(want_bits, got_bits);
 }
 
-TEST(DspInto, BackscatterWaveformMatchesWrapper) {
+TEST(DspInto, SchemeWaveformMatchesWrapper) {
   Rng rng(117);
   const auto bits = rng.bits(64);
-  const auto want = phy::backscatter_waveform(bits, 1000.0, 96000.0);
-  ASSERT_EQ(want.size(),
-            phy::backscatter_waveform_length(bits.size(), 1000.0, 96000.0));
-  dsp::Arena arena;
-  std::vector<phy::SwitchState> got(want.size());
-  phy::backscatter_waveform_into(bits, 1000.0, 96000.0, -1, got, arena);
-  expect_exactly_equal<phy::SwitchState>(want, got);
+  for (const auto scheme :
+       {phy::SchemeId::kFm0, phy::SchemeId::kFsk2, phy::SchemeId::kFsk4}) {
+    const auto want = phy::scheme_waveform(scheme, bits, 1000.0, 96000.0);
+    ASSERT_EQ(want.size(), phy::scheme_waveform_length(scheme, bits.size(),
+                                                       1000.0, 96000.0));
+    dsp::Arena arena;
+    std::vector<phy::SwitchState> got(want.size());
+    phy::scheme_waveform_into(scheme, bits, 1000.0, 96000.0, got, arena);
+    expect_exactly_equal<phy::SwitchState>(want, got);
+  }
 }
 
 TEST(DspInto, DemodulateIntoMatchesWrapperOnSynthesizedCapture) {
@@ -173,12 +176,11 @@ TEST(DspInto, DemodulateIntoMatchesWrapperOnSynthesizedCapture) {
   Rng rng(118);
   phy::DemodConfig dc;
   dc.bitrate = 1000.0;
-  const phy::BackscatterDemodulator demod(dc);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, dc});
 
   const auto payload = rng.bits(48);
-  Bits all_bits(phy::uplink_preamble_bits());
-  all_bits.insert(all_bits.end(), payload.begin(), payload.end());
-  const auto sw = phy::backscatter_waveform(all_bits, dc.bitrate, dc.sample_rate);
+  const auto sw = phy::scheme_waveform(phy::SchemeId::kFm0, payload, dc.bitrate,
+                                       dc.sample_rate);
 
   const std::size_t lead = 512;
   dsp::BasebandSignal bb;

@@ -174,10 +174,10 @@ TEST(Equalizer, DecisionDirectedPassLiftsChipSnr) {
   phy::DemodConfig dd = base;
   dd.decision_directed_equalizer = true;
 
-  const auto r0 = phy::BackscatterDemodulator(base).demodulate(
-      run.hydrophone_v, bits.size());
-  const auto r1 = phy::BackscatterDemodulator(dd).demodulate(
-      run.hydrophone_v, bits.size());
+  const auto r0 = phy::SchemeDemodulator({phy::SchemeId::kFm0, base})
+                      .demodulate(run.hydrophone_v, bits.size());
+  const auto r1 = phy::SchemeDemodulator({phy::SchemeId::kFm0, dd})
+                      .demodulate(run.hydrophone_v, bits.size());
   ASSERT_TRUE(r0.ok() && r1.ok());
   EXPECT_GT(r1.value().snr_db, r0.value().snr_db + 1.0);
   EXPECT_LE(phy::bit_error_rate(bits, r1.value().bits), 0.02);

@@ -79,7 +79,7 @@ TEST(FailureInjection, CorruptedDownlinkIsRejectedNotMisread) {
 
 TEST(FailureInjection, PureNoiseRarelyTriggersPreambleDetector) {
   Rng rng(41);
-  phy::BackscatterDemodulator demod{phy::DemodConfig{}};
+  const phy::SchemeDemodulator demod{phy::SchemeConfig{}};
   int false_alarms = 0;
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
@@ -137,7 +137,7 @@ TEST(FailureInjection, SameChannelCollisionCorruptsWithoutZf) {
 
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
-  const phy::BackscatterDemodulator demod(dc);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, dc});
   const auto r = demod.demodulate(run1.hydrophone_v, bits1.size());
   if (r.ok()) {
     const double ber1 = phy::bit_error_rate(bits1, r.value().bits);
@@ -181,7 +181,7 @@ TEST(FailureInjection, WrongBitrateAssumptionFailsCleanly) {
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
   dc.bitrate = 2800.0;  // reader misconfigured
-  const phy::BackscatterDemodulator demod(dc);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, dc});
   const auto r = demod.demodulate(run.hydrophone_v, bits.size());
   if (r.ok()) {
     EXPECT_GT(phy::bit_error_rate(bits, r.value().bits), 0.1);
@@ -200,10 +200,24 @@ TEST(FailureInjection, TruncatedCaptureReportsNoPreamble) {
 
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
-  const phy::BackscatterDemodulator demod(dc);
+  const phy::SchemeDemodulator demod({phy::SchemeId::kFm0, dc});
   const auto r = demod.demodulate(run.hydrophone_v, bits.size());
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kNoPreamble);
+}
+
+TEST(FailureInjection, UndersampledCaptureFailsThroughExpected) {
+  // The sample rate of a capture file is outside input: a 3 kHz recording of
+  // a 1 kbps uplink has 1.5 samples per chip, which the receiver reports as
+  // an Expected error instead of aborting the decoder.
+  dsp::Signal capture;
+  capture.sample_rate = 3000.0;
+  capture.samples.assign(6000, 0.0);
+  phy::DemodConfig dc;
+  dc.sample_rate = capture.sample_rate;
+  const auto packet = phy::demodulate_packet(capture, dc, /*payload_len=*/4);
+  ASSERT_FALSE(packet.ok());
+  EXPECT_EQ(packet.code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(FailureInjection, BadPeripheralCommandLeavesNodeHealthy) {

@@ -8,7 +8,7 @@
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
 #include "phy/mimo.hpp"
-#include "phy/modem.hpp"
+#include "phy/scheme.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -19,9 +19,7 @@ namespace {
 std::vector<double> synth_envelope(const Bits& data, double bitrate, double fs,
                                    double mid, double amp, std::size_t lead,
                                    pab::Rng* rng = nullptr, double noise = 0.0) {
-  Bits full(uplink_preamble_bits());
-  full.insert(full.end(), data.begin(), data.end());
-  const auto sw = backscatter_waveform(full, bitrate, fs);
+  const auto sw = scheme_waveform(SchemeId::kFm0, data, bitrate, fs);
   std::vector<double> env(lead, mid - amp);
   for (auto s : sw)
     env.push_back(s == SwitchState::kReflective ? mid + amp : mid - amp);
@@ -33,9 +31,10 @@ std::vector<double> synth_envelope(const Bits& data, double bitrate, double fs,
 
 TEST(Modem, SwitchWaveformLengthAndLevels) {
   const Bits bits = {1, 0, 1};
-  const auto sw = backscatter_waveform(bits, 1000.0, 96000.0);
-  EXPECT_EQ(sw.size(), static_cast<std::size_t>(6 * 48));  // 6 chips * 48 samp
-  // First chip of first bit is reflective (boundary flip from -1).
+  const auto sw = scheme_waveform(SchemeId::kFm0, bits, 1000.0, 96000.0);
+  // (preamble + 3 bits) * 2 chips * 48 samples.
+  EXPECT_EQ(sw.size(), (uplink_preamble_bits().size() + 3) * 2 * 48);
+  // First chip of the first preamble bit is reflective (boundary flip from -1).
   EXPECT_EQ(sw.front(), SwitchState::kReflective);
 }
 
@@ -43,7 +42,7 @@ TEST(Modem, CleanEnvelopeDecodes) {
   pab::Rng rng(1);
   const auto bits = rng.bits(64);
   const auto env = synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 500);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto r = demod.demodulate_envelope(env, 96000.0, bits.size());
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_EQ(r.value().bits, bits);
@@ -56,7 +55,7 @@ TEST(Modem, InvertedEnvelopeDecodes) {
   pab::Rng rng(2);
   const auto bits = rng.bits(64);
   auto env = synth_envelope(bits, 1000.0, 96000.0, 1.0, -0.05, 500);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto r = demod.demodulate_envelope(env, 96000.0, bits.size());
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_EQ(r.value().bits, bits);
@@ -67,7 +66,7 @@ TEST(Modem, NoisyEnvelopeLowBer) {
   const auto bits = rng.bits(256);
   const auto env =
       synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 300, &rng, 0.05);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto r = demod.demodulate_envelope(env, 96000.0, bits.size());
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_LT(bit_error_rate(bits, r.value().bits), 0.02);
@@ -77,7 +76,7 @@ TEST(Modem, NoPacketReturnsNoPreamble) {
   pab::Rng rng(4);
   std::vector<double> env(20000, 1.0);
   for (auto& v : env) v += rng.gaussian(0.0, 0.001);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto r = demod.demodulate_envelope(env, 96000.0, 32);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.code(), pab::ErrorCode::kNoPreamble);
@@ -90,7 +89,7 @@ TEST(Modem, FractionalSamplesPerChip) {
   const auto env = synth_envelope(bits, 2800.0, 96000.0, 1.0, 0.05, 400);
   DemodConfig cfg;
   cfg.bitrate = 2800.0;
-  BackscatterDemodulator demod(cfg);
+  const SchemeDemodulator demod({SchemeId::kFm0, cfg});
   const auto r = demod.demodulate_envelope(env, 96000.0, bits.size());
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_EQ(r.value().bits, bits);
@@ -103,7 +102,7 @@ TEST(Modem, SnrEstimateTracksNoise) {
       synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 300, &rng, 0.005);
   const auto loud =
       synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 300, &rng, 0.05);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto rq = demod.demodulate_envelope(quiet, 96000.0, bits.size());
   const auto rl = demod.demodulate_envelope(loud, 96000.0, bits.size());
   ASSERT_TRUE(rq.ok() && rl.ok());
@@ -148,7 +147,7 @@ TEST(LinkQuality, DemodulatorPublishesQualityAlongsideSnr) {
       synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 300, &rng, 0.005);
   const auto loud =
       synth_envelope(bits, 1000.0, 96000.0, 1.0, 0.05, 300, &rng, 0.05);
-  BackscatterDemodulator demod(DemodConfig{});
+  const SchemeDemodulator demod(SchemeConfig{});
   const auto rq = demod.demodulate_envelope(quiet, 96000.0, bits.size());
   const auto rl = demod.demodulate_envelope(loud, 96000.0, bits.size());
   ASSERT_TRUE(rq.ok() && rl.ok());

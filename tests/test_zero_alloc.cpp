@@ -4,10 +4,12 @@
 // uplink trial performs ZERO heap allocations -- every buffer lives in the
 // pooled Workspace arena or in capacity retained by the reused UplinkTrial.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <random>
 #include <vector>
 
+#include "campaign/wire.hpp"
 #include "dsp/arena.hpp"
 #include "obs/alloccount.hpp"
 #include "obs/metrics.hpp"
@@ -208,6 +210,27 @@ TEST(ZeroAlloc, BatchDispatchMetricsPathAddsNoAllocations) {
       << "metrics accounting allocates on the dispatch hot path";
   EXPECT_GE(reg.counter("sim.batch.trials").value(), 4u * (kReps + 1));
   EXPECT_GE(reg.counter("sim.batch.worker.0.trials").value(), 1u);
+}
+
+// read_frame trusts nothing in the length prefix: a frame that claims 1 GiB
+// and then ends after one byte must cost memory for the byte that arrived,
+// not for the claim (the whole claimed body used to be allocated up front).
+TEST(ZeroAlloc, ReadFrameSizesBodyByBytesReceived) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const unsigned char lying[5] = {0x00, 0x00, 0x00, 0x40, 0x01};  // 1 GiB, 1 byte
+  ASSERT_EQ(::write(fds[1], lying, sizeof(lying)),
+            static_cast<ssize_t>(sizeof(lying)));
+  ::close(fds[1]);
+
+  const obs::AllocScope scope;
+  const auto frame = campaign::read_frame(fds[0]);
+  const std::uint64_t bytes = scope.bytes();
+  ::close(fds[0]);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.error().message().find("truncated frame"), std::string::npos)
+      << frame.error().message();
+  EXPECT_LT(bytes, 1u << 20);
 }
 
 }  // namespace
