@@ -11,6 +11,7 @@
 
 #include "bench_util.hpp"
 #include "mac/rate_control.hpp"
+#include "phy/scheme.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -47,7 +48,7 @@ Outcome run_fixed(std::size_t rate_index, Rng& rng) {
   const mac::RateControlConfig cfg;
   Outcome o;
   for (int poll = 0; poll < 200; ++poll) {
-    const double rate = cfg.rate_table[rate_index];
+    const double rate = cfg.ladder[rate_index].bitrate;
     const double snr = snr_at(profile(poll), rate_index) + rng.gaussian(0.0, 1.0);
     const double payload = 96.0;
     o.airtime_s += 0.2 + payload / rate;  // downlink + uplink
@@ -78,6 +79,8 @@ Outcome run_adaptive(Rng& rng, std::size_t* final_index) {
 // only learn the channel by walking up until packets start failing.
 Outcome run_crc_only(Rng& rng) {
   const mac::RateControlConfig cfg;
+  const double floor_db =
+      phy::scheme_descriptor(phy::SchemeId::kFm0).decode_floor_db;
   mac::RateController rc;
   Outcome o;
   for (int poll = 0; poll < 200; ++poll) {
@@ -88,22 +91,17 @@ Outcome run_crc_only(Rng& rng) {
     const double payload = 96.0;
     o.airtime_s += 0.2 + payload / rate;
     if (ok) o.delivered_bits += payload;
-    (void)rc.observe(ok ? cfg.decode_floor_db + cfg.up_margin_db
-                        : cfg.decode_floor_db - 10.0,
-                     ok);
+    (void)rc.observe(ok ? floor_db + cfg.up_margin_db : floor_db - 10.0, ok);
   }
   return o;
 }
 
-// Soft-metric ladder: the same FM0 rate walk expressed as ladder rungs, fed
-// post-decode LinkQuality (MER tracks the SNR estimator on FM0, EVM is its
-// linear twin) instead of a raw SNR number.  The controller retreats on
-// shrinking MER headroom *before* the link degrades to CRC failures.
+// Soft-metric ladder: the same FM0 rate walk fed post-decode LinkQuality
+// (MER tracks the SNR estimator on FM0, EVM is its linear twin) instead of a
+// raw SNR number.  The controller retreats on shrinking MER headroom
+// *before* the link degrades to CRC failures.
 Outcome run_soft_ladder(Rng& rng) {
-  mac::RateControlConfig cfg;
-  for (const double rate : cfg.rate_table)
-    cfg.ladder.push_back({phy::SchemeId::kFm0, rate});
-  mac::RateController rc(cfg);
+  mac::RateController rc;
   Outcome o;
   for (int poll = 0; poll < 200; ++poll) {
     const double rate = rc.rate_bps();
@@ -129,7 +127,7 @@ void print_series() {
   for (std::size_t idx : {0ul, 3ul, 5ul, 7ul, 9ul}) {
     const auto o = run_fixed(idx, rng);
     best_fixed = std::max(best_fixed, o.goodput());
-    bench::print_row({"fixed " + bench::fmt(cfg.rate_table[idx], 0) + " bps",
+    bench::print_row({"fixed " + bench::fmt(cfg.ladder[idx].bitrate, 0) + " bps",
                       bench::fmt(o.delivered_bits, 0), bench::fmt(o.airtime_s, 1),
                       bench::fmt(o.goodput(), 1)});
   }
@@ -150,7 +148,7 @@ void print_series() {
   std::printf("\nadaptive vs best fixed: %.2fx (and no outage during the\n"
               "degraded phase, unlike the fast fixed rates)\n",
               adaptive.goodput() / std::max(best_fixed, 1e-9));
-  std::printf("final adapted rate: %.0f bps\n", cfg.rate_table[final_index]);
+  std::printf("final adapted rate: %.0f bps\n", cfg.ladder[final_index].bitrate);
   std::printf("soft-metric ladder vs crc-only: %.2fx (soft metrics retreat\n"
               "on MER headroom before packets start failing)\n",
               soft.goodput() / std::max(crc_only.goodput(), 1e-9));

@@ -6,7 +6,7 @@
 // packets.  This bench runs the full query -> sense -> backscatter -> decode
 // loop through the waveform simulator and compares against ground truth.
 #include "bench_util.hpp"
-#include "core/link.hpp"
+#include "core/controller.hpp"
 #include "mac/protocol.hpp"
 #include "node/node.hpp"
 #include "sim/scenario.hpp"
@@ -22,24 +22,13 @@ struct Result {
   bool crc_ok;
 };
 
-Result run_query(core::LinkSimulator& sim, node::PabNode& node,
+Result run_query(const core::LinkSimulator& sim, node::PabNode& node,
                  const core::Projector& proj, const phy::DownlinkQuery& query,
-                 const char* quantity, double truth) {
+                 Rng& noise, const char* quantity, double truth) {
   Result r{quantity, truth, 0.0, false};
-  const auto sliced = sim.downlink_sliced_envelope(
-      proj, query, node.config().downlink_pwm, 15000.0);
-  const auto received = node.receive_downlink(sliced, sim.config().sample_rate);
-  if (!received) return r;
-  const auto response = node.process_query(*received);
-  if (!response) return r;
-  sim::Waveform ucfg;
-  ucfg.bitrate = node.bitrate();
-  const auto out = sim.run_and_decode(proj, node.front_end(),
-                                      response->to_bits(false), ucfg);
-  if (!out.ok()) return r;
-  const auto packet = phy::UplinkPacket::from_bits(out.value().demod.bits, false);
-  if (!packet) return r;
-  const auto reading = mac::parse_response(query, *packet);
+  const auto packet = core::transact(sim, proj, node, query, 15000.0, noise);
+  if (!packet.ok()) return r;
+  const auto reading = mac::parse_response(query, packet.value());
   if (!reading) return r;
   r.measured = reading->value;
   r.crc_ok = true;
@@ -54,25 +43,25 @@ void print_series() {
   env.temperature_c = 21.0; // room temperature
   env.pressure_mbar = 1013.25;  // ~1 bar
 
-  core::SimConfig sc = sim::Scenario::pool_a().medium;
-  core::LinkSimulator sim(sc, core::Placement{});
+  const core::SimConfig sc = sim::Scenario::pool_a().medium;
+  const core::LinkSimulator sim(sc, core::Placement{});
   const auto proj = core::Projector(piezo::make_projector_transducer(), 300.0);
 
   node::NodeConfig ncfg;
   ncfg.node_depth_m = 0.0;
   node::PabNode node(ncfg, &env);
-  for (int i = 0; i < 6000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, sim.incident_pressure(proj, 15000.0),
-                      node::NodeState::kColdStart);
+  node.cold_start(15000.0, sim.incident_pressure(proj, 15000.0), 60.0);
   std::printf("node powered up: %s (capacitor %.2f V)\n\n",
               node.powered_up() ? "yes" : "NO", node.capacitor_voltage());
 
+  Rng noise(sc.seed);
   const Result results[] = {
-      run_query(sim, node, proj, mac::make_read_ph(node.config().id), "pH", env.ph),
+      run_query(sim, node, proj, mac::make_read_ph(node.config().id), noise,
+                "pH", env.ph),
       run_query(sim, node, proj, mac::make_read_temperature(node.config().id),
-                "temperature [C]", env.temperature_c),
+                noise, "temperature [C]", env.temperature_c),
       run_query(sim, node, proj, mac::make_read_pressure(node.config().id),
-                "pressure [mbar]", env.pressure_mbar),
+                noise, "pressure [mbar]", env.pressure_mbar),
   };
 
   bench::print_row({"quantity", "truth", "measured", "error", "CRC"});
@@ -99,8 +88,7 @@ void bm_sensor_transaction(benchmark::State& state) {
   node::NodeConfig ncfg;
   ncfg.node_depth_m = 0.0;
   node::PabNode node(ncfg, &env);
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, 600.0, node::NodeState::kColdStart);
+  node.cold_start(15000.0, 600.0, 50.0);
   const auto query = mac::make_read_pressure(node.config().id);
   for (auto _ : state) {
     auto resp = node.process_query(query);

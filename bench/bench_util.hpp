@@ -43,7 +43,8 @@ inline void print_header(const char* figure, const char* description) {
 }
 
 inline void print_row(const std::vector<std::string>& cells) {
-  for (const auto& c : cells) std::printf("%-14s", c.c_str());
+  // One space after each padded cell keeps over-wide cells apart.
+  for (const auto& c : cells) std::printf("%-13s ", c.c_str());
   std::printf("\n");
 }
 

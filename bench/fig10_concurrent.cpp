@@ -120,8 +120,9 @@ void bm_collision_run(benchmark::State& state) {
   const auto proj = core::Projector::ideal(300.0);
   const auto n1 = circuit::make_recto_piezo(15000.0);
   const auto n2 = circuit::make_recto_piezo(18000.0);
+  Rng noise(sc.seed);
   for (auto _ : state) {
-    auto r = sim.run(proj, n1, n2, core::CollisionRunConfig{});
+    auto r = sim.run(proj, n1, n2, core::CollisionRunConfig{}, noise);
     benchmark::DoNotOptimize(&r);
   }
 }

@@ -76,8 +76,9 @@ void bm_uplink_run(benchmark::State& state) {
   Rng rng(1);
   const auto bits = rng.bits(96);
   sim::Waveform cfg;
+  Rng noise(sc.seed);
   for (auto _ : state) {
-    auto out = sim.run_uplink(proj, fe, bits, cfg);
+    auto out = sim.run_uplink(proj, fe, bits, cfg, noise);
     benchmark::DoNotOptimize(out.hydrophone_v.samples.data());
   }
 }

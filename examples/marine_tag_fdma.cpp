@@ -44,14 +44,13 @@ int main() {
 
   std::printf("readout  SINR1 before/after  SINR2 before/after  BER1    BER2\n");
   for (int r = 0; r < 3; ++r) {
-    core::SimConfig sc = config;
-    sc.seed = 40 + static_cast<std::uint64_t>(r);
     core::Placement pl = placement;
     pl.node = tag1_positions[r];
-    core::CollisionSimulator sim(sc, pl, tag2_positions[r]);
+    const core::CollisionSimulator sim(config, pl, tag2_positions[r]);
     core::CollisionRunConfig ccfg;
     ccfg.carriers_hz = {plan.carriers_hz[0], plan.carriers_hz[1]};
-    const auto result = sim.run(projector, tag1, tag2, ccfg);
+    Rng noise(40 + static_cast<std::uint64_t>(r));
+    const auto result = sim.run(projector, tag1, tag2, ccfg, noise);
     std::printf("%7d  %6.1f / %-6.1f      %6.1f / %-6.1f      %.3f   %.3f\n",
                 r + 1, result.sinr_before_db[0], result.sinr_after_db[0],
                 result.sinr_before_db[1], result.sinr_after_db[1],

@@ -5,10 +5,11 @@
 // Exercises the full stack: cold-start energy harvesting, PWM downlink
 // queries, on-node sensing (pH probe via ADC, MS5837 via I2C), FM0
 // backscatter uplink, software receiver, CRC-checked transport, retransmission
-// via the MAC scheduler, and the node's energy ledger.
+// via the MAC scheduler, and the node's energy ledger.  Each exchange is one
+// core::transact call; the charge is one PabNode::cold_start.
 #include <cstdio>
 
-#include "core/link.hpp"
+#include "core/controller.hpp"
 #include "mac/protocol.hpp"
 #include "mac/scheduler.hpp"
 #include "node/node.hpp"
@@ -24,7 +25,7 @@ int main() {
   env.pressure_mbar = 1013.25;
 
   core::SimConfig config = sim::Scenario::pool_a().medium;
-  core::LinkSimulator sim(config, core::Placement{});
+  const core::LinkSimulator sim(config, core::Placement{});
   const core::Projector projector(piezo::make_projector_transducer(), 300.0);
 
   node::NodeConfig ncfg;
@@ -36,12 +37,8 @@ int main() {
   std::printf("=============================================\n");
 
   // Cold start: harvest from the downlink carrier until powered.
-  double t = 0.0;
-  while (!node.powered_up() && t < 120.0) {
-    node.harvest_step(0.01, 15000.0, sim.incident_pressure(projector, 15000.0),
-                      node::NodeState::kColdStart);
-    t += 0.01;
-  }
+  const double t = node.cold_start(
+      15000.0, sim.incident_pressure(projector, 15000.0), 120.0);
   std::printf("cold start: %.1f s to reach %.2f V (threshold 2.5 V)\n\n", t,
               node.capacitor_voltage());
   if (!node.powered_up()) {
@@ -50,22 +47,9 @@ int main() {
   }
 
   // One waveform-level transaction, used by the scheduler as its link.
-  const auto link = [&](const phy::DownlinkQuery& query)
-      -> Expected<phy::UplinkPacket> {
-    const auto sliced = sim.downlink_sliced_envelope(
-        projector, query, node.config().downlink_pwm, 15000.0);
-    const auto received = node.receive_downlink(sliced, config.sample_rate);
-    if (!received) return Error{ErrorCode::kTimeout, "query not decoded"};
-    const auto response = node.process_query(*received);
-    if (!response) return Error{ErrorCode::kTimeout, "node did not respond"};
-    sim::Waveform ucfg;
-    ucfg.bitrate = node.bitrate();
-    const auto out = sim.run_and_decode(projector, node.front_end(),
-                                        response->to_bits(false), ucfg);
-    if (!out.ok()) return out.error();
-    const auto packet = phy::UplinkPacket::from_bits(out.value().demod.bits, false);
-    if (!packet) return Error{ErrorCode::kCrcMismatch, "uplink CRC failed"};
-    return *packet;
+  Rng noise(config.seed);
+  const auto link = [&](const phy::DownlinkQuery& query) {
+    return core::transact(sim, projector, node, query, 15000.0, noise);
   };
 
   mac::PollScheduler scheduler;
@@ -79,8 +63,8 @@ int main() {
   for (int round = 1; round <= 5; ++round) {
     double values[3] = {0, 0, 0};
     for (int q = 0; q < 3; ++q) {
-      const std::size_t bits = phy::UplinkPacket::bits_on_air(
-          mac::response_payload_size(queries[q].command));
+      const std::size_t bits =
+          node.uplink_bits_on_air(mac::response_payload_size(queries[q].command));
       const auto result =
           scheduler.transact(queries[q], link, bits, node.bitrate());
       if (result.ok()) {

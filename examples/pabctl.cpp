@@ -17,7 +17,7 @@
 #include <string>
 
 #include "channel/tank.hpp"
-#include "core/link.hpp"
+#include "core/controller.hpp"
 #include "core/projector.hpp"
 #include "dsp/wav.hpp"
 #include "energy/mcu.hpp"
@@ -79,7 +79,8 @@ int cmd_link(const Args& a) {
   sim::Waveform cfg;
   cfg.carrier_hz = a.num("carrier", 15000.0);
   cfg.bitrate = a.num("bitrate", 1000.0);
-  const auto run = sim.run_uplink(proj, fe, bits, cfg);
+  Rng noise(sc.seed);
+  const auto run = sim.run_uplink(proj, fe, bits, cfg, noise);
 
   phy::DemodConfig dc;
   dc.carrier_hz = cfg.carrier_hz;
@@ -148,16 +149,14 @@ int cmd_sense(const Args& a) {
   env.temperature_c = a.num("temp", 20.0);
   env.pressure_mbar = a.num("pressure", 1013.25);
 
-  core::SimConfig sc = pool_config(a);
-  core::LinkSimulator sim(sc, core::Placement{});
+  const core::SimConfig sc = pool_config(a);
+  const core::LinkSimulator sim(sc, core::Placement{});
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 300.0));
   node::NodeConfig ncfg;
   ncfg.node_depth_m = 0.0;
   node::PabNode node(ncfg, &env);
-  for (int i = 0; i < 12000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, sim.incident_pressure(proj, 15000.0),
-                      node::NodeState::kColdStart);
+  node.cold_start(15000.0, sim.incident_pressure(proj, 15000.0), 120.0);
   if (!node.powered_up()) {
     std::printf("node failed to power up; raise --drive\n");
     return 1;
@@ -165,24 +164,14 @@ int cmd_sense(const Args& a) {
   const phy::Command commands[] = {phy::Command::kReadPh,
                                    phy::Command::kReadTemperature,
                                    phy::Command::kReadPressure};
+  Rng noise(sc.seed);
   for (phy::Command c : commands) {
     phy::DownlinkQuery q;
     q.address = ncfg.id;
     q.command = c;
-    const auto sliced =
-        sim.downlink_sliced_envelope(proj, q, ncfg.downlink_pwm, 15000.0);
-    const auto received = node.receive_downlink(sliced, sc.sample_rate);
-    if (!received) continue;
-    const auto resp = node.process_query(*received);
-    if (!resp) continue;
-    sim::Waveform ucfg;
-    ucfg.bitrate = node.bitrate();
-    const auto out =
-        sim.run_and_decode(proj, node.front_end(), resp->to_bits(false), ucfg);
-    if (!out.ok()) continue;
-    const auto packet = phy::UplinkPacket::from_bits(out.value().demod.bits, false);
-    if (!packet) continue;
-    const auto reading = mac::parse_response(q, *packet);
+    const auto packet = core::transact(sim, proj, node, q, 15000.0, noise);
+    if (!packet.ok()) continue;
+    const auto reading = mac::parse_response(q, packet.value());
     if (reading)
       std::printf("%-12s = %10.2f %s\n",
                   c == phy::Command::kReadPh          ? "pH"

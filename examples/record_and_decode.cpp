@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
 
   sim::Waveform link;
   link.bitrate = 1000.0;
-  const auto run = sim.run_uplink(projector, node, bits, link);
+  Rng noise(config.seed);
+  const auto run = sim.run_uplink(projector, node, bits, link, noise);
 
   // 2. Write the capture as a normal audio file (auto-scaled to 50% FS).
   double peak = 0.0;

@@ -37,7 +37,8 @@ dsp::Signal synthesize_session() {
   sim::Waveform cfg;
   cfg.bitrate = 500.0;
   cfg.node_start_s = 0.15;
-  auto run = sim.run_uplink(proj, fe, bits, cfg);
+  Rng noise(sc.seed);
+  auto run = sim.run_uplink(proj, fe, bits, cfg, noise);
 
   // Add the second downlink carrier, switched on halfway through.
   const double fs = run.hydrophone_v.sample_rate;

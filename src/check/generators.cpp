@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "phy/scheme.hpp"
 #include "util/units.hpp"
 
 namespace pab::check {
@@ -55,7 +56,7 @@ dsp::BasebandSignal gen_baseband_burst(Rng& rng, double sample_rate,
 }
 
 mac::RateControlConfig gen_rate_config(Rng& rng) {
-  mac::RateControlConfig cfg;  // the paper's rate table
+  mac::RateControlConfig cfg;  // the paper's FM0 clock-divider ladder
   cfg.down_margin_db = rng.uniform(1.0, 4.0);
   cfg.up_margin_db = cfg.down_margin_db + rng.uniform(2.0, 8.0);
   cfg.up_streak = static_cast<int>(rng.uniform_int(1, 4));
@@ -69,8 +70,11 @@ std::vector<RateObservation> gen_rate_observations(
     Rng& rng, const mac::RateControlConfig& config, std::size_t n) {
   std::vector<RateObservation> obs;
   obs.reserve(n);
-  const double hi = config.decode_floor_db + config.up_margin_db;
-  const double lo = config.decode_floor_db + config.down_margin_db;
+  // Margins sit over the most robust rung's scheme floor.
+  const double floor_db =
+      phy::scheme_descriptor(config.ladder.front().scheme).decode_floor_db;
+  const double hi = floor_db + config.up_margin_db;
+  const double lo = floor_db + config.down_margin_db;
   while (obs.size() < n) {
     // A cluster: good streak (with CRC failures sprinkled in), a fade, or
     // mid-band dithering around the hysteresis window.

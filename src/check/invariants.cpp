@@ -54,7 +54,7 @@ RateTraceFn real_rate_trace() {
   return [](const mac::RateControlConfig& cfg,
             std::span<const RateObservation> obs) {
     // The trace contract starts mid-table so both directions have room.
-    mac::RateController rc(cfg, std::min<std::size_t>(2, cfg.rate_table.size() - 1));
+    mac::RateController rc(cfg, std::min<std::size_t>(2, cfg.ladder.size() - 1));
     std::vector<RateStep> trace;
     trace.reserve(obs.size());
     for (const auto& o : obs) {
@@ -441,20 +441,25 @@ CheckResult check_rate_control(std::uint64_t seed, const RateTraceFn& subject) {
   if (trace.size() != obs.size())
     return mismatch("rate trace length", trace.size(), obs.size());
 
-  const std::size_t initial = std::min<std::size_t>(2, cfg.rate_table.size() - 1);
-  const auto good = [&](const RateObservation& o) {
-    return o.crc_ok && o.snr_db - cfg.decode_floor_db >= cfg.up_margin_db;
+  const std::size_t initial = std::min<std::size_t>(2, cfg.ladder.size() - 1);
+  // Headroom of observation j over the scheme floor of the rung it met.
+  const auto headroom = [&](std::size_t j) {
+    const auto& rung = cfg.ladder[j == 0 ? initial : trace[j - 1].index];
+    return obs[j].snr_db - phy::scheme_descriptor(rung.scheme).decode_floor_db;
   };
-  const auto bad = [&](const RateObservation& o) {
-    return (!o.crc_ok && cfg.downshift_on_crc_failure) ||
-           o.snr_db - cfg.decode_floor_db < cfg.down_margin_db;
+  const auto good = [&](std::size_t j) {
+    return obs[j].crc_ok && headroom(j) >= cfg.up_margin_db;
+  };
+  const auto bad = [&](std::size_t j) {
+    return (!obs[j].crc_ok && cfg.downshift_on_crc_failure) ||
+           headroom(j) < cfg.down_margin_db;
   };
 
   std::size_t prev = initial;
   for (std::size_t k = 0; k < trace.size(); ++k) {
     const auto idx = trace[k].index;
-    if (idx >= cfg.rate_table.size())
-      return mismatch("rate index out of table", idx, cfg.rate_table.size());
+    if (idx >= cfg.ladder.size())
+      return mismatch("rate index out of table", idx, cfg.ladder.size());
     const auto step = static_cast<std::ptrdiff_t>(idx) -
                       static_cast<std::ptrdiff_t>(prev);
     if (step > 1 || step < -1)
@@ -471,7 +476,7 @@ CheckResult check_rate_control(std::uint64_t seed, const RateTraceFn& subject) {
                         cfg.up_streak);
       for (std::size_t j = k + 1 - static_cast<std::size_t>(cfg.up_streak);
            j <= k; ++j) {
-        if (!good(obs[j])) {
+        if (!good(j)) {
           std::ostringstream os;
           os << "upshift at observation " << k << " not justified: obs " << j
              << " (snr " << obs[j].snr_db << " dB, crc "
@@ -481,7 +486,7 @@ CheckResult check_rate_control(std::uint64_t seed, const RateTraceFn& subject) {
         }
       }
     }
-    if (step == -1 && !bad(obs[k]))
+    if (step == -1 && !bad(k))
       return mismatch("downshift on a non-degraded observation", k, "bad obs");
     prev = idx;
   }

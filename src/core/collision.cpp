@@ -43,7 +43,6 @@ CollisionSimulator::CollisionSimulator(SimConfig config, Placement placement,
     : config_(config),
       placement_(placement),
       node2_pos_(second_node_position),
-      rng_(config.seed),
       tap_cache_(std::make_shared<channel::TapCache>(
           config.tank, config.max_image_order, config.use_image_method)) {
   require(config_.tank.contains(second_node_position),
@@ -53,7 +52,8 @@ CollisionSimulator::CollisionSimulator(SimConfig config, Placement placement,
 CollisionRunResult CollisionSimulator::run(const Projector& projector,
                                            const circuit::RectoPiezo& node1,
                                            const circuit::RectoPiezo& node2,
-                                           const CollisionRunConfig& cfg) {
+                                           const CollisionRunConfig& cfg,
+                                           pab::Rng& rng) const {
   const double fs = config_.sample_rate;
   const double spc = fs / (2.0 * cfg.bitrate);
   require(spc >= 4.0, "CollisionSimulator: too few samples per chip");
@@ -74,13 +74,13 @@ CollisionRunResult CollisionSimulator::run(const Projector& projector,
   // --- Per-node sequences ----------------------------------------------------
   const auto random_chips = [&](std::size_t n) {
     phy::Chips c(n);
-    for (auto& v : c) v = rng_.bernoulli(0.5) ? 1 : -1;
+    for (auto& v : c) v = rng.bernoulli(0.5) ? 1 : -1;
     return c;
   };
   const phy::Chips train1 = random_chips(tr_chips);
   const phy::Chips train2 = random_chips(tr_chips);
-  const pab::Bits bits1 = rng_.bits(cfg.payload_bits);
-  const pab::Bits bits2 = rng_.bits(cfg.payload_bits);
+  const pab::Bits bits1 = rng.bits(cfg.payload_bits);
+  const pab::Bits bits2 = rng.bits(cfg.payload_bits);
   const phy::Chips pay1 = phy::fm0_encode(bits1);
   const phy::Chips pay2 = phy::fm0_encode(bits2);
 
@@ -140,7 +140,7 @@ CollisionRunResult CollisionSimulator::run(const Projector& projector,
   const double sens = config_.hydrophone.volts_per_pascal();
   const double noise_sd = config_.noise.sample_stddev_pa(fs);
   for (std::size_t i = 0; i < n; ++i) {
-    double p = rng_.gaussian(0.0, noise_sd);
+    double p = rng.gaussian(0.0, noise_sd);
     for (std::size_t ci = 0; ci < 2; ++ci) {
       if (i >= y_env[ci].size()) continue;
       const double ph = kTwoPi * cfg.carriers_hz[ci] * static_cast<double>(i) / fs;

@@ -44,16 +44,17 @@ class CollisionSimulator {
   CollisionSimulator(SimConfig config, Placement placement,
                      channel::Vec3 second_node_position);
 
+  // Training chips, payloads and noise are all drawn from `rng`.
   [[nodiscard]] CollisionRunResult run(const Projector& projector,
                                        const circuit::RectoPiezo& node1,
                                        const circuit::RectoPiezo& node2,
-                                       const CollisionRunConfig& cfg);
+                                       const CollisionRunConfig& cfg,
+                                       pab::Rng& rng) const;
 
  private:
   SimConfig config_;
   Placement placement_;
   channel::Vec3 node2_pos_;
-  pab::Rng rng_;
   std::shared_ptr<channel::TapCache> tap_cache_;
 };
 

@@ -5,6 +5,53 @@
 
 namespace pab::core {
 
+pab::Expected<phy::UplinkPacket> transact(const LinkSimulator& link,
+                                          const Projector& projector,
+                                          node::PabNode& node,
+                                          const phy::DownlinkQuery& query,
+                                          double carrier_hz, pab::Rng& rng,
+                                          double* snr_db) {
+  // Downlink.
+  const auto sliced = link.downlink_sliced_envelope(
+      projector, query, node.config().downlink_pwm, carrier_hz);
+  const auto received =
+      node.receive_downlink(sliced, link.config().sample_rate);
+  if (!received)
+    return pab::Error{pab::ErrorCode::kTimeout, "node did not decode the query"};
+
+  // Node executes the command.
+  const auto response = node.process_query(*received);
+  if (!response)
+    return pab::Error{pab::ErrorCode::kTimeout, "node did not respond"};
+
+  // Uplink at the node's current bitrate; in robust mode the body is
+  // FEC-protected on air and recovered here.
+  sim::Waveform ucfg;
+  ucfg.carrier_hz = carrier_hz;
+  ucfg.bitrate = node.bitrate();
+  const auto out = link.run_and_decode(projector, node.front_end(),
+                                       node.uplink_body(*response), ucfg, rng);
+  if (!out.ok()) return out.error();
+  if (snr_db != nullptr) *snr_db = out.value().demod.snr_db;
+  pab::Bits rx_body = out.value().demod.bits;
+  if (node.robust_uplink())
+    rx_body = phy::fec_recover(rx_body, response->to_bits(false).size());
+  const auto packet = phy::UplinkPacket::from_bits(rx_body, false);
+  if (!packet) return pab::Error{pab::ErrorCode::kCrcMismatch, "uplink CRC"};
+  return *packet;
+}
+
+namespace {
+
+// A rate controller over the node's clock-divider table, at its current rate.
+mac::RateController rate_controller_for(const node::PabNode& node) {
+  mac::RateControlConfig cfg;
+  cfg.ladder = mac::fm0_ladder(node.config().bitrate_table);
+  return mac::RateController(cfg, node.config().active_bitrate);
+}
+
+}  // namespace
+
 ReaderController::ReaderController(SimConfig config, Placement base,
                                    Projector projector, double carrier_hz)
     : config_(config),
@@ -22,30 +69,24 @@ std::uint8_t ReaderController::deploy_node(node::NodeConfig node_config,
           "deploy_node: duplicate address");
   const std::uint8_t address = node_config.id;
 
-  mac::RateControlConfig rate_cfg;
-  rate_cfg.rate_table = node_config.bitrate_table;
-  const std::size_t initial = node_config.active_bitrate;
-
   DeployedNode entry;
   entry.node = std::make_unique<node::PabNode>(node_config, environment,
                                                config_.seed + address);
   entry.position = position;
-  entry.rate = mac::RateController(rate_cfg, initial);
+  entry.rate = rate_controller_for(*entry.node);
   nodes_.emplace(address, std::move(entry));
   return address;
 }
 
 std::size_t ReaderController::power_up_all(double timeout_s) {
   require(timeout_s >= 0.0, "power_up_all: negative timeout");
-  constexpr double kDt = 0.01;
   for (auto& [address, entry] : nodes_) {
     Placement pl = base_;
     pl.node = entry.position;
-    LinkSimulator sim(config_, pl);
-    const double incident = sim.incident_pressure(projector_, carrier_hz_);
-    for (double t = 0.0; t < timeout_s && !entry.node->powered_up(); t += kDt)
-      entry.node->harvest_step(kDt, carrier_hz_, incident,
-                               node::NodeState::kColdStart);
+    const LinkSimulator sim(config_, pl);
+    entry.node->cold_start(carrier_hz_,
+                           sim.incident_pressure(projector_, carrier_hz_),
+                           timeout_s);
   }
   std::size_t powered = 0;
   for (const auto& [address, entry] : nodes_)
@@ -55,42 +96,12 @@ std::size_t ReaderController::power_up_all(double timeout_s) {
 
 pab::Expected<phy::UplinkPacket> ReaderController::transact_once(
     DeployedNode& entry, const phy::DownlinkQuery& query, double* snr_out) {
-  SimConfig sc = config_;
-  sc.seed = config_.seed + 7919 * (++seed_counter_);
   Placement pl = base_;
   pl.node = entry.position;
-  LinkSimulator sim(sc, pl);
-
-  // Downlink.
-  const auto sliced = sim.downlink_sliced_envelope(
-      projector_, query, entry.node->config().downlink_pwm, carrier_hz_);
-  const auto received = entry.node->receive_downlink(sliced, sc.sample_rate);
-  if (!received)
-    return pab::Error{pab::ErrorCode::kTimeout, "node did not decode the query"};
-
-  // Node executes the command.
-  const auto response = entry.node->process_query(*received);
-  if (!response)
-    return pab::Error{pab::ErrorCode::kTimeout, "node did not respond"};
-
-  // Uplink at the node's current bitrate; in robust mode the body is
-  // FEC-protected on air and recovered here.
-  sim::Waveform ucfg;
-  ucfg.carrier_hz = carrier_hz_;
-  ucfg.bitrate = entry.node->bitrate();
-  const bool robust = entry.node->robust_uplink();
-  pab::Bits body = response->to_bits(false);
-  const std::size_t body_bits = body.size();
-  if (robust) body = phy::fec_protect(body);
-  const auto out =
-      sim.run_and_decode(projector_, entry.node->front_end(), body, ucfg);
-  if (!out.ok()) return out.error();
-  if (snr_out != nullptr) *snr_out = out.value().demod.snr_db;
-  pab::Bits rx_body = out.value().demod.bits;
-  if (robust) rx_body = phy::fec_recover(rx_body, body_bits);
-  const auto packet = phy::UplinkPacket::from_bits(rx_body, false);
-  if (!packet) return pab::Error{pab::ErrorCode::kCrcMismatch, "uplink CRC"};
-  return *packet;
+  const LinkSimulator sim(config_, pl);
+  pab::Rng rng(config_.seed + 7919 * (++seed_counter_));
+  return transact(sim, projector_, *entry.node, query, carrier_hz_, rng,
+                  snr_out);
 }
 
 void ReaderController::apply_rate_change(DeployedNode& entry,
@@ -102,9 +113,7 @@ void ReaderController::apply_rate_change(DeployedNode& entry,
   if (!result.ok()) {
     // Could not push the change; re-synchronize the controller with the
     // node's actual operating point.
-    mac::RateControlConfig cfg;
-    cfg.rate_table = entry.node->config().bitrate_table;
-    entry.rate = mac::RateController(cfg, entry.node->config().active_bitrate);
+    entry.rate = rate_controller_for(*entry.node);
   }
 }
 
@@ -124,8 +133,8 @@ pab::Expected<mac::SensorReading> ReaderController::read(std::uint8_t address,
   }();
 
   double snr = 0.0;
-  const std::size_t bits = phy::UplinkPacket::bits_on_air(
-      mac::response_payload_size(command));
+  const std::size_t bits =
+      entry.node->uplink_bits_on_air(mac::response_payload_size(command));
   const auto link = [&](const phy::DownlinkQuery& q) {
     return transact_once(entry, q, &snr);
   };
@@ -160,8 +169,8 @@ pab::Expected<mac::SensorReading> ReaderController::configure(
   query.argument = argument;
 
   double snr = 0.0;
-  const std::size_t bits = phy::UplinkPacket::bits_on_air(
-      mac::response_payload_size(command));
+  const std::size_t bits =
+      entry.node->uplink_bits_on_air(mac::response_payload_size(command));
   const auto link = [&](const phy::DownlinkQuery& q) {
     return transact_once(entry, q, &snr);
   };

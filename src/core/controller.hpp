@@ -5,7 +5,8 @@
 // deploys battery-free nodes in the tank, charges them from the downlink
 // carrier, discovers them by ping scan, executes CRC-checked query/response
 // transactions with retransmission, and adapts each node's bitrate with the
-// kSetBitrate command as channel conditions change.
+// kSetBitrate command as channel conditions change.  Each exchange is one
+// call to core::transact, which examples and benches also use directly.
 #pragma once
 
 #include <map>
@@ -21,6 +22,16 @@
 #include "node/node.hpp"
 
 namespace pab::core {
+
+// One whole query/response exchange between the reader and `node`: the PWM
+// query on the downlink at `carrier_hz`, the node's receive and execute, its
+// backscattered reply at the node's bitrate (FEC-coded in robust mode), then
+// decode, FEC recovery and the CRC.  Noise is drawn from `rng`; `snr_db`,
+// when given, receives the decoded chip SNR.
+[[nodiscard]] pab::Expected<phy::UplinkPacket> transact(
+    const LinkSimulator& link, const Projector& projector, node::PabNode& node,
+    const phy::DownlinkQuery& query, double carrier_hz, pab::Rng& rng,
+    double* snr_db = nullptr);
 
 struct DeployedNode {
   std::unique_ptr<node::PabNode> node;

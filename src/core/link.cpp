@@ -24,6 +24,18 @@ ModulationStates modulation_states(const circuit::RectoPiezo& front_end,
   return ModulationStates{g_mid + g_half, g_mid - g_half};
 }
 
+namespace {
+
+// The states `cfg`'s scheme switches between at its FM0-equivalent rate.
+ModulationStates waveform_states(const circuit::RectoPiezo& front_end,
+                                 const sim::Waveform& cfg) {
+  return modulation_states(
+      front_end, cfg.carrier_hz,
+      phy::scheme_descriptor(cfg.scheme).effective_bitrate(cfg.bitrate));
+}
+
+}  // namespace
+
 LinkSimulator::LinkSimulator(SimConfig config, Placement placement)
     : LinkSimulator(config, placement,
                     std::make_shared<channel::TapCache>(
@@ -34,7 +46,6 @@ LinkSimulator::LinkSimulator(SimConfig config, Placement placement,
                              std::shared_ptr<channel::TapCache> tap_cache)
     : config_(config),
       placement_(placement),
-      rng_(config.seed),
       tap_cache_(std::move(tap_cache)) {
   require(config_.sample_rate > 0.0, "LinkSimulator: sample rate must be positive");
   require(tap_cache_ != nullptr, "LinkSimulator: tap cache must not be null");
@@ -156,25 +167,15 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
 }
 
 UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
-                                          const ModulationStates& states,
+                                          const circuit::RectoPiezo& front_end,
                                           std::span<const std::uint8_t> data_bits,
                                           const sim::Waveform& cfg,
                                           pab::Rng& rng) const {
   phy::Workspace ws;
   UplinkRunResult result;
-  run_uplink_into(projector, states, data_bits, cfg, rng, ws, result);
+  run_uplink_into(projector, waveform_states(front_end, cfg), data_bits, cfg,
+                  rng, ws, result);
   return result;
-}
-
-UplinkRunResult LinkSimulator::run_uplink(const Projector& projector,
-                                          const circuit::RectoPiezo& front_end,
-                                          std::span<const std::uint8_t> data_bits,
-                                          const sim::Waveform& cfg) {
-  return run_uplink(projector,
-                    modulation_states(front_end, cfg.carrier_hz,
-                                      phy::scheme_descriptor(cfg.scheme)
-                                          .effective_bitrate(cfg.bitrate)),
-                    data_bits, cfg, rng_);
 }
 
 pab::Expected<bool> LinkSimulator::run_and_decode_into(
@@ -199,25 +200,15 @@ pab::Expected<bool> LinkSimulator::run_and_decode_into(
 }
 
 pab::Expected<LinkSimulator::DecodedRun> LinkSimulator::run_and_decode(
-    const Projector& projector, const ModulationStates& states,
+    const Projector& projector, const circuit::RectoPiezo& front_end,
     std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
     pab::Rng& rng) const {
   phy::Workspace ws;
   DecodedRun out;
-  const auto ok =
-      run_and_decode_into(projector, states, data_bits, cfg, rng, ws, out);
+  const auto ok = run_and_decode_into(projector, waveform_states(front_end, cfg),
+                                      data_bits, cfg, rng, ws, out);
   if (!ok.ok()) return ok.error();
   return out;
-}
-
-pab::Expected<LinkSimulator::DecodedRun> LinkSimulator::run_and_decode(
-    const Projector& projector, const circuit::RectoPiezo& front_end,
-    std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg) {
-  return run_and_decode(projector,
-                        modulation_states(front_end, cfg.carrier_hz,
-                                          phy::scheme_descriptor(cfg.scheme)
-                                              .effective_bitrate(cfg.bitrate)),
-                        data_bits, cfg, rng_);
 }
 
 std::vector<std::uint8_t> LinkSimulator::downlink_sliced_envelope(

@@ -63,24 +63,20 @@ class LinkSimulator {
                 std::shared_ptr<channel::TapCache> tap_cache);
 
   // Simulate the node backscattering [uplink-preamble + data_bits] while the
-  // projector transmits CW at `cfg.carrier_hz`.  Noise is drawn from the
-  // explicit `rng` (deterministic substreams under sim::BatchRunner); the
-  // rng-less overload draws from the simulator's own stream.
-  [[nodiscard]] UplinkRunResult run_uplink(const Projector& projector,
-                                           const ModulationStates& states,
-                                           std::span<const std::uint8_t> data_bits,
-                                           const sim::Waveform& cfg,
-                                           pab::Rng& rng) const;
+  // projector transmits CW at `cfg.carrier_hz`.  Every run method draws its
+  // noise from the caller's `rng` (deterministic substreams under
+  // sim::BatchRunner), so one simulator can serve concurrent trials.
   [[nodiscard]] UplinkRunResult run_uplink(const Projector& projector,
                                            const circuit::RectoPiezo& front_end,
                                            std::span<const std::uint8_t> data_bits,
-                                           const sim::Waveform& cfg);
+                                           const sim::Waveform& cfg,
+                                           pab::Rng& rng) const;
 
-  // Zero-allocation variant: every intermediate waveform (switch stream, CW
-  // envelope, propagated basebands, scattered envelope) lives in the
-  // workspace arena for the duration of the call; only `out` fields persist,
-  // and those reuse their capacity across calls.  Bit-identical to
-  // run_uplink, which wraps this.
+  // Zero-allocation variant over precomputed modulation states: every
+  // intermediate waveform (switch stream, CW envelope, propagated basebands,
+  // scattered envelope) lives in the workspace arena for the duration of the
+  // call; only `out` fields persist, and those reuse their capacity across
+  // calls.  Bit-identical to run_uplink, which wraps this.
   void run_uplink_into(const Projector& projector, const ModulationStates& states,
                        std::span<const std::uint8_t> data_bits,
                        const sim::Waveform& cfg, pab::Rng& rng,
@@ -95,12 +91,9 @@ class LinkSimulator {
     phy::DemodResult demod;
   };
   [[nodiscard]] pab::Expected<DecodedRun> run_and_decode(
-      const Projector& projector, const ModulationStates& states,
+      const Projector& projector, const circuit::RectoPiezo& front_end,
       std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg,
       pab::Rng& rng) const;
-  [[nodiscard]] pab::Expected<DecodedRun> run_and_decode(
-      const Projector& projector, const circuit::RectoPiezo& front_end,
-      std::span<const std::uint8_t> data_bits, const sim::Waveform& cfg);
 
   // Zero-allocation variant: synthesizes into out.run, decodes into
   // out.demod with the workspace's cached demodulator and arena scratch.
@@ -125,7 +118,6 @@ class LinkSimulator {
 
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] const Placement& placement() const { return placement_; }
-  [[nodiscard]] pab::Rng& rng() { return rng_; }
 
   // Tap set for the (a -> b) path at `freq_hz`, memoized in the shared
   // channel::TapCache (each distinct geometry/carrier is computed once per
@@ -145,7 +137,6 @@ class LinkSimulator {
  private:
   SimConfig config_;
   Placement placement_;
-  pab::Rng rng_;
   std::shared_ptr<channel::TapCache> tap_cache_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Histogram* t_uplink_run_ = nullptr;   // waveform synthesis per trial

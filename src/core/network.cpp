@@ -53,18 +53,11 @@ MultiNodeSimulator::MultiNodeSimulator(SimConfig config, channel::Vec3 projector
       projector_pos_(projector),
       hydrophone_pos_(hydrophone),
       nodes_(std::move(node_positions)),
-      rng_(config.seed),
       tap_cache_(std::move(tap_cache)) {
   require(!nodes_.empty(), "MultiNodeSimulator: need at least one node");
   require(tap_cache_ != nullptr, "MultiNodeSimulator: tap cache must not be null");
   for (const auto& p : nodes_)
     require(config_.tank.contains(p), "MultiNodeSimulator: node outside tank");
-}
-
-NetworkRunResult MultiNodeSimulator::run(
-    const Projector& projector, const std::vector<circuit::RectoPiezo>& front_ends,
-    const sim::FdmaPlan& cfg) {
-  return run(projector, front_ends, cfg, rng_);
 }
 
 NetworkRunResult MultiNodeSimulator::run(

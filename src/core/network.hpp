@@ -46,15 +46,11 @@ class MultiNodeSimulator {
   // `front_ends` must match the node count; carriers come from `cfg`.  All
   // randomness (training chips, payloads, noise) is drawn from the explicit
   // `rng`, making the run a pure function of (scenario, rng state) -- the
-  // property sim::BatchRunner's determinism guarantee rests on.  The rng-less
-  // overload draws from the simulator's own stream.
+  // property sim::BatchRunner's determinism guarantee rests on.
   [[nodiscard]] NetworkRunResult run(const Projector& projector,
                                      const std::vector<circuit::RectoPiezo>& front_ends,
                                      const sim::FdmaPlan& cfg,
                                      pab::Rng& rng) const;
-  [[nodiscard]] NetworkRunResult run(const Projector& projector,
-                                     const std::vector<circuit::RectoPiezo>& front_ends,
-                                     const sim::FdmaPlan& cfg);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const std::shared_ptr<channel::TapCache>& tap_cache() const {
@@ -66,7 +62,6 @@ class MultiNodeSimulator {
   channel::Vec3 projector_pos_;
   channel::Vec3 hydrophone_pos_;
   std::vector<channel::Vec3> nodes_;
-  pab::Rng rng_;
   std::shared_ptr<channel::TapCache> tap_cache_;
 };
 

@@ -29,6 +29,9 @@ struct SimConfig {
   // capture is resampled by (1 + ppm*1e-6), which shows up as a carrier
   // frequency offset of f_c * ppm * 1e-6 after down-conversion.
   double receiver_clock_offset_ppm = 0.0;
+  // Base seed of a run's randomness.  No simulator reads it (each run method
+  // takes a pab::Rng); sim::Session and core::ReaderController derive their
+  // streams from it.
   std::uint64_t seed = 42;
 };
 

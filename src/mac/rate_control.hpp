@@ -2,22 +2,21 @@
 //
 // The downlink protocol already carries a kSetBitrate command (paper
 // section 5.1a) and the MCU exposes a table of clock-divider rates
-// (section 6.1b).  This controller closes the loop: it walks the rate table
-// using the receiver's SNR estimates and CRC outcomes, with hysteresis so a
-// marginal link does not oscillate -- the standard backscatter reader-side
-// rate adaptation the paper leaves to the reader implementation.
+// (section 6.1b).  This controller closes the loop: it walks a ladder of
+// (scheme, bitrate) rungs using the receiver's link estimates and CRC
+// outcomes, with hysteresis so a marginal link does not oscillate -- the
+// standard backscatter reader-side rate adaptation the paper leaves to the
+// reader implementation.
 //
-// Two operating modes share the hysteresis machinery:
-//   * Legacy rate-table mode (`ladder` empty): observe(snr_db, crc_ok) walks
-//     `rate_table` against the configured decode floor.
-//   * Ladder mode (`ladder` non-empty): observe_quality(LinkQuality, crc_ok)
-//     walks (scheme, bitrate) rungs using soft post-decode metrics -- MER
-//     headroom over the *current rung's scheme* decode floor, with EVM gates
-//     -- so the controller reacts before the link degrades to CRC failures
-//     (which remain the hard backstop).
+// Headroom is always measured over the *current rung's scheme* decode floor
+// (phy::scheme_descriptor).  observe(snr_db, crc_ok) feeds a raw SNR
+// estimate; observe_quality(LinkQuality, crc_ok) feeds soft post-decode
+// metrics -- MER headroom with EVM gates -- so the controller reacts before
+// the link degrades to CRC failures (which remain the hard backstop).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "phy/modem.hpp"
@@ -35,14 +34,17 @@ struct LadderRung {
   double bitrate = 0.0;  // symbol (switch-clock) rate [Hz]
 };
 
+// One FM0 rung per clock-divider bitrate, in the given order.
+[[nodiscard]] std::vector<LadderRung> fm0_ladder(std::span<const double> bitrates);
+
 struct RateControlConfig {
-  // Legacy mode: FM0 clock-divider bitrates, strictly ascending.
-  std::vector<double> rate_table = {100,  200,  400,  600,  800,
-                                    1000, 2000, 2800, 3000, 5000};
-  // SNR margins [dB] relative to the FM0 decode floor (~2 dB, Fig. 7):
-  // upshift when measured SNR clears the floor by `up_margin`, downshift
-  // when it falls within `down_margin`.
-  double decode_floor_db = 2.0;
+  // The walk, most robust rung first.  Default: FM0 at the MCU's ten
+  // clock-divider rates (paper section 6.1b).
+  std::vector<LadderRung> ladder = fm0_ladder(std::vector<double>{
+      100, 200, 400, 600, 800, 1000, 2000, 2800, 3000, 5000});
+  // Margins [dB] over the current rung's scheme decode floor (FM0: ~2 dB,
+  // Fig. 7): upshift when headroom clears `up_margin`, downshift when it
+  // falls within `down_margin`.
   double up_margin_db = 9.0;    // BER ~1e-5 at floor+9 (Fig. 7)
   double down_margin_db = 3.0;
   // Consecutive observations required before moving (hysteresis).
@@ -50,13 +52,10 @@ struct RateControlConfig {
   int down_streak = 1;
   // CRC failures force an immediate downshift.
   bool downshift_on_crc_failure = true;
-  // Soft-metric ladder (empty = legacy rate_table mode).  In ladder mode the
-  // margins above apply to MER headroom over each rung's own scheme decode
-  // floor (phy::scheme_descriptor), and EVM gates the walk: an upshift
-  // additionally needs evm_rms <= evm_upshift_max, while evm_rms >=
-  // evm_backstop counts as a bad observation no matter what MER says (EVM
-  // saturates before MER when the error distribution grows heavy tails).
-  std::vector<LadderRung> ladder;
+  // EVM gates for observe_quality: an upshift additionally needs evm_rms <=
+  // evm_upshift_max, while evm_rms >= evm_backstop counts as a bad
+  // observation no matter what MER says (EVM saturates before MER when the
+  // error distribution grows heavy tails).
   double evm_upshift_max = 0.25;
   double evm_backstop = 0.7;
 };
@@ -66,27 +65,19 @@ class RateController {
   explicit RateController(RateControlConfig config = {},
                           std::size_t initial_index = 0);
 
-  // Feed one uplink observation; returns true if the rate changed.  Only an
+  // Feed one uplink SNR estimate; returns true if the rate changed.  Only an
   // observation with `crc_ok` can extend the upshift streak; a CRC failure
   // resets it (and forces a downshift step when configured to).
   bool observe(double snr_db, bool crc_ok);
 
-  // Ladder-mode observation: soft link-quality metrics from the demodulator
-  // plus the CRC outcome.  Same hysteresis/streak rules as observe(); valid
-  // only when the config carries a non-empty ladder.
+  // Soft link-quality metrics from the demodulator plus the CRC outcome.
+  // Same hysteresis/streak rules as observe(), with the EVM gates on top.
   bool observe_quality(const phy::LinkQuality& quality, bool crc_ok);
 
-  [[nodiscard]] bool ladder_mode() const { return !config_.ladder.empty(); }
   [[nodiscard]] std::size_t rate_index() const { return index_; }
-  [[nodiscard]] double rate_bps() const {
-    return ladder_mode() ? config_.ladder[index_].bitrate
-                         : config_.rate_table[index_];
-  }
-  // Current rung (ladder mode only).
   [[nodiscard]] const LadderRung& rung() const { return config_.ladder[index_]; }
-  [[nodiscard]] phy::SchemeId scheme() const {
-    return ladder_mode() ? config_.ladder[index_].scheme : phy::SchemeId::kFm0;
-  }
+  [[nodiscard]] double rate_bps() const { return rung().bitrate; }
+  [[nodiscard]] phy::SchemeId scheme() const { return rung().scheme; }
   [[nodiscard]] const RateControlConfig& config() const { return config_; }
 
   // Statistics for reporting.
@@ -94,9 +85,10 @@ class RateController {
   [[nodiscard]] std::size_t downshifts() const { return downshifts_; }
 
  private:
-  // Shared hysteresis step behind both observation entry points.
-  bool step(double headroom_db, bool crc_ok, bool evm_allows_up,
-            bool evm_forces_down, std::size_t table_size);
+  // Shared hysteresis step behind both observation entry points; `level_db`
+  // is the SNR or MER the headroom is measured from.
+  bool step(double level_db, bool crc_ok, bool evm_allows_up,
+            bool evm_forces_down);
 
   RateControlConfig config_;
   std::size_t index_;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "phy/fec.hpp"
-#include "phy/scheme.hpp"
 #include "util/error.hpp"
 
 namespace pab::node {
@@ -71,6 +70,14 @@ void PabNode::harvest_step(double dt, double freq_hz, double p_pa,
       break;
   }
   harvester_.step(dt, p_dc, p_load, v_ceiling);
+}
+
+double PabNode::cold_start(double freq_hz, double p_pa, double timeout_s) {
+  constexpr double kDt = 0.01;
+  double t = 0.0;
+  for (; t < timeout_s && !powered_up(); t += kDt)
+    harvest_step(kDt, freq_hz, p_pa, NodeState::kColdStart);
+  return t;
 }
 
 std::optional<phy::DownlinkQuery> PabNode::receive_downlink(
@@ -146,18 +153,24 @@ std::optional<phy::UplinkPacket> PabNode::process_query(
   }
 
   // Account the backscatter energy for the response.
-  const std::size_t n_bits = phy::UplinkPacket::bits_on_air(response.payload.size());
+  const std::size_t n_bits = uplink_bits_on_air(response.payload.size());
   const double tx_s = static_cast<double>(n_bits) / bitrate();
   harvester_.ledger().add(energy::Category::kBackscatter,
                           mcu_.backscatter_power_w(bitrate()) * tx_s);
   return response;
 }
 
-std::vector<phy::SwitchState> PabNode::make_uplink_waveform(
-    const phy::UplinkPacket& packet, double sample_rate) const {
+pab::Bits PabNode::uplink_body(const phy::UplinkPacket& packet) const {
   pab::Bits body = packet.to_bits(/*include_preamble=*/false);
   if (config_.robust_uplink) body = phy::fec_protect(body);
-  return phy::scheme_waveform(phy::SchemeId::kFm0, body, bitrate(), sample_rate);
+  return body;
+}
+
+std::size_t PabNode::uplink_bits_on_air(std::size_t payload_len) const {
+  const std::size_t body =
+      phy::UplinkPacket::bits_on_air(payload_len, /*include_preamble=*/false);
+  return phy::uplink_preamble_bits().size() +
+         (config_.robust_uplink ? phy::fec_coded_size(body) : body);
 }
 
 pab::Expected<sense::Ms5837Reading> PabNode::read_pressure_sensor() {

@@ -72,6 +72,9 @@ class PabNode {
   // Advance the harvesting chain by `dt` under an incident carrier of
   // amplitude `p_pa` at `freq_hz`, while consuming power for `state`.
   void harvest_step(double dt, double freq_hz, double p_pa, NodeState state);
+  // Charge from the downlink carrier with no load, in 10 ms steps, until the
+  // node powers up or `timeout_s` passes.  Returns the simulated seconds.
+  double cold_start(double freq_hz, double p_pa, double timeout_s);
   [[nodiscard]] bool powered_up() const { return harvester_.powered_up(); }
   [[nodiscard]] double capacitor_voltage() const {
     return harvester_.capacitor_voltage();
@@ -94,11 +97,13 @@ class PabNode {
   [[nodiscard]] std::optional<phy::UplinkPacket> process_query(
       const phy::DownlinkQuery& query);
 
-  // FM0 switch waveform for an uplink packet at the active bitrate.  In
-  // robust mode the body is FEC-protected; the preamble stays uncoded for
-  // detection.
-  [[nodiscard]] std::vector<phy::SwitchState> make_uplink_waveform(
-      const phy::UplinkPacket& packet, double sample_rate) const;
+  // The bits the node backscatters after the uplink preamble: the packet
+  // body, FEC-protected in robust mode (the preamble stays uncoded for
+  // detection).
+  [[nodiscard]] pab::Bits uplink_body(const phy::UplinkPacket& packet) const;
+  // Bits on air for a reply carrying `payload_len` bytes: the preamble plus
+  // the body, FEC-coded in robust mode.
+  [[nodiscard]] std::size_t uplink_bits_on_air(std::size_t payload_len) const;
   [[nodiscard]] bool robust_uplink() const { return config_.robust_uplink; }
 
   // --- Sensors (exposed for tests/examples) ---------------------------------

@@ -19,6 +19,7 @@
 #include "mac/inventory.hpp"
 #include "mac/rate_control.hpp"
 #include "mac/scheduler.hpp"
+#include "phy/scheme.hpp"
 
 namespace pab::check {
 namespace {
@@ -123,12 +124,14 @@ TEST(Mutation, TailTruncatingSampleAtIsCaught) {
 TEST(Mutation, CrcRewardingRateControllerIsCaught) {
   const RateTraceFn mutant = [](const mac::RateControlConfig& cfg,
                                 std::span<const RateObservation> obs) {
-    std::size_t index = std::min<std::size_t>(2, cfg.rate_table.size() - 1);
+    std::size_t index = std::min<std::size_t>(2, cfg.ladder.size() - 1);
     int good = 0;
     int bad = 0;
     std::vector<RateStep> trace;
     for (const auto& o : obs) {
-      const double headroom = o.snr_db - cfg.decode_floor_db;
+      const double headroom =
+          o.snr_db -
+          phy::scheme_descriptor(cfg.ladder[index].scheme).decode_floor_db;
       const std::size_t before = index;
       if ((!o.crc_ok && cfg.downshift_on_crc_failure) ||
           headroom < cfg.down_margin_db) {
@@ -141,7 +144,7 @@ TEST(Mutation, CrcRewardingRateControllerIsCaught) {
         bad = 0;
         // The historical bug: headroom alone extends the streak, CRC ignored.
         if (headroom >= cfg.up_margin_db) {
-          if (++good >= cfg.up_streak && index + 1 < cfg.rate_table.size()) {
+          if (++good >= cfg.up_streak && index + 1 < cfg.ladder.size()) {
             ++index;
             good = 0;
           }

@@ -122,6 +122,28 @@ TEST(Controller, RobustModeTransactionsKeepWorking) {
   EXPECT_NEAR(temp.value().value, 19.0, 0.2);
 }
 
+// Regression: read() sized the scheduler's uplink airtime from the uncoded
+// packet, so a robust reply was charged as if it were plain.
+TEST(Controller, RobustReadChargesCodedAirtime) {
+  Rig rig;
+  const auto charged_read_s = [&](bool robust) {
+    auto reader = rig.make_reader();
+    node::NodeConfig cfg;
+    cfg.id = 6;
+    cfg.node_depth_m = 0.0;
+    cfg.robust_uplink = robust;
+    reader.deploy_node(cfg, &rig.env, {1.5, 2.1, 0.65});
+    EXPECT_EQ(reader.power_up_all(120.0), 1u);
+    EXPECT_TRUE(reader.read(6, phy::Command::kReadPh).ok());
+    EXPECT_EQ(reader.stats().attempts, 1u);
+    return reader.stats().elapsed_s;
+  };
+  // 0.2 s query + 0.02 s turnaround + the reply at 1 kbps: 60 bits plain,
+  // 96 bits robust (the 48-bit body Hamming(7,4)-coded to 84 bits).
+  EXPECT_NEAR(charged_read_s(false), 0.280, 1e-9);
+  EXPECT_NEAR(charged_read_s(true), 0.316, 1e-9);
+}
+
 TEST(Controller, RateAdaptationClimbsOnCleanLink) {
   Rig rig;
   auto reader = rig.make_reader();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/collision.hpp"
+#include "core/controller.hpp"
 #include "core/link.hpp"
 #include "core/projector.hpp"
 #include "mac/protocol.hpp"
@@ -24,7 +25,8 @@ TEST(Integration, UplinkDecodesCleanly) {
   pab::Rng rng(21);
   const auto bits = rng.bits(64);
   sim::Waveform cfg;
-  const auto out = sim.run_and_decode(proj, fe, bits, cfg);
+  pab::Rng noise(sim.config().seed);
+  const auto out = sim.run_and_decode(proj, fe, bits, cfg, noise);
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0);
   EXPECT_GT(out.value().demod.snr_db, 3.0);
@@ -41,7 +43,8 @@ TEST(Integration, FullPacketWithCrc) {
   const auto bits = packet.to_bits(/*include_preamble=*/false);
 
   sim::Waveform cfg;
-  const auto out = sim.run_and_decode(proj, fe, bits, cfg);
+  pab::Rng noise(sim.config().seed);
+  const auto out = sim.run_and_decode(proj, fe, bits, cfg, noise);
   ASSERT_TRUE(out.ok());
   const auto decoded =
       phy::UplinkPacket::from_bits(out.value().demod.bits, /*has_preamble=*/false);
@@ -64,8 +67,12 @@ TEST(Integration, SnrDropsWithDistance) {
 
   LinkSimulator sim_near(sc, near);
   LinkSimulator sim_far(sc, far);
-  const auto rn = sim_near.run_and_decode(proj, fe, bits, sim::Waveform{});
-  const auto rf = sim_far.run_and_decode(proj, fe, bits, sim::Waveform{});
+  pab::Rng noise_near(sc.seed);
+  pab::Rng noise_far(sc.seed);
+  const auto rn =
+      sim_near.run_and_decode(proj, fe, bits, sim::Waveform{}, noise_near);
+  const auto rf =
+      sim_far.run_and_decode(proj, fe, bits, sim::Waveform{}, noise_far);
   ASSERT_TRUE(rn.ok());
   // The far node's channel amplitude must be weaker.
   if (rf.ok()) {
@@ -83,8 +90,9 @@ TEST(Integration, OffResonanceCarrierWeakensModulation) {
   on.carrier_hz = 15000.0;
   sim::Waveform off;
   off.carrier_hz = 12000.0;
-  const auto r_on = sim.run_uplink(proj, fe, bits, on);
-  const auto r_off = sim.run_uplink(proj, fe, bits, off);
+  pab::Rng noise(sim.config().seed);
+  const auto r_on = sim.run_uplink(proj, fe, bits, on, noise);
+  const auto r_off = sim.run_uplink(proj, fe, bits, off, noise);
   EXPECT_LT(r_off.modulation_pressure_pa, r_on.modulation_pressure_pa);
 }
 
@@ -94,9 +102,7 @@ TEST(Integration, DownlinkQueryReachesNode) {
   sense::Environment env;
   node::PabNode node(node::NodeConfig{}, &env);
   // Power up first (strong CW on resonance).
-  for (int i = 0; i < 6000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, sim.incident_pressure(proj, 15000.0),
-                      node::NodeState::kColdStart);
+  node.cold_start(15000.0, sim.incident_pressure(proj, 15000.0), 60.0);
   ASSERT_TRUE(node.powered_up());
 
   const auto query = mac::make_read_temperature(node.config().id);
@@ -112,39 +118,21 @@ TEST(Integration, EndToEndQueryResponseTransaction) {
   // The full loop: downlink query -> node decodes -> node senses -> node
   // backscatters -> hydrophone decodes -> reading matches the environment.
   SimConfig sc = sim::Scenario::pool_a().medium;
-  LinkSimulator sim(sc, Placement{});
+  const LinkSimulator sim(sc, Placement{});
   const auto proj = standard_projector(300.0);
   sense::Environment env;
   env.temperature_c = 17.25;
   node::NodeConfig ncfg;
   ncfg.node_depth_m = 0.0;
   node::PabNode node(ncfg, &env);
-  for (int i = 0; i < 6000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, sim.incident_pressure(proj, 15000.0),
-                      node::NodeState::kColdStart);
+  node.cold_start(15000.0, sim.incident_pressure(proj, 15000.0), 60.0);
   ASSERT_TRUE(node.powered_up());
 
-  // Downlink.
   const auto query = mac::make_read_temperature(node.config().id);
-  const auto sliced = sim.downlink_sliced_envelope(
-      proj, query, node.config().downlink_pwm, 15000.0);
-  const auto received = node.receive_downlink(sliced, sc.sample_rate);
-  ASSERT_TRUE(received.has_value());
-
-  // Node responds.
-  const auto response = node.process_query(*received);
-  ASSERT_TRUE(response.has_value());
-
-  // Uplink.
-  const auto bits = response->to_bits(/*include_preamble=*/false);
-  sim::Waveform ucfg;
-  ucfg.bitrate = node.bitrate();
-  const auto out = sim.run_and_decode(proj, node.front_end(), bits, ucfg);
-  ASSERT_TRUE(out.ok()) << out.error().message();
-  const auto packet =
-      phy::UplinkPacket::from_bits(out.value().demod.bits, false);
-  ASSERT_TRUE(packet.has_value());
-  const auto reading = mac::parse_response(query, *packet);
+  pab::Rng noise(sc.seed);
+  const auto packet = transact(sim, proj, node, query, 15000.0, noise);
+  ASSERT_TRUE(packet.ok()) << packet.error().message();
+  const auto reading = mac::parse_response(query, packet.value());
   ASSERT_TRUE(reading.has_value());
   EXPECT_NEAR(reading->value, 17.25, 0.2);
 }
@@ -161,7 +149,8 @@ TEST(Integration, CollisionZeroForcingImprovesSinr) {
   const auto proj = Projector::ideal(300.0);
   const auto n1 = circuit::make_recto_piezo(15000.0);
   const auto n2 = circuit::make_recto_piezo(18000.0);
-  const auto r = sim.run(proj, n1, n2, CollisionRunConfig{});
+  pab::Rng noise(sc.seed);
+  const auto r = sim.run(proj, n1, n2, CollisionRunConfig{}, noise);
   // After projection both streams are decodable; the interference-limited
   // stream gains several dB and neither materially degrades.
   EXPECT_GT(r.sinr_after_db[0], r.sinr_before_db[0] - 1.0);
@@ -186,7 +175,8 @@ TEST(Integration, SwimmingPoolLinkDecodes) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   pab::Rng rng(61);
   const auto bits = rng.bits(64);
-  const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{});
+  pab::Rng noise(sc.seed);
+  const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{}, noise);
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0);
 }

@@ -13,6 +13,7 @@
 #include "phy/equalizer.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
+#include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -60,7 +61,7 @@ TEST(RateControl, ClampsAtTableEnds) {
   EXPECT_EQ(rc.rate_index(), 0u);  // cannot go below the slowest rate
   mac::RateController hi(mac::RateControlConfig{}, 9);
   for (int i = 0; i < 20; ++i) (void)rc.observe(40.0, true);
-  EXPECT_LT(rc.rate_index(), rc.config().rate_table.size());
+  EXPECT_LT(rc.rate_index(), rc.config().ladder.size());
 }
 
 TEST(RateControl, ConvergesToSustainableRate) {
@@ -70,7 +71,9 @@ TEST(RateControl, ConvergesToSustainableRate) {
   const auto snr_at = [](std::size_t idx) { return 26.0 - 3.0 * static_cast<double>(idx); };
   for (int i = 0; i < 60; ++i)
     (void)rc.observe(snr_at(rc.rate_index()), true);
-  const double headroom = snr_at(rc.rate_index()) - rc.config().decode_floor_db;
+  const double headroom =
+      snr_at(rc.rate_index()) -
+      phy::scheme_descriptor(rc.scheme()).decode_floor_db;
   EXPECT_GE(headroom, rc.config().down_margin_db);
   EXPECT_LT(headroom, rc.config().up_margin_db + 3.0);
   EXPECT_GT(rc.rate_index(), 2u);  // actually climbed
@@ -78,7 +81,7 @@ TEST(RateControl, ConvergesToSustainableRate) {
 
 TEST(RateControl, InvalidConfigThrows) {
   mac::RateControlConfig bad;
-  bad.rate_table.clear();
+  bad.ladder.clear();
   EXPECT_THROW(mac::RateController rc(bad), std::invalid_argument);
   EXPECT_THROW(mac::RateController rc2(mac::RateControlConfig{}, 99),
                std::invalid_argument);
@@ -166,7 +169,8 @@ TEST(Equalizer, DecisionDirectedPassLiftsChipSnr) {
   const auto bits = rng.bits(192);
   sim::Waveform cfg;
   cfg.bitrate = 2800.0;
-  const auto run = sim.run_uplink(proj, fe, bits, cfg);
+  Rng noise(sc.seed);
+  const auto run = sim.run_uplink(proj, fe, bits, cfg, noise);
 
   phy::DemodConfig base;
   base.sample_rate = sc.sample_rate;

@@ -30,8 +30,7 @@ TEST(FailureInjection, BrownoutSilencesNodeUntilRecharge) {
   sense::Environment env;
   node::PabNode node(node::NodeConfig{}, &env);
   // Charge up.
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, 600.0, node::NodeState::kColdStart);
+  node.cold_start(15000.0, 600.0, 50.0);
   ASSERT_TRUE(node.powered_up());
 
   // Projector goes silent while the node keeps backscattering: the 1000 uF
@@ -42,8 +41,7 @@ TEST(FailureInjection, BrownoutSilencesNodeUntilRecharge) {
   EXPECT_FALSE(node.process_query(phy::DownlinkQuery{}).has_value());
 
   // Carrier returns: the node recovers without intervention.
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, 600.0, node::NodeState::kColdStart);
+  node.cold_start(15000.0, 600.0, 50.0);
   EXPECT_TRUE(node.powered_up());
   phy::DownlinkQuery ping;
   ping.address = node.config().id;
@@ -53,8 +51,7 @@ TEST(FailureInjection, BrownoutSilencesNodeUntilRecharge) {
 TEST(FailureInjection, CorruptedDownlinkIsRejectedNotMisread) {
   sense::Environment env;
   node::PabNode node(node::NodeConfig{}, &env);
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, 600.0, node::NodeState::kColdStart);
+  node.cold_start(15000.0, 600.0, 50.0);
   ASSERT_TRUE(node.powered_up());
 
   phy::DownlinkQuery q;
@@ -125,14 +122,14 @@ TEST(FailureInjection, SameChannelCollisionCorruptsWithoutZf) {
   const auto bits2 = rng.bits(64);
 
   Waveform cfg;
-  auto run1 = sim.run_uplink(proj, fe, bits1, cfg);
+  Rng noise1(sc.seed);
+  auto run1 = sim.run_uplink(proj, fe, bits1, cfg, noise1);
   // Second node at comparable link strength, same channel, same time.
   Placement pl2 = pl;
   pl2.node = {0.9, 2.6, 0.65};
-  SimConfig sc2 = sc;
-  sc2.seed = 77;
-  LinkSimulator sim2(sc2, pl2);
-  const auto run2 = sim2.run_uplink(proj, fe, bits2, cfg);
+  LinkSimulator sim2(sc, pl2);
+  Rng noise2(77);
+  const auto run2 = sim2.run_uplink(proj, fe, bits2, cfg, noise2);
   run1.hydrophone_v.accumulate(run2.hydrophone_v);
 
   phy::DemodConfig dc;
@@ -160,7 +157,8 @@ TEST(FailureInjection, ClockSkewToleratedByEnvelopeReceiver) {
     const auto fe = circuit::make_recto_piezo(15000.0);
     Rng rng(23);
     const auto bits = rng.bits(64);
-    const auto out = sim.run_and_decode(proj, fe, bits, Waveform{});
+    Rng noise(sc.seed);
+    const auto out = sim.run_and_decode(proj, fe, bits, Waveform{}, noise);
     ASSERT_TRUE(out.ok()) << "ppm=" << ppm;
     EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0)
         << "ppm=" << ppm;
@@ -176,7 +174,8 @@ TEST(FailureInjection, WrongBitrateAssumptionFailsCleanly) {
   const auto bits = rng.bits(64);
   Waveform cfg;
   cfg.bitrate = 1000.0;
-  const auto run = sim.run_uplink(proj, fe, bits, cfg);
+  Rng noise(sc.seed);
+  const auto run = sim.run_uplink(proj, fe, bits, cfg, noise);
 
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
@@ -195,7 +194,8 @@ TEST(FailureInjection, TruncatedCaptureReportsNoPreamble) {
   const auto fe = circuit::make_recto_piezo(15000.0);
   Rng rng(31);
   const auto bits = rng.bits(64);
-  auto run = sim.run_uplink(proj, fe, bits, Waveform{});
+  Rng noise(sc.seed);
+  auto run = sim.run_uplink(proj, fe, bits, Waveform{}, noise);
   run.hydrophone_v.samples.resize(run.hydrophone_v.size() / 10);
 
   phy::DemodConfig dc;
@@ -223,8 +223,7 @@ TEST(FailureInjection, UndersampledCaptureFailsThroughExpected) {
 TEST(FailureInjection, BadPeripheralCommandLeavesNodeHealthy) {
   sense::Environment env;
   node::PabNode node(node::NodeConfig{}, &env);
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, 15000.0, 600.0, node::NodeState::kColdStart);
+  node.cold_start(15000.0, 600.0, 50.0);
   ASSERT_TRUE(node.powered_up());
 
   phy::DownlinkQuery bad;

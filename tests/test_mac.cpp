@@ -13,6 +13,7 @@
 #include "mac/scheduler.hpp"
 #include "mac/zones.hpp"
 #include "obs/metrics.hpp"
+#include "phy/scheme.hpp"
 #include "sim/timeline.hpp"
 
 namespace pab::mac {
@@ -190,6 +191,11 @@ TEST(Scheduler, PollRoundHitsAllQueries) {
   EXPECT_EQ(calls, 3);
 }
 
+// The decode floor every rung of the default ladder measures headroom over.
+double fm0_floor_db() {
+  return phy::scheme_descriptor(phy::SchemeId::kFm0).decode_floor_db;
+}
+
 // Regression: with downshift_on_crc_failure disabled, a CRC-failed
 // observation with high SNR headroom used to advance the good streak and
 // could trigger an upshift -- rewarding undecodable packets.  A failed CRC
@@ -200,7 +206,7 @@ TEST(RateControl, CrcFailureNeverFeedsUpshiftStreak) {
   cfg.up_streak = 3;
   RateController rc(cfg, /*initial_index=*/2);
   // Plenty of headroom, but every packet fails its CRC.
-  const double snr = cfg.decode_floor_db + cfg.up_margin_db + 10.0;
+  const double snr = fm0_floor_db() + cfg.up_margin_db + 10.0;
   for (int i = 0; i < 10; ++i) EXPECT_FALSE(rc.observe(snr, /*crc_ok=*/false));
   EXPECT_EQ(rc.rate_index(), 2u);
   EXPECT_EQ(rc.upshifts(), 0u);
@@ -211,7 +217,7 @@ TEST(RateControl, CrcFailureResetsAnInProgressGoodStreak) {
   cfg.downshift_on_crc_failure = false;
   cfg.up_streak = 3;
   RateController rc(cfg, 2);
-  const double snr = cfg.decode_floor_db + cfg.up_margin_db + 10.0;
+  const double snr = fm0_floor_db() + cfg.up_margin_db + 10.0;
   EXPECT_FALSE(rc.observe(snr, true));
   EXPECT_FALSE(rc.observe(snr, true));
   // The failure wipes the streak; the next two good packets are not enough.
@@ -229,18 +235,18 @@ TEST(RateControl, CrcFailureResetsAnInProgressGoodStreak) {
 // duplicated rate table inverts the meaning of "upshift" -- walking up the
 // index can lower the rate -- so it must be rejected at construction.
 TEST(RateControl, UnsortedRateTableIsRejectedAtConstruction) {
-  RateControlConfig unsorted;
-  unsorted.rate_table = {100.0, 400.0, 200.0, 800.0};
-  EXPECT_THROW(RateController rc(unsorted), std::exception);
-  RateControlConfig duplicated;
-  duplicated.rate_table = {100.0, 200.0, 200.0, 400.0};
-  EXPECT_THROW(RateController rc(duplicated), std::exception);
-  RateControlConfig nonpositive;
-  nonpositive.rate_table = {0.0, 200.0, 400.0};
-  EXPECT_THROW(RateController rc(nonpositive), std::exception);
-  RateControlConfig sorted;
-  sorted.rate_table = {100.0, 200.0, 400.0};
-  EXPECT_NO_THROW(RateController rc(sorted));
+  const auto config_for = [](std::vector<double> rates) {
+    RateControlConfig cfg;
+    cfg.ladder = fm0_ladder(rates);
+    return cfg;
+  };
+  EXPECT_THROW(RateController rc(config_for({100.0, 400.0, 200.0, 800.0})),
+               std::exception);
+  EXPECT_THROW(RateController rc(config_for({100.0, 200.0, 200.0, 400.0})),
+               std::exception);
+  EXPECT_THROW(RateController rc(config_for({0.0, 200.0, 400.0})),
+               std::exception);
+  EXPECT_NO_THROW(RateController rc(config_for({100.0, 200.0, 400.0})));
 }
 
 namespace {
@@ -335,12 +341,6 @@ TEST(RateControl, LadderEvmGatesOverrideMer) {
   marginal.evm_rms = cfg.evm_upshift_max + 0.05;
   for (int i = 0; i < 5; ++i) EXPECT_FALSE(rc.observe_quality(marginal, true));
   EXPECT_EQ(rc.rate_index(), 0u);
-}
-
-TEST(RateControl, LadderObserveQualityRequiresALadder) {
-  mac::RateController legacy{mac::RateControlConfig{}};
-  EXPECT_THROW((void)legacy.observe_quality(quality_at(20.0), true),
-               std::exception);
 }
 
 TEST(Fdma, TwoChannelPlanMatchesPaper) {

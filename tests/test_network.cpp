@@ -47,7 +47,9 @@ TEST(MultiNode, TwoNodesDecodeAndImprove) {
   Rig s;
   const auto cfg = plan_for(2);
   MultiNodeSimulator sim(s.config, s.projector, s.hydrophone, ring_positions(2));
-  const auto r = sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg);
+  Rng noise(s.config.seed);
+  const auto r =
+      sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg, noise);
   ASSERT_EQ(r.ber_after.size(), 2u);
   // Both decodable after ZF.
   EXPECT_LT(r.ber_after[0], 0.05);
@@ -65,13 +67,15 @@ TEST(MultiNode, ThreeNodesAggregateBeatsTwo) {
   const auto cfg3 = plan_for(3);
   double sum2 = 0.0, sum3 = 0.0;
   for (std::uint64_t seed : {501u, 502u, 503u}) {
-    SimConfig sc = s.config;
-    sc.seed = seed;
-    MultiNodeSimulator sim2(sc, s.projector, s.hydrophone, ring_positions(2));
-    MultiNodeSimulator sim3(sc, s.projector, s.hydrophone, ring_positions(3));
-    sum2 += sim2.run(Projector::ideal(300.0), front_ends_for(cfg2), cfg2)
+    MultiNodeSimulator sim2(s.config, s.projector, s.hydrophone,
+                            ring_positions(2));
+    MultiNodeSimulator sim3(s.config, s.projector, s.hydrophone,
+                            ring_positions(3));
+    Rng noise2(seed);
+    Rng noise3(seed);
+    sum2 += sim2.run(Projector::ideal(300.0), front_ends_for(cfg2), cfg2, noise2)
                 .aggregate_goodput_bps;
-    sum3 += sim3.run(Projector::ideal(300.0), front_ends_for(cfg3), cfg3)
+    sum3 += sim3.run(Projector::ideal(300.0), front_ends_for(cfg3), cfg3, noise3)
                 .aggregate_goodput_bps;
   }
   EXPECT_GT(sum3, sum2);
@@ -85,8 +89,12 @@ TEST(MultiNode, ConditioningDegradesWhenChannelsCrowd) {
   const auto cfg5 = plan_for(5);
   MultiNodeSimulator sim2(s.config, s.projector, s.hydrophone, ring_positions(2));
   MultiNodeSimulator sim5(s.config, s.projector, s.hydrophone, ring_positions(5));
-  const auto r2 = sim2.run(Projector::ideal(300.0), front_ends_for(cfg2), cfg2);
-  const auto r5 = sim5.run(Projector::ideal(300.0), front_ends_for(cfg5), cfg5);
+  Rng noise2(s.config.seed);
+  Rng noise5(s.config.seed);
+  const auto r2 =
+      sim2.run(Projector::ideal(300.0), front_ends_for(cfg2), cfg2, noise2);
+  const auto r5 =
+      sim5.run(Projector::ideal(300.0), front_ends_for(cfg5), cfg5, noise5);
   EXPECT_GT(r5.condition_number, r2.condition_number);
 }
 
@@ -94,7 +102,9 @@ TEST(MultiNode, SingleNodeIsCleanBaseline) {
   Rig s;
   const auto cfg = plan_for(1);
   MultiNodeSimulator sim(s.config, s.projector, s.hydrophone, ring_positions(1));
-  const auto r = sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg);
+  Rng noise(s.config.seed);
+  const auto r =
+      sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg, noise);
   EXPECT_LT(r.ber_after[0], 0.01);
   // No interference to remove: before ~ after.
   EXPECT_NEAR(r.sinr_before_db[0], r.sinr_after_db[0], 3.0);
@@ -104,8 +114,10 @@ TEST(MultiNode, MismatchedInputsThrow) {
   Rig s;
   MultiNodeSimulator sim(s.config, s.projector, s.hydrophone, ring_positions(2));
   sim::FdmaPlan cfg = plan_for(3);  // 3 carriers for 2 nodes
-  EXPECT_THROW((void)sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg),
-               std::invalid_argument);
+  Rng noise(s.config.seed);
+  EXPECT_THROW(
+      (void)sim.run(Projector::ideal(300.0), front_ends_for(cfg), cfg, noise),
+      std::invalid_argument);
 }
 
 TEST(MultiNode, NodeOutsideTankThrows) {

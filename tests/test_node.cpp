@@ -3,6 +3,7 @@
 
 #include "node/node.hpp"
 #include "phy/pwm.hpp"
+#include "phy/scheme.hpp"
 
 namespace pab::node {
 namespace {
@@ -20,8 +21,7 @@ void power_up(PabNode& node) {
   // ~600 Pa incident (a projector at a couple hundred volts within a few
   // meters): harvested power is a few hundred microwatts, charging the
   // 1000 uF supercapacitor to 2.5 V within seconds.
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, node.resonance_hz(), 600.0, NodeState::kColdStart);
+  node.cold_start(node.resonance_hz(), 600.0, 50.0);
   ASSERT_TRUE(node.powered_up());
 }
 
@@ -38,8 +38,7 @@ TEST(Node, NoPowerUpOffResonance) {
   const auto env = default_env();
   PabNode node(NodeConfig{}, &env);
   // Weak carrier far from the 15 kHz match: rectified ceiling below 2.5 V.
-  for (int i = 0; i < 5000; ++i)
-    node.harvest_step(0.01, 11000.0, 30.0, NodeState::kColdStart);
+  EXPECT_GE(node.cold_start(11000.0, 30.0, 50.0), 50.0);
   EXPECT_FALSE(node.powered_up());
 }
 
@@ -167,8 +166,10 @@ TEST(Node, UplinkWaveformMatchesBitrate) {
   phy::UplinkPacket p;
   p.node_id = 1;
   p.payload = {0xAA};
-  const auto sw = node.make_uplink_waveform(p, 96000.0);
-  const std::size_t n_bits = phy::UplinkPacket::bits_on_air(1);
+  const auto sw = phy::scheme_waveform(phy::SchemeId::kFm0, node.uplink_body(p),
+                                       node.bitrate(), 96000.0);
+  const std::size_t n_bits = node.uplink_bits_on_air(1);
+  EXPECT_EQ(n_bits, phy::UplinkPacket::bits_on_air(1));
   const double expected = static_cast<double>(n_bits) * 96000.0 / node.bitrate();
   EXPECT_NEAR(static_cast<double>(sw.size()), expected, 96.0);
 }

@@ -7,6 +7,7 @@
 #include "node/node.hpp"
 #include "phy/fec.hpp"
 #include "phy/metrics.hpp"
+#include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
 
 namespace pab {
@@ -15,8 +16,7 @@ namespace {
 sense::Environment default_env() { return sense::Environment{}; }
 
 void power_up(node::PabNode& node) {
-  for (int i = 0; i < 5000 && !node.powered_up(); ++i)
-    node.harvest_step(0.01, node.resonance_hz(), 600.0, node::NodeState::kColdStart);
+  node.cold_start(node.resonance_hz(), 600.0, 50.0);
   ASSERT_TRUE(node.powered_up());
 }
 
@@ -44,8 +44,12 @@ TEST(RobustMode, WaveformGrowsByCodeRate) {
   phy::UplinkPacket packet;
   packet.node_id = 1;
   packet.payload = {1, 2, 3, 4};
-  const auto w_plain = plain.make_uplink_waveform(packet, 96000.0);
-  const auto w_robust = robust.make_uplink_waveform(packet, 96000.0);
+  const auto waveform = [&](const node::PabNode& node) {
+    return phy::scheme_waveform(phy::SchemeId::kFm0, node.uplink_body(packet),
+                                node.bitrate(), 96000.0);
+  };
+  const auto w_plain = waveform(plain);
+  const auto w_robust = waveform(robust);
   // Preamble is uncoded; the body grows by 7/4.
   const double body_bits = static_cast<double>(
       phy::UplinkPacket::bits_on_air(4, /*include_preamble=*/false));
@@ -71,7 +75,8 @@ TEST(RobustMode, EndToEndThroughSimulator) {
   Bits body = packet.to_bits(false);
   const Bits coded = phy::fec_protect(body);
 
-  const auto run = sim.run_uplink(proj, fe, coded, sim::Waveform{});
+  Rng noise(sc.seed);
+  const auto run = sim.run_uplink(proj, fe, coded, sim::Waveform{}, noise);
   phy::DemodConfig dc;
   dc.sample_rate = sc.sample_rate;
   const auto decoded = phy::demodulate_packet(run.hydrophone_v, dc,
@@ -80,6 +85,33 @@ TEST(RobustMode, EndToEndThroughSimulator) {
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
   EXPECT_EQ(decoded.value().payload, packet.payload);
   EXPECT_EQ(decoded.value().node_id, 6);
+}
+
+// Regression: the node charged a robust reply's backscatter energy on the
+// uncoded bit count, as if the Hamming(7,4) body were not on the air.
+TEST(RobustMode, ReplyEnergyCountsCodedBits) {
+  const auto env = default_env();
+  node::NodeConfig robust_cfg;
+  robust_cfg.robust_uplink = true;
+  node::PabNode plain(node::NodeConfig{}, &env);
+  node::PabNode robust(robust_cfg, &env);
+  power_up(plain);
+  power_up(robust);
+
+  // A pH reply carries 2 payload bytes: 12 preamble bits plus a 48-bit body,
+  // which Hamming(7,4) grows to 84 bits.
+  EXPECT_EQ(plain.uplink_bits_on_air(2), 60u);
+  EXPECT_EQ(robust.uplink_bits_on_air(2), 96u);
+  const auto reply_energy = [](node::PabNode& node) {
+    EXPECT_TRUE(node.process_query(mac::make_read_ph(node.config().id))
+                    .has_value());
+    return node.ledger().total(energy::Category::kBackscatter);
+  };
+  const double e_plain = reply_energy(plain);
+  const double e_robust = reply_energy(robust);
+  EXPECT_NEAR(e_plain, 3.231e-05, 1e-08);
+  EXPECT_NEAR(e_robust, 5.1696e-05, 1e-08);
+  EXPECT_NEAR(e_robust / e_plain, 96.0 / 60.0, 1e-12);
 }
 
 TEST(RobustMode, SurvivesBurstThatBreaksPlainMode) {

@@ -126,10 +126,8 @@ TEST(SchemeSeamGolden, Fm0DemodulatorMatchesLegacyExactly) {
   const auto bits = rng.bits(64);
   sim::Waveform cfg;  // default scheme = kFm0
 
-  const auto states =
-      core::modulation_states(fe, cfg.carrier_hz, cfg.bitrate);  // legacy key
   Rng noise_a(7);
-  const auto run = sim.run_uplink(proj, states, bits, cfg, noise_a);
+  const auto run = sim.run_uplink(proj, fe, bits, cfg, noise_a);
 
   phy::DemodResult golden;
   golden.bits = bits;  // the capture decodes error-free
@@ -159,7 +157,7 @@ TEST(SchemeSeamGolden, Fm0DemodulatorMatchesLegacyExactly) {
   // And the full seam pipeline (run_and_decode with the same noise stream)
   // reproduces the same capture and decode end to end.
   Rng noise_b(7);
-  const auto rd = sim.run_and_decode(proj, states, bits, cfg, noise_b);
+  const auto rd = sim.run_and_decode(proj, fe, bits, cfg, noise_b);
   ASSERT_TRUE(rd.ok()) << rd.error().message();
   ASSERT_EQ(rd.value().run.hydrophone_v.samples, run.hydrophone_v.samples);
   expect_identical(rd.value().demod, golden);
@@ -275,7 +273,8 @@ TEST(FskScheme, EndToEndLinkDecodes) {
     const auto bits = rng.bits(64);
     sim::Waveform cfg;
     cfg.scheme = scheme;
-    const auto out = sim.run_and_decode(proj, fe, bits, cfg);
+    Rng noise(sim.config().seed);
+    const auto out = sim.run_and_decode(proj, fe, bits, cfg, noise);
     ASSERT_TRUE(out.ok()) << phy::to_string(scheme) << ": "
                           << out.error().message();
     EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0)

@@ -4,11 +4,15 @@
 // computed exactly once per key regardless of how many trials touch them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <set>
 #include <thread>
 #include <variant>
 
+#include "core/collision.hpp"
+#include "core/link.hpp"
+#include "core/network.hpp"
 #include "sim/batch.hpp"
 
 namespace pab::sim {
@@ -309,6 +313,65 @@ TEST(UnifiedTrialApi, TemplateAndRuntimeKindFormsAgreeExactly) {
       EXPECT_EQ(pool_typed[i].value().ber, row.ber) << i;
     }
   }
+}
+
+// The core simulators hold no random state: one const instance of each can
+// serve every worker, and a trial's result depends only on the seed of the
+// noise stream it is handed.  Runs under TSan in CI like the rest of this
+// suite.
+TEST(SharedSimulators, ResultsDependOnlyOnTheSeed) {
+  const core::SimConfig config = Scenario::pool_a().medium;
+  core::Placement pl;
+  pl.projector = {1.5, 1.5, 0.65};
+  pl.hydrophone = {1.5, 2.5, 0.65};
+  pl.node = {1.0, 2.0, 0.65};
+  const channel::Vec3 second_node{2.0, 2.0, 0.65};
+  const core::LinkSimulator link(config, pl);
+  const core::MultiNodeSimulator network(config, pl.projector, pl.hydrophone,
+                                         {pl.node, second_node});
+  const core::CollisionSimulator collision(config, pl, second_node);
+
+  const auto proj = core::Projector::ideal(300.0);
+  const auto fe15 = circuit::make_recto_piezo(15000.0);
+  const auto fe18 = circuit::make_recto_piezo(18000.0);
+  const std::vector<circuit::RectoPiezo> front_ends{fe15, fe18};
+  FdmaPlan plan;
+  plan.carriers_hz = {15000.0, 18000.0};
+  plan.bitrate = 1000.0;
+  plan.payload_bits = 32;
+  core::CollisionRunConfig collision_cfg;
+  collision_cfg.bitrate = 1000.0;
+  collision_cfg.payload_bits = 32;
+
+  struct Outcome {
+    std::vector<double> capture;
+    std::vector<double> network_sinr_db;
+    std::array<double, 2> collision_sinr_db{};
+  };
+  const auto trial = [&](std::size_t, Rng& rng) {
+    Outcome o;
+    const auto bits = rng.bits(32);
+    o.capture =
+        link.run_uplink(proj, fe15, bits, Waveform{}, rng).hydrophone_v.samples;
+    o.network_sinr_db = network.run(proj, front_ends, plan, rng).sinr_after_db;
+    o.collision_sinr_db =
+        collision.run(proj, fe15, fe18, collision_cfg, rng).sinr_after_db;
+    return o;
+  };
+
+  constexpr std::size_t kTrials = 32;  // 4 workers x 8 trials
+  constexpr std::uint64_t kSeed = 61;
+  const auto parallel = BatchRunner(4).map_seeded(kTrials, kSeed, trial);
+  ASSERT_EQ(parallel.size(), kTrials);
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    Rng rng(substream_seed(kSeed, i));
+    const Outcome serial = trial(i, rng);
+    EXPECT_EQ(parallel[i].capture, serial.capture) << i;
+    EXPECT_EQ(parallel[i].network_sinr_db, serial.network_sinr_db) << i;
+    EXPECT_EQ(parallel[i].collision_sinr_db, serial.collision_sinr_db) << i;
+  }
+  // Distinct seeds give distinct noise.
+  EXPECT_NE(parallel[0].capture, parallel[1].capture);
 }
 
 }  // namespace

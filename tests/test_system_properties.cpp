@@ -151,7 +151,8 @@ TEST_P(PacketPipelineSweep, WaveformRoundTripWithCrc) {
   packet.payload = rng.bytes(payload_len);
   const auto bits = packet.to_bits(false);
 
-  const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{});
+  Rng noise(sc.seed);
+  const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{}, noise);
   ASSERT_TRUE(out.ok()) << "len=" << payload_len;
   const auto decoded = phy::UplinkPacket::from_bits(out.value().demod.bits, false);
   ASSERT_TRUE(decoded.has_value()) << "len=" << payload_len;
