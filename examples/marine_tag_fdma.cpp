@@ -3,11 +3,11 @@
 // Two battery-free tags (say, on two fish in the tank) are built as
 // recto-piezos on different channels (15 and 18 kHz).  The reader transmits
 // both carriers at once; both tags backscatter simultaneously, and the
-// hydrophone separates the collision with the 2x2 zero-forcing decoder --
-// the paper's concurrent-multiple-access design (sections 3.3, 6.3).
+// hydrophone separates the collision with the zero-forcing decoder -- the
+// paper's concurrent-multiple-access design (sections 3.3, 6.3).
 #include <cstdio>
 
-#include "core/collision.hpp"
+#include "core/network.hpp"
 #include "mac/fdma.hpp"
 #include "sim/scenario.hpp"
 
@@ -27,14 +27,13 @@ int main() {
   std::printf("  tag1 on ch2: %.0f%%   tag2 on ch1: %.0f%%\n\n",
               100.0 * crosstalk[1][0], 100.0 * crosstalk[0][1]);
 
-  core::SimConfig config = sim::Scenario::pool_a().medium;
-  core::Placement placement;
-  placement.projector = {1.5, 1.5, 0.65};
-  placement.hydrophone = {1.5, 2.5, 0.65};
-
-  const auto projector = core::Projector::ideal(300.0);
-  const auto tag1 = circuit::make_recto_piezo(plan.carriers_hz[0]);
-  const auto tag2 = circuit::make_recto_piezo(plan.carriers_hz[1]);
+  const sim::Scenario sc = sim::Scenario::pool_a_concurrent();
+  const auto projector = sc.make_projector();
+  const std::vector<circuit::RectoPiezo> tags{
+      circuit::make_recto_piezo(plan.carriers_hz[0]),
+      circuit::make_recto_piezo(plan.carriers_hz[1])};
+  sim::FdmaPlan fdma = sc.fdma;
+  fdma.carriers_hz = {plan.carriers_hz[0], plan.carriers_hz[1]};
 
   // The "fish" move between readouts.
   const channel::Vec3 tag1_positions[] = {
@@ -44,13 +43,11 @@ int main() {
 
   std::printf("readout  SINR1 before/after  SINR2 before/after  BER1    BER2\n");
   for (int r = 0; r < 3; ++r) {
-    core::Placement pl = placement;
-    pl.node = tag1_positions[r];
-    const core::CollisionSimulator sim(config, pl, tag2_positions[r]);
-    core::CollisionRunConfig ccfg;
-    ccfg.carriers_hz = {plan.carriers_hz[0], plan.carriers_hz[1]};
+    const core::MultiNodeSimulator sim(sc.medium, sc.reader.projector,
+                                       sc.reader.hydrophone,
+                                       {tag1_positions[r], tag2_positions[r]});
     Rng noise(40 + static_cast<std::uint64_t>(r));
-    const auto result = sim.run(projector, tag1, tag2, ccfg, noise);
+    const auto result = sim.run(projector, tags, fdma, noise);
     std::printf("%7d  %6.1f / %-6.1f      %6.1f / %-6.1f      %.3f   %.3f\n",
                 r + 1, result.sinr_before_db[0], result.sinr_after_db[0],
                 result.sinr_before_db[1], result.sinr_after_db[1],

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/collision.hpp"
+#include "core/link.hpp"
 #include "dsp/spectrogram.hpp"
 #include "dsp/wav.hpp"
 #include "sim/scenario.hpp"
@@ -26,9 +26,8 @@ dsp::Signal synthesize_session() {
   pl.hydrophone = {1.5, 2.5, 0.65};
   pl.node = {1.0, 2.0, 0.65};
 
-  // Reuse the collision machinery to get a dual-carrier capture; we only
-  // need the waveform, so run a quick 2-node session and regenerate its
-  // passband via the link simulator for node 1 alone plus a CW at 18 kHz.
+  // A dual-carrier capture: node 1's uplink from the link simulator plus a
+  // CW at 18 kHz.
   core::LinkSimulator sim(sc, pl);
   const auto proj = core::Projector::ideal(300.0);
   const auto fe = circuit::make_recto_piezo(15000.0);

@@ -7,7 +7,6 @@
 #include "dsp/mixer.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
-#include "phy/mimo.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -24,15 +23,6 @@ std::vector<double> expand_chips(const phy::Chips& chips, double spc,
     out[i] = static_cast<double>(chips[chip]);
   }
   return out;
-}
-
-std::vector<dsp::cplx> remove_mean(std::vector<dsp::cplx> x) {
-  // By value + in place: callers move the baseband in, avoiding a full copy.
-  dsp::cplx mean{};
-  for (const auto& v : x) mean += v;
-  mean /= static_cast<double>(std::max<std::size_t>(x.size(), 1));
-  for (auto& v : x) v -= mean;
-  return x;
 }
 
 }  // namespace
@@ -159,7 +149,7 @@ NetworkRunResult MultiNodeSimulator::run(
   for (std::size_t ci = 0; ci < n; ++ci) {
     dsp::BasebandSignal bb = dsp::downconvert_filtered(capture, cfg.carriers_hz[ci],
                                                        cutoff, 5);
-    y[ci] = remove_mean(std::move(bb.samples));
+    y[ci] = std::move(bb.samples);
   }
 
   // Per-node alignment: node->hydrophone delay refined by training
@@ -167,13 +157,23 @@ NetworkRunResult MultiNodeSimulator::run(
   const double c_sound = channel::sound_speed_mackenzie(config_.tank.water);
   const std::size_t tr_len = chip_samples(tr_chips);
   const std::size_t pl_len = chip_samples(pl_chips);
+  // Every read of a carrier stream goes through `window`, which removes the
+  // window's own mean.  An idle node rests in the absorptive state, the level
+  // of a -1 chip, while the reference gives idle samples 0, so each training
+  // section and the payload section carry their own DC offset, set by which
+  // nodes are idle there.  Stripping it per window keeps it out of the gain
+  // fit, which has no offset term, and out of the zero-forcer.
   const auto window = [&](const std::vector<dsp::cplx>& stream, std::size_t start,
                           std::size_t count, std::size_t shift) {
     std::vector<dsp::cplx> out(count, dsp::cplx{});
+    dsp::cplx mean{};
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t idx = start + shift + i;
       if (idx < stream.size()) out[i] = stream[idx];
+      mean += out[i];
     }
+    mean /= static_cast<double>(std::max<std::size_t>(count, 1));
+    for (auto& v : out) v -= mean;
     return out;
   };
 

@@ -1,10 +1,12 @@
-// N-node concurrent backscatter network simulation.
+// Concurrent-transmission (collision) simulation and MIMO decoding for N
+// nodes -- the experiment of paper section 6.3 / Fig. 10 at N = 2.
 //
-// Generalizes the paper's 2-node concurrent demonstration (section 6.3) to N
-// recto-piezos on an FDMA channel plan, with NxN channel estimation from
-// staggered training and zero-forcing separation -- exploring the scaling
-// question the paper raises in section 8 ("the gain from FDMA scales as the
-// number of nodes with different resonance frequencies increases", limited by
+// N recto-piezos on an FDMA channel plan backscatter simultaneously while the
+// projector transmits every carrier; the hydrophone down-converts at each
+// carrier, estimates the NxN channel from staggered training sections, and
+// zero-forces to separate the streams.  N > 2 explores the scaling question
+// the paper raises in section 8 ("the gain from FDMA scales as the number of
+// nodes with different resonance frequencies increases", limited by
 // transducer bandwidth).
 #pragma once
 

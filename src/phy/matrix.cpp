@@ -149,6 +149,19 @@ double CMatrix::condition_number(int iterations) const {
   return sigma_max / sigma_min;
 }
 
+std::complex<double> estimate_channel_gain(
+    std::span<const std::complex<double>> y, std::span<const double> x) {
+  require(y.size() == x.size() && !y.empty(), "estimate_channel_gain: size mismatch");
+  std::complex<double> num{};
+  double den = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    num += y[i] * x[i];
+    den += x[i] * x[i];
+  }
+  require(den > 0.0, "estimate_channel_gain: zero-energy reference");
+  return num / den;
+}
+
 std::vector<std::vector<std::complex<double>>> zero_force_n(
     const std::vector<std::vector<std::complex<double>>>& y, const CMatrix& h) {
   require(!y.empty(), "zero_force_n: no streams");

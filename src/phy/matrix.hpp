@@ -1,13 +1,17 @@
-// Small dense complex matrix algebra for N-node collision decoding.
+// MIMO collision decoding for N concurrent backscatter nodes.
 //
-// The paper demonstrates 2 concurrent nodes and notes the FDMA gain "scales
-// as the number of nodes with different resonance frequencies increases"
-// (section 8).  Scaling past 2 needs general NxN channel inversion; this is a
-// compact column-major complex matrix with LU decomposition (partial
-// pivoting), solve, inverse, and a singular-value-based condition estimate.
+// Backscatter is frequency-agnostic: a powered-up node modulates reflections
+// of *every* impinging carrier (paper section 3.3.2), so with N recto-piezos
+// on carriers f1..fN the hydrophone observes y(fi) = sum_j h_j(fi) x_j.  The
+// receiver estimates H from per-node training segments and separates the
+// streams by zero-forcing, "projecting on the orthogonal of the unwanted
+// channel vector" (section 6.3).  CMatrix is a compact column-major complex
+// matrix with LU decomposition (partial pivoting), solve, inverse, and a
+// singular-value-based condition estimate.
 #pragma once
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -68,6 +72,13 @@ struct CMatrix::Lu {
   std::vector<std::size_t> perm;
   bool singular = false;
 };
+
+// Least-squares scalar channel estimate h = <y, x> / <x, x> over a training
+// segment where node reference `x` (+/-1 chips at sample rate) is known and
+// the other nodes are idle.  The fit has no offset term: the caller removes
+// the segment's DC first.
+[[nodiscard]] std::complex<double> estimate_channel_gain(
+    std::span<const std::complex<double>> y, std::span<const double> x);
 
 // N-stream zero-forcing: x(t) = H^-1 y(t) applied per sample across streams.
 // `y[i]` is the stream observed on carrier i; returns one estimated stream

@@ -1,4 +1,4 @@
-// Modem, metrics, CFO, and MIMO collision decoding tests.
+// Modem, metrics, and CFO tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "phy/cfo.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
-#include "phy/mimo.hpp"
 #include "phy/scheme.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -216,80 +215,6 @@ TEST(Cfo, RobustToAmplitudeModulation) {
     x[i] = am * std::polar(1.0, ph);
   }
   EXPECT_NEAR(estimate_cfo_hz(x, fs), cfo, 0.05);
-}
-
-TEST(Mimo, InverseIsExact) {
-  Mat2c h{{1.0, 0.2}, {0.3, -0.1}, {-0.2, 0.5}, {0.8, 0.0}};
-  const Mat2c inv = h.inverse();
-  // H * H^-1 = I.
-  const cplx i11 = h.h11 * inv.h11 + h.h12 * inv.h21;
-  const cplx i12 = h.h11 * inv.h12 + h.h12 * inv.h22;
-  EXPECT_NEAR(std::abs(i11 - cplx(1.0, 0.0)), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(i12), 0.0, 1e-12);
-}
-
-TEST(Mimo, ConditionNumberIdentityIsOne) {
-  Mat2c h{{1.0, 0.0}, {}, {}, {1.0, 0.0}};
-  EXPECT_NEAR(h.condition_number(), 1.0, 1e-9);
-}
-
-TEST(Mimo, ConditionNumberDegenerateIsHuge) {
-  Mat2c h{{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}};
-  EXPECT_GT(h.condition_number(), 1e12);
-}
-
-TEST(Mimo, ChannelEstimateRecoversGain) {
-  pab::Rng rng(10);
-  const cplx h_true(0.4, -0.7);
-  std::vector<double> x(4000);
-  std::vector<cplx> y(4000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
-    y[i] = h_true * x[i] + cplx(rng.gaussian(0.0, 0.05), rng.gaussian(0.0, 0.05));
-  }
-  const cplx h_est = estimate_channel_gain(y, x);
-  EXPECT_NEAR(std::abs(h_est - h_true), 0.0, 0.01);
-}
-
-TEST(Mimo, ZeroForcingSeparatesStreams) {
-  // Synthetic 2x2 collision: ZF recovers both streams exactly (no noise).
-  pab::Rng rng(11);
-  Mat2c h{{1.0, 0.1}, {0.4, -0.3}, {0.2, 0.6}, {0.9, -0.2}};
-  std::vector<double> x1(1000), x2(1000);
-  std::vector<cplx> y1(1000), y2(1000);
-  for (std::size_t i = 0; i < x1.size(); ++i) {
-    x1[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
-    x2[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
-    y1[i] = h.h11 * x1[i] + h.h12 * x2[i];
-    y2[i] = h.h21 * x1[i] + h.h22 * x2[i];
-  }
-  const auto out = zero_force(y1, y2, h);
-  for (std::size_t i = 0; i < x1.size(); ++i) {
-    EXPECT_NEAR(out.x1[i].real(), x1[i], 1e-9);
-    EXPECT_NEAR(out.x2[i].real(), x2[i], 1e-9);
-  }
-}
-
-TEST(Mimo, ZfImprovesSinrUnderInterference) {
-  // The Fig. 10 mechanism in miniature: heavy cross-channel interference
-  // before projection, clean after.
-  pab::Rng rng(12);
-  Mat2c h{{1.0, 0.0}, {0.8, 0.2}, {0.7, -0.1}, {1.0, 0.0}};
-  const std::size_t n = 20000;
-  std::vector<double> x1(n), x2(n);
-  std::vector<cplx> y1(n), y2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x1[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
-    x2[i] = rng.bernoulli(0.5) ? 1.0 : -1.0;
-    const cplx noise1(rng.gaussian(0.0, 0.05), rng.gaussian(0.0, 0.05));
-    const cplx noise2(rng.gaussian(0.0, 0.05), rng.gaussian(0.0, 0.05));
-    y1[i] = h.h11 * x1[i] + h.h12 * x2[i] + noise1;
-    y2[i] = h.h21 * x1[i] + h.h22 * x2[i] + noise2;
-  }
-  const double before = measure_sinr_db(y1, x1);
-  const auto out = zero_force(y1, y2, h);
-  const double after = measure_sinr_db(out.x1, x1);
-  EXPECT_GT(after, before + 6.0);
 }
 
 }  // namespace

@@ -4,13 +4,11 @@
 // computed exactly once per key regardless of how many trials touch them.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <chrono>
 #include <set>
 #include <thread>
 #include <variant>
 
-#include "core/collision.hpp"
 #include "core/link.hpp"
 #include "core/network.hpp"
 #include "sim/batch.hpp"
@@ -329,24 +327,19 @@ TEST(SharedSimulators, ResultsDependOnlyOnTheSeed) {
   const core::LinkSimulator link(config, pl);
   const core::MultiNodeSimulator network(config, pl.projector, pl.hydrophone,
                                          {pl.node, second_node});
-  const core::CollisionSimulator collision(config, pl, second_node);
 
   const auto proj = core::Projector::ideal(300.0);
   const auto fe15 = circuit::make_recto_piezo(15000.0);
-  const auto fe18 = circuit::make_recto_piezo(18000.0);
-  const std::vector<circuit::RectoPiezo> front_ends{fe15, fe18};
+  const std::vector<circuit::RectoPiezo> front_ends{
+      fe15, circuit::make_recto_piezo(18000.0)};
   FdmaPlan plan;
   plan.carriers_hz = {15000.0, 18000.0};
   plan.bitrate = 1000.0;
   plan.payload_bits = 32;
-  core::CollisionRunConfig collision_cfg;
-  collision_cfg.bitrate = 1000.0;
-  collision_cfg.payload_bits = 32;
 
   struct Outcome {
     std::vector<double> capture;
     std::vector<double> network_sinr_db;
-    std::array<double, 2> collision_sinr_db{};
   };
   const auto trial = [&](std::size_t, Rng& rng) {
     Outcome o;
@@ -354,8 +347,6 @@ TEST(SharedSimulators, ResultsDependOnlyOnTheSeed) {
     o.capture =
         link.run_uplink(proj, fe15, bits, Waveform{}, rng).hydrophone_v.samples;
     o.network_sinr_db = network.run(proj, front_ends, plan, rng).sinr_after_db;
-    o.collision_sinr_db =
-        collision.run(proj, fe15, fe18, collision_cfg, rng).sinr_after_db;
     return o;
   };
 
@@ -368,7 +359,6 @@ TEST(SharedSimulators, ResultsDependOnlyOnTheSeed) {
     const Outcome serial = trial(i, rng);
     EXPECT_EQ(parallel[i].capture, serial.capture) << i;
     EXPECT_EQ(parallel[i].network_sinr_db, serial.network_sinr_db) << i;
-    EXPECT_EQ(parallel[i].collision_sinr_db, serial.collision_sinr_db) << i;
   }
   // Distinct seeds give distinct noise.
   EXPECT_NE(parallel[0].capture, parallel[1].capture);
