@@ -44,7 +44,7 @@ void print_series() {
     const std::vector<dsp::cplx> seg(rx.samples.begin() + skip,
                                      rx.samples.end() - skip);
     const double est = phy::estimate_cfo_hz(seg, kFs);
-    const double truth = channel::doppler_shift_hz(cfg, kCarrier);
+    const double truth = channel::doppler_shift_at(cfg, kCarrier, 0.0);
     bench::print_row({bench::fmt(v, 2), bench::fmt(truth, 2), bench::fmt(est, 2),
                       bench::fmt(est - truth, 3)});
   }

@@ -70,7 +70,7 @@ int main() {
   drift.rx_start = {50.0, 0, 0};
   drift.rx_velocity = {-0.5, 0, 0};
   std::printf("a 0.5 m/s drift imposes %.1f Hz of Doppler at 15 kHz\n",
-              channel::doppler_shift_hz(drift, kCarrier));
+              channel::doppler_shift_at(drift, kCarrier, 0.0));
 
   // Waves on a shallow link.
   channel::WavySurfaceConfig waves;

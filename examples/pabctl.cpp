@@ -4,7 +4,8 @@
 //                  [--bits N] [--seed S] [--equalize]
 //   pabctl harvest [--match HZ] [--pressure PA]
 //   pabctl range   [--pool A|B] [--drive V]
-//   pabctl sense   [--ph X] [--temp C] [--pressure MBAR] [--drive V]
+//   pabctl sense   [--pool A|B] [--ph X] [--temp C] [--pressure MBAR]
+//                  [--drive V]
 //   pabctl decode  --file CAPTURE.wav [--carrier HZ] [--bitrate N]
 //                  [--payload BYTES]
 //   pabctl info
@@ -61,16 +62,18 @@ Args parse(int argc, char** argv, int first) {
   return a;
 }
 
-core::SimConfig pool_config(const Args& a) {
-  return a.str("pool", "A") == "B" ? sim::Scenario::pool_b().medium : sim::Scenario::pool_a().medium;
+sim::Scenario pool_config(const Args& a) {
+  return a.str("pool", "A") == "B" ? sim::Scenario::pool_b()
+                                    : sim::Scenario::pool_a();
 }
 
 // --- subcommands ----------------------------------------------------------------
 
 int cmd_link(const Args& a) {
-  core::SimConfig sc = pool_config(a);
+  const sim::Scenario scenario = pool_config(a);
+  core::SimConfig sc = scenario.medium;
   sc.seed = static_cast<std::uint64_t>(a.num("seed", 42));
-  core::LinkSimulator sim(sc, core::Placement{});
+  core::LinkSimulator sim(sc, scenario.placement());
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 50.0));
   const auto fe = circuit::make_recto_piezo(a.num("carrier", 15000.0));
@@ -117,7 +120,7 @@ int cmd_harvest(const Args& a) {
 }
 
 int cmd_range(const Args& a) {
-  const core::SimConfig sc = pool_config(a);
+  const core::SimConfig sc = pool_config(a).medium;
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 200.0));
   const auto fe = circuit::make_recto_piezo(15000.0);
@@ -149,8 +152,9 @@ int cmd_sense(const Args& a) {
   env.temperature_c = a.num("temp", 20.0);
   env.pressure_mbar = a.num("pressure", 1013.25);
 
-  const core::SimConfig sc = pool_config(a);
-  const core::LinkSimulator sim(sc, core::Placement{});
+  const sim::Scenario scenario = pool_config(a);
+  const core::SimConfig& sc = scenario.medium;
+  const core::LinkSimulator sim(sc, scenario.placement());
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 300.0));
   node::NodeConfig ncfg;
@@ -239,7 +243,7 @@ void usage() {
       "          --seed S --equalize\n"
       "  harvest --match HZ --pressure PA\n"
       "  range   --pool A|B --drive V\n"
-      "  sense   --ph X --temp C --pressure MBAR --drive V\n"
+      "  sense   --pool A|B --ph X --temp C --pressure MBAR --drive V\n"
       "  decode  --file CAPTURE.wav --carrier HZ --bitrate N --payload BYTES\n"
       "  info\n");
 }

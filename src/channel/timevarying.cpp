@@ -68,10 +68,6 @@ dsp::BasebandSignal propagate_moving(const dsp::BasebandSignal& x,
   return y;
 }
 
-double doppler_shift_hz(const MovingPathConfig& cfg, double carrier_hz) {
-  return doppler_shift_at(cfg, carrier_hz, 0.0);
-}
-
 double wavy_gain_at(const WavySurfaceConfig& cfg, double carrier_hz, double t) {
   const double c = sound_speed_mackenzie(cfg.water);
   const double d_direct = std::max(distance(cfg.source, cfg.receiver), 1e-3);

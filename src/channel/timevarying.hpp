@@ -63,10 +63,6 @@ struct WavySurfaceConfig;
 [[nodiscard]] double wavy_gain_at(const WavySurfaceConfig& cfg,
                                   double carrier_hz, double t);
 
-// Radial Doppler shift [Hz] at t=0 for the configuration above (positive
-// when the range is closing).  Equivalent to doppler_shift_at(cfg, f, 0).
-[[nodiscard]] double doppler_shift_hz(const MovingPathConfig& cfg, double carrier_hz);
-
 // Two-path (direct + surface image) channel where the surface heaves
 // sinusoidally: z_surface(t) = z0 + A sin(2 pi f_w t).  Produces the periodic
 // fading a backscatter link sees under waves.

@@ -132,7 +132,7 @@ TimelineRunFn real_timeline_run() {
     for (const auto& op : ops) {
       switch (op.kind) {
         case TimelineOp::Kind::kScheduleAt:
-          (void)tl.schedule_at(op.time, op.label, nullptr, op.value);
+          tl.schedule_at(op.time, op.label, nullptr, op.value);
           break;
         case TimelineOp::Kind::kElapse:
           tl.elapse(op.time, op.label);
@@ -165,7 +165,6 @@ TimedSchedulerRunFn real_timed_scheduler_run() {
             std::size_t uplink_bits, double uplink_bitrate) {
     sim::Timeline tl;
     energy::EnergyLedger ledger;
-    ledger.record_entries(true);
     mac::PollScheduler sched(cfg, nullptr, &tl);
     std::size_t cursor = 0;
     const auto link =
@@ -186,13 +185,13 @@ TimedSchedulerRunFn real_timed_scheduler_run() {
       }
       return pab::Error{pab::ErrorCode::kNoPreamble, "scripted"};
     };
-    // Interleave: one ledger charge (timestamped at the current clock and
-    // mirrored into the event log) after each transact, remainder at the end.
+    // Interleave: one ledger charge (mirrored into the event log at the
+    // current clock) after each transact, remainder at the end.
     std::size_t next_charge = 0;
     const auto book_one = [&] {
       if (next_charge >= charges.size()) return;
       const auto& [c, joules] = charges[next_charge++];
-      ledger.add(tl.now(), c, joules);
+      ledger.add(c, joules);
       tl.charge("energy." + std::string(energy::to_string(c)), joules);
     };
     while (cursor < script.size()) {

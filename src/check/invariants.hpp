@@ -101,7 +101,7 @@ struct TimelineProbe {
 using TimelineRunFn =
     std::function<TimelineProbe(std::span<const TimelineOp>)>;
 
-// Timeline-mode scheduler + timestamped ledger: run a scripted transact
+// Timeline-mode scheduler + energy ledger: run a scripted transact
 // sequence with ledger charges interleaved, all on one Timeline; return the
 // live accounting plus the event log it must reconstruct to.
 struct TimedRunProbe {
@@ -225,11 +225,12 @@ using ZonedRunFn = std::function<ZonedRunProbe(
 [[nodiscard]] CheckResult check_timeline_monotonic(
     std::uint64_t seed, const TimelineRunFn& subject = real_timeline_run());
 
-// timeline.event_reconstruction: a timeline-mode scheduler run with
-// timestamped ledger charges interleaved is fully auditable from the event
-// log alone -- elapsed_s re-derives bit-exactly from the mac airtime events
-// (Neumaier in log order), every counter from its marker events, and each
-// ledger category total bit-exactly from the "energy.<category>" entries.
+// timeline.event_reconstruction: a timeline-mode scheduler run with ledger
+// charges interleaved (each mirrored into the log) is fully auditable from
+// the event log alone -- elapsed_s re-derives bit-exactly from the mac
+// airtime events (Neumaier in log order), every counter from its marker
+// events, and each ledger category total bit-exactly from the
+// "energy.<category>" entries.
 // The zoned-inventory path is covered too, now that its slots run on the
 // master timeline: frames/slots re-count from their marker events, busy_s
 // re-sums bit-exactly from the per-zone "mac.zone.inventory.busy_s" charges,

@@ -10,30 +10,17 @@ Harvester::Harvester(circuit::Supercapacitor cap, HarvesterParams params)
           "Harvester: threshold must exceed brown-out");
 }
 
-void Harvester::step(double dt, double p_harvest, double p_load, double v_ceiling) {
-  require(dt >= 0.0, "Harvester: negative dt");
-  // Loads only draw after power-up.
-  const double p_out = powered_up_ ? p_load : 0.0;
-  cap_.step(dt, p_harvest, p_out, v_ceiling);
-  ledger_.add(Category::kHarvested, p_harvest * dt);
-  if (p_out > 0.0) ledger_.add(Category::kIdle, p_out * dt);
-
-  if (!powered_up_ && cap_.voltage() >= params_.power_up_threshold_v)
-    powered_up_ = true;
-  else if (powered_up_ && cap_.voltage() < params_.brown_out_v)
-    powered_up_ = false;
-}
-
-HarvestStep Harvester::step_at(double t, double dt, double p_harvest,
-                               double p_load, double v_ceiling) {
+HarvestStep Harvester::step(double dt, double p_harvest, double p_load,
+                            double v_ceiling) {
   require(dt >= 0.0, "Harvester: negative dt");
   HarvestStep out;
+  // Loads only draw after power-up.
   const double p_out = powered_up_ ? p_load : 0.0;
   cap_.step(dt, p_harvest, p_out, v_ceiling);
   out.harvested_j = p_harvest * dt;
   out.consumed_j = p_out * dt;
-  ledger_.add(t, Category::kHarvested, out.harvested_j);
-  if (p_out > 0.0) ledger_.add(t, Category::kIdle, out.consumed_j);
+  ledger_.add(Category::kHarvested, out.harvested_j);
+  if (p_out > 0.0) ledger_.add(Category::kIdle, out.consumed_j);
 
   if (!powered_up_ && cap_.voltage() >= params_.power_up_threshold_v) {
     powered_up_ = true;

@@ -28,9 +28,9 @@ enum class PowerEvent : std::uint8_t {
   kBrownOut,  // capacitor sagged below brown-out; MCU resets
 };
 
-// What one timestamped step actually booked, so callers (NodeLifecycle) can
-// mirror the exact joules into the Timeline event log without re-deriving
-// the loads-only-after-power-up rule.
+// What one step actually booked, so callers (NodeLifecycle) can mirror the
+// exact joules into the Timeline event log without re-deriving the
+// loads-only-after-power-up rule.
 struct HarvestStep {
   PowerEvent event = PowerEvent::kNone;
   double harvested_j = 0.0;
@@ -43,16 +43,10 @@ class Harvester {
 
   // Advance by `dt` with `p_harvest` watts of DC input (already through the
   // rectifier), `p_load` watts of digital load, and `v_ceiling` the
-  // rectifier's open-circuit voltage at the current incident level.
-  void step(double dt, double p_harvest, double p_load, double v_ceiling);
-
-  // Timeline-driven variant: identical dynamics, but the ledger entries are
-  // timestamped at `t` (the step covers [t, t+dt)) and the power-state
-  // transition plus booked joules are returned so the caller can post the
-  // matching timeline events.  `t` must not go backwards across calls (it
-  // comes from a Timeline).
-  HarvestStep step_at(double t, double dt, double p_harvest, double p_load,
-                      double v_ceiling);
+  // rectifier's open-circuit voltage at the current incident level.  Returns
+  // the power-state transition and the joules booked into the ledger.
+  HarvestStep step(double dt, double p_harvest, double p_load,
+                   double v_ceiling);
 
   [[nodiscard]] bool powered_up() const { return powered_up_; }
   [[nodiscard]] double capacitor_voltage() const { return cap_.voltage(); }

@@ -29,22 +29,6 @@ void EnergyLedger::add(Category c, double joules) {
   joules_[static_cast<std::size_t>(c)] += joules;
 }
 
-void EnergyLedger::add(double t, Category c, double joules) {
-  require(t >= last_t_, "EnergyLedger: timestamps must not go backwards");
-  last_t_ = t;
-  add(c, joules);
-  if (record_entries_) entries_.push_back(LedgerEntry{t, c, joules});
-}
-
-double EnergyLedger::total_between(Category c, double t0, double t1) const {
-  require(c != Category::kCount, "EnergyLedger: invalid category");
-  require(t0 <= t1, "EnergyLedger: inverted interval");
-  double sum = 0.0;
-  for (const LedgerEntry& e : entries_)
-    if (e.category == c && e.t >= t0 && e.t < t1) sum += e.joules;
-  return sum;
-}
-
 double EnergyLedger::total(Category c) const {
   require(c != Category::kCount, "EnergyLedger: invalid category");
   return joules_[static_cast<std::size_t>(c)];
@@ -74,10 +58,6 @@ double EnergyLedger::average_power_w(Category c, double elapsed_s) const {
   return total(c) / elapsed_s;
 }
 
-void EnergyLedger::reset() {
-  joules_.fill(0.0);
-  entries_.clear();
-  last_t_ = 0.0;
-}
+void EnergyLedger::reset() { joules_.fill(0.0); }
 
 }  // namespace pab::energy

@@ -6,9 +6,7 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
 #include <string_view>
-#include <vector>
 
 namespace pab::obs {
 class MetricRegistry;
@@ -39,39 +37,14 @@ enum class Category : std::size_t {
   return "?";
 }
 
-// One timestamped ledger entry (recorded when record_entries(true)).
-struct LedgerEntry {
-  double t = 0.0;  // simulated time the energy was booked at
-  Category category = Category::kCount;
-  double joules = 0.0;
-};
-
 class EnergyLedger {
  public:
   void add(Category c, double joules);
-
-  // Timestamped add: same accounting as add(c, joules), tagged with the
-  // simulated time `t` it was booked at.  Timestamps must be monotonically
-  // non-decreasing (they come from a Timeline, which only moves forward).
-  // When record_entries(true), the entry is retained for interval queries
-  // and event-log reconstruction audits.
-  void add(double t, Category c, double joules);
 
   [[nodiscard]] double total(Category c) const;
   // Sum of all consumption categories (everything except kHarvested).
   [[nodiscard]] double total_consumed() const;
   [[nodiscard]] double harvested() const { return total(Category::kHarvested); }
-
-  // Energy of category `c` booked in the half-open interval [t0, t1).
-  // Requires record_entries(true) before the adds of interest.
-  [[nodiscard]] double total_between(Category c, double t0, double t1) const;
-
-  // Retain timestamped entries for total_between()/entries().  Off by
-  // default: the hot paths (per-sample harvest stepping) only need totals.
-  void record_entries(bool enabled) { record_entries_ = enabled; }
-  [[nodiscard]] std::span<const LedgerEntry> entries() const {
-    return entries_;
-  }
 
   // Average power of a category over `elapsed_s`; 0.0 when no time has
   // elapsed (there is no power reading to report over an empty interval).
@@ -87,9 +60,6 @@ class EnergyLedger {
 
  private:
   std::array<double, static_cast<std::size_t>(Category::kCount)> joules_{};
-  std::vector<LedgerEntry> entries_;
-  double last_t_ = 0.0;
-  bool record_entries_ = false;
 };
 
 }  // namespace pab::energy

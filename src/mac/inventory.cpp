@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 
 #include "sim/timeline.hpp"
 
@@ -32,66 +31,86 @@ int adapt_q(int q, std::size_t collisions, std::size_t empties,
   return q;
 }
 
+AlohaRun::AlohaRun(std::span<const std::uint8_t> population,
+                   const InventoryConfig& config)
+    : config_(config),
+      pending_(population.begin(), population.end()),
+      q_(config.initial_q),
+      nonce_(config.seed) {
+  require(config.min_q >= 0 && config.min_q <= config.max_q,
+          "AlohaRun: invalid q bounds");
+  require(config.initial_q >= config.min_q && config.initial_q <= config.max_q,
+          "AlohaRun: initial q out of bounds");
+}
+
+bool AlohaRun::done() const {
+  const int max_frames = std::max(config_.max_frames, 0);
+  return pending_.empty() ||
+         stats_.frames >= static_cast<std::size_t>(max_frames);
+}
+
+void AlohaRun::announce(std::vector<std::vector<std::uint8_t>>& by_slot) {
+  ++stats_.frames;
+  ++nonce_;
+  const std::size_t slot_count = std::size_t{1} << q_;
+  stats_.slots += slot_count;
+  // Clear in place: the slot lists keep their capacity across frames.
+  by_slot.resize(slot_count);
+  for (std::vector<std::uint8_t>& ids : by_slot) ids.clear();
+  for (const std::uint8_t id : pending_)
+    by_slot[inventory_slot(id, nonce_, slot_count)].push_back(id);
+}
+
+void AlohaRun::close(std::span<const std::vector<std::uint8_t>> replies,
+                     std::span<const std::uint8_t> corrupted) {
+  const std::size_t slot_count = std::size_t{1} << q_;
+  require(replies.size() == slot_count,
+          "AlohaRun::close: need one reply list per announced slot");
+  require(corrupted.empty() || corrupted.size() == slot_count,
+          "AlohaRun::close: need one corrupted flag per slot");
+  std::size_t singletons = 0, collisions = 0;
+  std::array<bool, 256> won{};  // ids identified this frame
+  for (std::size_t k = 0; k < slot_count; ++k) {
+    const std::vector<std::uint8_t>& ids = replies[k];
+    if (ids.empty()) continue;
+    if (ids.size() > 1 || (!corrupted.empty() && corrupted[k] != 0)) {
+      ++collisions;
+    } else {
+      ++singletons;
+      identified_.push_back(ids.front());
+      won[ids.front()] = true;
+    }
+  }
+  // Swap-and-compact the identified ids out of `pending` in one pass, O(n)
+  // per frame.  Relative order of `pending` is not preserved, which is fine:
+  // slot assignment hashes (id, nonce) and never looks at list order.
+  for (std::size_t i = 0; i < pending_.size();) {
+    if (won[pending_[i]]) {
+      pending_[i] = pending_.back();
+      pending_.pop_back();
+    } else {
+      ++i;
+    }
+  }
+  const std::size_t empties = slot_count - singletons - collisions;
+  stats_.singletons += singletons;
+  stats_.collisions += collisions;
+  stats_.empties += empties;
+  q_ = adapt_q(q_, collisions, empties, singletons, config_.min_q,
+               config_.max_q);
+}
+
 std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population,
                                         const InventoryConfig& config,
                                         InventoryStats* stats) {
-  require(config.min_q >= 0 && config.min_q <= config.max_q,
-          "run_inventory: invalid q bounds");
-  require(config.initial_q >= config.min_q && config.initial_q <= config.max_q,
-          "run_inventory: initial q out of bounds");
-
-  std::vector<std::uint8_t> pending(population.begin(), population.end());
-  std::vector<std::uint8_t> identified;
-  InventoryStats local;
-  int q = config.initial_q;
-  std::uint64_t nonce = config.seed;
-
-  for (int frame = 0; frame < config.max_frames && !pending.empty(); ++frame) {
-    ++local.frames;
-    ++nonce;
-    const std::size_t slot_count = std::size_t{1} << q;
-    local.slots += slot_count;
-
-    // Which nodes answer in which slot this frame.
-    std::map<std::size_t, std::vector<std::uint8_t>> slots;
-    for (std::uint8_t id : pending)
-      slots[inventory_slot(id, nonce, slot_count)].push_back(id);
-
-    std::size_t frame_singletons = 0, frame_collisions = 0;
-    std::array<bool, 256> won{};  // ids identified this frame
-    for (const auto& [slot, ids] : slots) {
-      if (ids.size() == 1) {
-        ++frame_singletons;
-        identified.push_back(ids.front());
-        won[ids.front()] = true;
-      } else {
-        ++frame_collisions;
-      }
-    }
-    // Swap-and-compact the identified ids out of `pending` in one pass.  The
-    // old erase(find(...)) per singleton was O(n^2) per frame; this is O(n).
-    // Relative order of `pending` is not preserved, which is fine: slot
-    // assignment hashes (id, nonce) and never looks at list order.
-    for (std::size_t i = 0; i < pending.size();) {
-      if (won[pending[i]]) {
-        pending[i] = pending.back();
-        pending.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    const std::size_t frame_empties =
-        slot_count - frame_singletons - frame_collisions;
-    local.singletons += frame_singletons;
-    local.collisions += frame_collisions;
-    local.empties += frame_empties;
-
-    q = adapt_q(q, frame_collisions, frame_empties, frame_singletons,
-                config.min_q, config.max_q);
+  AlohaRun run(population, config);
+  std::vector<std::vector<std::uint8_t>> by_slot;
+  while (!run.done()) {
+    run.announce(by_slot);
+    run.close(by_slot);
   }
-
-  if (stats != nullptr) *stats = local;
-  return identified;
+  if (stats != nullptr) *stats = run.stats();
+  return run.identified();
 }
 
 std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population,
@@ -99,36 +118,19 @@ std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population
                                         sim::Timeline& timeline,
                                         const TimedInventoryOptions& options,
                                         InventoryStats* stats) {
-  require(config.min_q >= 0 && config.min_q <= config.max_q,
-          "run_inventory: invalid q bounds");
-  require(config.initial_q >= config.min_q && config.initial_q <= config.max_q,
-          "run_inventory: initial q out of bounds");
   require(options.frame_announce_s >= 0.0 && options.slot_s >= 0.0,
           "run_inventory: negative timing");
-
-  std::vector<std::uint8_t> pending(population.begin(), population.end());
-  std::vector<std::uint8_t> identified;
-  InventoryStats local;
-  int q = config.initial_q;
-  std::uint64_t nonce = config.seed;
-
-  for (int frame = 0; frame < config.max_frames && !pending.empty(); ++frame) {
-    ++local.frames;
-    ++nonce;
-    const std::size_t slot_count = std::size_t{1} << q;
-    local.slots += slot_count;
-
+  AlohaRun run(population, config);
+  std::vector<std::vector<std::uint8_t>> by_slot;
+  std::vector<std::vector<std::uint8_t>> replies;
+  while (!run.done()) {
     timeline.elapse(options.frame_announce_s, "mac.inventory.frame");
     const double frame_start = timeline.now();
-
-    // Slot assignment is fixed at the frame announcement (the node PRNG is
-    // seeded by the query nonce); *whether* a node actually replies is only
-    // known when its slot fires, because it may have browned out since.
-    std::vector<std::vector<std::uint8_t>> by_slot(slot_count);
-    for (std::uint8_t id : pending)
-      by_slot[inventory_slot(id, nonce, slot_count)].push_back(id);
-
-    std::vector<std::vector<std::uint8_t>> replies(slot_count);
+    run.announce(by_slot);
+    const std::size_t slot_count = by_slot.size();
+    replies.assign(slot_count, {});
+    // A node replies only if it is still available when its slot fires: it
+    // may have browned out since the announcement.
     for (std::size_t k = 0; k < slot_count; ++k) {
       const double slot_end =
           frame_start + static_cast<double>(k + 1) * options.slot_s;
@@ -146,38 +148,10 @@ std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population
     // the slots at their own timestamps.
     timeline.run_until(frame_start +
                        static_cast<double>(slot_count) * options.slot_s);
-
-    std::size_t frame_singletons = 0, frame_collisions = 0;
-    std::array<bool, 256> won{};  // ids identified this frame
-    for (std::size_t k = 0; k < slot_count; ++k) {
-      if (replies[k].size() == 1) {
-        ++frame_singletons;
-        identified.push_back(replies[k].front());
-        won[replies[k].front()] = true;
-      } else if (replies[k].size() > 1) {
-        ++frame_collisions;
-      }
-    }
-    for (std::size_t i = 0; i < pending.size();) {
-      if (won[pending[i]]) {
-        pending[i] = pending.back();
-        pending.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    const std::size_t frame_empties =
-        slot_count - frame_singletons - frame_collisions;
-    local.singletons += frame_singletons;
-    local.collisions += frame_collisions;
-    local.empties += frame_empties;
-
-    q = adapt_q(q, frame_collisions, frame_empties, frame_singletons,
-                config.min_q, config.max_q);
+    run.close(replies);
   }
-
-  if (stats != nullptr) *stats = local;
-  return identified;
+  if (stats != nullptr) *stats = run.stats();
+  return run.identified();
 }
 
 }  // namespace pab::mac

@@ -50,8 +50,50 @@ struct InventoryStats {
                                          std::uint64_t frame_nonce,
                                          std::size_t slot_count);
 
-// Run framed slotted ALOHA over `population` (node ids).  Returns the
-// identified ids in discovery order.  `stats` (optional) receives counters.
+// The framed-slotted-ALOHA state machine every inventory driver shares: it
+// owns the pending and identified ids, the stats, q and the frame nonce.  A
+// driver only supplies the clock -- it announces a frame, decides which of
+// the assigned ids actually reply in each slot (all of them, or those still
+// powered when the slot fires), and closes the frame.
+class AlohaRun {
+ public:
+  AlohaRun(std::span<const std::uint8_t> population,
+           const InventoryConfig& config);
+
+  // Every node identified, or max_frames frames run.
+  [[nodiscard]] bool done() const;
+
+  // Open the next frame: bump the nonce, count the frame and its 2^q slots,
+  // and fill `by_slot` (resized to 2^q) with the pending ids each slot's
+  // hash assigns.  Slot assignment is fixed here (the node PRNG is seeded by
+  // the query nonce); whether a node replies is up to the driver.
+  void announce(std::vector<std::vector<std::uint8_t>>& by_slot);
+
+  // Tally the announced frame from the ids that replied in each slot: a
+  // singleton identifies its node, unless `corrupted[k]` is set -- the reader
+  // then sees a CRC failure and counts the slot as a collision.  Identified
+  // ids leave `pending` and q adapts.
+  void close(std::span<const std::vector<std::uint8_t>> replies,
+             std::span<const std::uint8_t> corrupted = {});
+
+  // Identified ids in discovery order.
+  [[nodiscard]] const std::vector<std::uint8_t>& identified() const {
+    return identified_;
+  }
+  [[nodiscard]] const InventoryStats& stats() const { return stats_; }
+
+ private:
+  InventoryConfig config_;
+  std::vector<std::uint8_t> pending_;
+  std::vector<std::uint8_t> identified_;
+  InventoryStats stats_;
+  int q_ = 0;
+  std::uint64_t nonce_ = 0;
+};
+
+// Run framed slotted ALOHA over `population` (node ids), every assigned node
+// replying in its slot.  Returns the identified ids in discovery order.
+// `stats` (optional) receives counters.
 [[nodiscard]] std::vector<std::uint8_t> run_inventory(
     std::span<const std::uint8_t> population, const InventoryConfig& config = {},
     InventoryStats* stats = nullptr);

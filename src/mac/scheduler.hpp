@@ -84,8 +84,6 @@ class PollScheduler {
                          obs::MetricRegistry* metrics = nullptr,
                          sim::Timeline* timeline = nullptr);
 
-  void set_timeline(sim::Timeline* timeline) { timeline_ = timeline; }
-
   // Execute one query with retries; updates stats with airtime accounting.
   // `uplink_bits` and `uplink_bitrate` size the response airtime.  Uplink
   // airtime is charged only for attempts where a reply actually arrived

@@ -1,7 +1,6 @@
 #include "mac/zones.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "sim/timeline.hpp"
@@ -39,33 +38,25 @@ struct SlotWindow {
   std::vector<std::uint8_t> ids;
 };
 
-// Per-slot SINR verdict, decided at the slot's fire time (when every window
-// overlapping it is guaranteed registered -- any overlapping frame was
-// announced strictly before the slot ends).
-enum class SlotVerdict : std::uint8_t { kNotEvaluated, kClean, kCorrupted };
-
-// Per-zone inventory state machine.  `t_local` mirrors, operation for
-// operation, the clock of the old per-zone sub-timeline: frame announcements
-// add frame_announce_s, frame ends land on frame_start + slots * slot_s, and
-// every event is scheduled on the master timeline at round_start + t_local --
-// so availability predicates observe bit-identical absolute timestamps and
-// the interference-off schedule reproduces the isolated-zone results exactly.
+// One zone's clock around its slotted-ALOHA state machine.  `t_local`
+// mirrors, operation for operation, the clock of the old per-zone
+// sub-timeline: frame announcements add frame_announce_s, frame ends land on
+// frame_start + slots * slot_s, and every event is scheduled on the master
+// timeline at round_start + t_local -- so availability predicates observe
+// bit-identical absolute timestamps and the interference-off schedule
+// reproduces the isolated-zone results exactly.
 struct ZoneRun {
   std::uint32_t zone_id = 0;
   const std::vector<std::uint32_t>* members = nullptr;
   double carrier_hz = 0.0;
-  InventoryConfig config;  // seed already mixed per zone
-  std::vector<std::uint8_t> pending;
-  std::vector<std::uint8_t> identified;
-  InventoryStats stats;
-  int q = 0;
-  std::uint64_t nonce = 0;
-  int frames_run = 0;
+  AlohaRun aloha;  // seeded per zone
   double t_local = 0.0;
-  std::vector<std::vector<std::uint8_t>> by_slot;  // frame scratch
-  std::vector<std::vector<std::uint8_t>> replies;
-  std::vector<SlotVerdict> verdict;
-  bool done = false;
+  std::vector<std::vector<std::uint8_t>> by_slot{};  // frame scratch
+  std::vector<std::vector<std::uint8_t>> replies{};
+  // Per-slot flag: a singleton's SINR missed the capture threshold.  Decided
+  // at the slot's fire time, when every window overlapping the slot is
+  // registered (any overlapping frame was announced before the slot ends).
+  std::vector<std::uint8_t> corrupted{};
 };
 
 // Shared state of one concurrent round.
@@ -134,48 +125,13 @@ double slot_sinr_db(const RoundState& rs, const ZoneRun& z, std::uint32_t node,
 
 void schedule_frame(ZoneRun& z, RoundState& rs, sim::Timeline& tl);
 
-// Frame-end bookkeeping: outcomes, q adaptation, compaction, and either the
-// next frame announcement or zone completion.  Runs inside the final slot
+// Frame end: close the frame (a singleton drowned by concurrent zones is a
+// CRC failure, which the reader retries like a collision), then either
+// announce the next frame or complete the zone.  Runs inside the final slot
 // event of the frame, whose fire time is exactly the frame end.
 void finish_frame(ZoneRun& z, RoundState& rs, sim::Timeline& tl) {
-  const std::size_t slot_count = z.replies.size();
-  std::size_t frame_singletons = 0, frame_collisions = 0;
-  std::array<bool, 256> won{};  // ids identified this frame
-  for (std::size_t k = 0; k < slot_count; ++k) {
-    if (z.replies[k].size() == 1) {
-      if (z.verdict[k] == SlotVerdict::kCorrupted) {
-        // The reply was drowned by concurrent zones: the reader sees a CRC
-        // failure, indistinguishable from a collision, and retries the node
-        // in a later frame.
-        ++frame_collisions;
-      } else {
-        ++frame_singletons;
-        z.identified.push_back(z.replies[k].front());
-        won[z.replies[k].front()] = true;
-      }
-    } else if (z.replies[k].size() > 1) {
-      ++frame_collisions;
-    }
-  }
-  for (std::size_t i = 0; i < z.pending.size();) {
-    if (won[z.pending[i]]) {
-      z.pending[i] = z.pending.back();
-      z.pending.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  const std::size_t frame_empties =
-      slot_count - frame_singletons - frame_collisions;
-  z.stats.singletons += frame_singletons;
-  z.stats.collisions += frame_collisions;
-  z.stats.empties += frame_empties;
-
-  z.q = adapt_q(z.q, frame_collisions, frame_empties, frame_singletons,
-                z.config.min_q, z.config.max_q);
-
-  if (z.pending.empty() || z.frames_run >= z.config.max_frames) {
-    z.done = true;
+  z.aloha.close(z.replies, z.corrupted);
+  if (z.aloha.done()) {
     tl.charge("mac.zone.inventory.busy_s", z.t_local);
     rs.busy->add(z.t_local);
     --rs.active;
@@ -200,10 +156,8 @@ void fire_slot(ZoneRun& z, RoundState& rs, sim::Timeline& tl, std::size_t k,
     const double db = slot_sinr_db(rs, z, node, slot_start_abs, tl.now());
     ++rs.evaluated;
     rs.sinr_db_sum += db;
-    if (db >= model.capture_threshold_db) {
-      z.verdict[k] = SlotVerdict::kClean;
-    } else {
-      z.verdict[k] = SlotVerdict::kCorrupted;
+    if (!(db >= model.capture_threshold_db)) {  // a NaN SINR fails too
+      z.corrupted[k] = 1;
       ++rs.corrupted;
     }
   }
@@ -226,18 +180,11 @@ void schedule_frame(ZoneRun& z, RoundState& rs, sim::Timeline& tl) {
       [&z, &rs, announce_end_local](sim::Timeline& timeline) {
         const ZonedInventoryOptions& opts = *rs.options;
         z.t_local = announce_end_local;
-        ++z.stats.frames;
-        ++z.frames_run;
-        ++z.nonce;
-        const std::size_t slot_count = std::size_t{1} << z.q;
-        z.stats.slots += slot_count;
         const double frame_start = z.t_local;
-
-        z.by_slot.assign(slot_count, {});
+        z.aloha.announce(z.by_slot);
+        const std::size_t slot_count = z.by_slot.size();
         z.replies.assign(slot_count, {});
-        z.verdict.assign(slot_count, SlotVerdict::kNotEvaluated);
-        for (const std::uint8_t id : z.pending)
-          z.by_slot[inventory_slot(id, z.nonce, slot_count)].push_back(id);
+        z.corrupted.assign(slot_count, 0);
 
         if (opts.interference.enabled) {
           // Drop windows no future slot can overlap: every slot still to
@@ -362,32 +309,23 @@ ZonedInventoryResult run_zoned_inventory(const ZoneLayout& layout,
       require(members.size() <= 200,
               "run_zoned_inventory: a zone holds more than 200 nodes (shrink "
               "the zone extent)");
-      ZoneRun run;
-      run.zone_id = static_cast<std::uint32_t>(z);
-      run.members = &members;
-      run.carrier_hz = schedule.zones[z].carrier_hz;
-      run.config = config;
       // Zone-local uint8 ids 1..members.size() map back to global indices:
       // the hierarchical addressing that lifts the flat protocol's limit.
-      run.config.seed = mix(config.seed ^ mix(static_cast<std::uint64_t>(z)));
-      require(run.config.min_q >= 0 && run.config.min_q <= run.config.max_q,
-              "run_zoned_inventory: invalid q bounds");
-      require(run.config.initial_q >= run.config.min_q &&
-                  run.config.initial_q <= run.config.max_q,
-              "run_zoned_inventory: initial q out of bounds");
-      run.q = run.config.initial_q;
-      run.nonce = run.config.seed;
-      run.pending.resize(members.size());
+      std::vector<std::uint8_t> local_ids(members.size());
       for (std::size_t k = 0; k < members.size(); ++k)
-        run.pending[k] = static_cast<std::uint8_t>(k + 1);
-      runs.push_back(std::move(run));
+        local_ids[k] = static_cast<std::uint8_t>(k + 1);
+      InventoryConfig zone_config = config;
+      zone_config.seed = mix(config.seed ^ mix(static_cast<std::uint64_t>(z)));
+      runs.push_back(ZoneRun{.zone_id = static_cast<std::uint32_t>(z),
+                             .members = &members,
+                             .carrier_hz = schedule.zones[z].carrier_hz,
+                             .aloha = AlohaRun(local_ids, zone_config)});
     }
     rs.zones = &runs;
 
     // `runs` is stable from here on: callbacks hold references into it.
     for (ZoneRun& z : runs) {
-      if (z.config.max_frames <= 0) {
-        z.done = true;
+      if (z.aloha.done()) {
         timeline.charge("mac.zone.inventory.busy_s", 0.0);
         busy.add(0.0);
         continue;
@@ -407,13 +345,14 @@ ZonedInventoryResult run_zoned_inventory(const ZoneLayout& layout,
 
     double round_wall = 0.0;
     for (const ZoneRun& z : runs) {
-      for (const std::uint8_t id : z.identified)
+      for (const std::uint8_t id : z.aloha.identified())
         out.identified.push_back((*z.members)[id - 1]);
-      out.inventory.frames += z.stats.frames;
-      out.inventory.slots += z.stats.slots;
-      out.inventory.singletons += z.stats.singletons;
-      out.inventory.collisions += z.stats.collisions;
-      out.inventory.empties += z.stats.empties;
+      const InventoryStats& stats = z.aloha.stats();
+      out.inventory.frames += stats.frames;
+      out.inventory.slots += stats.slots;
+      out.inventory.singletons += stats.singletons;
+      out.inventory.collisions += stats.collisions;
+      out.inventory.empties += stats.empties;
       round_wall = std::max(round_wall, z.t_local);
     }
     out.corrupted_slots += rs.corrupted;

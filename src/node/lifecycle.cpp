@@ -19,9 +19,6 @@ void NodeLifecycle::attach(sim::Timeline& timeline, double until_s) {
   require(until_s >= timeline.now(), "NodeLifecycle: horizon in the past");
   attached_ = true;
   until_s_ = until_s;
-  // The node's timestamped ledger feeds interval queries and the event-log
-  // reconstruction audit.
-  harvester_.ledger().record_entries(true);
   // First tick fires immediately: it integrates [now, now + tick).
   timeline.schedule_at(timeline.now(), "node.tick",
                        [this](sim::Timeline& tl) { tick(tl); }, config_.tick_s);
@@ -30,9 +27,8 @@ void NodeLifecycle::attach(sim::Timeline& timeline, double until_s) {
 void NodeLifecycle::tick(sim::Timeline& timeline) {
   const double t = timeline.now();
   const double p = config_.harvest_power_w(t);
-  const auto step =
-      harvester_.step_at(t, config_.tick_s, p, config_.idle_load_w,
-                         config_.v_ceiling);
+  const auto step = harvester_.step(config_.tick_s, p, config_.idle_load_w,
+                                    config_.v_ceiling);
   // Mirror exactly what the ledger booked into the event log so the audit's
   // reconstruction ("energy.<category>" entries summed in log order) matches
   // the live ledger bit for bit.

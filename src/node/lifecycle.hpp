@@ -7,7 +7,7 @@
 // expresses that trajectory as self-rescheduling tick events on the shared
 // sim::Timeline: each tick integrates the harvester over the elapsed
 // interval at the *event's* timestamp (so the harvest power can be sampled
-// from a time-varying channel), books the joules into the node's timestamped
+// from a time-varying channel), books the joules into the node's
 // EnergyLedger, mirrors them into the timeline event log ("energy.harvested",
 // "energy.idle"), and logs "node.power_up" / "node.brownout" markers (value =
 // node id) on state transitions.

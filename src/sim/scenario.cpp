@@ -14,6 +14,10 @@ Scenario Scenario::pool_a() {
 Scenario Scenario::pool_b() {
   Scenario s;
   s.medium.tank = channel::make_pool_b();
+  // The default node (x = 1.6 m) would sit outside the 1.2 m wide corridor;
+  // put it on the corridor axis.  The default projector and hydrophone
+  // already lie inside.
+  s.field = NodeField::single({0.6, 2.2, 0.65});
   return s;
 }
 

@@ -94,13 +94,19 @@ Session::Session(Scenario scenario, obs::MetricRegistry* metrics)
 
   // The network simulator is only constructible when every node position lies
   // inside the tank; otherwise leave it unset and let run_network report it.
+  // Uplink trials trace projector -> node 0 -> hydrophone, so those three
+  // must lie inside as well, or uplink_into reports it.
+  const channel::Tank& tank = scenario_.medium.tank;
   std::vector<channel::Vec3> nodes;
   nodes.reserve(scenario_.node_count());
   bool placeable = true;
   for (std::size_t j = 0; j < scenario_.node_count(); ++j) {
     nodes.push_back(scenario_.node_position(j));
-    placeable = placeable && scenario_.medium.tank.contains(nodes.back());
+    placeable = placeable && tank.contains(nodes.back());
   }
+  uplink_placeable_ = !nodes.empty() && tank.contains(nodes.front()) &&
+                      tank.contains(scenario_.reader.projector) &&
+                      tank.contains(scenario_.reader.hydrophone);
   if (placeable) {
     network_.emplace(scenario_.medium, scenario_.reader.projector,
                      scenario_.reader.hydrophone, std::move(nodes),
@@ -217,6 +223,10 @@ pab::Expected<bool> Session::uplink_into(std::uint64_t trial, TrialContext& ctx,
   if (front_ends_.empty())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "scenario has no front ends"};
+  if (!uplink_placeable_)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "projector, hydrophone and node 0 must lie inside the "
+                      "tank"};
   const Waveform& w = scenario_.waveform;
   pab::Rng rng = trial_rng(trial);
   out.sent.resize(w.payload_bits);  // reuses capacity in steady state

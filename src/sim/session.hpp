@@ -178,15 +178,17 @@ class Session {
   // Unified entry point, compile-time kind: one trial of kind K with a typed
   // result.  kUplink draws `waveform.payload_bits` random bits, simulates the
   // backscatter uplink, and decodes with the standard receiver (decode
-  // failures surface as the demodulator's error through Expected).  kNetwork
-  // runs one concurrent multi-node frame per the scenario's FDMA plan
-  // (requires as many front ends and carriers as nodes).  kTimeline runs one
-  // full discrete-event round: per-node lifecycles (cold-start, duty cycle,
-  // brownout/recover) tick on a trial-local Timeline while the timed
-  // inventory and then a poll round run through the same event queue, so a
-  // node that browns out mid-inventory misses its slot and rejoins after
-  // recharge.  Every kind draws all randomness from trial_rng(trial):
-  // results are bit-identical at any BatchRunner thread count.
+  // failures surface as the demodulator's error through Expected, and a
+  // projector, hydrophone or node 0 outside the tank as kInvalidArgument).
+  // kNetwork runs one concurrent multi-node frame per the scenario's FDMA
+  // plan (requires as many front ends and carriers as nodes, all inside the
+  // tank).  kTimeline runs one full discrete-event round: per-node
+  // lifecycles (cold-start, duty cycle, brownout/recover) tick on a
+  // trial-local Timeline while the timed inventory and then a poll round run
+  // through the same event queue, so a node that browns out mid-inventory
+  // misses its slot and rejoins after recharge.  Every kind draws all
+  // randomness from trial_rng(trial): results are bit-identical at any
+  // BatchRunner thread count.
   //
   // This is the one instrumented trial path: every kind counts
   // `sim.session.trials` and `sim.session.<kind>.trials` and lands one
@@ -249,6 +251,7 @@ class Session {
   std::vector<circuit::RectoPiezo> front_ends_;
   core::LinkSimulator link_;
   std::optional<core::MultiNodeSimulator> network_;  // built when placements allow
+  bool uplink_placeable_ = false;  // projector, hydrophone, node 0 in the tank
 
   using ModKey = std::tuple<std::size_t, double, double>;
   mutable std::shared_mutex modulation_mutex_;

@@ -17,28 +17,17 @@ void Timeline::record(double t, std::uint64_t seq, std::string_view label,
   ++processed_;
 }
 
-std::uint64_t Timeline::schedule_at(double t, std::string_view label,
-                                    TimelineCallback fn, double value) {
+void Timeline::schedule_at(double t, std::string_view label,
+                           TimelineCallback fn, double value) {
   require(t >= now_, "Timeline: cannot schedule in the past");
-  const std::uint64_t id = next_seq_++;
-  queue_.emplace(std::pair{t, id}, Scheduled{std::string(label), value,
-                                             std::move(fn)});
-  id_time_.emplace(id, t);
-  return id;
+  queue_.emplace(std::pair{t, next_seq_++},
+                 Scheduled{std::string(label), value, std::move(fn)});
 }
 
-std::uint64_t Timeline::schedule_in(double dt, std::string_view label,
-                                    TimelineCallback fn, double value) {
+void Timeline::schedule_in(double dt, std::string_view label,
+                           TimelineCallback fn, double value) {
   require(dt >= 0.0, "Timeline: negative delay");
-  return schedule_at(now_ + dt, label, std::move(fn), value);
-}
-
-bool Timeline::cancel(std::uint64_t id) {
-  const auto it = id_time_.find(id);
-  if (it == id_time_.end()) return false;
-  queue_.erase({it->second, id});
-  id_time_.erase(it);
-  return true;
+  schedule_at(now_ + dt, label, std::move(fn), value);
 }
 
 void Timeline::charge(std::string_view label, double value) {
@@ -63,7 +52,6 @@ bool Timeline::step() {
   now_ = t;
   Scheduled ev = std::move(it->second);
   queue_.erase(it);
-  id_time_.erase(seq);
   // Log before running the callback so a callback that schedules or charges
   // follow-ups appends strictly after its own entry.
   record(t, seq, ev.label, ev.value, TimelineEventKind::kScheduled);
@@ -85,16 +73,6 @@ void Timeline::run() {
 double Timeline::charged(std::string_view label) const {
   const auto it = sums_.find(label);
   return it == sums_.end() ? 0.0 : it->second.value();
-}
-
-double Timeline::charged_prefix(std::string_view prefix) const {
-  NeumaierSum sum;
-  for (auto it = sums_.lower_bound(prefix); it != sums_.end(); ++it) {
-    const std::string_view label = it->first;
-    if (label.substr(0, prefix.size()) != prefix) break;
-    sum.add(it->second.value());
-  }
-  return sum.value();
 }
 
 void Timeline::export_to(obs::MetricRegistry& registry,

@@ -86,17 +86,13 @@ class Timeline {
   // Schedule `fn` to run at absolute time `t` (>= now()).  When the event
   // fires it is logged as (t, seq, label, value) *before* `fn` runs, so a
   // callback that charges further events sees itself already in the log.
-  // Returns an id usable with cancel().  `fn` may be null (pure marker).
-  std::uint64_t schedule_at(double t, std::string_view label,
-                            TimelineCallback fn = nullptr, double value = 0.0);
+  // `fn` may be null (pure marker).
+  void schedule_at(double t, std::string_view label,
+                   TimelineCallback fn = nullptr, double value = 0.0);
 
   // Schedule `dt` seconds from now.
-  std::uint64_t schedule_in(double dt, std::string_view label,
-                            TimelineCallback fn = nullptr, double value = 0.0);
-
-  // Cancel a pending event; returns false if it already fired or was
-  // cancelled.  Cancelled events never appear in the log.
-  bool cancel(std::uint64_t id);
+  void schedule_in(double dt, std::string_view label,
+                   TimelineCallback fn = nullptr, double value = 0.0);
 
   // Log an instantaneous event at now() (a marker or a non-time quantity such
   // as mirrored joules).  Does not advance the clock.
@@ -135,9 +131,6 @@ class Timeline {
   // Exact (Neumaier) sum of `value` over all processed events with this
   // label; 0.0 for labels never charged.
   [[nodiscard]] double charged(std::string_view label) const;
-  // Exact sum over all labels starting with `prefix` (e.g. "mac." for total
-  // MAC airtime).  Summed in lexicographic label order -- deterministic.
-  [[nodiscard]] double charged_prefix(std::string_view prefix) const;
 
   // Publish `<prefix>.events_processed`, `<prefix>.simulated_s`, and
   // `<prefix>.pending` gauges (bench sidecars).
@@ -159,7 +152,6 @@ class Timeline {
   // Pending events keyed by (time, seq): std::map iteration *is* the stable
   // (time, sequence) fire order, with no hash- or pointer-order to leak in.
   std::map<std::pair<double, std::uint64_t>, Scheduled> queue_;
-  std::map<std::uint64_t, double> id_time_;  // pending id -> scheduled time
   std::vector<TimelineEvent> log_;
   std::map<std::string, NeumaierSum, std::less<>> sums_;
   std::size_t processed_ = 0;

@@ -41,6 +41,18 @@ campaign::CampaignSpec small_uplink_spec() {
   return spec;
 }
 
+// Node 0 moved 5 m along x, out of Pool A's 3 m width: every trial is a
+// misplaced scenario.
+campaign::CampaignSpec node_outside_tank_spec() {
+  campaign::CampaignSpec spec;
+  spec.name = "test-outside";
+  spec.preset = "pool_a";
+  spec.kind = sim::TrialKind::kUplink;
+  spec.trials_per_point = 2;
+  spec.axes.push_back({"placement.node.x", {5.0}});
+  return spec;
+}
+
 campaign::CampaignSpec small_timeline_spec() {
   campaign::CampaignSpec spec;
   spec.name = "test-timeline";
@@ -508,7 +520,50 @@ TEST(CampaignExecutor, RuntimeDispatchMatchesTypedRuns) {
   EXPECT_EQ(got.demod.snr_db, typed.value().demod.snr_db);
 }
 
+// Spec text can place a node outside the tank.  Those trials are
+// kInvalidArgument rows, not an exception that aborts the campaign.
+TEST(CampaignExecutor, NodeOutsideTheTankYieldsErrorRows) {
+  const campaign::CampaignSpec spec = node_outside_tank_spec();
+  campaign::BatchExecutor executor;
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  auto sharded = executor.run(spec, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.error().message();
+  options.shard_size = 0;
+  auto whole = executor.run(spec, options);
+  ASSERT_TRUE(whole.ok()) << whole.error().message();
+  EXPECT_EQ(sharded.value().records_bytes(), whole.value().records_bytes());
+  ASSERT_EQ(sharded.value().points.size(), 1u);
+  const campaign::RecordBatch& records = sharded.value().points[0];
+  ASSERT_EQ(records.rows(), 2u);
+  for (std::size_t i = 0; i < records.rows(); ++i) {
+    EXPECT_EQ(records.ok()[i], 0) << "trial " << i;
+    EXPECT_EQ(records.error_code()[i],
+              static_cast<std::uint8_t>(pab::ErrorCode::kInvalidArgument));
+  }
+  EXPECT_NE(sharded.value().summary_json().find("\"errors\": 2"),
+            std::string::npos);
+}
+
 #ifdef PAB_WORKER_BIN
+
+TEST(CampaignProcess, NodeOutsideTheTankMatchesInProcessBytes) {
+  const campaign::CampaignSpec spec = node_outside_tank_spec();
+  campaign::BatchExecutor batch;
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  auto reference = batch.run(spec, options);
+  ASSERT_TRUE(reference.ok()) << reference.error().message();
+
+  campaign::ProcessExecutor sharded;
+  campaign::RunOptions process_options = options;
+  process_options.workers = 2;
+  process_options.worker_binary = PAB_WORKER_BIN;
+  auto result = sharded.run(spec, process_options);
+  ASSERT_TRUE(result.ok()) << result.error().message();
+  EXPECT_EQ(result.value().records_bytes(), reference.value().records_bytes());
+  EXPECT_EQ(result.value().summary_json(), reference.value().summary_json());
+}
 
 TEST(CampaignProcess, ThreeWorkerShardedRunIsByteIdenticalToInProcess) {
   const campaign::CampaignSpec spec = small_uplink_spec();

@@ -115,57 +115,31 @@ TEST(Ledger, AveragePowerZeroElapsedIsZeroNotAnError) {
   EXPECT_NEAR(ledger.average_power_w(Category::kIdle, 2.0), 5e-4, 1e-15);
 }
 
-TEST(Ledger, TimestampedEntriesAndIntervalQueries) {
-  EnergyLedger ledger;
-  ledger.record_entries(true);
-  ledger.add(0.0, Category::kIdle, 1.0);
-  ledger.add(1.5, Category::kIdle, 2.0);
-  ledger.add(1.5, Category::kHarvested, 8.0);
-  ledger.add(3.0, Category::kIdle, 4.0);
-  ASSERT_EQ(ledger.entries().size(), 4u);
-  // Interval totals are half-open [t0, t1).
-  EXPECT_NEAR(ledger.total_between(Category::kIdle, 0.0, 1.5), 1.0, 1e-15);
-  EXPECT_NEAR(ledger.total_between(Category::kIdle, 0.0, 3.0), 3.0, 1e-15);
-  EXPECT_NEAR(ledger.total_between(Category::kIdle, 0.0, 3.1), 7.0, 1e-15);
-  EXPECT_NEAR(ledger.total_between(Category::kHarvested, 1.0, 2.0), 8.0,
-              1e-15);
-  // Timestamped adds flow into the same running totals as untimed adds.
-  EXPECT_NEAR(ledger.total(Category::kIdle), 7.0, 1e-15);
-  // Time cannot run backwards.
-  EXPECT_THROW(ledger.add(2.0, Category::kIdle, 1.0), std::invalid_argument);
-  // Bad interval.
-  EXPECT_THROW(ledger.total_between(Category::kIdle, 2.0, 1.0),
-               std::invalid_argument);
-}
-
 TEST(Harvester, StepAtMatchesStepAndReportsTransitions) {
-  Harvester timed{circuit::Supercapacitor(1000e-6)};
-  Harvester untimed{circuit::Supercapacitor(1000e-6)};
-  timed.ledger().record_entries(true);
-  double t = 0.0;
+  // step() reports the power-state transition and exactly the joules it
+  // booked into the ledger, so a caller can mirror them into an event log.
+  Harvester h{circuit::Supercapacitor(1000e-6)};
   PowerEvent last = PowerEvent::kNone;
   int power_ups = 0;
+  double harvested = 0.0, consumed = 0.0;
   for (int i = 0; i < 500; ++i) {
-    const auto step = timed.step_at(t, 0.01, 1e-3, 200e-6, 5.0);
-    untimed.step(0.01, 1e-3, 200e-6, 5.0);
+    const HarvestStep step = h.step(0.01, 1e-3, 200e-6, 5.0);
     if (step.event == PowerEvent::kPowerUp) {
       ++power_ups;
       last = step.event;
     }
     EXPECT_GE(step.harvested_j, 0.0);
     EXPECT_GE(step.consumed_j, 0.0);
-    t += 0.01;
+    harvested += step.harvested_j;
+    consumed += step.consumed_j;
   }
   EXPECT_EQ(power_ups, 1);
   EXPECT_EQ(last, PowerEvent::kPowerUp);
-  EXPECT_DOUBLE_EQ(timed.capacitor_voltage(), untimed.capacitor_voltage());
-  EXPECT_DOUBLE_EQ(timed.ledger().harvested(), untimed.ledger().harvested());
-  EXPECT_DOUBLE_EQ(timed.ledger().total(Category::kIdle),
-                   untimed.ledger().total(Category::kIdle));
-  // Timestamped entries cover the whole run.
-  EXPECT_FALSE(timed.ledger().entries().empty());
-  EXPECT_NEAR(timed.ledger().total_between(Category::kHarvested, 0.0, 5.0),
-              timed.ledger().harvested(), 1e-15);
+  EXPECT_TRUE(h.powered_up());
+  // The returned joules sum, in the same order, to the ledger's totals.
+  EXPECT_EQ(harvested, h.ledger().harvested());
+  EXPECT_EQ(consumed, h.ledger().total(Category::kIdle));
+  EXPECT_GT(consumed, 0.0);  // the idle load draws once powered
 }
 
 // recharge_time_s returns Expected<double> (the old -1.0 sentinel was easy

@@ -264,6 +264,31 @@ TEST(Session, NetworkRequiresConsistentScenario) {
   EXPECT_EQ(out.error().code, ErrorCode::kInvalidArgument);
 }
 
+// Regression: pool_b() kept the Pool A node at x = 1.6 m, outside the 1.2 m
+// wide corridor, so every uplink trial threw from the tap generator.
+TEST(Session, PoolBPresetRunsUplinkTrials) {
+  const Session session(Scenario::pool_b());
+  const auto out = session.run_trial<TrialKind::kUplink>(0);
+  ASSERT_TRUE(out.ok()) << out.error().message();
+}
+
+// An uplink endpoint outside the tank is a config error reported through
+// Expected, as for kNetwork, not an exception out of the tap generator.
+TEST(Session, UplinkOutsideTheTankReturnsInvalidArgument) {
+  const Scenario inside = Scenario::pool_a();
+  Scenario far_projector = inside;
+  far_projector.reader.projector.x = 5.0;
+  Scenario far_hydrophone = inside;
+  far_hydrophone.reader.hydrophone.y = -1.0;
+  for (const Scenario& sc :
+       {inside.with_node({5.0, 2.2, 0.65}), far_projector, far_hydrophone}) {
+    const Session session(sc);
+    const auto out = session.run_trial<TrialKind::kUplink>(0);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.error().code, ErrorCode::kInvalidArgument);
+  }
+}
+
 // Wall-clock sanity: on a multi-core host the fan-out must actually help.
 // Gated on hardware concurrency so single-core CI stays meaningful.
 TEST(BatchRunner, ParallelSpeedupOnMultiCoreHosts) {

@@ -1,11 +1,12 @@
 // sim::Timeline unit tests plus the cross-layer event-driven scenarios the
 // refactor exists for: timeline-mode scheduler accounting (backoff, query
-// timeout), timed inventory equivalence, and the acceptance scenario -- a
-// node that browns out mid-inventory, misses its slot, and rejoins after
-// recharge.
+// timeout), timed inventory equivalence, the acceptance scenario -- a node
+// that browns out mid-inventory, misses its slot, and rejoins after recharge
+// -- and recorded absolute outputs of whole kTimeline trials.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "mac/zones.hpp"
 #include "node/lifecycle.hpp"
 #include "obs/metrics.hpp"
+#include "sim/scenario.hpp"
+#include "sim/session.hpp"
 #include "sim/timeline.hpp"
 
 namespace pab::sim {
@@ -28,10 +31,10 @@ TEST(Timeline, FiresInTimeOrderWithStableTieBreak) {
   };
   // Scheduled out of time order, with a deliberate tie at t = 1.0: the tie
   // must break by creation sequence (first scheduled fires first).
-  (void)tl.schedule_at(2.0, "late", mark("late"));
-  (void)tl.schedule_at(1.0, "tie_first", mark("tie_first"));
-  (void)tl.schedule_at(1.0, "tie_second", mark("tie_second"));
-  (void)tl.schedule_at(0.5, "early", mark("early"));
+  tl.schedule_at(2.0, "late", mark("late"));
+  tl.schedule_at(1.0, "tie_first", mark("tie_first"));
+  tl.schedule_at(1.0, "tie_second", mark("tie_second"));
+  tl.schedule_at(0.5, "early", mark("early"));
   tl.run();
   EXPECT_EQ(order, (std::vector<std::string>{"early", "tie_first",
                                              "tie_second", "late"}));
@@ -48,32 +51,18 @@ TEST(Timeline, FiresInTimeOrderWithStableTieBreak) {
 TEST(Timeline, RejectsTimeTravel) {
   Timeline tl;
   tl.run_until(5.0);
-  EXPECT_THROW((void)tl.schedule_at(4.0, "past"), std::invalid_argument);
-  EXPECT_THROW((void)tl.schedule_in(-0.1, "negative"), std::invalid_argument);
+  EXPECT_THROW(tl.schedule_at(4.0, "past"), std::invalid_argument);
+  EXPECT_THROW(tl.schedule_in(-0.1, "negative"), std::invalid_argument);
   EXPECT_THROW(tl.elapse(-1e-9, "negative"), std::invalid_argument);
   EXPECT_THROW(tl.run_until(4.9), std::invalid_argument);
   // Scheduling exactly at now() is allowed (a zero-delay follow-up).
-  EXPECT_NO_THROW((void)tl.schedule_at(5.0, "now"));
-}
-
-TEST(Timeline, CancelRemovesPendingEvents) {
-  Timeline tl;
-  bool fired = false;
-  const auto id =
-      tl.schedule_at(1.0, "doomed", [&fired](Timeline&) { fired = true; });
-  EXPECT_EQ(tl.pending(), 1u);
-  EXPECT_TRUE(tl.cancel(id));
-  EXPECT_EQ(tl.pending(), 0u);
-  EXPECT_FALSE(tl.cancel(id));  // already gone
-  tl.run();
-  EXPECT_FALSE(fired);
-  EXPECT_TRUE(tl.log().empty());  // cancelled events never reach the log
+  EXPECT_NO_THROW(tl.schedule_at(5.0, "now"));
 }
 
 TEST(Timeline, ElapseFiresDueEventsAtTheirOwnTimestamps) {
   Timeline tl;
   double fired_at = -1.0;
-  (void)tl.schedule_at(0.3, "mid", [&fired_at](Timeline& t) {
+  tl.schedule_at(0.3, "mid", [&fired_at](Timeline& t) {
     fired_at = t.now();
   });
   // elapse(1.0) spans the pending event: the event must fire at t = 0.3, not
@@ -98,8 +87,7 @@ TEST(Timeline, ChargedSumsByLabelAndPrefix) {
   EXPECT_DOUBLE_EQ(tl.charged("mac.downlink"), 0.5);
   EXPECT_DOUBLE_EQ(tl.charged("mac.uplink"), 0.05);
   EXPECT_DOUBLE_EQ(tl.charged("never"), 0.0);
-  EXPECT_DOUBLE_EQ(tl.charged_prefix("mac."), 0.55);
-  EXPECT_DOUBLE_EQ(tl.charged_prefix("energy."), 1e-3);
+  EXPECT_DOUBLE_EQ(tl.charged("energy.idle"), 1e-3);
   // Charges are instantaneous: the clock only moved for the elapses.
   EXPECT_DOUBLE_EQ(tl.now(), 0.55);
   EXPECT_EQ(tl.log().back().kind, TimelineEventKind::kCharge);
@@ -111,9 +99,9 @@ TEST(Timeline, CallbacksCanScheduleFollowUps) {
   int ticks = 0;
   std::function<void(Timeline&)> tick = [&](Timeline& t) {
     ++ticks;
-    if (ticks < 5) (void)t.schedule_in(0.1, "tick", tick);
+    if (ticks < 5) t.schedule_in(0.1, "tick", tick);
   };
-  (void)tl.schedule_at(0.0, "tick", tick);
+  tl.schedule_at(0.0, "tick", tick);
   tl.run();
   EXPECT_EQ(ticks, 5);
   EXPECT_NEAR(tl.now(), 0.4, 1e-12);
@@ -135,7 +123,7 @@ TEST(Timeline, LoggingToggleKeepsSums) {
 TEST(Timeline, ExportsGaugesToRegistry) {
   Timeline tl;
   tl.elapse(2.5, "work");
-  (void)tl.schedule_at(9.0, "pending");
+  tl.schedule_at(9.0, "pending");
   obs::MetricRegistry reg;
   tl.export_to(reg, "sim.timeline");
   EXPECT_DOUBLE_EQ(reg.gauge("sim.timeline.events_processed").value(), 1.0);
@@ -146,11 +134,11 @@ TEST(Timeline, ExportsGaugesToRegistry) {
 TEST(Timeline, ReplayIsBitIdentical) {
   const auto drive = [] {
     Timeline tl;
-    (void)tl.schedule_at(0.25, "a", nullptr, 1.0);
-    (void)tl.schedule_at(0.25, "b", nullptr, 2.0);
+    tl.schedule_at(0.25, "a", nullptr, 1.0);
+    tl.schedule_at(0.25, "b", nullptr, 2.0);
     tl.elapse(0.5, "work");
     tl.charge("marker", 3.0);
-    (void)tl.schedule_in(0.125, "c");
+    tl.schedule_in(0.125, "c");
     tl.run();
     return tl;
   };
@@ -158,7 +146,8 @@ TEST(Timeline, ReplayIsBitIdentical) {
   const Timeline second = drive();
   EXPECT_EQ(first.log(), second.log());
   EXPECT_EQ(first.now(), second.now());
-  EXPECT_EQ(first.charged_prefix(""), second.charged_prefix(""));
+  for (const char* label : {"a", "b", "c", "work", "marker"})
+    EXPECT_EQ(first.charged(label), second.charged(label)) << label;
 }
 
 // --- timeline-mode scheduler -------------------------------------------------
@@ -339,7 +328,7 @@ TEST(Lifecycle, BrownoutMidInventoryAndRejoin) {
   }
   EXPECT_EQ(power_up_events, 2u);
   EXPECT_EQ(brownout_events, 1u);
-  // Energy mirrored into the log agrees with the node's timestamped ledger.
+  // Energy mirrored into the log agrees with the node's ledger.
   EXPECT_NEAR(tl.charged("energy.harvested"),
               node.harvester().ledger().harvested(), 1e-15);
 }
@@ -419,6 +408,88 @@ TEST(Lifecycle, BrownedOutNodeRejoinsMidZonedRoundOnTheMasterTimeline) {
   // long wait -- and the master clock agrees.
   EXPECT_EQ(tl.now(), result.simulated_s);
   EXPECT_GT(result.simulated_s, 8.0);
+}
+
+// --- kTimeline golden --------------------------------------------------------
+
+// FNV-1a over every field of every log entry: time and value bits, seq, label
+// bytes, kind.
+std::uint64_t fnv1a_of_log(const std::vector<TimelineEvent>& log) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const TimelineEvent& e : log) {
+    mix(&e.time, sizeof e.time);
+    mix(&e.seq, sizeof e.seq);
+    mix(e.label.data(), e.label.size());
+    mix(&e.value, sizeof e.value);
+    mix(&e.kind, sizeof e.kind);
+  }
+  return h;
+}
+
+struct TimelineGolden {
+  std::uint64_t trial;
+  std::vector<std::uint8_t> identified;
+  std::size_t frames, slots, singletons, collisions, empties;
+  std::size_t attempts, successes, crc_failures, no_response, retries;
+  double payload_bits, poll_elapsed_s;
+  std::size_t events_processed;
+  double simulated_s, harvested_j, consumed_j;  // exact bits, %.17g
+  std::uint64_t log_fnv;
+};
+
+TEST(TimelineTrial, PoolAConcurrentRoundsMatchRecordedGoldens) {
+  // Absolute outputs of whole kTimeline trials at the default
+  // TimelineRoundConfig -- lifecycle ticks, timed inventory and the poll
+  // round on one event queue -- recorded before the inventory drivers were
+  // folded onto one ALOHA state machine.  Thread-count determinism is
+  // checked elsewhere; this pins the values themselves.
+  const TimelineGolden goldens[] = {
+      {0, {2, 1}, 5, 9, 2, 0, 7, 2, 2, 0, 0, 0, 32.0, 0.59199999999999997,
+       300, 1.0220000000000002, 0.0037361956256749605, 0.00016864000000000015,
+       1942437156772269567ULL},
+      {1, {1, 2}, 6, 10, 2, 0, 8, 2, 2, 0, 0, 0, 32.0, 0.59199999999999997,
+       313, 1.0920000000000001, 0.0029563919504405466, 0.00016616000000000016,
+       16087623265783704382ULL},
+      {2, {2, 1}, 5, 10, 2, 1, 7, 2, 2, 0, 0, 0, 32.0, 0.59199999999999997,
+       307, 1.042, 0.0035497322487629641, 0.00017360000000000015,
+       5285505592353666140ULL},
+      {3, {2, 1}, 6, 10, 2, 0, 8, 2, 2, 0, 0, 0, 32.0, 0.59199999999999997,
+       315, 1.0920000000000001, 0.0038321564677070981, 0.00017112000000000014,
+       4697404202334170950ULL},
+  };
+  obs::MetricRegistry registry;
+  const Session session(Scenario::pool_a_concurrent(), &registry);
+  for (const TimelineGolden& g : goldens) {
+    const auto r = session.run_trial<TrialKind::kTimeline>(g.trial);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    const TimelineRunResult& t = r.value();
+    EXPECT_EQ(t.identified, g.identified) << "trial " << g.trial;
+    EXPECT_EQ(t.inventory.frames, g.frames);
+    EXPECT_EQ(t.inventory.slots, g.slots);
+    EXPECT_EQ(t.inventory.singletons, g.singletons);
+    EXPECT_EQ(t.inventory.collisions, g.collisions);
+    EXPECT_EQ(t.inventory.empties, g.empties);
+    EXPECT_EQ(t.poll.attempts, g.attempts);
+    EXPECT_EQ(t.poll.successes, g.successes);
+    EXPECT_EQ(t.poll.crc_failures, g.crc_failures);
+    EXPECT_EQ(t.poll.no_response, g.no_response);
+    EXPECT_EQ(t.poll.retries, g.retries);
+    EXPECT_EQ(t.poll.payload_bits_delivered, g.payload_bits);
+    EXPECT_EQ(t.poll.elapsed_s, g.poll_elapsed_s);
+    EXPECT_EQ(t.events_processed, g.events_processed);
+    EXPECT_EQ(t.event_log.size(), g.events_processed);
+    EXPECT_EQ(t.simulated_s, g.simulated_s);
+    EXPECT_EQ(t.harvested_j, g.harvested_j);
+    EXPECT_EQ(t.consumed_j, g.consumed_j);
+    EXPECT_EQ(fnv1a_of_log(t.event_log), g.log_fnv);
+  }
 }
 
 }  // namespace

@@ -10,12 +10,16 @@
 #include <vector>
 
 #include "campaign/wire.hpp"
+#include "circuit/storage.hpp"
 #include "dsp/arena.hpp"
+#include "energy/harvester.hpp"
+#include "node/lifecycle.hpp"
 #include "obs/alloccount.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/batch.hpp"
 #include "sim/session.hpp"
+#include "sim/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -210,6 +214,52 @@ TEST(ZeroAlloc, BatchDispatchMetricsPathAddsNoAllocations) {
       << "metrics accounting allocates on the dispatch hot path";
   EXPECT_GE(reg.counter("sim.batch.trials").value(), 4u * (kReps + 1));
   EXPECT_GE(reg.counter("sim.batch.worker.0.trials").value(), 1u);
+}
+
+// A scheduled event owns one queue node and nothing else: a short label
+// stays in the string's inline buffer, and no index beside the queue
+// records it.
+TEST(ZeroAlloc, ScheduledTimelineEventCostsOneAllocation) {
+  sim::Timeline tl;
+  tl.set_logging(false);
+  tl.schedule_in(0.1, "slot");  // warm: the label's charge sum exists
+  tl.run();
+
+  constexpr std::uint64_t kEvents = 1000;
+  std::uint64_t fired = 0;
+  const obs::AllocScope scope;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    tl.schedule_in(0.1, "slot");
+    fired += tl.step() ? 1 : 0;
+  }
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_EQ(allocations, kEvents);
+}
+
+// A warm lifecycle tick books its joules into running totals and reschedules
+// itself: the next tick's queue node is its only allocation.
+TEST(ZeroAlloc, WarmLifecycleTickCostsOneAllocation) {
+  sim::Timeline tl;
+  tl.set_logging(false);
+  node::LifecycleConfig lc;
+  lc.harvest_power_w = [](double) { return 1e-3; };
+  node::NodeLifecycle life(
+      1, energy::Harvester{circuit::Supercapacitor(1000e-6)}, lc);
+  life.attach(tl, 1e9);
+  // Warm past the cold start (~3.1 s at 10 ms ticks), so every label a tick
+  // charges already has its sum.
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(tl.step());
+  ASSERT_TRUE(life.powered());
+
+  constexpr std::uint64_t kTicks = 2000;
+  std::uint64_t fired = 0;
+  const obs::AllocScope scope;
+  for (std::uint64_t i = 0; i < kTicks; ++i) fired += tl.step() ? 1 : 0;
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_EQ(fired, kTicks);
+  EXPECT_EQ(allocations, kTicks);
+  EXPECT_TRUE(life.powered());
 }
 
 // read_frame trusts nothing in the length prefix: a frame that claims 1 GiB
