@@ -53,12 +53,17 @@ LinkSimulator::LinkSimulator(SimConfig config, Placement placement,
 
 void LinkSimulator::set_metrics(obs::MetricRegistry* metrics) {
   metrics_ = metrics;
-  t_uplink_run_ = metrics != nullptr
-                      ? &metrics->histogram("core.link.uplink_run_seconds")
-                      : nullptr;
-  t_decode_ = metrics != nullptr
-                  ? &metrics->histogram("core.link.decode_seconds")
-                  : nullptr;
+  const auto timer = [metrics](const char* name) {
+    return metrics != nullptr ? &metrics->histogram(name) : nullptr;
+  };
+  t_uplink_run_ = timer("core.link.uplink_run_seconds");
+  t_decode_ = timer("core.link.decode_seconds");
+  t_switch_ = timer("core.link.synth.switch_seconds");
+  t_cw_ = timer("core.link.synth.cw_seconds");
+  t_taps_ = timer("core.link.synth.taps_seconds");
+  t_scatter_ = timer("core.link.synth.scatter_seconds");
+  t_upconvert_ = timer("core.link.synth.upconvert_seconds");
+  t_noise_ = timer("core.link.synth.noise_seconds");
 }
 
 const std::vector<channel::PathTap>& LinkSimulator::taps(const channel::Vec3& a,
@@ -90,7 +95,10 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   // modulation scheme.
   auto sw = arena.alloc<phy::SwitchState>(
       phy::scheme_waveform_length(cfg.scheme, data_bits.size(), cfg.bitrate, fs));
-  phy::scheme_waveform_into(cfg.scheme, data_bits, cfg.bitrate, fs, sw, arena);
+  {
+    const obs::ScopedTimer timer(t_switch_);
+    phy::scheme_waveform_into(cfg.scheme, data_bits, cfg.bitrate, fs, sw, arena);
+  }
 
   const double packet_s = static_cast<double>(sw.size()) / fs;
   const double total_s = cfg.node_start_s + packet_s + cfg.tail_s;
@@ -98,37 +106,46 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   // Projector CW envelope (amplitude = pressure at 1 m).
   auto tx_samples =
       arena.alloc<dsp::cplx>(Projector::cw_envelope_length(total_s, fs));
-  projector.cw_envelope_into(f, fs, /*lead_silence_s=*/0.0, tx_samples);
+  {
+    const obs::ScopedTimer timer(t_cw_);
+    projector.cw_envelope_into(f, fs, /*lead_silence_s=*/0.0, tx_samples);
+  }
   const dsp::CplxView tx(tx_samples, fs, f);
 
   // Propagate to the node and the hydrophone (memoized tap sets).
   const auto& taps_pn = taps(placement_.projector, placement_.node, f);
   const auto& taps_ph = taps(placement_.projector, placement_.hydrophone, f);
   const auto& taps_nh = taps(placement_.node, placement_.hydrophone, f);
+  const auto propagate = [&](const dsp::CplxView& in,
+                             const std::vector<channel::PathTap>& path) {
+    const obs::ScopedTimer timer(t_taps_);
+    return channel::apply_taps_baseband(in, path, arena);
+  };
 
-  const dsp::CplxView at_node = channel::apply_taps_baseband(tx, taps_pn, arena);
-  const dsp::CplxView direct = channel::apply_taps_baseband(tx, taps_ph, arena);
+  const dsp::CplxView at_node = propagate(tx, taps_pn);
+  const dsp::CplxView direct = propagate(tx, taps_ph);
 
   const dsp::cplx g_refl = states.g_reflective;
   const dsp::cplx g_abs = states.g_absorptive;
 
   const auto start_i = static_cast<std::size_t>(cfg.node_start_s * fs);
   auto scattered_samples = arena.alloc<dsp::cplx>(at_node.size());
-  for (std::size_t i = 0; i < at_node.size(); ++i) {
-    dsp::cplx g = g_abs;  // idle switch open = absorptive/matched state
-    if (i >= start_i && i - start_i < sw.size() &&
-        sw[i - start_i] == phy::SwitchState::kReflective) {
-      g = g_refl;
+  {
+    const obs::ScopedTimer timer(t_scatter_);
+    for (std::size_t i = 0; i < at_node.size(); ++i) {
+      dsp::cplx g = g_abs;  // idle switch open = absorptive/matched state
+      if (i >= start_i && i - start_i < sw.size() &&
+          sw[i - start_i] == phy::SwitchState::kReflective) {
+        g = g_refl;
+      }
+      scattered_samples[i] = at_node[i] * g;
     }
-    scattered_samples[i] = at_node[i] * g;
   }
-  const dsp::CplxView backscatter = channel::apply_taps_baseband(
-      dsp::CplxView(scattered_samples, fs, f), taps_nh, arena);
+  const dsp::CplxView backscatter =
+      propagate(dsp::CplxView(scattered_samples, fs, f), taps_nh);
 
   // Hydrophone: passband voltage with ambient noise.
   const std::size_t n = std::max(direct.size(), backscatter.size());
-  out.hydrophone_v.sample_rate = fs;
-  out.hydrophone_v.samples.resize(n);  // reuses capacity in steady state
   const double sens = config_.hydrophone.volts_per_pascal();
   const double noise_sd = config_.noise.sample_stddev_pa(fs);
   // Recording-clock offset (paper footnote 12): in the recorder's time base
@@ -143,17 +160,25 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   // the RNG draw sequence all match the fused reference loop, so the scalar
   // table stays bit-identical.
   auto combined = arena.alloc<dsp::cplx>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dsp::cplx env{};
-    if (i < direct.size()) env += direct[i];
-    if (i < backscatter.size()) env += backscatter[i];
-    combined[i] = env;
-  }
   auto carrier = arena.alloc<double>(n);
-  dsp::simd::mix_up(combined, w, carrier);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pressure = carrier[i] + rng.gaussian(0.0, noise_sd);
-    out.hydrophone_v.samples[i] = sens * pressure;
+  {
+    const obs::ScopedTimer timer(t_upconvert_);
+    for (std::size_t i = 0; i < n; ++i) {
+      dsp::cplx env{};
+      if (i < direct.size()) env += direct[i];
+      if (i < backscatter.size()) env += backscatter[i];
+      combined[i] = env;
+    }
+    dsp::simd::mix_up(combined, w, carrier);
+  }
+  {
+    const obs::ScopedTimer timer(t_noise_);
+    out.hydrophone_v.sample_rate = fs;
+    out.hydrophone_v.samples.resize(n);  // reuses capacity in steady state
+    for (std::size_t i = 0; i < n; ++i) {
+      const double pressure = carrier[i] + rng.gaussian(0.0, noise_sd);
+      out.hydrophone_v.samples[i] = sens * pressure;
+    }
   }
 
   out.sent_bits.assign(data_bits.begin(), data_bits.end());

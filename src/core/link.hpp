@@ -130,8 +130,11 @@ class LinkSimulator {
   }
 
   // Attach a metrics registry: times the waveform synthesis and decode stages
-  // (`core.link.*`, `phy.demod.*`) of every subsequent run.  The registry
-  // must outlive the simulator; null detaches.
+  // (`core.link.*`, `phy.demod.*`) of every subsequent run, and inside
+  // run_uplink_into each synthesis stage (`core.link.synth.*_seconds`:
+  // switch, cw, taps -- one sample per tap convolution, three per run --
+  // scatter, upconvert, noise).  The registry must outlive the simulator;
+  // null detaches.
   void set_metrics(obs::MetricRegistry* metrics);
 
  private:
@@ -141,6 +144,12 @@ class LinkSimulator {
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Histogram* t_uplink_run_ = nullptr;   // waveform synthesis per trial
   obs::Histogram* t_decode_ = nullptr;       // full receiver chain per trial
+  obs::Histogram* t_switch_ = nullptr;       // synthesis stages
+  obs::Histogram* t_cw_ = nullptr;
+  obs::Histogram* t_taps_ = nullptr;
+  obs::Histogram* t_scatter_ = nullptr;
+  obs::Histogram* t_upconvert_ = nullptr;
+  obs::Histogram* t_noise_ = nullptr;
 };
 
 }  // namespace pab::core

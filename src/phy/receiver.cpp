@@ -74,6 +74,7 @@ SchemeDemodulator::SchemeDemodulator(SchemeConfig config) : config_(config) {
     n_ok_ = &m.counter("phy.demod.ok");
     n_no_preamble_ = &m.counter("phy.demod.no_preamble");
     n_decode_failures_ = &m.counter("phy.demod.decode_failures");
+    n_rescored_ = &m.counter("phy.demod.rescored_windows");
   }
 }
 
@@ -106,6 +107,11 @@ Expected<bool> SchemeDemodulator::demodulate_envelope_into(
   if (!(spc >= 2.0))
     return Error{ErrorCode::kInvalidArgument,
                  "demodulate: fewer than 2 samples per chip"};
+  // One NaN or Inf sample would otherwise steer detection or poison the
+  // quality metrics while the decode still reports success.
+  if (!std::ranges::all_of(envelope, [](double v) { return std::isfinite(v); }))
+    return Error{ErrorCode::kInvalidArgument,
+                 "demodulate: non-finite envelope sample"};
   const auto frame = scratch.frame();
   // The packet spans the scheme's on-air length at the envelope rate.
   const auto amp = acquire(
@@ -161,8 +167,7 @@ Expected<double> SchemeDemodulator::acquire(std::span<const double> envelope,
   if (envelope.size() < packet_samples)
     return no_preamble("capture shorter than one packet");
 
-  std::size_t start = 0;
-  double best_corr = -1e300;
+  dsp::CorrPeak peak;
   {
     const obs::ScopedTimer timer(t_correlate_);
     // Preamble template at envelope rate.
@@ -176,28 +181,24 @@ Expected<double> SchemeDemodulator::acquire(std::span<const double> envelope,
     }
 
     // Windowed Pearson correlation: immune to the un-modulated carrier offset
-    // beneath the packet and to level transients at the capture edges.
-    const std::size_t corr_len =
+    // beneath the packet and to level transients at the capture edges.  Only
+    // the starts after which the whole packet still fits are scored.
+    std::size_t n_windows =
         dsp::correlation_length(envelope.size(), tmpl.size());
-    if (corr_len == 0 || tmpl.size() < 2)
+    if (n_windows == 0 || tmpl.size() < 2)
       return no_preamble("correlation empty");
-    auto corr = scratch.alloc<double>(corr_len);
-    dsp::pearson_correlation_into(envelope, tmpl, corr);
-
-    std::size_t search_end = corr.size();
     if (packet_samples < envelope.size())
-      search_end = std::min(search_end, envelope.size() - packet_samples + 1);
-    for (std::size_t i = 0; i < search_end; ++i) {
-      const double m = std::abs(corr[i]);
-      if (m > best_corr) { best_corr = m; start = i; }
-    }
+      n_windows = std::min(n_windows, envelope.size() - packet_samples + 1);
+    peak = dsp::pearson_peak(envelope, tmpl, n_windows, scratch);
+    if (n_rescored_ != nullptr) n_rescored_->add(peak.rescored);
   }
-  if (best_corr < config_.demod.detect_threshold)
+  if (peak.corr < config_.demod.detect_threshold)
     return no_preamble("no preamble above threshold");
 
   const obs::ScopedTimer timer(t_chanest_);
   auto pre_soft = scratch.alloc<double>(n_pre_chips);
-  integrate_chips_into(envelope, static_cast<double>(start), spc, pre_soft);
+  integrate_chips_into(envelope, static_cast<double>(peak.index), spc,
+                       pre_soft);
   double hi = 0.0, lo = 0.0;
   std::size_t nhi = 0, nlo = 0;
   for (std::size_t c = 0; c < n_pre_chips; ++c) {
@@ -209,8 +210,8 @@ Expected<double> SchemeDemodulator::acquire(std::span<const double> envelope,
   lo /= static_cast<double>(nlo);
   const double amp = (hi - lo) / 2.0;
   if (amp == 0.0) return decode_failure("zero modulation depth");
-  out.start_sample = start;
-  out.preamble_corr = best_corr;
+  out.start_sample = peak.index;
+  out.preamble_corr = peak.corr;
   out.channel_amp = std::abs(amp);
   out.mid_level = (hi + lo) / 2.0;
   return amp;

@@ -109,7 +109,8 @@ struct SchemeConfig {
 // estimation and the `phy.demod.*` counters and stage timers are shared.
 //
 // Errors come back as Expected: kNoPreamble, kDecodeFailure, and
-// kInvalidArgument when the capture has fewer than 2 samples per FM0 chip.
+// kInvalidArgument when the capture has fewer than 2 samples per FM0 chip or
+// any envelope sample is NaN or infinite.
 // The *_into forms carve every intermediate waveform from `scratch` and
 // release it before returning; decoded bits land in out.bits, which only
 // allocates when its capacity grows, so steady-state decodes allocate
@@ -143,11 +144,12 @@ class SchemeDemodulator {
 
  private:
   // Count the attempt, find the preamble and estimate the two-level channel.
-  // Detection takes the |corr| argmax of the windowed Pearson correlation
-  // over the starts after which `packet_samples` still fit, then applies
-  // the detect threshold.  Fills out.{start_sample, preamble_corr,
-  // channel_amp, mid_level} and returns the signed half-swing (negative: an
-  // anti-phase backscatter component inverted the levels).
+  // Detection takes the first |corr| maximum of the windowed Pearson
+  // correlation (dsp::pearson_peak) over the starts after which
+  // `packet_samples` still fit, then applies the detect threshold.  Fills
+  // out.{start_sample, preamble_corr, channel_amp, mid_level} and returns
+  // the signed half-swing (negative: an anti-phase backscatter component
+  // inverted the levels).
   [[nodiscard]] Expected<double> acquire(std::span<const double> envelope,
                                          double samples_per_chip,
                                          std::size_t packet_samples,
@@ -184,6 +186,7 @@ class SchemeDemodulator {
   obs::Counter* n_ok_ = nullptr;
   obs::Counter* n_no_preamble_ = nullptr;
   obs::Counter* n_decode_failures_ = nullptr;
+  obs::Counter* n_rescored_ = nullptr;
 };
 
 }  // namespace pab::phy

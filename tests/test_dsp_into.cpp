@@ -5,20 +5,28 @@
 // and the Monte-Carlo determinism suite depends on it.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <limits>
 #include <vector>
 
 #include "channel/propagation.hpp"
 #include "channel/tank.hpp"
+#include "circuit/rectopiezo.hpp"
+#include "core/link.hpp"
 #include "core/projector.hpp"
 #include "dsp/arena.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/iir.hpp"
 #include "dsp/mixer.hpp"
+#include "dsp/simd.hpp"
 #include "phy/fm0.hpp"
+#include "phy/fsk.hpp"
 #include "phy/packet.hpp"
 #include "phy/scheme.hpp"
+#include "sim/scenario.hpp"
+#include "pearson_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -86,14 +94,23 @@ TEST(DspInto, DownconvertFilteredArenaMatchesWrapper) {
 }
 
 TEST(DspInto, CorrelationsMatchWrappers) {
+  // pearson_peak over every prefix of starts is the full scan's first
+  // maximum: same index, same double.
   Rng rng(109);
   const auto x = random_vec(rng, 500);
   const auto t = random_vec(rng, 37);
-  const auto want_pearson = dsp::pearson_correlation(x, t);
-  ASSERT_EQ(want_pearson.size(), dsp::correlation_length(x.size(), t.size()));
-  std::vector<double> got_pearson(want_pearson.size());
-  dsp::pearson_correlation_into(x, t, got_pearson);
-  expect_exactly_equal<double>(want_pearson, got_pearson);
+  const std::size_t len = dsp::correlation_length(x.size(), t.size());
+  ASSERT_EQ(len, 464u);
+  const auto scan = testing::pearson_scan(x, t);
+  dsp::Arena arena;
+  for (std::size_t n = 0; n <= len; ++n) {
+    const dsp::CorrPeak want =
+        testing::first_abs_max(std::span<const double>(scan).first(n));
+    const dsp::CorrPeak got = dsp::pearson_peak(x, t, n, arena);
+    ASSERT_EQ(want.index, got.index) << "n_windows " << n;
+    ASSERT_EQ(want.corr, got.corr) << "n_windows " << n;
+  }
+  EXPECT_EQ(arena.used_bytes(), 0u);
 }
 
 TEST(DspInto, ToneAmplitudesMatchScalarGoertzel) {
@@ -220,6 +237,180 @@ TEST(DspInto, CwEnvelopeMatchesWrapper) {
       core::Projector::cw_envelope_length(0.01, 96000.0, 0.002));
   proj.cw_envelope_into(15000.0, 96000.0, 0.002, got);
   expect_exactly_equal<dsp::cplx>(want.samples, got);
+}
+
+// --- preamble peak -----------------------------------------------------------
+
+// The uplink preamble template at `spc` samples per chip, built as
+// SchemeDemodulator::acquire builds it.
+std::vector<double> preamble_template(double spc) {
+  const phy::Chips chips =
+      phy::fm0_encode(phy::uplink_preamble_bits(), /*initial_level=*/-1);
+  std::vector<double> t(static_cast<std::size_t>(
+      std::ceil(static_cast<double>(chips.size()) * spc)));
+  for (std::size_t i = 0; i < t.size(); ++i)
+    t[i] = chips[std::min<std::size_t>(
+        static_cast<std::size_t>(static_cast<double>(i) / spc),
+        chips.size() - 1)];
+  return t;
+}
+
+// pearson_peak against the full scan's first maximum, under the active
+// dispatch and again under scalar dispatch; returns the active run's peak.
+dsp::CorrPeak expect_peak_matches_scan(std::span<const double> x,
+                                       std::span<const double> t,
+                                       std::size_t n_windows,
+                                       const std::string& what) {
+  std::vector<dsp::simd::Isa> isas{dsp::simd::active()};
+  if (isas.front() != dsp::simd::Isa::kScalar)
+    isas.push_back(dsp::simd::Isa::kScalar);
+  dsp::Arena arena;
+  dsp::CorrPeak active;
+  for (const dsp::simd::Isa isa : isas) {
+    const dsp::simd::DispatchGuard guard(isa, dsp::simd::fftconv_enabled());
+    const dsp::CorrPeak want =
+        testing::first_abs_max(testing::pearson_scan(x, t, n_windows));
+    const dsp::CorrPeak got = dsp::pearson_peak(x, t, n_windows, arena);
+    EXPECT_EQ(want.index, got.index) << what << " under " << isa_name(isa);
+    EXPECT_EQ(want.corr, got.corr) << what << " under " << isa_name(isa);
+    if (isa == isas.front()) active = got;
+  }
+  return active;
+}
+
+TEST(PreamblePeak, EdgeCasesMatchFullScan) {
+  Rng rng(120);
+  const auto t = preamble_template(5.0);  // 120 samples, 18 jumps
+  const std::size_t nx = 600;
+  const std::size_t len = dsp::correlation_length(nx, t.size());
+  // A preamble at sample 200 in unit noise.
+  std::vector<double> noisy = random_vec(rng, nx);
+  for (std::size_t i = 0; i < t.size(); ++i) noisy[200 + i] += 3.0 * t[i];
+
+  expect_peak_matches_scan(std::vector<double>(nx, 3.7), t, len, "constant");
+  expect_peak_matches_scan(std::vector<double>(nx, 0.0), t, len, "all-zero");
+  expect_peak_matches_scan(noisy, std::vector<double>(t.size(), 1.0), len,
+                           "constant template");
+  expect_peak_matches_scan(noisy, t, 0, "no windows");
+  expect_peak_matches_scan(noisy, t, 1, "one window");
+  expect_peak_matches_scan(noisy, random_vec(rng, 57), len, "dense template");
+
+  // Non-finite samples before, inside and after the preamble.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf})
+    for (const std::size_t at : {std::size_t{50}, std::size_t{250},
+                                 std::size_t{500}}) {
+      auto x = noisy;
+      x[at] = bad;
+      expect_peak_matches_scan(x, t, len,
+                               "sample " + std::to_string(at) + " = " +
+                                   std::to_string(bad));
+    }
+
+  // Small modulations on large pedestals, and extreme scales.
+  const auto modulated = [&](double pedestal, double depth, double noise) {
+    std::vector<double> x(nx);
+    for (std::size_t i = 0; i < nx; ++i)
+      x[i] = pedestal + noise * rng.gaussian() +
+             (i >= 200 && i < 200 + t.size() ? depth * t[i - 200] : -depth);
+    return x;
+  };
+  const auto pico = modulated(1.0, 1e-9, 1e-10);
+  EXPECT_EQ(expect_peak_matches_scan(pico, t, len, "1e-9 on 1").index, 200u);
+  expect_peak_matches_scan(modulated(5e3, 1e-3, 1e-4), t, len, "1e-3 on 5e3");
+  for (const double scale : {1e150, 1e-160}) {
+    auto x = noisy;
+    for (auto& v : x) v *= scale;
+    expect_peak_matches_scan(x, t, len, "scale " + std::to_string(scale));
+  }
+
+  // Near-ties on a pedestal: two copies of one noisy preamble at 1e-9 depth
+  // on a unit pedestal, one sample of the second nudged.  The exact scores
+  // differ by less than the exact formula's own rounding (its window mean is
+  // off by ~1e-16 against a 1e-9 modulation), so that rounding, not the
+  // data, decides which copy wins -- and a fixed margin around the fast
+  // maximum would miss it.
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<double> y = random_vec(rng, nx, 0.3);
+    for (std::size_t i = 0; i < t.size(); ++i) y[100 + i] += t[i];
+    std::copy_n(y.begin() + 100, t.size(), y.begin() + 400);
+    y[407] += 1e-5;
+    for (auto& v : y) v = 1.0 + 1e-9 * v;
+    expect_peak_matches_scan(y, t, len, "near tie " + std::to_string(trial));
+  }
+}
+
+TEST(PreamblePeak, MatchesFullScanOnRealCaptures) {
+  // fig8's close Pool A placement, captured and down-converted the way the
+  // receiver does it, at a quiet and a loud ambient.
+  core::Placement pl;
+  pl.projector = {1.2, 1.5, 0.65};
+  pl.hydrophone = {1.8, 1.5, 0.65};
+  pl.node = {1.5, 2.1, 0.65};
+  const core::Projector proj(piezo::make_projector_transducer(), 50.0);
+  const auto fe = circuit::make_recto_piezo(15000.0);
+  Rng rng(121);
+  for (const double ambient_db : {62.0, 102.0}) {
+    core::SimConfig sc = sim::Scenario::pool_a().medium;
+    sc.noise.psd_db_re_upa = ambient_db;
+    const core::LinkSimulator link(sc, pl);
+    for (const auto scheme :
+         {phy::SchemeId::kFm0, phy::SchemeId::kFsk2, phy::SchemeId::kFsk4}) {
+      for (const double bitrate : {100.0, 1000.0, 2800.0, 5000.0}) {
+        const std::string what = std::string(phy::to_string(scheme)) + " at " +
+                                 std::to_string(bitrate) + " bps, " +
+                                 std::to_string(ambient_db) + " dB";
+        sim::Waveform w;
+        w.scheme = scheme;
+        w.bitrate = bitrate;
+        const auto bits = rng.bits(96);
+        const auto run = link.run_uplink(proj, fe, bits, w, rng);
+        const double fs = run.hydrophone_v.sample_rate;
+
+        // The receiver front end: its low-pass, down-conversion, envelope.
+        double min_cutoff_hz = 0.0;
+        if (scheme != phy::SchemeId::kFm0) {
+          const auto p = phy::FskParams::from(scheme, bitrate);
+          min_cutoff_hz = p.max_tone_hz() + p.symbol_rate();
+        }
+        const auto lowpass = dsp::butterworth_lowpass(
+            5, std::min(std::max(2.5 * bitrate, min_cutoff_hz), fs / 2.5), fs);
+        dsp::Arena arena;
+        const dsp::CplxView bb = dsp::downconvert_filtered(
+            run.hydrophone_v.samples, fs, w.carrier_hz, lowpass, 1, arena);
+        std::vector<double> env(bb.size());
+        dsp::simd::magnitude(bb.samples, env);
+
+        // The starts acquire scores: those after which the packet fits.
+        const double spc = fs / (2.0 * bitrate);
+        const auto t = preamble_template(spc);
+        const std::size_t packet =
+            phy::scheme_waveform_length(scheme, bits.size(), bitrate, fs);
+        ASSERT_LT(packet, env.size()) << what;
+        const std::size_t n_windows =
+            std::min(dsp::correlation_length(env.size(), t.size()),
+                     env.size() - packet + 1);
+
+        const dsp::CorrPeak peak =
+            expect_peak_matches_scan(env, t, n_windows, what);
+        EXPECT_EQ(peak.rescored, 1u) << what;
+
+        // The receiver found the same peak on its own envelope.
+        phy::SchemeConfig cfg;
+        cfg.scheme = scheme;
+        cfg.demod.bitrate = bitrate;
+        cfg.demod.carrier_hz = w.carrier_hz;
+        cfg.demod.sample_rate = fs;
+        const auto decoded = phy::SchemeDemodulator(cfg).demodulate(
+            run.hydrophone_v, bits.size());
+        if (decoded.ok()) {
+          EXPECT_EQ(decoded.value().start_sample, peak.index) << what;
+          EXPECT_EQ(decoded.value().preamble_corr, peak.corr) << what;
+        }
+      }
+    }
+  }
 }
 
 // --- arena semantics ----------------------------------------------------------

@@ -105,7 +105,7 @@ TEST(Ledger, RejectsNegativeEnergy) {
 // tick.  Zero energy over zero time is a well-defined "no draw yet": 0 W.
 TEST(Ledger, AveragePowerZeroElapsedIsZeroNotAnError) {
   EnergyLedger ledger;
-  EXPECT_NO_THROW(ledger.average_power_w(Category::kIdle, 0.0));
+  EXPECT_NO_THROW((void)ledger.average_power_w(Category::kIdle, 0.0));
   EXPECT_EQ(ledger.average_power_w(Category::kIdle, 0.0), 0.0);
   EXPECT_EQ(ledger.average_power_w(Category::kIdle, -1.0), 0.0);
   // Energy booked but zero elapsed still reports 0 W rather than inf.

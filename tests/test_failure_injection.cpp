@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/link.hpp"
 #include "core/projector.hpp"
@@ -11,6 +12,7 @@
 #include "mac/scheduler.hpp"
 #include "node/node.hpp"
 #include "phy/metrics.hpp"
+#include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
 
 namespace pab {
@@ -218,6 +220,40 @@ TEST(FailureInjection, UndersampledCaptureFailsThroughExpected) {
   const auto packet = phy::demodulate_packet(capture, dc, /*payload_len=*/4);
   ASSERT_FALSE(packet.ok());
   EXPECT_EQ(packet.code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(FailureInjection, NonFiniteEnvelopeSampleFailsThroughExpected) {
+  // One NaN or Inf envelope sample used to pass as a decode: in the payload
+  // a NaN chip error clamped the SNR to 60 dB (Inf to -60 dB) with wrong
+  // bits, and in the preamble it moved the detected start off the packet.
+  Rng rng(44);
+  const auto bits = rng.bits(48);
+  const phy::DemodConfig dc;  // FM0 at 1 kbps, 96 kHz
+  const auto sw = phy::scheme_waveform(phy::SchemeId::kFm0, bits, dc.bitrate,
+                                       dc.sample_rate);
+  std::vector<double> env(700, 0.95);  // the packet starts at sample 700
+  for (const auto s : sw)
+    env.push_back(s == phy::SwitchState::kReflective ? 1.05 : 0.95);
+  env.insert(env.end(), 700, 0.95);
+  for (auto& v : env) v += rng.gaussian(0.0, 0.005);
+  const phy::SchemeDemodulator demod{phy::SchemeConfig{}};
+  const auto clean =
+      demod.demodulate_envelope(env, dc.sample_rate, bits.size());
+  ASSERT_TRUE(clean.ok()) << clean.error().message();
+  EXPECT_EQ(clean.value().start_sample, 700u);
+  EXPECT_EQ(clean.value().bits, bits);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t at : {std::size_t{800}, std::size_t{3000}})
+    for (const double bad : {nan, inf, -inf}) {
+      auto x = env;
+      x[at] = bad;
+      const auto r = demod.demodulate_envelope(x, dc.sample_rate, bits.size());
+      ASSERT_FALSE(r.ok()) << "sample " << at << " = " << bad;
+      EXPECT_EQ(r.code(), ErrorCode::kInvalidArgument)
+          << "sample " << at << " = " << bad;
+    }
 }
 
 TEST(FailureInjection, BadPeripheralCommandLeavesNodeHealthy) {

@@ -260,6 +260,29 @@ TEST(SessionMetrics, EveryTrialKindIsCountedAndTimed) {
   EXPECT_EQ(reg.counter("sim.session.trials").value(), 24u);
 }
 
+TEST(SessionMetrics, SynthesisStagesAddUpToTheUplinkRun) {
+  MetricRegistry reg;
+  sim::Scenario sc = sim::Scenario::pool_a().with_seed(5);
+  sc.waveform.bitrate = 100.0;
+  const sim::Session session(sc, &reg);
+  for (std::size_t i = 0; i < 4; ++i)
+    (void)session.run_trial<sim::TrialKind::kUplink>(i);
+
+  const Histogram& run = reg.histogram("core.link.uplink_run_seconds");
+  ASSERT_EQ(run.count(), 4u);
+  double stages = 0.0;
+  for (const std::string stage :
+       {"switch", "cw", "taps", "scatter", "upconvert", "noise"}) {
+    const Histogram& h =
+        reg.histogram("core.link.synth." + stage + "_seconds");
+    // One sample per trial; taps gets one per tap convolution, three a trial.
+    EXPECT_EQ(h.count(), stage == "taps" ? 12u : 4u) << stage;
+    stages += h.sum();
+  }
+  EXPECT_GE(stages, 0.9 * run.sum());
+  EXPECT_LE(stages, run.sum());
+}
+
 // Worker accounting: every executed trial is attributed to exactly one
 // worker, and the per-worker counts sum to the batch total.
 TEST(BatchMetrics, PerWorkerTrialCountsSumToTotal) {
