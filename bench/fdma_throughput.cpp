@@ -100,8 +100,7 @@ void print_series() {
 }
 
 void bm_scheduler_round(benchmark::State& state) {
-  // Fold the scheduler's mac.poll.* counters into this bench's sidecar.
-  mac::PollScheduler sched({}, &pab::obs::MetricRegistry::global());
+  mac::PollScheduler sched;
   const auto link = [](const phy::DownlinkQuery&) -> pab::Expected<phy::UplinkPacket> {
     phy::UplinkPacket p;
     p.payload = {1, 2, 3, 4};
@@ -114,6 +113,8 @@ void bm_scheduler_round(benchmark::State& state) {
     const auto stats = sched.stats();
     benchmark::DoNotOptimize(&stats);
   }
+  // Fold the scheduler's mac.poll.* books into this bench's sidecar.
+  sched.export_to(pab::obs::MetricRegistry::global());
 }
 BENCHMARK(bm_scheduler_round);
 

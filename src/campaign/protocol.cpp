@@ -95,13 +95,7 @@ int worker_main(int in_fd, int out_fd) {
           return fail(out_fd, "kRunShard before kSpec");
         auto shard = decode_shard(frame.value().payload);
         if (!shard.ok()) return fail(out_fd, shard.error().message());
-        pab::Expected<ShardOutput> output{
-            pab::Error{pab::ErrorCode::kInvalidArgument, "unset"}};
-        try {
-          output = run_shard(*spec, shard.value(), threads);
-        } catch (const std::exception& e) {
-          return fail(out_fd, std::string("run_shard threw: ") + e.what());
-        }
+        const auto output = run_shard(*spec, shard.value(), threads);
         if (!output.ok()) return fail(out_fd, output.error().message());
         // Stream the rows in trial-order chunks, then the metrics delta.
         const RecordBatch& records = output.value().records;

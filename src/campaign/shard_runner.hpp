@@ -29,7 +29,9 @@ struct ShardOutput {
 
 // Execute trials [shard.begin, shard.end) of the shard's operating point.
 // `threads` is the BatchRunner width inside the shard; campaigns default to
-// 1 so per-worker dispatch counters are identical across executors.
+// 1 so per-worker dispatch counters are identical across executors.  A trial
+// that fails returns an error row; a spec value the simulators reject (the
+// Session's construction or a trial throws) is kInvalidArgument.
 [[nodiscard]] pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,
                                                    const Shard& shard,
                                                    unsigned threads);

@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -20,17 +21,31 @@ bool one_token(std::string_view s) {
   return !s.empty() && s.find_first_of(" \t\n\r") == std::string_view::npos;
 }
 
+// Stores an integer-valued parameter, accepted only as a finite,
+// non-negative whole number below 2^53.  Casting a negative, NaN or infinite
+// value to an unsigned count is undefined and a fractional one is truncated,
+// so each is rejected.  A spec value arrives as a double, which holds every
+// integer exactly only below 2^53: a larger one may not be the number the
+// spec wrote (the seed 2^53 + 1 parses as 2^53), so it is rejected too.
+template <typename T>
+bool set_count(T& field, double value) {
+  if (!(value >= 0.0 && value < 0x1p53 && value == std::floor(value)))
+    return false;
+  field = static_cast<T>(value);
+  return true;
+}
+
 }  // namespace
 
 bool apply_param(sim::Scenario& s, std::string_view name, double value) {
   if (name == "seed") {
-    s.medium.seed = static_cast<std::uint64_t>(value);
+    return set_count(s.medium.seed, value);
   } else if (name == "waveform.carrier_hz") {
     s.waveform.carrier_hz = value;
   } else if (name == "waveform.bitrate") {
     s.waveform.bitrate = value;
   } else if (name == "waveform.payload_bits") {
-    s.waveform.payload_bits = static_cast<std::size_t>(value);
+    return set_count(s.waveform.payload_bits, value);
   } else if (name == "waveform.node_start_s") {
     s.waveform.node_start_s = value;
   } else if (name == "waveform.tail_s") {
@@ -38,9 +53,8 @@ bool apply_param(sim::Scenario& s, std::string_view name, double value) {
   } else if (name == "waveform.scheme") {
     // phy::SchemeId ordinal (0 = fm0, 1 = fsk2, 2 = fsk4); out-of-range
     // values are a spec error, not a silent clamp.
-    const auto ordinal = static_cast<long long>(value);
-    if (ordinal < 0 || ordinal >= static_cast<long long>(phy::kSchemeCount))
-      return false;
+    std::size_t ordinal = 0;
+    if (!set_count(ordinal, value) || ordinal >= phy::kSchemeCount) return false;
     s.waveform.scheme = static_cast<phy::SchemeId>(ordinal);
   } else if (name == "projector.drive_v") {
     s.projector.drive_v = value;
@@ -71,17 +85,17 @@ bool apply_param(sim::Scenario& s, std::string_view name, double value) {
     // presets; a hand-placed field has no generator to re-run.
     if (s.field_spec.layout == sim::FieldLayout::kExplicit) return false;
     if (name == "field.population") {
-      s.field_spec.population = static_cast<std::uint64_t>(value);
+      if (!set_count(s.field_spec.population, value)) return false;
     } else if (name == "field.area_per_node_m2") {
       s.field_spec.area_per_node_m2 = value;
     } else if (name == "field.depth_m") {
       s.field_spec.depth_m = value;
     } else if (name == "field.clusters") {
-      s.field_spec.clusters = static_cast<std::uint64_t>(value);
+      if (!set_count(s.field_spec.clusters, value)) return false;
     } else if (name == "field.cluster_spread_m") {
       s.field_spec.cluster_spread_m = value;
     } else if (name == "field.seed") {
-      s.field_spec.seed = static_cast<std::uint64_t>(value);
+      if (!set_count(s.field_spec.seed, value)) return false;
     } else {
       return false;
     }
@@ -89,9 +103,9 @@ bool apply_param(sim::Scenario& s, std::string_view name, double value) {
   } else if (name == "fdma.bitrate") {
     s.fdma.bitrate = value;
   } else if (name == "fdma.training_bits") {
-    s.fdma.training_bits = static_cast<std::size_t>(value);
+    return set_count(s.fdma.training_bits, value);
   } else if (name == "fdma.payload_bits") {
-    s.fdma.payload_bits = static_cast<std::size_t>(value);
+    return set_count(s.fdma.payload_bits, value);
   } else {
     return false;
   }
@@ -121,7 +135,7 @@ bool apply_timeline_param(sim::TimelineRoundConfig& c, std::string_view name,
   } else if (name == "crc_prob") {
     c.crc_prob = value;
   } else if (name == "uplink_bits") {
-    c.uplink_bits = static_cast<std::size_t>(value);
+    return set_count(c.uplink_bits, value);
   } else if (name == "uplink_bitrate") {
     c.uplink_bitrate = value;
   } else if (name == "keep_log") {
@@ -218,7 +232,8 @@ pab::Expected<sim::Scenario> CampaignSpec::scenario_for_point(
   for (std::size_t a = 0; a < axes.size(); ++a) {
     if (!apply_param(s, axes[a].param, values[a]))
       return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "unknown sweep parameter: " + axes[a].param};
+                        "unknown sweep parameter or bad value: " +
+                            axes[a].param + "=" + fmt_double(values[a])};
   }
   return s;
 }
@@ -229,7 +244,8 @@ pab::Expected<sim::TrialOptions> CampaignSpec::trial_options() const {
   for (const auto& [key, value] : timeline) {
     if (!apply_timeline_param(opts.timeline, key, value))
       return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "unknown timeline parameter: " + key};
+                        "unknown timeline parameter or bad value: " + key +
+                            "=" + fmt_double(value)};
   }
   opts.field.keep_log = false;
   for (const auto& [key, value] : field) {

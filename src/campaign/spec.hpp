@@ -45,18 +45,24 @@ struct Shard {
 };
 
 // Set one named scalar on a scenario (the axis parameter registry):
-//   seed, waveform.{carrier_hz,bitrate,payload_bits,node_start_s,tail_s},
+//   seed, waveform.{carrier_hz,bitrate,payload_bits,node_start_s,tail_s,
+//   scheme},
 //   projector.{drive_v,ideal,ideal_pressure_pa}, noise.psd_db_re_upa,
 //   medium.{sample_rate,receiver_clock_offset_ppm}, placement.node.{x,y,z},
-//   fdma.{bitrate,training_bits,payload_bits}.
-// Returns false for an unknown name.
+//   fdma.{bitrate,training_bits,payload_bits}, and on generated fields
+//   field.{population,area_per_node_m2,depth_m,clusters,cluster_spread_m,seed}.
+// Returns false for an unknown name, and for an integer parameter (seed,
+// waveform.{payload_bits,scheme}, field.{population,clusters,seed},
+// fdma.{training,payload}_bits) whose value is not a whole number in
+// [0, 2^53).
 [[nodiscard]] bool apply_param(sim::Scenario& s, std::string_view name,
                                double value);
 
 // Set one named scalar on a timeline round config (the `timeline` override
 // registry): tick_s, idle_load_w, v_ceiling, capacitance_f, base_harvest_w,
 // harvest_jitter, max_drift_mps, horizon_s, decode_prob, crc_prob,
-// uplink_bits, uplink_bitrate, keep_log.  Returns false for an unknown name.
+// uplink_bits, uplink_bitrate, keep_log.  Returns false for an unknown name,
+// and for an uplink_bits that is not a whole number in [0, 2^53).
 [[nodiscard]] bool apply_timeline_param(sim::TimelineRoundConfig& c,
                                         std::string_view name, double value);
 

@@ -35,8 +35,4 @@ double path_amplitude_gain(double distance_m, double freq_hz) {
   return amplitude_ratio_from_db(-transmission_loss_db(distance_m, freq_hz));
 }
 
-double acoustic_impedance(const WaterProperties& w) {
-  return w.density * sound_speed_mackenzie(w);
-}
-
 }  // namespace pab::channel

@@ -31,7 +31,4 @@ struct WaterProperties {
 // reference where source level is defined).
 [[nodiscard]] double path_amplitude_gain(double distance_m, double freq_hz);
 
-// Characteristic acoustic impedance rho*c [Pa s/m].
-[[nodiscard]] double acoustic_impedance(const WaterProperties& w);
-
 }  // namespace pab::channel

@@ -165,7 +165,7 @@ TimedSchedulerRunFn real_timed_scheduler_run() {
             std::size_t uplink_bits, double uplink_bitrate) {
     sim::Timeline tl;
     energy::EnergyLedger ledger;
-    mac::PollScheduler sched(cfg, nullptr, &tl);
+    mac::PollScheduler sched(cfg, &tl);
     std::size_t cursor = 0;
     const auto link =
         [&](const phy::DownlinkQuery&) -> pab::Expected<phy::UplinkPacket> {

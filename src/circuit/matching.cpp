@@ -95,7 +95,6 @@ MatchingNetwork MatchingNetwork::design(cplx z_source, double r_load, double f0)
   const double rs = z_source.real();
   const double xs = z_source.imag();
   MatchingNetwork n;
-  n.f0_ = f0;
 
   if (r_load >= rs) {
     // Series-first: Zin = jX1 + (R_L || jB2) must equal Rs - jXs.

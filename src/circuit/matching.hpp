@@ -57,11 +57,6 @@ class MatchingNetwork {
   [[nodiscard]] double load_voltage(double freq_hz, double v_th, cplx z_source,
                                     cplx z_load) const;
 
-  [[nodiscard]] Topology topology() const { return topology_; }
-  [[nodiscard]] const Reactance& series_element() const { return series_; }
-  [[nodiscard]] const Reactance& shunt_element() const { return shunt_; }
-  [[nodiscard]] double design_frequency() const { return f0_; }
-
   // Synthesize the L-match so that with load `r_load` (real), the input
   // impedance at `f0` equals conj(z_source).  Chooses topology automatically.
   [[nodiscard]] static MatchingNetwork design(cplx z_source, double r_load, double f0);
@@ -73,7 +68,6 @@ class MatchingNetwork {
   Topology topology_ = Topology::kNone;
   Reactance series_{};
   Reactance shunt_{};
-  double f0_ = 0.0;
 };
 
 }  // namespace pab::circuit

@@ -37,9 +37,6 @@ class Rectifier {
   // electrical power arriving at input amplitude `v_in`.
   [[nodiscard]] double dc_power(double p_in, double v_in) const;
 
-  // Minimum input amplitude that produces any DC output.
-  [[nodiscard]] double turn_on_voltage() const { return params_.diode_drop_v; }
-
   [[nodiscard]] const RectifierParams& params() const { return params_; }
 
  private:

@@ -58,12 +58,6 @@ cplx RectoPiezo::gamma_absorptive(double freq_hz) const {
   return reflection_coefficient(z_in, transducer_.thevenin_impedance(freq_hz));
 }
 
-double RectoPiezo::reradiation_gain(double freq_hz, cplx gamma) const {
-  const double capture = std::sqrt(transducer_.aperture_area() / (4.0 * kPi));
-  return capture * std::sqrt(config_.scatter_efficiency) *
-         transducer_.mechanical_response(freq_hz) * std::abs(gamma);
-}
-
 double RectoPiezo::modulation_depth(double freq_hz) const {
   const cplx dg = gamma_reflective(freq_hz) - gamma_absorptive(freq_hz);
   const double capture = std::sqrt(transducer_.aperture_area() / (4.0 * kPi));

@@ -55,10 +55,6 @@ class RectoPiezo {
   // Reflection coefficient with the switch open: the piezo sees the matching
   // network + rectifier, absorbing maximally at the match frequency.
   [[nodiscard]] cplx gamma_absorptive(double freq_hz) const;
-  // Amplitude ratio between re-radiated and incident pressure, referenced to
-  // 1 m from the node, for a given reflection coefficient magnitude:
-  // sqrt(A_eff / 4 pi) * sqrt(eta_scatter) * |Gamma|.
-  [[nodiscard]] double reradiation_gain(double freq_hz, cplx gamma) const;
   // Differential backscatter amplitude (modulation depth) per unit incident
   // pressure, at 1 m: the signal the hydrophone actually decodes.
   [[nodiscard]] double modulation_depth(double freq_hz) const;

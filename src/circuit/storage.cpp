@@ -31,25 +31,4 @@ double Supercapacitor::stored_energy_j() const {
   return 0.5 * capacitance_ * voltage_ * voltage_;
 }
 
-void Supercapacitor::set_voltage(double v) {
-  require(v >= 0.0, "Supercapacitor: negative voltage");
-  voltage_ = v;
-}
-
-Ldo::Ldo(LdoParams p) : params_(p) {
-  require(p.output_v > 0.0, "Ldo: output voltage must be positive");
-  require(p.dropout_v >= 0.0, "Ldo: negative dropout");
-  require(p.quiescent_a >= 0.0, "Ldo: negative quiescent current");
-}
-
-bool Ldo::in_regulation(double v_in) const {
-  return v_in >= params_.output_v + params_.dropout_v;
-}
-
-double Ldo::input_power(double v_in, double i_load) const {
-  require(i_load >= 0.0, "Ldo: negative load current");
-  if (!in_regulation(v_in)) return 0.0;
-  return v_in * (i_load + params_.quiescent_a);
-}
-
 }  // namespace pab::circuit

@@ -1,9 +1,11 @@
-// Energy storage and regulation: supercapacitor + LDO.
+// Energy storage: the supercapacitor.
 //
 // The rectified DC charge is stored in a 1000 uF supercapacitor feeding an
 // LP5900 LDO whose 1.8 V output drives the MCU (paper section 4.2.1).  The
-// node powers up once the capacitor reaches 2.5 V (Fig. 3) and browns out
-// below the LDO dropout.
+// node powers up once the capacitor reaches 2.5 V (Fig. 3).  The LDO itself
+// lives in the energy model: its quiescent current is
+// energy::McuPowerParams::ldo_quiescent_a, and its regulation floor (1.8 V
+// output + 0.3 V dropout) is energy::HarvesterParams::brown_out_v.
 #pragma once
 
 namespace pab::circuit {
@@ -21,34 +23,9 @@ class Supercapacitor {
   [[nodiscard]] double stored_energy_j() const;
   [[nodiscard]] double capacitance() const { return capacitance_; }
 
-  void set_voltage(double v);
-
  private:
   double capacitance_;
   double voltage_;
-};
-
-struct LdoParams {
-  double output_v = 1.8;        // regulated output (LP5900-1.8)
-  double dropout_v = 0.3;       // needs Vin >= output + dropout to regulate
-  double quiescent_a = 25e-6;   // ground-pin current while regulating
-};
-
-class Ldo {
- public:
-  explicit Ldo(LdoParams p = {});
-
-  // True when the input voltage is high enough to regulate.
-  [[nodiscard]] bool in_regulation(double v_in) const;
-
-  // Power drawn from the input rail to supply `i_load` amps at the output
-  // (linear regulator: input current = load current + quiescent).
-  [[nodiscard]] double input_power(double v_in, double i_load) const;
-
-  [[nodiscard]] const LdoParams& params() const { return params_; }
-
- private:
-  LdoParams params_;
 };
 
 }  // namespace pab::circuit

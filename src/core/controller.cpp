@@ -57,7 +57,9 @@ ReaderController::ReaderController(SimConfig config, Placement base,
     : config_(config),
       base_(base),
       projector_(std::move(projector)),
-      carrier_hz_(carrier_hz) {
+      carrier_hz_(carrier_hz),
+      taps_(std::make_shared<channel::TapCache>(
+          config.tank, config.max_image_order, config.use_image_method)) {
   require(carrier_hz > 0.0, "ReaderController: carrier must be positive");
 }
 
@@ -69,23 +71,22 @@ std::uint8_t ReaderController::deploy_node(node::NodeConfig node_config,
           "deploy_node: duplicate address");
   const std::uint8_t address = node_config.id;
 
-  DeployedNode entry;
-  entry.node = std::make_unique<node::PabNode>(node_config, environment,
-                                               config_.seed + address);
-  entry.position = position;
-  entry.rate = rate_controller_for(*entry.node);
-  nodes_.emplace(address, std::move(entry));
+  auto node = std::make_unique<node::PabNode>(node_config, environment,
+                                             config_.seed + address);
+  mac::RateController rate = rate_controller_for(*node);
+  Placement pl = base_;
+  pl.node = position;
+  nodes_.emplace(address, DeployedNode{std::move(node),
+                                       LinkSimulator(config_, pl, taps_),
+                                       std::move(rate)});
   return address;
 }
 
 std::size_t ReaderController::power_up_all(double timeout_s) {
   require(timeout_s >= 0.0, "power_up_all: negative timeout");
   for (auto& [address, entry] : nodes_) {
-    Placement pl = base_;
-    pl.node = entry.position;
-    const LinkSimulator sim(config_, pl);
     entry.node->cold_start(carrier_hz_,
-                           sim.incident_pressure(projector_, carrier_hz_),
+                           entry.link.incident_pressure(projector_, carrier_hz_),
                            timeout_s);
   }
   std::size_t powered = 0;
@@ -96,11 +97,8 @@ std::size_t ReaderController::power_up_all(double timeout_s) {
 
 pab::Expected<phy::UplinkPacket> ReaderController::transact_once(
     DeployedNode& entry, const phy::DownlinkQuery& query, double* snr_out) {
-  Placement pl = base_;
-  pl.node = entry.position;
-  const LinkSimulator sim(config_, pl);
   pab::Rng rng(config_.seed + 7919 * (++seed_counter_));
-  return transact(sim, projector_, *entry.node, query, carrier_hz_, rng,
+  return transact(entry.link, projector_, *entry.node, query, carrier_hz_, rng,
                   snr_out);
 }
 

@@ -35,7 +35,9 @@ namespace pab::core {
 
 struct DeployedNode {
   std::unique_ptr<node::PabNode> node;
-  channel::Vec3 position;
+  // The link at this node's position, built once at deploy time on the
+  // reader's shared tap cache.
+  LinkSimulator link;
   mac::RateController rate;
   std::size_t transactions = 0;
   std::size_t failures = 0;
@@ -89,6 +91,7 @@ class ReaderController {
   Placement base_;
   Projector projector_;
   double carrier_hz_;
+  std::shared_ptr<channel::TapCache> taps_;  // shared by every node's link
   std::map<std::uint8_t, DeployedNode> nodes_;
   mac::PollScheduler scheduler_;
   std::uint64_t seed_counter_ = 0;

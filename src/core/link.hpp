@@ -125,9 +125,6 @@ class LinkSimulator {
   [[nodiscard]] const std::vector<channel::PathTap>& taps(const channel::Vec3& a,
                                                           const channel::Vec3& b,
                                                           double freq_hz) const;
-  [[nodiscard]] const std::shared_ptr<channel::TapCache>& tap_cache() const {
-    return tap_cache_;
-  }
 
   // Attach a metrics registry: times the waveform synthesis and decode stages
   // (`core.link.*`, `phy.demod.*`) of every subsequent run, and inside

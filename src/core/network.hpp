@@ -55,9 +55,6 @@ class MultiNodeSimulator {
                                      pab::Rng& rng) const;
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const std::shared_ptr<channel::TapCache>& tap_cache() const {
-    return tap_cache_;
-  }
 
  private:
   SimConfig config_;

@@ -23,12 +23,6 @@ double Projector::pressure_at_1m(double freq_hz) const {
   return transducer_->pressure_amplitude_at_1m(drive_v_, freq_hz);
 }
 
-void Projector::set_drive_voltage(double v) {
-  require(v >= 0.0, "Projector: negative drive voltage");
-  require(flat_pressure_pa_ < 0.0, "Projector: ideal projector has no drive");
-  drive_v_ = v;
-}
-
 std::size_t Projector::cw_envelope_length(double duration_s, double sample_rate,
                                           double lead_silence_s) {
   require(sample_rate > 0.0, "cw_envelope: sample rate must be positive");

@@ -31,7 +31,6 @@ class Projector {
   [[nodiscard]] double pressure_at_1m(double freq_hz) const;
 
   [[nodiscard]] double drive_voltage() const { return drive_v_; }
-  void set_drive_voltage(double v);
 
   // Continuous-wave envelope of `duration_s` (constant amplitude), preceded
   // by `lead_silence_s` of zeros.

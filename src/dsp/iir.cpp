@@ -95,25 +95,6 @@ void BiquadCascade::filter_into(std::span<const std::complex<double>> x,
   }
 }
 
-std::vector<double> BiquadCascade::filter(std::span<const double> x) const {
-  std::vector<State> st(sections_.size());
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double v = x[i];
-    for (std::size_t s = 0; s < sections_.size(); ++s)
-      v = biquad_step(sections_[s], v, st[s].s1r, st[s].s2r);
-    y[i] = v;
-  }
-  return y;
-}
-
-std::vector<std::complex<double>> BiquadCascade::filter(
-    std::span<const std::complex<double>> x) const {
-  std::vector<std::complex<double>> y(x.size());
-  filter_into(x, y);
-  return y;
-}
-
 std::complex<double> BiquadCascade::response(double freq_hz, double fs) const {
   const std::complex<double> z =
       std::exp(std::complex<double>(0.0, kTwoPi * freq_hz / fs));

@@ -27,16 +27,10 @@ class BiquadCascade {
   explicit BiquadCascade(std::vector<Biquad> sections)
       : sections_(std::move(sections)) {}
 
-  // Filter a whole buffer from zero initial state.
-  [[nodiscard]] std::vector<double> filter(std::span<const double> x) const;
-  [[nodiscard]] std::vector<std::complex<double>> filter(
-      std::span<const std::complex<double>> x) const;
-
-  // Into-output form of the complex filter (the receiver's trial path), from
-  // zero initial state; y.size() must equal x.size() and `y` may alias `x`
-  // (in-place filtering).  Filter state lives on the stack for up to 24
-  // sections, so this performs no heap allocation.  The complex filter()
-  // above is a thin wrapper, bit-identical by construction.
+  // Filter a whole complex buffer from zero initial state, each of the real
+  // and imaginary channels through the same cascade; y.size() must equal
+  // x.size() and `y` may alias `x` (in-place filtering).  Filter state lives
+  // on the stack for up to 24 sections, so this performs no heap allocation.
   void filter_into(std::span<const std::complex<double>> x,
                    std::span<std::complex<double>> y) const;
 

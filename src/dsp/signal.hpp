@@ -84,11 +84,6 @@ struct SignalView {
     return sample_rate > 0.0 ? static_cast<double>(samples.size()) / sample_rate : 0.0;
   }
   [[nodiscard]] double& operator[](std::size_t i) const { return samples[i]; }
-
-  // Materialize an owning copy (compatibility seam for value-based callers).
-  [[nodiscard]] Signal to_signal() const {
-    return Signal(std::vector<double>(samples.begin(), samples.end()), sample_rate);
-  }
 };
 
 // Non-owning view of a complex baseband waveform (after down-conversion).
@@ -113,20 +108,5 @@ struct CplxView {
     return CplxView(samples.first(n), sample_rate, carrier_hz);
   }
 };
-
-// Mean power (mean square) of a span of samples.
-[[nodiscard]] inline double signal_power(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x * x;
-  return s / static_cast<double>(xs.size());
-}
-
-[[nodiscard]] inline double signal_power(std::span<const cplx> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (const cplx& x : xs) s += std::norm(x);
-  return s / static_cast<double>(xs.size());
-}
 
 }  // namespace pab::dsp

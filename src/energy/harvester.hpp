@@ -18,7 +18,9 @@ namespace pab::energy {
 
 struct HarvesterParams {
   double power_up_threshold_v = 2.5;  // capacitor voltage to boot (Fig. 3)
-  double brown_out_v = 2.1;           // below this the MCU resets
+  // The LDO's regulation floor (1.8 V output + 0.3 V dropout): below it
+  // the MCU resets.
+  double brown_out_v = 2.1;
 };
 
 // MCU power-state transition caused by one harvesting step.

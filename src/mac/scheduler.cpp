@@ -4,8 +4,7 @@
 
 namespace pab::mac {
 
-PollScheduler::PollScheduler(SchedulerConfig config, obs::MetricRegistry* metrics,
-                             sim::Timeline* timeline)
+PollScheduler::PollScheduler(SchedulerConfig config, sim::Timeline* timeline)
     : config_(config), timeline_(timeline) {
   require(config.max_retries >= 0, "PollScheduler: negative retries");
   require(config.downlink_time_s >= 0.0 && config.turnaround_s >= 0.0,
@@ -13,47 +12,30 @@ PollScheduler::PollScheduler(SchedulerConfig config, obs::MetricRegistry* metric
   require(config.retry_backoff_s >= 0.0, "PollScheduler: negative backoff");
   require(config.query_timeout_s > 0.0,
           "PollScheduler: query timeout must be positive");
-  if (metrics == nullptr) {
-    own_metrics_ = std::make_unique<obs::MetricRegistry>();
-    metrics = own_metrics_.get();
-  }
-  n_attempts_ = &metrics->counter("mac.poll.attempts");
-  n_successes_ = &metrics->counter("mac.poll.successes");
-  n_crc_failures_ = &metrics->counter("mac.poll.crc_failures");
-  n_no_response_ = &metrics->counter("mac.poll.no_response");
-  n_retries_ = &metrics->counter("mac.poll.retries");
-  payload_bits_delivered_ = &metrics->gauge("mac.poll.payload_bits_delivered");
-  elapsed_s_ = &metrics->gauge("mac.poll.elapsed_s");
 }
 
 TransactionStats PollScheduler::stats() const {
-  TransactionStats s;
-  s.attempts = n_attempts_->value();
-  s.successes = n_successes_->value();
-  s.crc_failures = n_crc_failures_->value();
-  s.no_response = n_no_response_->value();
-  s.retries = n_retries_->value();
-  s.payload_bits_delivered = payload_bits_delivered_->value();
-  s.elapsed_s = elapsed_exact_.value();
+  TransactionStats s = books_;
+  s.elapsed_s = elapsed_.value();
   return s;
 }
 
-void PollScheduler::reset_stats() {
-  n_attempts_->reset();
-  n_successes_->reset();
-  n_crc_failures_->reset();
-  n_no_response_->reset();
-  n_retries_->reset();
-  payload_bits_delivered_->reset();
-  elapsed_s_->reset();
-  elapsed_exact_.reset();
+void PollScheduler::export_to(obs::MetricRegistry& registry) const {
+  const TransactionStats s = stats();
+  registry.counter("mac.poll.attempts").add(s.attempts);
+  registry.counter("mac.poll.successes").add(s.successes);
+  registry.counter("mac.poll.crc_failures").add(s.crc_failures);
+  registry.counter("mac.poll.no_response").add(s.no_response);
+  registry.counter("mac.poll.retries").add(s.retries);
+  registry.gauge("mac.poll.payload_bits_delivered")
+      .add(s.payload_bits_delivered);
+  registry.gauge("mac.poll.elapsed_s").add(s.elapsed_s);
 }
 
 void PollScheduler::charge_airtime(double dt, std::string_view label,
                                    double& spent) {
   if (timeline_ != nullptr) timeline_->elapse(dt, label);
-  elapsed_exact_.add(dt);
-  elapsed_s_->add(dt);
+  elapsed_.add(dt);
   spent += dt;
 }
 
@@ -73,12 +55,12 @@ pab::Expected<phy::UplinkPacket> PollScheduler::transact(
         if (timeline_ != nullptr) timeline_->charge("mac.query_timeout", 0.0);
         break;
       }
-      n_retries_->add();
+      ++books_.retries;
       if (timeline_ != nullptr) timeline_->charge("mac.retry", 0.0);
       if (config_.retry_backoff_s > 0.0)
         charge_airtime(config_.retry_backoff_s, "mac.retry_backoff", spent);
     }
-    n_attempts_->add();
+    ++books_.attempts;
     charge_airtime(config_.downlink_time_s, "mac.downlink", spent);
     charge_airtime(config_.turnaround_s, "mac.turnaround", spent);
 
@@ -92,19 +74,19 @@ pab::Expected<phy::UplinkPacket> PollScheduler::transact(
         result.ok() || result.error().code == pab::ErrorCode::kCrcMismatch;
     if (replied) charge_airtime(uplink_time, "mac.uplink", spent);
     if (result.ok()) {
-      n_successes_->add();
+      ++books_.successes;
       const double bits =
           static_cast<double>(result.value().payload.size()) * 8.0;
-      payload_bits_delivered_->add(bits);
+      books_.payload_bits_delivered += bits;
       if (timeline_ != nullptr) timeline_->charge("mac.payload_bits", bits);
       return result;
     }
     last = result.error();
     if (last.code == pab::ErrorCode::kCrcMismatch) {
-      n_crc_failures_->add();
+      ++books_.crc_failures;
       if (timeline_ != nullptr) timeline_->charge("mac.crc_failure", 0.0);
     } else {
-      n_no_response_->add();
+      ++books_.no_response;
       if (timeline_ != nullptr) timeline_->charge("mac.no_response", 0.0);
     }
   }

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -28,9 +28,8 @@ namespace pab::mac {
 using TransactFn =
     std::function<pab::Expected<phy::UplinkPacket>(const phy::DownlinkQuery&)>;
 
-// Snapshot view of a scheduler's transaction accounting.  The counters live
-// in an obs::MetricRegistry (`mac.poll.*`); this struct is what stats()
-// assembles from them for callers.
+// A scheduler's transaction accounting: plain books, published as
+// `mac.poll.*` instruments by PollScheduler::export_to.
 struct TransactionStats {
   std::size_t attempts = 0;
   std::size_t successes = 0;
@@ -66,11 +65,9 @@ struct SchedulerConfig {
 
 class PollScheduler {
  public:
-  // Transaction accounting goes to `metrics` under `mac.poll.*`.  By default
-  // each scheduler owns a private registry (stats() then reports exactly this
-  // scheduler's transactions, as the old hand-rolled struct did); pass an
-  // external registry to fold the counters into a shared export, e.g. a bench
-  // sidecar via obs::MetricRegistry::global().
+  // stats() reports exactly this scheduler's transactions; export_to folds
+  // them into a shared registry, e.g. a bench sidecar via
+  // obs::MetricRegistry::global().
   //
   // With a `timeline`, every airtime phase is charged as a timed event
   // ("mac.downlink", "mac.turnaround", "mac.uplink", "mac.retry_backoff")
@@ -81,7 +78,6 @@ class PollScheduler {
   // that.  Without one, the scheduler is its own clock (legacy adapter mode)
   // and accounting is unchanged.
   explicit PollScheduler(SchedulerConfig config = {},
-                         obs::MetricRegistry* metrics = nullptr,
                          sim::Timeline* timeline = nullptr);
 
   // Execute one query with retries; updates stats with airtime accounting.
@@ -99,30 +95,25 @@ class PollScheduler {
                   double uplink_bitrate);
 
   [[nodiscard]] TransactionStats stats() const;
-  void reset_stats();
+
+  // Add stats() to the `mac.poll.{attempts,successes,crc_failures,
+  // no_response,retries}` counters and the
+  // `mac.poll.{payload_bits_delivered,elapsed_s}` gauges of `registry`.
+  void export_to(obs::MetricRegistry& registry) const;
 
  private:
   // Charge one airtime phase: elapse it on the timeline (when attached), add
-  // it to the drift-free elapsed accumulator, mirror it into the legacy
-  // gauge, and count it against the current query's timeout budget.
+  // it to the elapsed sum, and count it against the current query's timeout
+  // budget.
   void charge_airtime(double dt, std::string_view label, double& spent);
 
   SchedulerConfig config_;
-  std::unique_ptr<obs::MetricRegistry> own_metrics_;  // when none injected
   sim::Timeline* timeline_ = nullptr;
-  obs::Counter* n_attempts_;
-  obs::Counter* n_successes_;
-  obs::Counter* n_crc_failures_;
-  obs::Counter* n_no_response_;
-  obs::Counter* n_retries_;
-  obs::Gauge* payload_bits_delivered_;
-  obs::Gauge* elapsed_s_;
-  // stats().elapsed_s comes from this compensated sum, not the gauge: a plain
-  // double += (what a Gauge does internally) drifts by ~1e-6 s over millions
-  // of transactions, which the drift regression in tests/test_mac.cpp pins
-  // down.  The gauge keeps its historical accumulate-in-place semantics for
-  // shared-registry exports.
-  NeumaierSum elapsed_exact_;
+  TransactionStats books_;  // every field but elapsed_s
+  // elapsed_s is a compensated sum: a plain double += drifts by ~1e-6 s over
+  // millions of transactions, which the drift regression in
+  // tests/test_mac.cpp pins down.
+  NeumaierSum elapsed_;
 };
 
 }  // namespace pab::mac

@@ -156,30 +156,6 @@ void Histogram::observe(double x) {
   }
 }
 
-double Histogram::quantile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    const std::uint64_t c = bucket_count(i);
-    if (c == 0) continue;
-    if (static_cast<double>(seen + c) >= target) {
-      // Interpolate within [lo, hi) of the winning bucket; the overflow
-      // bucket has no upper edge, report its lower edge.
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      if (i == bounds_.size()) return lo;
-      const double hi = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(seen)) / static_cast<double>(c);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    seen += c;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
   out.bounds = bounds_;
@@ -261,24 +237,23 @@ void MetricRegistry::merge_from(const MetricsSnapshot& other) {
 std::string MetricRegistry::to_json() const { return snapshot().to_json(); }
 
 std::string MetricRegistry::to_text() const {
-  std::shared_lock lock(mutex_);
+  const MetricsSnapshot s = snapshot();
   std::string out;
   char buf[256];
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, v] : s.counters) {
     std::snprintf(buf, sizeof(buf), "counter %-44s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c->value()));
+                  static_cast<unsigned long long>(v));
     out += buf;
   }
-  for (const auto& [name, g] : gauges_) {
-    std::snprintf(buf, sizeof(buf), "gauge   %-44s %.6g\n", name.c_str(),
-                  g->value());
+  for (const auto& [name, v] : s.gauges) {
+    std::snprintf(buf, sizeof(buf), "gauge   %-44s %.6g\n", name.c_str(), v);
     out += buf;
   }
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : s.histograms) {
     std::snprintf(buf, sizeof(buf),
                   "hist    %-44s count=%llu mean=%.3g p50=%.3g p95=%.3g\n",
-                  name.c_str(), static_cast<unsigned long long>(h->count()),
-                  h->mean(), h->quantile(0.50), h->quantile(0.95));
+                  name.c_str(), static_cast<unsigned long long>(h.count),
+                  h.mean(), h.quantile(0.50), h.quantile(0.95));
     out += buf;
   }
   return out;

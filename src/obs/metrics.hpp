@@ -77,7 +77,9 @@ struct HistogramSnapshot {
   [[nodiscard]] double mean() const {
     return count > 0 ? sum / static_cast<double>(count) : 0.0;
   }
-  // Same interpolation as Histogram::quantile.
+  // Approximate quantile (linear interpolation inside the winning bucket;
+  // the overflow bucket reports its lower edge); q in [0, 1].  Returns 0
+  // when empty.
   [[nodiscard]] double quantile(double q) const;
   // Bucket-wise add; bounds must match exactly (same build, same instrument).
   void merge_from(const HistogramSnapshot& other);
@@ -109,10 +111,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
-  // Approximate quantile (linear interpolation inside the winning bucket);
-  // q in [0, 1].  Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
-
   // Value copy of the current state (relaxed reads; per-bucket totals are
   // exact once writers have quiesced, as at shard boundaries).
   [[nodiscard]] HistogramSnapshot snapshot() const;
@@ -212,7 +210,7 @@ class MetricRegistry {
 
   // Process-wide registry: default sink of instrumented components, and the
   // source of the bench sidecars.  Components also accept an explicit
-  // registry for isolated accounting (unit tests, per-scheduler stats).
+  // registry for isolated accounting (unit tests, campaign shards).
   [[nodiscard]] static MetricRegistry& global();
 
  private:

@@ -31,16 +31,6 @@ Chips fm0_encode(std::span<const std::uint8_t> bits, std::int8_t initial_level) 
   return chips;
 }
 
-Bits fm0_decode_hard(std::span<const std::int8_t> chips, std::int8_t initial_level) {
-  require(chips.size() % 2 == 0, "fm0_decode_hard: odd chip count");
-  (void)initial_level;  // hard decisions don't need the entry level
-  Bits bits;
-  bits.reserve(chips.size() / 2);
-  for (std::size_t i = 0; i < chips.size(); i += 2)
-    bits.push_back(chips[i] == chips[i + 1] ? 1 : 0);
-  return bits;
-}
-
 namespace {
 
 // back[t][state] = (previous state, decoded bit); a plain aggregate so the

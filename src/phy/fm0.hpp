@@ -25,10 +25,6 @@ using Chips = std::vector<std::int8_t>;
 [[nodiscard]] Chips fm0_encode(std::span<const std::uint8_t> bits,
                                std::int8_t initial_level = -1);
 
-// Hard-decision helper used by tests: decode noiseless chips.
-[[nodiscard]] Bits fm0_decode_hard(std::span<const std::int8_t> chips,
-                                   std::int8_t initial_level = -1);
-
 // Maximum-likelihood sequence decoding from soft chip values (arbitrary
 // scale, sign convention as encode).  `soft.size()` must be even.
 // Returns soft.size()/2 bits.

@@ -29,35 +29,9 @@ double bit_error_rate(std::span<const std::uint8_t> sent,
          static_cast<double>(sent.size());
 }
 
-double estimate_snr_db(std::span<const double> rx, std::span<const double> ref) {
-  require(rx.size() == ref.size() && !rx.empty(), "estimate_snr: size mismatch");
-  const auto n = static_cast<double>(rx.size());
-  // Least squares with intercept: rx = h*ref + c + noise.  The intercept
-  // absorbs the un-modulated carrier pedestal beneath a backscatter stream,
-  // which is not noise and must not count against the SNR.
-  double mx = 0.0, mr = 0.0;
-  for (std::size_t i = 0; i < rx.size(); ++i) { mx += rx[i]; mr += ref[i]; }
-  mx /= n;
-  mr /= n;
-  double rr = 0.0, rx_ref = 0.0;
-  for (std::size_t i = 0; i < rx.size(); ++i) {
-    rr += (ref[i] - mr) * (ref[i] - mr);
-    rx_ref += (rx[i] - mx) * (ref[i] - mr);
-  }
-  if (rr <= 0.0) return kFloorDb;
-  const double h = rx_ref / rr;
-  double noise = 0.0;
-  for (std::size_t i = 0; i < rx.size(); ++i) {
-    const double e = (rx[i] - mx) - h * (ref[i] - mr);
-    noise += e * e;
-  }
-  noise /= n;
-  return safe_ratio_db(h * h, noise);
-}
-
-double estimate_snr_db(std::span<const std::complex<double>> rx,
+double measure_sinr_db(std::span<const std::complex<double>> rx,
                        std::span<const double> ref) {
-  require(rx.size() == ref.size() && !rx.empty(), "estimate_snr: size mismatch");
+  require(rx.size() == ref.size() && !rx.empty(), "measure_sinr: size mismatch");
   const auto n = static_cast<double>(rx.size());
   std::complex<double> mx{};
   double mr = 0.0;
@@ -77,13 +51,6 @@ double estimate_snr_db(std::span<const std::complex<double>> rx,
     noise += std::norm((rx[i] - mx) - h * (ref[i] - mr));
   noise /= n;
   return safe_ratio_db(std::norm(h), noise);
-}
-
-double measure_sinr_db(std::span<const std::complex<double>> rx,
-                       std::span<const double> ref) {
-  // Identical estimator; named separately because the residual here includes
-  // structured interference, not just noise.
-  return estimate_snr_db(rx, ref);
 }
 
 }  // namespace pab::phy

@@ -1,4 +1,4 @@
-// Communication metrology: BER, SNR and SINR estimation.
+// Communication metrology: BER and SINR estimation.
 //
 // SNR follows the paper's method (section 6.1a): "We computed the signal
 // power as the squared channel estimate, and computed the noise power as the
@@ -18,19 +18,12 @@ namespace pab::phy {
 [[nodiscard]] double bit_error_rate(std::span<const std::uint8_t> sent,
                                     std::span<const std::uint8_t> received);
 
-// SNR [dB] from received soft chip samples `rx` and the known/decoded chip
-// sequence `ref` (+/-1): channel h = <rx, ref>/<ref, ref>; noise = rx - h*ref.
-[[nodiscard]] double estimate_snr_db(std::span<const double> rx,
-                                     std::span<const double> ref);
-
-// Complex variant used after down-conversion.
-[[nodiscard]] double estimate_snr_db(std::span<const std::complex<double>> rx,
-                                     std::span<const double> ref);
-
-// SINR [dB] of stream `rx` against reference sequence `ref` (+/-1):
-// the reference-aligned component is signal, everything else (noise plus
-// interference from a colliding transmission) is impairment.  This is the
-// quantity Fig. 10 reports before and after MIMO projection.
+// SINR [dB] of stream `rx` against the known chip sequence `ref` (+/-1):
+// least squares with intercept, rx = h*ref + c + e, where the intercept
+// absorbs the un-modulated carrier pedestal beneath a backscatter stream.
+// Signal is |h|^2; everything in e (noise plus interference from a colliding
+// transmission) is impairment.  This is the quantity Fig. 10 reports before
+// and after MIMO projection.
 [[nodiscard]] double measure_sinr_db(std::span<const std::complex<double>> rx,
                                      std::span<const double> ref);
 

@@ -27,14 +27,6 @@ namespace pab::phy {
 
 struct PwmParams {
   double unit_s = 5e-3;  // one PWM time unit [s]
-
-  [[nodiscard]] double symbol_duration(std::uint8_t bit) const {
-    return (bit ? 3.0 : 2.0) * unit_s;
-  }
-  // Seconds between consecutive onset edges for a '0' / '1' symbol.
-  [[nodiscard]] double edge_interval(std::uint8_t bit) const {
-    return symbol_duration(bit);
-  }
 };
 
 // On/off keying envelope (one entry per sample, 1 = carrier on).

@@ -134,12 +134,10 @@ const core::ModulationStates& Session::modulation(std::size_t j,
       core::modulation_states(front_ends_.at(j), carrier_hz, bitrate);
   std::unique_lock lock(modulation_mutex_);
   const auto [it, inserted] = modulation_cache_.emplace(key, states);
-  if (inserted) {
-    modulation_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted)
     n_mod_misses_->add();
-  } else {
+  else
     n_mod_hits_->add();
-  }
   return it->second;
 }
 
@@ -343,7 +341,7 @@ pab::Expected<bool> Session::timeline_into(std::uint64_t trial,
   // silent.  The availability check happens when the link fires, i.e. after
   // the downlink+turnaround airtime has elapsed -- the node must be powered
   // at reply time, not at poll time.
-  mac::PollScheduler scheduler(config.scheduler, nullptr, &tl);
+  mac::PollScheduler scheduler(config.scheduler, &tl);
   for (const std::uint8_t id : out.identified) {
     phy::DownlinkQuery query;
     query.address = id;

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -160,14 +159,12 @@ class Session {
 
   // Memoized recto-piezo modulation response of node `j` at (carrier,
   // bitrate).  The first call per key walks the circuit model; later calls
-  // (and concurrent callers) are served from the cache.
+  // (and concurrent callers) are served from the cache.  Each evaluation
+  // counts one `sim.session.modulation_cache_misses`, every other call one
+  // `sim.session.modulation_cache_hits`.
   [[nodiscard]] const core::ModulationStates& modulation(std::size_t j,
                                                          double carrier_hz,
                                                          double bitrate) const;
-  // How many responses were actually evaluated (regression observability).
-  [[nodiscard]] std::uint64_t modulation_evaluations() const {
-    return modulation_evaluations_.load(std::memory_order_relaxed);
-  }
 
   // RNG substream for one trial (all of the trial's randomness).
   [[nodiscard]] pab::Rng trial_rng(std::uint64_t trial) const {
@@ -256,7 +253,6 @@ class Session {
   using ModKey = std::tuple<std::size_t, double, double>;
   mutable std::shared_mutex modulation_mutex_;
   mutable std::map<ModKey, core::ModulationStates> modulation_cache_;
-  mutable std::atomic<std::uint64_t> modulation_evaluations_{0};
 
   // Per-trial scratch of uplink trials: a workspace (arena + cached scheme
   // receiver) plus the synthesis/decode result buffers.  Pooled like the tap

@@ -54,19 +54,13 @@ class Pool {
     return Lease(this, std::make_unique<T>(std::forward<Args>(args)...));
   }
 
-  // Objects currently on the free list (for tests / introspection).
-  [[nodiscard]] std::size_t idle_count() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return free_.size();
-  }
-
  private:
   void release(std::unique_ptr<T> obj) {
     const std::lock_guard<std::mutex> lock(mutex_);
     free_.push_back(std::move(obj));
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::unique_ptr<T>> free_;
 };
 

@@ -52,17 +52,6 @@ inline constexpr double kNominalSoundSpeed = 1481.0;
   return kRefPressurePa * amplitude_ratio_from_db(spl_db);
 }
 
-// --- Frequency / time conversions ----------------------------------------
-
-[[nodiscard]] inline constexpr double khz(double v) { return v * 1e3; }
-[[nodiscard]] inline constexpr double mhz(double v) { return v * 1e6; }
-[[nodiscard]] inline constexpr double ms(double v) { return v * 1e-3; }
-[[nodiscard]] inline constexpr double us(double v) { return v * 1e-6; }
-[[nodiscard]] inline constexpr double milli(double v) { return v * 1e-3; }
-[[nodiscard]] inline constexpr double micro(double v) { return v * 1e-6; }
-[[nodiscard]] inline constexpr double nano(double v) { return v * 1e-9; }
-[[nodiscard]] inline constexpr double pico(double v) { return v * 1e-12; }
-
 // Wavelength of an acoustic signal.
 [[nodiscard]] inline double wavelength(double frequency_hz,
                                        double sound_speed = kNominalSoundSpeed) {

@@ -9,7 +9,6 @@
 namespace pab {
 
 static_assert(kPi > 3.14 && kPi < 3.15);
-static_assert(khz(15.0) == 15000.0);
 static_assert(to_string(ErrorCode::kOk) != nullptr);
 
 }  // namespace pab

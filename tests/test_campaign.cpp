@@ -7,8 +7,10 @@
 // (not fail) without it.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -279,6 +281,52 @@ TEST(CampaignSpec, ValidateRejectsUnknownPresetAndParam) {
   EXPECT_FALSE(bad_timeline.validate().ok());
 }
 
+// Integer parameters take only whole numbers in [0, 2^53).  Anything else
+// used to reach an unchecked static_cast: undefined for -1, NaN, inf and
+// 1e300, a silent truncation for 0.5.
+TEST(CampaignSpec, IntegerParametersRejectBadValues) {
+  const double bad[] = {-1.0, 0.5, std::nan(""),
+                        std::numeric_limits<double>::infinity(), 1e300};
+  struct Knob {
+    const char* preset;
+    const char* param;
+  };
+  const Knob knobs[] = {{"pool_a", "seed"},
+                        {"pool_a", "waveform.payload_bits"},
+                        {"pool_a", "waveform.scheme"},
+                        {"pool_a_concurrent", "fdma.training_bits"},
+                        {"pool_a_concurrent", "fdma.payload_bits"},
+                        {"open_water_random", "field.population"},
+                        {"open_water_clusters", "field.clusters"},
+                        {"open_water_random", "field.seed"}};
+  for (const Knob& k : knobs) {
+    campaign::CampaignSpec spec;
+    spec.name = "test-integer";
+    spec.preset = k.preset;
+    spec.trials_per_point = 1;
+    spec.axes.push_back({k.param, {2.0}});
+    ASSERT_TRUE(spec.validate().ok()) << k.param;
+    for (const double v : bad) {
+      spec.axes[0].values = {v};
+      const auto valid = spec.validate();
+      ASSERT_FALSE(valid.ok()) << k.param << "=" << v;
+      EXPECT_EQ(valid.code(), pab::ErrorCode::kInvalidArgument);
+      EXPECT_NE(valid.error().message().find(k.param), std::string::npos)
+          << valid.error().message();
+    }
+  }
+  campaign::CampaignSpec timeline = small_timeline_spec();
+  timeline.timeline["uplink_bits"] = 64.0;
+  ASSERT_TRUE(timeline.validate().ok());
+  for (const double v : bad) {
+    timeline.timeline["uplink_bits"] = v;
+    const auto valid = timeline.validate();
+    ASSERT_FALSE(valid.ok()) << "uplink_bits=" << v;
+    EXPECT_EQ(valid.code(), pab::ErrorCode::kInvalidArgument);
+    EXPECT_NE(valid.error().message().find("uplink_bits"), std::string::npos);
+  }
+}
+
 // A cheap two-point deployment-field campaign.
 campaign::CampaignSpec small_field_spec() {
   campaign::CampaignSpec spec;
@@ -543,6 +591,39 @@ TEST(CampaignExecutor, NodeOutsideTheTankYieldsErrorRows) {
   }
   EXPECT_NE(sharded.value().summary_json().find("\"errors\": 2"),
             std::string::npos);
+}
+
+// A spec value the simulators reject makes a trial throw: a zero payload
+// has no bits to count errors over, and a zero FDMA bitrate puts the
+// receiver's low-pass cutoff at 0 Hz.  Both executors report it as an error;
+// neither aborts the process.
+TEST(CampaignExecutor, SimulatorRejectionIsAnError) {
+  campaign::CampaignSpec zero_payload = small_uplink_spec();
+  zero_payload.axes[0].values = {0.0};
+  campaign::CampaignSpec zero_bitrate;
+  zero_bitrate.name = "test-zero-bitrate";
+  zero_bitrate.preset = "pool_a_concurrent";
+  zero_bitrate.kind = sim::TrialKind::kNetwork;
+  zero_bitrate.trials_per_point = 2;
+  zero_bitrate.axes.push_back({"fdma.bitrate", {0.0}});
+  for (const campaign::CampaignSpec& spec : {zero_payload, zero_bitrate}) {
+    ASSERT_TRUE(spec.validate().ok()) << spec.name;
+    campaign::BatchExecutor batch;
+    const auto in_process = batch.run(spec, {});
+    ASSERT_FALSE(in_process.ok()) << spec.name;
+    EXPECT_EQ(in_process.code(), pab::ErrorCode::kInvalidArgument);
+#ifdef PAB_WORKER_BIN
+    campaign::ProcessExecutor sharded;
+    campaign::RunOptions options;
+    options.workers = 2;
+    options.worker_binary = PAB_WORKER_BIN;
+    const auto result = sharded.run(spec, options);
+    ASSERT_FALSE(result.ok()) << spec.name;
+    EXPECT_NE(result.error().message().find(in_process.error().message()),
+              std::string::npos)
+        << result.error().message();
+#endif  // PAB_WORKER_BIN
+  }
 }
 
 #ifdef PAB_WORKER_BIN

@@ -7,7 +7,7 @@
 #include "channel/propagation.hpp"
 #include "channel/tank.hpp"
 #include "channel/water.hpp"
-#include "dsp/mixer.hpp"
+#include "signal_helpers.hpp"
 #include "util/units.hpp"
 
 namespace pab::channel {
@@ -151,7 +151,7 @@ TEST(Noise, GeneratedPowerMatchesModel) {
   pab::Rng rng(1);
   const auto samples = n.generate(100000, 96000.0, rng);
   const double measured = std::sqrt(
-      dsp::signal_power(std::span<const double>(samples)));
+      testing::signal_power(std::span<const double>(samples)));
   EXPECT_NEAR(measured / n.sample_stddev_pa(96000.0), 1.0, 0.02);
 }
 

@@ -135,19 +135,6 @@ TEST(Supercap, DischargeFloorsAtZero) {
   EXPECT_NEAR(cap.voltage(), 0.0, 1e-9);
 }
 
-TEST(Ldo, RegulationWindow) {
-  Ldo ldo;
-  EXPECT_FALSE(ldo.in_regulation(1.9));
-  EXPECT_TRUE(ldo.in_regulation(2.2));
-}
-
-TEST(Ldo, InputPowerIncludesQuiescent) {
-  Ldo ldo;
-  const double p = ldo.input_power(2.1, 230e-6);
-  EXPECT_NEAR(p, 2.1 * (230e-6 + 25e-6), 1e-12);
-  EXPECT_EQ(ldo.input_power(1.0, 230e-6), 0.0);  // out of regulation
-}
-
 TEST(RectoPiezo, PeakAtMatchFrequency) {
   // The heart of Fig. 3: each recto-piezo peaks at its own match frequency.
   const auto rp15 = make_recto_piezo(15000.0);

@@ -11,6 +11,7 @@
 #include "phy/pwm.hpp"
 #include "sense/ms5837.hpp"
 #include "sense/ph.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -108,7 +109,7 @@ class MixerSweep : public ::testing::TestWithParam<double> {};
 TEST_P(MixerSweep, DownconversionRecoversAmplitude) {
   const double carrier = GetParam();
   const double fs = 96000.0;
-  const dsp::Signal tone = dsp::make_tone(carrier, 0.6, 0.1, fs);
+  const dsp::Signal tone = testing::make_tone(carrier, 0.6, 0.1, fs);
   const auto bb = dsp::downconvert_filtered(tone, carrier, 1500.0, 5);
   double acc = 0.0;
   std::size_t n = 0;
@@ -123,7 +124,7 @@ TEST_P(MixerSweep, AdjacentCarrierIsRejected) {
   const double carrier = GetParam();
   const double fs = 96000.0;
   // 3 kHz away: outside the 1.5 kHz low-pass.
-  const dsp::Signal interferer = dsp::make_tone(carrier + 3000.0, 0.6, 0.1, fs);
+  const dsp::Signal interferer = testing::make_tone(carrier + 3000.0, 0.6, 0.1, fs);
   const auto bb = dsp::downconvert_filtered(interferer, carrier, 1500.0, 5);
   double acc = 0.0;
   std::size_t n = 0;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "dsp/iir.hpp"
-#include "dsp/mixer.hpp"
+#include "signal_helpers.hpp"
 #include "util/units.hpp"
 
 namespace pab::dsp {
@@ -30,11 +30,12 @@ TEST(Iir, OddOrdersHaveFirstOrderSection) {
 TEST(Iir, ComplexFilteringMatchesRealOnRealInput) {
   const double fs = 48000.0;
   const auto lp = butterworth_lowpass(4, 3000.0, fs);
-  const Signal in = make_tone(1000.0, 1.0, 0.01, fs);
+  const Signal in = testing::make_tone(1000.0, 1.0, 0.01, fs);
   std::vector<cplx> cin(in.samples.size());
   for (std::size_t i = 0; i < cin.size(); ++i) cin[i] = {in.samples[i], 0.0};
-  const auto real_out = lp.filter(std::span<const double>(in.samples));
-  const auto cplx_out = lp.filter(std::span<const cplx>(cin));
+  const auto real_out = testing::biquad_filter(lp, in.samples);
+  std::vector<cplx> cplx_out(cin.size());
+  lp.filter_into(cin, cplx_out);
   for (std::size_t i = 0; i < real_out.size(); ++i) {
     EXPECT_NEAR(cplx_out[i].real(), real_out[i], 1e-12);
     EXPECT_NEAR(cplx_out[i].imag(), 0.0, 1e-12);

@@ -27,6 +27,7 @@
 #include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
 #include "pearson_oracle.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -54,26 +55,15 @@ void expect_exactly_equal(const std::vector<T>& want, std::span<const T> got) {
 // --- dsp ----------------------------------------------------------------------
 
 TEST(DspInto, BiquadCascadeFilterMatchesWrapperAndAliases) {
+  // Out of place and in place (y aliases x) give the same bits.
   Rng rng(102);
   const auto lp = dsp::butterworth_lowpass(5, 2500.0, 96000.0);
   const auto cx = random_cvec(rng, 800);
-  const auto cwant = lp.filter(cx);
-  std::vector<dsp::cplx> cgot(cx.size());
-  lp.filter_into(cx, cgot);
-  expect_exactly_equal<dsp::cplx>(cwant, cgot);
-  // In place: y aliases x.
+  std::vector<dsp::cplx> cwant(cx.size());
+  lp.filter_into(cx, cwant);
   std::vector<dsp::cplx> cin = cx;
   lp.filter_into(cin, cin);
   expect_exactly_equal<dsp::cplx>(cwant, cin);
-}
-
-TEST(DspInto, DownconvertMatchesWrapper) {
-  Rng rng(103);
-  const dsp::Signal x(random_vec(rng, 2000), 96000.0);
-  const dsp::BasebandSignal want = dsp::downconvert(x, 15000.0);
-  std::vector<dsp::cplx> got(x.size());
-  dsp::downconvert_into(x.samples, x.sample_rate, 15000.0, got);
-  expect_exactly_equal<dsp::cplx>(want.samples, got);
 }
 
 TEST(DspInto, DownconvertFilteredArenaMatchesWrapper) {
@@ -208,7 +198,7 @@ TEST(DspInto, DemodulateIntoMatchesWrapperOnSynthesizedCapture) {
     const double level = sw[i] == phy::SwitchState::kReflective ? 1.3 : 0.7;
     bb.samples[lead + i] = {level, 0.0};
   }
-  dsp::Signal passband = dsp::upconvert(bb, dc.carrier_hz);
+  dsp::Signal passband = testing::upconvert(bb, dc.carrier_hz);
   for (auto& v : passband.samples) v += rng.gaussian(0.0, 0.05);
 
   const auto want = demod.demodulate(passband, payload.size());

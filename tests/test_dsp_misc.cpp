@@ -8,11 +8,16 @@
 #include "dsp/goertzel.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/resample.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pab::dsp {
 namespace {
+
+using testing::make_tone;
+using testing::signal_power;
+using testing::upconvert;
 
 TEST(Mixer, ToneProperties) {
   const Signal s = make_tone(1000.0, 2.0, 0.5, 48000.0);

@@ -7,7 +7,6 @@
 
 #include "circuit/rectopiezo.hpp"
 #include "core/link.hpp"
-#include "dsp/mixer.hpp"
 #include "dsp/wav.hpp"
 #include "mac/rate_control.hpp"
 #include "phy/equalizer.hpp"
@@ -15,6 +14,7 @@
 #include "phy/metrics.hpp"
 #include "phy/scheme.hpp"
 #include "sim/scenario.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -203,7 +203,7 @@ TEST(Equalizer, TooLittleTrainingThrows) {
 // --- WAV round-trip -------------------------------------------------------------
 
 TEST(Wav, RoundTripPreservesWaveform) {
-  const dsp::Signal s = dsp::make_tone(1500.0, 0.5, 0.05, 48000.0);
+  const dsp::Signal s = testing::make_tone(1500.0, 0.5, 0.05, 48000.0);
   const std::string path = "/tmp/pab_test_roundtrip.wav";
   ASSERT_EQ(dsp::write_wav(path, s), ErrorCode::kOk);
   const auto back = dsp::read_wav(path);

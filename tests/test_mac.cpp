@@ -149,11 +149,11 @@ TEST(Scheduler, MixedRetrySequenceAirtime) {
   EXPECT_NEAR(sched.stats().elapsed_s, 0.54, 1e-9);
 }
 
-// The scheduler's counters land in an injected registry under mac.poll.*,
-// so bench sidecars can fold MAC accounting in.
+// export_to folds the scheduler's books into a registry under mac.poll.*,
+// so bench sidecars can carry MAC accounting; a second export adds again.
 TEST(Scheduler, CountersVisibleInInjectedRegistry) {
   obs::MetricRegistry reg;
-  PollScheduler sched(SchedulerConfig{1, 0.2, 0.02}, &reg);
+  PollScheduler sched(SchedulerConfig{1, 0.2, 0.02});
   int calls = 0;
   const auto link = [&](const phy::DownlinkQuery&) -> pab::Expected<phy::UplinkPacket> {
     if (++calls == 1) return pab::Error{pab::ErrorCode::kCrcMismatch, "noise"};
@@ -163,17 +163,20 @@ TEST(Scheduler, CountersVisibleInInjectedRegistry) {
   };
   const auto r = sched.transact(make_ping(1), link, 60, 1000.0);
   EXPECT_TRUE(r.ok());
+  sched.export_to(reg);
   EXPECT_EQ(reg.counter("mac.poll.attempts").value(), 2u);
   EXPECT_EQ(reg.counter("mac.poll.retries").value(), 1u);
   EXPECT_EQ(reg.counter("mac.poll.successes").value(), 1u);
   EXPECT_EQ(reg.counter("mac.poll.crc_failures").value(), 1u);
+  EXPECT_EQ(reg.counter("mac.poll.no_response").value(), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("mac.poll.payload_bits_delivered").value(), 16.0);
-  // Snapshot view agrees with the registry.
+  EXPECT_DOUBLE_EQ(reg.gauge("mac.poll.elapsed_s").value(),
+                   sched.stats().elapsed_s);
+  // The registry agrees with the books it was fed from.
   EXPECT_EQ(sched.stats().attempts, 2u);
-  // reset_stats zeroes the scheduler's instruments in place.
-  sched.reset_stats();
-  EXPECT_EQ(reg.counter("mac.poll.attempts").value(), 0u);
-  EXPECT_EQ(sched.stats().attempts, 0u);
+  sched.export_to(reg);
+  EXPECT_EQ(reg.counter("mac.poll.attempts").value(), 4u);
+  EXPECT_DOUBLE_EQ(reg.gauge("mac.poll.payload_bits_delivered").value(), 32.0);
 }
 
 TEST(Scheduler, PollRoundHitsAllQueries) {
@@ -423,17 +426,17 @@ TEST(Fdma, RejectionMaskRejectsNegativeParameters) {
   EXPECT_THROW((void)rejection_db(bad, 15000.0, 18000.0), std::exception);
 }
 
-// Regression: stats().elapsed_s used to be read back from the obs::Gauge,
+// Regression: stats().elapsed_s used to be read back from an obs::Gauge,
 // i.e. a plain running `double +=`.  Over hundreds of thousands of
 // transactions the rounding error accumulates linearly (~1e-6 s after 400k
 // adds of these step sizes), which is enough to shift goodput figures in the
-// 7th digit.  elapsed_s now comes from a compensated (Neumaier) sum and must
-// stay exact to ~1 ulp of the true product; the legacy gauge keeps its
-// historical accumulate-in-place behaviour for shared-registry exports.
+// 7th digit.  elapsed_s comes from a compensated (Neumaier) sum and must
+// stay exact to ~1 ulp of the true product, and so must the gauge
+// export_to publishes.
 TEST(Scheduler, ElapsedAirtimeDoesNotDriftOverLongRuns) {
   obs::MetricRegistry reg;
   const SchedulerConfig config{0, 0.1, 0.003};
-  PollScheduler sched(config, &reg);
+  PollScheduler sched(config);
   const auto link = [](const phy::DownlinkQuery&)
       -> pab::Expected<phy::UplinkPacket> {
     phy::UplinkPacket p;
@@ -446,15 +449,14 @@ TEST(Scheduler, ElapsedAirtimeDoesNotDriftOverLongRuns) {
   for (std::size_t i = 0; i < kTransacts; ++i)
     (void)sched.transact(make_ping(1), link, 70, 1000.0);
 
+  sched.export_to(reg);
   const double expected = per * static_cast<double>(kTransacts);
-  const double err_stats = std::abs(sched.stats().elapsed_s - expected);
-  const double err_gauge =
-      std::abs(reg.gauge("mac.poll.elapsed_s").value() - expected);
+  const double exported = reg.gauge("mac.poll.elapsed_s").value();
+  EXPECT_EQ(exported, sched.stats().elapsed_s);
   // The compensated sum is exact to well under a nanosecond over the whole
-  // run; the naive gauge accumulation is allowed to be (and in practice is)
-  // orders of magnitude worse.
-  EXPECT_LT(err_stats, 1e-9);
-  EXPECT_LE(err_stats, err_gauge + 1e-12);
+  // run; a naive running sum is off by ~1e-6 s.
+  EXPECT_LT(std::abs(sched.stats().elapsed_s - expected), 1e-9);
+  EXPECT_LT(std::abs(exported - expected), 1e-9);
 }
 
 TEST(Fdma, ThroughputDoubling) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <vector>
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pab::phy {
@@ -64,7 +65,7 @@ TEST(Fm0, HardDecodeRoundTrip) {
   pab::Rng rng(4);
   const auto bits = rng.bits(128);
   const auto chips = fm0_encode(bits);
-  EXPECT_EQ(fm0_decode_hard(chips), bits);
+  EXPECT_EQ(testing::fm0_decode_hard(chips), bits);
 }
 
 TEST(Fm0, MlDecodeNoiseless) {
@@ -89,7 +90,7 @@ TEST(Fm0, MlDecodeBeatsHardAtLowSnr) {
       noisy[i] = soft[i] >= 0 ? 1 : -1;
     }
     const auto ml = fm0_decode_ml(soft);
-    const auto hard = fm0_decode_hard(noisy);
+    const auto hard = testing::fm0_decode_hard(noisy);
     ml_errors += hamming_distance(bits, ml);
     hard_errors += hamming_distance(bits, hard);
   }

@@ -13,6 +13,7 @@
 #include "phy/packet.hpp"
 #include "phy/pwm.hpp"
 #include "piezo/transducer.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pab {
@@ -28,7 +29,7 @@ TEST_P(Fm0RoundTrip, EncodeDecodeIdentity) {
   const auto bits = rng.bits(static_cast<std::size_t>(n_bits));
   const auto chips = phy::fm0_encode(bits);
   ASSERT_EQ(chips.size(), bits.size() * 2);
-  EXPECT_EQ(phy::fm0_decode_hard(chips), bits);
+  EXPECT_EQ(testing::fm0_decode_hard(chips), bits);
   std::vector<double> soft(chips.begin(), chips.end());
   EXPECT_EQ(phy::fm0_decode_ml(soft), bits);
 }

@@ -231,16 +231,19 @@ TEST(TapCache, DistinctKeysEvaluateSeparately) {
 // Satellite: the recto-piezo frequency response is memoized per (front end,
 // carrier, bitrate) -- trials at one operating point share one evaluation.
 TEST(Session, ModulationResponseMemoized) {
-  const Session session(Scenario::pool_a().with_seed(2));
+  obs::MetricRegistry reg;
+  const Session session(Scenario::pool_a().with_seed(2), &reg);
+  const obs::Counter& evaluations =
+      reg.counter("sim.session.modulation_cache_misses");
   const auto trials = BatchRunner(4).run<TrialKind::kUplink>(session, 8);
   for (const auto& t : trials) ASSERT_TRUE(t.ok());
-  EXPECT_EQ(session.modulation_evaluations(), 1u);
+  EXPECT_EQ(evaluations.value(), 1u);
   // A different operating point is a fresh evaluation...
   (void)session.modulation(0, 18000.0, 1000.0);
-  EXPECT_EQ(session.modulation_evaluations(), 2u);
+  EXPECT_EQ(evaluations.value(), 2u);
   // ...and repeating it is not.
   (void)session.modulation(0, 18000.0, 1000.0);
-  EXPECT_EQ(session.modulation_evaluations(), 2u);
+  EXPECT_EQ(evaluations.value(), 2u);
 }
 
 // Satellite: failures surface as Expected errors, not sentinel values.

@@ -3,12 +3,14 @@
 
 #include <cmath>
 
-#include "dsp/mixer.hpp"
 #include "dsp/spectrogram.hpp"
+#include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace pab::dsp {
 namespace {
+
+using testing::make_tone;
 
 TEST(Spectrogram, ToneConcentratesInItsBin) {
   const Signal s = make_tone(15000.0, 1.0, 0.2, 96000.0);

@@ -156,7 +156,7 @@ TEST(TimedScheduler, RetryBackoffIsATimedEvent) {
   Timeline tl;
   mac::SchedulerConfig config{2, 0.2, 0.02};
   config.retry_backoff_s = 0.1;
-  mac::PollScheduler sched(config, nullptr, &tl);
+  mac::PollScheduler sched(config, &tl);
   int calls = 0;
   const auto link = [&calls](const phy::DownlinkQuery&)
       -> pab::Expected<phy::UplinkPacket> {
@@ -187,7 +187,7 @@ TEST(TimedScheduler, QueryTimeoutCapsAirtime) {
   mac::SchedulerConfig config{100, 0.2, 0.02};
   config.retry_backoff_s = 0.1;
   config.query_timeout_s = 1.0;
-  mac::PollScheduler sched(config, nullptr, &tl);
+  mac::PollScheduler sched(config, &tl);
   const auto silent = [](const phy::DownlinkQuery&)
       -> pab::Expected<phy::UplinkPacket> {
     return pab::Error{pab::ErrorCode::kTimeout, "silent"};
@@ -310,7 +310,7 @@ TEST(Lifecycle, BrownoutMidInventoryAndRejoin) {
 
   // The rejoined node answers a poll: the round completes end-to-end on the
   // same timeline, and the brownout/power-up markers are in the event log.
-  mac::PollScheduler sched({2, 0.2, 0.02}, nullptr, &tl);
+  mac::PollScheduler sched({2, 0.2, 0.02}, &tl);
   const auto link = [&node](const phy::DownlinkQuery&)
       -> pab::Expected<phy::UplinkPacket> {
     if (!node.powered())

@@ -13,6 +13,7 @@
 #include "circuit/storage.hpp"
 #include "dsp/arena.hpp"
 #include "energy/harvester.hpp"
+#include "mac/scheduler.hpp"
 #include "node/lifecycle.hpp"
 #include "obs/alloccount.hpp"
 #include "obs/metrics.hpp"
@@ -260,6 +261,18 @@ TEST(ZeroAlloc, WarmLifecycleTickCostsOneAllocation) {
   EXPECT_EQ(fired, kTicks);
   EXPECT_EQ(allocations, kTicks);
   EXPECT_TRUE(life.powered());
+}
+
+// A scheduler keeps plain books, so building one -- every kTimeline trial
+// does -- costs no heap allocation, with or without a timeline.
+TEST(ZeroAlloc, PollSchedulerConstructionAllocatesNothing) {
+  sim::Timeline tl;
+  const obs::AllocScope scope;
+  {
+    const mac::PollScheduler untimed;
+    const mac::PollScheduler timed(mac::SchedulerConfig{}, &tl);
+  }
+  EXPECT_EQ(scope.allocations(), 0u);
 }
 
 // read_frame trusts nothing in the length prefix: a frame that claims 1 GiB
