@@ -20,8 +20,23 @@ std::int64_t cell_coord(double v, double cell_m) {
 SpatialIndex::SpatialIndex(std::span<const Vec3> points, double cell_m)
     : points_(points.begin(), points.end()), cell_m_(cell_m) {
   require(cell_m > 0.0, "SpatialIndex: cell size must be positive");
-  for (std::size_t i = 0; i < points_.size(); ++i)
-    cells_[cell_of(i)].push_back(static_cast<std::uint32_t>(i));
+  std::vector<CellKey> key_of(points_.size());
+  members_.resize(points_.size());
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    key_of[i] = cell_of(i);
+    members_[i] = static_cast<std::uint32_t>(i);
+  }
+  // Stable: members stay ascending within each cell.
+  std::stable_sort(members_.begin(), members_.end(),
+                   [&key_of](std::uint32_t a, std::uint32_t b) {
+                     return key_of[a] < key_of[b];
+                   });
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    const CellKey& key = key_of[members_[m]];
+    if (cells_.empty() || cells_.back().key != key)
+      cells_.push_back(Cell{key, m, m});
+    ++cells_.back().end;
+  }
 }
 
 std::array<std::int64_t, 3> SpatialIndex::cell_of(std::size_t i) const {
@@ -30,26 +45,28 @@ std::array<std::int64_t, 3> SpatialIndex::cell_of(std::size_t i) const {
           cell_coord(p.z, cell_m_)};
 }
 
+std::span<const std::uint32_t> SpatialIndex::members_of(
+    const CellKey& key) const {
+  const auto it = std::lower_bound(
+      cells_.begin(), cells_.end(), key,
+      [](const Cell& c, const CellKey& k) { return c.key < k; });
+  if (it == cells_.end() || it->key != key) return {};
+  return {members_.data() + it->begin, it->end - it->begin};
+}
+
 void SpatialIndex::neighbors_within(std::size_t i, double radius,
                                     std::vector<std::uint32_t>& out) const {
   out.clear();
   if (radius < 0.0) return;
   const Vec3& p = points_.at(i);
-  const auto [cx, cy, cz] = cell_of(i);
   const std::int64_t reach =
       static_cast<std::int64_t>(std::ceil(radius / cell_m_));
-  for (std::int64_t dx = -reach; dx <= reach; ++dx) {
-    for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-      for (std::int64_t dz = -reach; dz <= reach; ++dz) {
-        const auto it = cells_.find(CellKey{cx + dx, cy + dy, cz + dz});
-        if (it == cells_.end()) continue;
-        for (const std::uint32_t j : it->second) {
-          if (j == i) continue;
-          if (distance(p, points_[j]) <= radius) out.push_back(j);
-        }
-      }
-    }
-  }
+  for_each_cell_near(cell_of(i), reach,
+                     [&](std::span<const std::uint32_t> members) {
+                       for (const std::uint32_t j : members)
+                         if (j != i && distance(p, points_[j]) <= radius)
+                           out.push_back(j);
+                     });
   // Cells were visited in grid order, not index order.
   std::sort(out.begin(), out.end());
 }
@@ -76,12 +93,43 @@ double cull_radius_m(double gain_floor, double freq_hz, double max_radius_m) {
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
     const SpatialIndex& index, double radius, CullStats* stats) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> kept;
-  std::vector<std::uint32_t> scratch;
   const std::size_t n = index.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    index.neighbors_within(i, radius, scratch);
-    for (const std::uint32_t j : scratch)
-      if (j > i) kept.emplace_back(static_cast<std::uint32_t>(i), j);
+  if (radius >= 0.0) {
+    // Each cell's neighbourhood -- the member ranges of the occupied cells
+    // within reach, in grid order -- is resolved once per cell, not once per
+    // point.
+    const std::int64_t reach =
+        static_cast<std::int64_t>(std::ceil(radius / index.cell_m_));
+    std::vector<std::uint32_t> cell_of(n);
+    std::vector<std::size_t> near_begin(index.cells_.size() + 1, 0);
+    std::vector<std::span<const std::uint32_t>> near;
+    for (std::size_t c = 0; c < index.cells_.size(); ++c) {
+      const SpatialIndex::Cell& cell = index.cells_[c];
+      for (std::uint32_t m = cell.begin; m < cell.end; ++m)
+        cell_of[index.members_[m]] = static_cast<std::uint32_t>(c);
+      index.for_each_cell_near(
+          cell.key, reach,
+          [&near](std::span<const std::uint32_t> members) {
+            near.push_back(members);
+          });
+      near_begin[c + 1] = near.size();
+    }
+    std::vector<std::uint32_t> scratch;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Each pair is tested once, from its lower index.
+      const Vec3& p = index.points_[i];
+      scratch.clear();
+      for (std::size_t k = near_begin[cell_of[i]]; k < near_begin[cell_of[i] + 1];
+           ++k) {
+        const std::span<const std::uint32_t> members = near[k];
+        for (auto j = std::upper_bound(members.begin(), members.end(), i);
+             j != members.end(); ++j)
+          if (distance(p, index.points_[*j]) <= radius) scratch.push_back(*j);
+      }
+      std::sort(scratch.begin(), scratch.end());
+      for (const std::uint32_t j : scratch)
+        kept.emplace_back(static_cast<std::uint32_t>(i), j);
+    }
   }
   if (stats != nullptr) {
     stats->total_pairs = static_cast<std::uint64_t>(n) * (n - (n > 0 ? 1 : 0)) / 2;

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -25,6 +24,12 @@
 #include "channel/tank.hpp"
 
 namespace pab::channel {
+
+struct CullStats {
+  std::uint64_t total_pairs = 0;   // n * (n-1) / 2
+  std::uint64_t kept_pairs = 0;
+  std::uint64_t culled_pairs = 0;  // total - kept
+};
 
 class SpatialIndex {
  public:
@@ -47,12 +52,39 @@ class SpatialIndex {
 
  private:
   using CellKey = std::array<std::int64_t, 3>;
+  // One occupied cell: its key and its members' range in members_.
+  struct Cell {
+    CellKey key;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  // Ascending member indices of the cell at `key` (empty when unoccupied).
+  [[nodiscard]] std::span<const std::uint32_t> members_of(const CellKey& key) const;
+  // Calls visit(members) for every occupied cell within `reach` cells of
+  // `key` along each axis, in grid order.
+  template <typename Visit>
+  void for_each_cell_near(const CellKey& key, std::int64_t reach,
+                          Visit&& visit) const {
+    for (std::int64_t dx = -reach; dx <= reach; ++dx)
+      for (std::int64_t dy = -reach; dy <= reach; ++dy)
+        for (std::int64_t dz = -reach; dz <= reach; ++dz) {
+          const std::span<const std::uint32_t> members =
+              members_of(CellKey{key[0] + dx, key[1] + dy, key[2] + dz});
+          if (!members.empty()) visit(members);
+        }
+  }
 
   std::vector<Vec3> points_;
   double cell_m_;
-  // std::map keys sort, so iteration order is deterministic by construction;
-  // member lists are filled in index order and stay ascending.
-  std::map<CellKey, std::vector<std::uint32_t>> cells_;
+  // Occupied cells sorted by key, so a lookup is a binary search and every
+  // walk is deterministic; members_ holds each cell's indices contiguously,
+  // ascending within the cell.
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> members_;
+
+  friend std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
+      const SpatialIndex& index, double radius, CullStats* stats);
 };
 
 // Largest distance whose one-way amplitude gain still reaches `gain_floor`
@@ -61,12 +93,6 @@ class SpatialIndex {
 // Returns `max_radius_m` if the gain never falls below the floor within it.
 [[nodiscard]] double cull_radius_m(double gain_floor, double freq_hz,
                                    double max_radius_m = 1.0e5);
-
-struct CullStats {
-  std::uint64_t total_pairs = 0;   // n * (n-1) / 2
-  std::uint64_t kept_pairs = 0;
-  std::uint64_t culled_pairs = 0;  // total - kept
-};
 
 // Every pair (i < j) with distance <= radius, ascending lexicographic order.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(

@@ -9,11 +9,6 @@
 
 namespace pab::channel {
 
-double distance(const Vec3& a, const Vec3& b) {
-  const Vec3 d = a - b;
-  return std::sqrt(d.x * d.x + d.y * d.y + d.z * d.z);
-}
-
 Tank make_pool_a() {
   Tank t;
   t.size = {3.0, 4.0, 1.3};

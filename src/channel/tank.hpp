@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "channel/water.hpp"
@@ -27,7 +28,10 @@ struct Vec3 {
   friend bool operator==(const Vec3&, const Vec3&) = default;
 };
 
-[[nodiscard]] double distance(const Vec3& a, const Vec3& b);
+[[nodiscard]] inline double distance(const Vec3& a, const Vec3& b) {
+  const Vec3 d = a - b;
+  return std::sqrt(d.x * d.x + d.y * d.y + d.z * d.z);
+}
 
 // An enclosed rectangular tank: x in [0, size.x], y in [0, size.y],
 // z in [0, size.z] with z = size.z the free surface.

@@ -59,8 +59,8 @@ bool lex_less(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-std::shared_ptr<const TapCache::Taps> TapCache::taps(const Vec3& a, const Vec3& b,
-                                                     double freq_hz) const {
+const TapCache::Taps* TapCache::taps(const Vec3& a, const Vec3& b,
+                                     double freq_hz) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   // In quantized mode the *computation* geometry is the snapped one, so every
   // lookup that maps to a key gets the same bit-identical tap set regardless
@@ -86,16 +86,16 @@ std::shared_ptr<const TapCache::Taps> TapCache::taps(const Vec3& a, const Vec3& 
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
       if (hits_ != nullptr) hits_->add();
-      return it->second;
+      return &it->second;
     }
   }
   // Compute outside the lock; a concurrent duplicate computation is benign
   // (both produce identical taps, the first insert wins).  Only the winner
   // counts a miss, so misses equal evaluations however threads interleave.
-  auto computed = std::make_shared<const Taps>(
+  Taps computed =
       use_image_method_
           ? image_method_taps(tank_, ka, kb, max_image_order_, freq_hz)
-          : free_field_tap(ka, kb, freq_hz, tank_.water));
+          : free_field_tap(ka, kb, freq_hz, tank_.water);
   std::unique_lock lock(mutex_);
   const auto [it, inserted] = cache_.emplace(key, std::move(computed));
   if (inserted) {
@@ -104,7 +104,7 @@ std::shared_ptr<const TapCache::Taps> TapCache::taps(const Vec3& a, const Vec3& 
   } else if (hits_ != nullptr) {
     hits_->add();
   }
-  return it->second;
+  return &it->second;
 }
 
 }  // namespace pab::channel

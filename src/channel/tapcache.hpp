@@ -3,8 +3,9 @@
 // Image-method enumeration is the single hottest per-trial cost of the
 // waveform simulators, yet for a fixed scenario only a handful of
 // (endpoint, endpoint, carrier) combinations ever occur.  A TapCache computes
-// each combination once and hands out shared immutable tap sets; concurrent
-// Monte-Carlo trials (sim::BatchRunner) share one cache per session.
+// each combination once and hands out pointers to immutable tap sets that
+// live as long as the cache; concurrent Monte-Carlo trials
+// (sim::BatchRunner) share one cache per session.
 //
 // Keys compare the exact double bit patterns of the endpoints and frequency:
 // two lookups hit the same entry iff they describe bit-identical geometry,
@@ -23,7 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -50,14 +50,17 @@ class TapCache {
   // The tank, reflection order, and propagation mode are fixed per cache
   // (they come from the scenario); only geometry and carrier vary per lookup.
   // With a registry the cache reports `channel.tapcache.{hits,misses}`
-  // counters (one relaxed atomic increment per lookup -- hot-path safe).
+  // counters (one relaxed atomic increment per lookup).  A cache private to
+  // one thread should publish its lookups()/evaluations() once instead: a
+  // registry counter is shared by every thread that bumps it.
   TapCache(Tank tank, int max_image_order, bool use_image_method,
            obs::MetricRegistry* metrics = nullptr, TapQuantization quant = {});
 
-  // Memoized taps for the (a -> b, freq_hz) path.  The returned pointer stays
-  // valid for the cache's lifetime and is safe to read from any thread.
-  [[nodiscard]] std::shared_ptr<const Taps> taps(const Vec3& a, const Vec3& b,
-                                                 double freq_hz) const;
+  // Memoized taps for the (a -> b, freq_hz) path.  The returned pointer is
+  // never null, stays valid for the cache's lifetime and is safe to read
+  // from any thread.
+  [[nodiscard]] const Taps* taps(const Vec3& a, const Vec3& b,
+                                 double freq_hz) const;
 
   // Observability for regression tests: how many tap sets were actually
   // computed vs how many lookups were served.
@@ -94,7 +97,9 @@ class TapCache {
   obs::Counter* misses_ = nullptr;
 
   mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<Key, std::shared_ptr<const Taps>, KeyHash> cache_;
+  // Node-based: an entry's address survives rehashing, which is what lets
+  // taps() hand out plain pointers.
+  mutable std::unordered_map<Key, Taps, KeyHash> cache_;
   mutable std::atomic<std::uint64_t> evaluations_{0};
   mutable std::atomic<std::uint64_t> lookups_{0};
 };

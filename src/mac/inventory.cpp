@@ -37,6 +37,7 @@ AlohaRun::AlohaRun(std::span<const std::uint8_t> population,
       pending_(population.begin(), population.end()),
       q_(config.initial_q),
       nonce_(config.seed) {
+  identified_.reserve(pending_.size());
   require(config.min_q >= 0 && config.min_q <= config.max_q,
           "AlohaRun: invalid q bounds");
   require(config.initial_q >= config.min_q && config.initial_q <= config.max_q,
@@ -49,31 +50,46 @@ bool AlohaRun::done() const {
          stats_.frames >= static_cast<std::size_t>(max_frames);
 }
 
-void AlohaRun::announce(std::vector<std::vector<std::uint8_t>>& by_slot) {
+std::size_t AlohaRun::announce() {
   ++stats_.frames;
   ++nonce_;
   const std::size_t slot_count = std::size_t{1} << q_;
   stats_.slots += slot_count;
-  // Clear in place: the slot lists keep their capacity across frames.
-  by_slot.resize(slot_count);
-  for (std::vector<std::uint8_t>& ids : by_slot) ids.clear();
-  for (const std::uint8_t id : pending_)
-    by_slot[inventory_slot(id, nonce_, slot_count)].push_back(id);
+  // Counting sort of the pending ids by slot, stable in pending order.  Every
+  // buffer is resized in place, keeping its capacity across frames.
+  pick_.resize(pending_.size());
+  slots_.assign(slot_count + 1, Slot{});
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    pick_[i] = inventory_slot(pending_[i], nonce_, slot_count);
+    ++slots_[pick_[i] + 1].begin;
+  }
+  for (std::size_t k = 0; k < slot_count; ++k)
+    slots_[k + 1].begin += slots_[k].begin;
+  assigned_.resize(pending_.size());
+  replied_.resize(pending_.size());
+  // `replies` serves as the fill cursor, then is reset for the frame.
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    Slot& slot = slots_[pick_[i]];
+    assigned_[slot.begin + slot.replies++] = pending_[i];
+  }
+  for (Slot& slot : slots_) slot.replies = 0;
+  return slot_count;
 }
 
-void AlohaRun::close(std::span<const std::vector<std::uint8_t>> replies,
-                     std::span<const std::uint8_t> corrupted) {
-  const std::size_t slot_count = std::size_t{1} << q_;
-  require(replies.size() == slot_count,
-          "AlohaRun::close: need one reply list per announced slot");
-  require(corrupted.empty() || corrupted.size() == slot_count,
-          "AlohaRun::close: need one corrupted flag per slot");
+void AlohaRun::reply(std::size_t k, std::uint8_t id) {
+  require(slots_[k].replies < assigned(k).size(),
+          "AlohaRun::reply: more replies than ids assigned to the slot");
+  replied_[slots_[k].begin + slots_[k].replies++] = id;
+}
+
+void AlohaRun::close() {
+  const std::size_t slot_count = this->slot_count();
   std::size_t singletons = 0, collisions = 0;
   std::array<bool, 256> won{};  // ids identified this frame
   for (std::size_t k = 0; k < slot_count; ++k) {
-    const std::vector<std::uint8_t>& ids = replies[k];
+    const std::span<const std::uint8_t> ids = replied(k);
     if (ids.empty()) continue;
-    if (ids.size() > 1 || (!corrupted.empty() && corrupted[k] != 0)) {
+    if (ids.size() > 1 || slots_[k].corrupted) {
       ++collisions;
     } else {
       ++singletons;
@@ -104,10 +120,11 @@ std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population
                                         const InventoryConfig& config,
                                         InventoryStats* stats) {
   AlohaRun run(population, config);
-  std::vector<std::vector<std::uint8_t>> by_slot;
   while (!run.done()) {
-    run.announce(by_slot);
-    run.close(by_slot);
+    const std::size_t slot_count = run.announce();
+    for (std::size_t k = 0; k < slot_count; ++k)
+      for (const std::uint8_t id : run.assigned(k)) run.reply(k, id);
+    run.close();
   }
   if (stats != nullptr) *stats = run.stats();
   return run.identified();
@@ -121,34 +138,29 @@ std::vector<std::uint8_t> run_inventory(std::span<const std::uint8_t> population
   require(options.frame_announce_s >= 0.0 && options.slot_s >= 0.0,
           "run_inventory: negative timing");
   AlohaRun run(population, config);
-  std::vector<std::vector<std::uint8_t>> by_slot;
-  std::vector<std::vector<std::uint8_t>> replies;
+  // A node replies only if it is still available when its slot fires: it
+  // may have browned out since the announcement.
+  const auto fire = [&run, &options](std::size_t k, double t) {
+    for (const std::uint8_t id : run.assigned(k))
+      if (!options.available || options.available(id, t)) run.reply(k, id);
+  };
   while (!run.done()) {
     timeline.elapse(options.frame_announce_s, "mac.inventory.frame");
     const double frame_start = timeline.now();
-    run.announce(by_slot);
-    const std::size_t slot_count = by_slot.size();
-    replies.assign(slot_count, {});
-    // A node replies only if it is still available when its slot fires: it
-    // may have browned out since the announcement.
+    const std::size_t slot_count = run.announce();
     for (std::size_t k = 0; k < slot_count; ++k) {
       const double slot_end =
           frame_start + static_cast<double>(k + 1) * options.slot_s;
       timeline.schedule_at(
           slot_end, "mac.inventory.slot",
-          [&by_slot, &replies, &options, k](sim::Timeline& tl) {
-            for (std::uint8_t id : by_slot[k]) {
-              if (!options.available || options.available(id, tl.now()))
-                replies[k].push_back(id);
-            }
-          },
+          [&fire, k](sim::Timeline& tl) { fire(k, tl.now()); },
           options.slot_s);
     }
     // Run the frame; lifecycle ticks and other queued events interleave with
     // the slots at their own timestamps.
     timeline.run_until(frame_start +
                        static_cast<double>(slot_count) * options.slot_s);
-    run.close(replies);
+    run.close();
   }
   if (stats != nullptr) *stats = run.stats();
   return run.identified();

@@ -51,10 +51,12 @@ struct InventoryStats {
                                          std::size_t slot_count);
 
 // The framed-slotted-ALOHA state machine every inventory driver shares: it
-// owns the pending and identified ids, the stats, q and the frame nonce.  A
-// driver only supplies the clock -- it announces a frame, decides which of
-// the assigned ids actually reply in each slot (all of them, or those still
-// powered when the slot fires), and closes the frame.
+// owns the pending and identified ids, the stats, q, the frame nonce and the
+// current frame's slot books.  A driver only supplies the clock -- it
+// announces a frame, decides which of the assigned ids actually reply in
+// each slot (all of them, or those still powered when the slot fires), and
+// closes the frame.  The slot books are flat buffers that keep their
+// capacity across frames, so a steady-state frame allocates nothing.
 class AlohaRun {
  public:
   AlohaRun(std::span<const std::uint8_t> population,
@@ -64,17 +66,33 @@ class AlohaRun {
   [[nodiscard]] bool done() const;
 
   // Open the next frame: bump the nonce, count the frame and its 2^q slots,
-  // and fill `by_slot` (resized to 2^q) with the pending ids each slot's
-  // hash assigns.  Slot assignment is fixed here (the node PRNG is seeded by
-  // the query nonce); whether a node replies is up to the driver.
-  void announce(std::vector<std::vector<std::uint8_t>>& by_slot);
+  // and assign every pending id to the slot its hash picks.  Slot assignment
+  // is fixed here (the node PRNG is seeded by the query nonce); whether a
+  // node replies is up to the driver.  Returns the frame's slot count.
+  std::size_t announce();
 
-  // Tally the announced frame from the ids that replied in each slot: a
-  // singleton identifies its node, unless `corrupted[k]` is set -- the reader
-  // then sees a CRC failure and counts the slot as a collision.  Identified
-  // ids leave `pending` and q adapts.
-  void close(std::span<const std::vector<std::uint8_t>> replies,
-             std::span<const std::uint8_t> corrupted = {});
+  // Slots of the announced frame.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size() - 1; }
+  // Ids the announced frame assigns to slot k, in pending order.
+  [[nodiscard]] std::span<const std::uint8_t> assigned(std::size_t k) const {
+    return {assigned_.data() + slots_[k].begin,
+            slots_[k + 1].begin - slots_[k].begin};
+  }
+  // Ids that replied in slot k so far, in reply order.
+  [[nodiscard]] std::span<const std::uint8_t> replied(std::size_t k) const {
+    return {replied_.data() + slots_[k].begin, slots_[k].replies};
+  }
+
+  // `id`, one of assigned(k), replies in slot k.
+  void reply(std::size_t k, std::uint8_t id);
+  // The reader sees a CRC failure in slot k: a lone reply there counts as a
+  // collision instead of identifying its node.
+  void corrupt(std::size_t k) { slots_[k].corrupted = true; }
+
+  // Tally the announced frame from the replies: a singleton identifies its
+  // node unless its slot is corrupted.  Identified ids leave `pending` and q
+  // adapts.
+  void close();
 
   // Identified ids in discovery order.
   [[nodiscard]] const std::vector<std::uint8_t>& identified() const {
@@ -89,6 +107,19 @@ class AlohaRun {
   InventoryStats stats_;
   int q_ = 0;
   std::uint64_t nonce_ = 0;
+  // The announced frame's books: slot k owns [slots_[k].begin,
+  // slots_[k + 1].begin) of assigned_ and the same range of replied_, whose
+  // first slots_[k].replies entries are filled.  The last entry only closes
+  // the final range.
+  struct Slot {
+    std::size_t begin = 0;
+    std::size_t replies = 0;
+    bool corrupted = false;
+  };
+  std::vector<Slot> slots_ = {Slot{}};
+  std::vector<std::uint8_t> assigned_;
+  std::vector<std::uint8_t> replied_;
+  std::vector<std::size_t> pick_;  // announce scratch: slot of pending_[i]
 };
 
 // Run framed slotted ALOHA over `population` (node ids), every assigned node

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -382,25 +383,40 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
                                         const FieldRoundConfig& config,
                                         Timeline& tl,
                                         FieldRunResult& out) const {
+  // Every check is written to fail on NaN as well.
   const std::size_t n = node_count();
   if (n == 0)
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: scenario has no nodes"};
-  if (config.gain_floor <= 0.0)
+  if (!(config.gain_floor > 0.0))
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: gain floor must be positive"};
-  if (config.quant_cell_m < 0.0)
+  if (!(config.quant_cell_m >= 0.0))
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: quantization cell must be >= 0"};
-  if (config.zone_extent_m <= 0.0)
+  if (!(config.zone_extent_m > 0.0))
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: zone extent must be positive"};
+  if (!(config.frame_announce_s >= 0.0) || !(config.slot_s >= 0.0))
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "field trial: frame_announce_s and slot_s must be >= 0"};
   if (config.interference &&
-      (config.noise_power < 0.0 || config.rejection_passband_hz < 0.0 ||
-       config.rejection_slope_db_per_khz < 0.0 ||
-       config.rejection_floor_db < 0.0))
+      !(config.noise_power >= 0.0 && config.rejection_passband_hz >= 0.0 &&
+        config.rejection_slope_db_per_khz >= 0.0 &&
+        config.rejection_floor_db >= 0.0))
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "field trial: interference parameters must be >= 0"};
+
+  // Wall-clock split of the trial into its stages; lap() returns the seconds
+  // since the previous lap.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point lap_start = Clock::now();
+  const auto lap = [&lap_start] {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - lap_start).count();
+    lap_start = now;
+    return seconds;
+  };
 
   const double carrier = scenario_.waveform.carrier_hz;
   const auto& positions = scenario_.field.positions();
@@ -408,15 +424,47 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   const double diagonal =
       std::sqrt(extent.x * extent.x + extent.y * extent.y + extent.z * extent.z);
 
+  // Zone partition: horizontal grid of zone_extent_m cells, ids in sorted
+  // cell order (deterministic).  Built first, so a field the zoned inventory
+  // cannot run is rejected before any work.
+  std::map<std::array<std::int64_t, 2>, std::vector<std::uint32_t>> grid;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double gx = std::floor(positions[j].x / config.zone_extent_m);
+    const double gy = std::floor(positions[j].y / config.zone_extent_m);
+    // The int64 range is [-2^63, 2^63).
+    constexpr double kKeyLimit = 9223372036854775808.0;
+    if (!(gx >= -kKeyLimit && gx < kKeyLimit && gy >= -kKeyLimit &&
+          gy < kKeyLimit))
+      return pab::Error{pab::ErrorCode::kInvalidArgument,
+                        "field trial: zone extent too small for the field "
+                        "(zone coordinates overflow)"};
+    grid[{static_cast<std::int64_t>(gx), static_cast<std::int64_t>(gy)}]
+        .push_back(static_cast<std::uint32_t>(j));
+  }
+  mac::ZoneLayout layout;
+  std::vector<std::array<std::int64_t, 2>> zone_coords;
+  layout.members.reserve(grid.size());
+  zone_coords.reserve(grid.size());
+  for (auto& [coord, members] : grid) {
+    if (members.size() > 200)
+      return pab::Error{pab::ErrorCode::kInvalidArgument,
+                        "field trial: a zone holds more than 200 nodes (zone "
+                        "ids are uint8; shrink the zone extent)"};
+    zone_coords.push_back(coord);
+    layout.members.push_back(std::move(members));
+  }
+  double zones_s = lap();
+
   out.population = n;
 
   // Per-trial tap cache: exact per-pair keys on the brute-force reference
   // path, quantized shared keys on the culled path -- so the sharing the
   // quantized geometry buys is measured within one trial, not smuggled in
-  // from earlier trials.
+  // from earlier trials.  It is private to this thread, so it counts on its
+  // own and the trial publishes the totals once, at the end.
   const channel::TapCache cache(
       scenario_.medium.tank, scenario_.medium.max_image_order,
-      scenario_.medium.use_image_method, metrics_,
+      scenario_.medium.use_image_method, nullptr,
       channel::TapQuantization{config.brute_force ? 0.0 : config.quant_cell_m});
 
   // Reader -> node budget: always O(n).
@@ -425,6 +473,7 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
     reader_sum += channel::coherent_gain(
         *cache.taps(scenario_.reader.projector, positions[j], carrier), carrier);
   out.mean_reader_gain = reader_sum / static_cast<double>(n);
+  double census_s = lap();
 
   // Node-node interference budget.  The gain floor is an amplitude-coupling
   // threshold: a pair whose one-way gain estimator falls below it cannot
@@ -436,7 +485,9 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
       channel::cull_radius_m(config.gain_floor, carrier, diagonal), diagonal);
   out.cull_radius_m = radius;
   double pair_sum = 0.0;
+  double cull_s = 0.0;
   if (config.brute_force) {
+    cull_s = lap();
     // The reference path still *evaluates* every O(n^2) pair (that is the
     // cost being compared against), but mean_pair_gain accumulates only the
     // within-radius pairs -- the same set, in the same lexicographic order,
@@ -464,6 +515,7 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
     out.total_pairs = stats.total_pairs;
     out.kept_pairs = stats.kept_pairs;
     out.culled_pairs = stats.culled_pairs;
+    cull_s = lap();
     for (const auto& [i, j] : kept)
       pair_sum += channel::coherent_gain(
           *cache.taps(positions[i], positions[j], carrier), carrier);
@@ -473,26 +525,11 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
                            : 0.0;
   metrics_->counter("channel.spatial.culled_pairs").add(out.culled_pairs);
   metrics_->counter("channel.spatial.kept_pairs").add(out.kept_pairs);
+  census_s += lap();
 
-  // Zone partition: horizontal grid of zone_extent_m cells, ids in sorted
-  // cell order (deterministic).  Interference adjacency: two zones interfere
-  // when the gap between their bounding boxes is within the cull radius --
-  // then and only then can a node of one couple into the other's inventory.
-  std::map<std::array<std::int64_t, 2>, std::vector<std::uint32_t>> grid;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::array<std::int64_t, 2> key{
-        static_cast<std::int64_t>(std::floor(positions[j].x / config.zone_extent_m)),
-        static_cast<std::int64_t>(std::floor(positions[j].y / config.zone_extent_m))};
-    grid[key].push_back(static_cast<std::uint32_t>(j));
-  }
-  mac::ZoneLayout layout;
-  std::vector<std::array<std::int64_t, 2>> zone_coords;
-  layout.members.reserve(grid.size());
-  zone_coords.reserve(grid.size());
-  for (auto& [coord, members] : grid) {
-    zone_coords.push_back(coord);
-    layout.members.push_back(std::move(members));
-  }
+  // Interference adjacency: two zones interfere when the gap between their
+  // bounding boxes is within the cull radius -- then and only then can a
+  // node of one couple into the other's inventory.
   layout.adjacency.resize(layout.members.size());
   for (std::size_t a = 0; a < zone_coords.size(); ++a) {
     for (std::size_t b = a + 1; b < zone_coords.size(); ++b) {
@@ -515,6 +552,7 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   out.zone_colors = schedule.colors;
   out.zone_rounds = schedule.rounds;
   out.channels = schedule.plan.channels();
+  zones_s += lap();
 
   // The zoned inventory round on a trial-local master timeline.  All
   // randomness is the inventory's frame nonces, which derive from the
@@ -555,6 +593,8 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
     slots.interference.mask.floor_db = config.rejection_floor_db;
     slots.interference.node_amplitude = node_amplitude;
   }
+  const double reader_paths_s = lap();
+
   const mac::ZonedInventoryResult round =
       mac::run_zoned_inventory(layout, schedule, inventory, tl, slots);
   out.identified = round.identified;
@@ -580,6 +620,22 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
       static_cast<double>(n) * out.simulated_s / 3600.0;
   out.events_processed = tl.events_processed();
   if (config.keep_log) out.event_log = tl.log();
+  const double inventory_s = lap();
+
+  // Published once per trial: the cache's own counts carry the same totals
+  // a registry-bound cache would have bumped lookup by lookup, and the stage
+  // timers are resolved here so only registries that run field trials
+  // carry them.
+  metrics_->counter("channel.tapcache.hits")
+      .add(out.tap_lookups - out.tap_evaluations);
+  metrics_->counter("channel.tapcache.misses").add(out.tap_evaluations);
+  metrics_->histogram("sim.session.field.census_seconds").observe(census_s);
+  metrics_->histogram("sim.session.field.cull_seconds").observe(cull_s);
+  metrics_->histogram("sim.session.field.zones_seconds").observe(zones_s);
+  metrics_->histogram("sim.session.field.reader_paths_seconds")
+      .observe(reader_paths_s);
+  metrics_->histogram("sim.session.field.inventory_seconds")
+      .observe(inventory_s);
   return true;
 }
 

@@ -31,7 +31,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -138,22 +137,33 @@ class Timeline {
                  std::string_view prefix = "sim.timeline") const;
 
  private:
+  // One pending event.  `label` is an interned id (see intern()), so a queued
+  // event holds no string.
   struct Scheduled {
-    std::string label;
+    double time = 0.0;
+    std::uint64_t seq = 0;
     double value = 0.0;
+    std::uint32_t label = 0;
     TimelineCallback fn;
   };
 
-  void record(double t, std::uint64_t seq, std::string_view label, double value,
+  // Id of `label`, registering it on first use.
+  std::uint32_t intern(std::string_view label);
+  void record(double t, std::uint64_t seq, std::uint32_t label, double value,
               TimelineEventKind kind);
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  // Pending events keyed by (time, seq): std::map iteration *is* the stable
-  // (time, sequence) fire order, with no hash- or pointer-order to leak in.
-  std::map<std::pair<double, std::uint64_t>, Scheduled> queue_;
+  // Pending events as a binary min-heap on (time, seq).  seq is unique, so
+  // the heap pops in exactly the (time, sequence) order a sorted map would
+  // iterate in, with no hash- or pointer-order to leak in; the vector keeps
+  // its capacity, so a steady-state event allocates nothing.
+  std::vector<Scheduled> queue_;
   std::vector<TimelineEvent> log_;
-  std::map<std::string, NeumaierSum, std::less<>> sums_;
+  // Interned labels: ids_ maps a label to its index in names_ and sums_.
+  std::map<std::string, std::uint32_t, std::less<>> ids_;
+  std::vector<std::string> names_;
+  std::vector<NeumaierSum> sums_;
   std::size_t processed_ = 0;
   bool logging_ = true;
 };

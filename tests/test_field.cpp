@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -212,7 +213,7 @@ TEST(TapCacheQuant, SameCellMembersShareOneBitIdenticalEntry) {
   const auto t1 = cache.taps(a, {1.60, 2.20, 0.65}, 18500.0);
   const auto t2 = cache.taps(a, {1.61, 2.21, 0.66}, 18500.0);  // same cells
   EXPECT_EQ(cache.evaluations(), 1u);
-  EXPECT_EQ(t1.get(), t2.get());  // literally the same shared entry
+  EXPECT_EQ(t1, t2);  // literally the same shared entry
 }
 
 TEST(TapCacheQuant, SymmetricLookupsCollapseToOneEntry) {
@@ -227,7 +228,7 @@ TEST(TapCacheQuant, SymmetricLookupsCollapseToOneEntry) {
   const auto ba = cache.taps(b, a, 18500.0);
   EXPECT_EQ(cache.evaluations(), 1u);
   EXPECT_EQ(cache.lookups(), 2u);
-  EXPECT_EQ(ab.get(), ba.get());
+  EXPECT_EQ(ab, ba);
 }
 
 TEST(TapCacheQuant, QuantizedTapsEqualTheSnappedGeometryExactly) {
@@ -374,6 +375,12 @@ TEST(FieldTrial, SpatialCountersAndArenaGaugesAreExported) {
   EXPECT_EQ(registry.counter("channel.spatial.kept_pairs").value(),
             r.value().kept_pairs);
   EXPECT_EQ(registry.counter("sim.session.field.trials").value(), 1u);
+  // The trial's private tap cache publishes its counts once, with the same
+  // totals a registry-bound cache counts lookup by lookup.
+  EXPECT_EQ(registry.counter("channel.tapcache.misses").value(),
+            r.value().tap_evaluations);
+  EXPECT_EQ(registry.counter("channel.tapcache.hits").value(),
+            r.value().tap_lookups - r.value().tap_evaluations);
   // The arena gauges exist (flatness across populations is asserted by the
   // deployment_scale bench sidecar in CI).
   EXPECT_GE(registry.gauge("sim.session.arena.high_water_bytes").value(), 0.0);
@@ -509,6 +516,88 @@ TEST(FieldTrial, InterferenceOnIsBitIdenticalAtOneTwoAndEightThreads) {
   }
 }
 
+// FNV-1a over every field of every log entry: time and value bits, seq, label
+// bytes, kind.
+std::uint64_t fnv1a_of_log(const std::vector<TimelineEvent>& log) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const TimelineEvent& e : log) {
+    mix(&e.time, sizeof e.time);
+    mix(&e.seq, sizeof e.seq);
+    mix(e.label.data(), e.label.size());
+    mix(&e.value, sizeof e.value);
+    mix(&e.kind, sizeof e.kind);
+  }
+  return h;
+}
+
+struct InterferenceGolden {
+  FieldLayout layout;
+  std::uint64_t population, field_seed, scenario_seed;
+  double zone_extent_m, frame_announce_s, rejection_floor_db;
+  std::uint64_t trial;
+  std::size_t rounds;
+  std::size_t frames, slots, singletons, collisions, empties, corrupted;
+  double mean_slot_sinr_db, simulated_s;  // exact double bits, %.17g
+  std::size_t events_processed;
+  std::uint64_t id_fnv, log_fnv;
+};
+
+TEST(FieldTrial, InterferenceOnMatchesRecordedGoldens) {
+  // Absolute outputs of interference-on field trials, recorded before the
+  // slot SINR search and the heap-ordered Timeline replaced the full window
+  // scan and the map queue.  The configurations cover one and several
+  // reuse rounds, co-channel zones, and a frame announcement shorter than a
+  // slot (a zone's windows then outlive its frame).
+  const InterferenceGolden goldens[] = {
+      {FieldLayout::kRandom, 200, 21, 421, 80.0, 0.05, 40.0, 0, 2, 31, 696,
+       200, 214, 282, 2, 42.995893137403449, 8.8499999999999979, 733,
+       1362223915317230403ULL, 8964700306189841922ULL},
+      {FieldLayout::kClusters, 200, 3, 9, 50.0, 0.005, 40.0, 2, 2, 89, 1070,
+       200, 365, 505, 118, 23.852975471127571, 9.379999999999999, 1169,
+       9098798357154699091ULL, 5958052375747172632ULL},
+      {FieldLayout::kRandom, 150, 8, 13, 40.0, 0.05, 20.0, 1, 4, 83, 720, 150,
+       240, 330, 88, 22.722779798325853, 8.5999999999999996, 819,
+       3329164040318756610ULL, 15114287995105213582ULL},
+      {FieldLayout::kGrid, 100, 4, 6, 30.0, 0.01, 25.0, 5, 5, 173, 738, 99,
+       294, 345, 192, 11.265291987170095, 5.7600000000000016, 932,
+       10209981404604602800ULL, 6234461026974103174ULL},
+  };
+  for (const InterferenceGolden& g : goldens) {
+    const FieldSpec spec = spec_of(g.layout, g.population, g.field_seed);
+    obs::MetricRegistry registry;
+    const Session session(Scenario::open_water(spec).with_seed(g.scenario_seed),
+                          &registry);
+    TrialOptions opts;
+    opts.field.interference = true;
+    opts.field.zone_extent_m = g.zone_extent_m;
+    opts.field.frame_announce_s = g.frame_announce_s;
+    opts.field.rejection_floor_db = g.rejection_floor_db;
+    const auto r = session.run_trial<TrialKind::kField>(g.trial, opts);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    const FieldRunResult& f = r.value();
+    EXPECT_EQ(f.zone_rounds, g.rounds) << "population " << g.population;
+    EXPECT_EQ(f.inventory.frames, g.frames);
+    EXPECT_EQ(f.inventory.slots, g.slots);
+    EXPECT_EQ(f.inventory.singletons, g.singletons);
+    EXPECT_EQ(f.inventory.collisions, g.collisions);
+    EXPECT_EQ(f.inventory.empties, g.empties);
+    EXPECT_EQ(f.interference_corrupted_slots, g.corrupted);
+    EXPECT_EQ(f.mean_slot_sinr_db, g.mean_slot_sinr_db);
+    EXPECT_EQ(f.simulated_s, g.simulated_s);
+    EXPECT_EQ(f.events_processed, g.events_processed);
+    EXPECT_EQ(f.event_log.size(), g.events_processed);
+    EXPECT_EQ(fnv1a_of_ids(f.identified), g.id_fnv);
+    EXPECT_EQ(fnv1a_of_log(f.event_log), g.log_fnv);
+  }
+}
+
 TEST(FieldTrial, CaptureThresholdExtremesBracketTheFieldInventory) {
   FieldSpec spec;
   spec.layout = FieldLayout::kRandom;
@@ -581,6 +670,36 @@ TEST(FieldTrial, RejectsBadConfig) {
   opts.field.interference = true;
   opts.field.rejection_floor_db = -1.0;
   EXPECT_FALSE(session.run_trial<TrialKind::kField>(0, opts).ok());
+
+  // Options the zoned inventory cannot run with are the trial's error, never
+  // an exception out of run_trial (a campaign then writes an error row).
+  const auto code_of = [](const Session& s, const TrialOptions& o) {
+    return s.run_trial<TrialKind::kField>(0, o).code();
+  };
+  constexpr auto kInvalid = ErrorCode::kInvalidArgument;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  opts = {};
+  opts.field.frame_announce_s = -1.0;
+  EXPECT_EQ(code_of(session, opts), kInvalid);
+  opts = {};
+  opts.field.slot_s = -0.02;
+  EXPECT_EQ(code_of(session, opts), kInvalid);
+  opts = {};
+  opts.field.frame_announce_s = nan;
+  EXPECT_EQ(code_of(session, opts), kInvalid);
+  opts = {};
+  opts.field.zone_extent_m = nan;
+  EXPECT_EQ(code_of(session, opts), kInvalid);
+  // A zone key floor(x / extent) outside the int64 range has no cell.
+  opts = {};
+  opts.field.zone_extent_m = 1e-300;
+  EXPECT_EQ(code_of(session, opts), kInvalid);
+  // Zone-local ids are uint8: one 100 km zone over 300 nodes is too many.
+  obs::MetricRegistry big_registry;
+  const Session big = field_session(300, FieldLayout::kGrid, &big_registry);
+  opts = {};
+  opts.field.zone_extent_m = 100000.0;
+  EXPECT_EQ(code_of(big, opts), kInvalid);
 }
 
 }  // namespace

@@ -285,6 +285,40 @@ TEST(SessionMetrics, SynthesisStagesAddUpToTheUplinkRun) {
   EXPECT_LE(stages, run.sum());
 }
 
+TEST(SessionMetrics, FieldStagesAddUpToTheFieldTrial) {
+  MetricRegistry reg;
+  sim::FieldSpec field;
+  field.layout = sim::FieldLayout::kRandom;
+  field.population = 200;
+  const sim::Session session(sim::Scenario::open_water(field), &reg);
+  sim::TrialOptions opts;
+  // A timeline trial adds no field stage timer to its registry (campaign
+  // snapshots carry every instrument a registry holds).
+  opts.timeline.horizon_s = 15.0;
+  MetricRegistry timeline_reg;
+  const sim::Session concurrent(sim::Scenario::pool_a_concurrent(),
+                                &timeline_reg);
+  ASSERT_TRUE(concurrent.run_trial<sim::TrialKind::kTimeline>(0, opts).ok());
+  for (const auto& [name, h] : timeline_reg.snapshot().histograms)
+    EXPECT_EQ(name.find("sim.session.field."), std::string::npos) << name;
+
+  opts.field.interference = true;
+  for (std::size_t i = 0; i < 4; ++i)
+    ASSERT_TRUE(session.run_trial<sim::TrialKind::kField>(i, opts).ok());
+
+  const Histogram& trial = reg.histogram("sim.session.trial_seconds");
+  ASSERT_EQ(trial.count(), 4u);
+  double stages = 0.0;
+  for (const std::string stage :
+       {"census", "cull", "zones", "reader_paths", "inventory"}) {
+    const Histogram& h = reg.histogram("sim.session.field." + stage + "_seconds");
+    EXPECT_EQ(h.count(), 4u) << stage;
+    stages += h.sum();
+  }
+  EXPECT_GE(stages, 0.9 * trial.sum());
+  EXPECT_LE(stages, trial.sum());
+}
+
 // Worker accounting: every executed trial is attributed to exactly one
 // worker, and the per-worker counts sum to the batch total.
 TEST(BatchMetrics, PerWorkerTrialCountsSumToTotal) {

@@ -221,7 +221,7 @@ TEST(TapCache, DistinctKeysEvaluateSeparately) {
   const auto t2 = cache.taps(a, b, 15000.0);  // hit
   const auto t3 = cache.taps(a, b, 18000.0);  // new carrier
   const auto t4 = cache.taps(b, a, 15000.0);  // reversed endpoints
-  EXPECT_EQ(t1.get(), t2.get());
+  EXPECT_EQ(t1, t2);
   EXPECT_EQ(cache.evaluations(), 3u);
   EXPECT_EQ(cache.lookups(), 4u);
   EXPECT_FALSE(t3->empty());
