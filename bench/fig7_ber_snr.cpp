@@ -109,10 +109,8 @@ void print_series() {
   // (phy.demod.*) of the real receiver.
   const sim::Session session(sim::Scenario::pool_a().with_seed(kBaseSeed));
   constexpr std::size_t kWaveformTrials = 16;
-  const auto t3 = clock::now();
   const auto trials =
       sim::BatchRunner(4).run<sim::TrialKind::kUplink>(session, kWaveformTrials);
-  const auto t4 = clock::now();
   std::size_t decoded = 0;
   double ber_sum = 0.0, snr_sum = 0.0;
   for (const auto& t : trials) {
@@ -132,13 +130,6 @@ void print_series() {
               static_cast<unsigned long long>(taps.evaluations()),
               100.0 * (1.0 - static_cast<double>(taps.evaluations()) /
                                  static_cast<double>(taps.lookups())));
-
-  // Headline throughput of the waveform trial path, asserted by CI alongside
-  // the dsp.simd.* / dsp.fftconv.* dispatch keys.
-  const double waveform_s = std::chrono::duration<double>(t4 - t3).count();
-  obs::MetricRegistry::global()
-      .gauge("bench.fig7.trials_per_sec")
-      .set(static_cast<double>(kWaveformTrials) / std::max(waveform_s, 1e-9));
 }
 
 void bm_fm0_ml_decode(benchmark::State& state) {

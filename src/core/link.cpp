@@ -24,6 +24,16 @@ ModulationStates modulation_states(const circuit::RectoPiezo& front_end,
   return ModulationStates{g_mid + g_half, g_mid - g_half};
 }
 
+bool uplink_timing_ok(const sim::Waveform& cfg, std::size_t packet_samples,
+                      double sample_rate) {
+  const auto usable = [](double s) { return std::isfinite(s) && s >= 0.0; };
+  if (!usable(cfg.node_start_s) || !usable(cfg.tail_s)) return false;
+  const double total_s = cfg.node_start_s +
+                         static_cast<double>(packet_samples) / sample_rate +
+                         cfg.tail_s;
+  return total_s * sample_rate < 0x1p53;
+}
+
 namespace {
 
 // The states `cfg`'s scheme switches between at its FM0-equivalent rate.
@@ -100,6 +110,9 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
     phy::scheme_waveform_into(cfg.scheme, data_bits, cfg.bitrate, fs, sw, arena);
   }
 
+  require(uplink_timing_ok(cfg, sw.size(), fs),
+          "LinkSimulator: node_start_s and tail_s must be finite and "
+          "non-negative, and the capture shorter than 2^53 samples");
   const double packet_s = static_cast<double>(sw.size()) / fs;
   const double total_s = cfg.node_start_s + packet_s + cfg.tail_s;
 
@@ -155,10 +168,10 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   const double skew = 1.0 + config_.receiver_clock_offset_ppm * 1e-6;
   const double w = kTwoPi * f * skew / fs;
   // Split into three passes so the upconversion runs through the dispatched
-  // mixer: combine the baseband components, mix to passband, then add noise
-  // and the sensitivity scale.  Per-element arithmetic, evaluation order, and
-  // the RNG draw sequence all match the fused reference loop, so the scalar
-  // table stays bit-identical.
+  // mixer and the noise is drawn in bulk: combine the baseband components,
+  // mix to passband, then add noise and the sensitivity scale.  Per-element
+  // arithmetic, evaluation order, and the RNG draw sequence all match the
+  // fused reference loop, so the scalar table stays bit-identical.
   auto combined = arena.alloc<dsp::cplx>(n);
   auto carrier = arena.alloc<double>(n);
   {
@@ -174,10 +187,12 @@ void LinkSimulator::run_uplink_into(const Projector& projector,
   {
     const obs::ScopedTimer timer(t_noise_);
     out.hydrophone_v.sample_rate = fs;
-    out.hydrophone_v.samples.resize(n);  // reuses capacity in steady state
+    auto& v = out.hydrophone_v.samples;
+    v.resize(n);  // reuses capacity in steady state
+    rng.gaussian_into(v, 0.0, noise_sd);
     for (std::size_t i = 0; i < n; ++i) {
-      const double pressure = carrier[i] + rng.gaussian(0.0, noise_sd);
-      out.hydrophone_v.samples[i] = sens * pressure;
+      const double pressure = carrier[i] + v[i];
+      v[i] = sens * pressure;
     }
   }
 

@@ -46,6 +46,14 @@ struct ModulationStates {
 [[nodiscard]] ModulationStates modulation_states(const circuit::RectoPiezo& front_end,
                                                  double carrier_hz, double bitrate);
 
+// True when an uplink run of `cfg` with a `packet_samples`-sample switch
+// stream can be synthesized at `sample_rate`: node_start_s and tail_s are
+// finite and non-negative, and the capture (node start, packet, tail) is
+// shorter than 2^53 samples, so each sample count converts exactly.
+[[nodiscard]] bool uplink_timing_ok(const sim::Waveform& cfg,
+                                    std::size_t packet_samples,
+                                    double sample_rate);
+
 struct UplinkRunResult {
   dsp::Signal hydrophone_v;        // passband voltage capture [V]
   pab::Bits sent_bits;             // ground-truth bits after the preamble

@@ -134,7 +134,10 @@ class Arena {
     std::size_t size = blocks_.empty() ? initial_bytes_ : capacity_bytes_;
     if (size < at_least) size = at_least;
     if (size < kMinBlockBytes) size = kMinBlockBytes;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size});
+    // alloc() hands out uninitialized memory, so a new block is not zeroed
+    // (make_unique would zero-fill every megabyte of a cold trial).
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(size), size});
     capacity_bytes_ += size;
   }
 

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <utility>
 
+#include "dsp/simd.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -26,32 +27,19 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     j ^= bit;
     rev_[i] = j;
   }
-  tw_.resize(n / 2);
-  for (std::size_t k = 0; k < n / 2; ++k) {
-    const double a = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-    tw_[k] = cplx(std::cos(a), std::sin(a));
+  // Stage h (half-length h) reads its h twiddles from offset h - 1: the
+  // size-n twiddles of index j = k * (n / 2h), k < h, each from its index.
+  tw_.resize(n - 1);
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    for (std::size_t k = 0; k < h; ++k) {
+      const auto j = static_cast<double>(k * (n / (2 * h)));
+      const double a = -kTwoPi * j / static_cast<double>(n);
+      tw_[h - 1 + k] = cplx(std::cos(a), std::sin(a));
+    }
   }
 }
 
 namespace {
-
-// The butterfly passes, with the direction fixed at compile time so the
-// innermost loop carries no branch.
-template <bool kInverse>
-void butterflies(cplx* data, std::size_t n, const cplx* tw) {
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t stride = n / len;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx w = kInverse ? std::conj(tw[k * stride]) : tw[k * stride];
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-      }
-    }
-  }
-}
 
 std::mutex& plan_mutex() {
   static std::mutex mu;
@@ -71,11 +59,8 @@ void FftPlan::transform(std::span<cplx> data, bool inverse) const {
   require(data.size() == n_, "fft: data size does not match the plan");
   for (std::size_t i = 1; i < n_; ++i)
     if (i < rev_[i]) std::swap(data[i], data[rev_[i]]);
-  if (!inverse) {
-    butterflies<false>(data.data(), n_, tw_.data());
-    return;
-  }
-  butterflies<true>(data.data(), n_, tw_.data());
+  simd::fft_butterflies(data, tw_, inverse);
+  if (!inverse) return;
   const double inv_n = 1.0 / static_cast<double>(n_);
   for (auto& x : data) x *= inv_n;
 }

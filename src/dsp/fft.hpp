@@ -14,6 +14,10 @@ namespace pab::dsp {
 // size.  Immutable after construction: the bit-reversal permutation plus
 // exact twiddles exp(-2*pi*i*k/n), each computed from its own index rather
 // than by a running product, so long transforms keep full twiddle precision.
+// The twiddles are stored per stage and contiguous (n - 1 values; the stage
+// of half-length h reads h of them from offset h - 1), and the butterfly
+// passes run through the dispatched kernel simd::fft_butterflies, whose
+// every table computes the same bits.
 class FftPlan {
  public:
   // Throws std::invalid_argument unless `n` is a power of two.

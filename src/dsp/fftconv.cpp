@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "dsp/fft.hpp"
 #include "dsp/simd.hpp"
@@ -24,6 +25,26 @@ Arena& scratch_arena(Arena* a) {
 obs::Counter& hits_counter() {
   static obs::Counter& c = obs::MetricRegistry::global().counter("dsp.fftconv.hits");
   return c;
+}
+
+obs::Counter& blocks_counter() {
+  static obs::Counter& c =
+      obs::MetricRegistry::global().counter("dsp.fftconv.blocks");
+  return c;
+}
+
+obs::Counter& blocks_reused_counter() {
+  static obs::Counter& c =
+      obs::MetricRegistry::global().counter("dsp.fftconv.blocks_reused");
+  return c;
+}
+
+// Length of the leading run of samples bitwise equal to x[0].  Bits, not
+// operator==: +0.0 == -0.0, yet the two transform differently.
+std::size_t leading_run(std::span<const cplx> x) {
+  std::size_t i = 1;
+  while (i < x.size() && std::memcmp(&x[i], &x[0], sizeof(cplx)) == 0) ++i;
+  return i;
 }
 
 // Overlap-save block size: ~4x the kernel amortizes the (nh-1)-sample block
@@ -61,6 +82,11 @@ bool fftconv_use_for_taps(std::size_t ntaps, std::size_t n,
 // output chunk [pos, pos+S) the transform input is x[pos-(nh-1) .. pos+S)
 // (zero-padded outside x), and the last S samples of the circular product
 // are exactly the linear convolution there.
+//
+// A block whose B-sample input window lies, unpadded, inside the leading run
+// of samples bitwise equal to x[0] has the same input as every other such
+// block, so its transforms yield the same S output samples bit for bit: the
+// first is computed and the rest copy it.  A CW envelope is one such run.
 void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
                   std::span<cplx> y, Arena* scratch) {
   require(!h.empty(), "fftconv: empty kernel");
@@ -83,9 +109,22 @@ void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
 
   auto buf = arena.alloc<cplx>(B);
   const auto nx = static_cast<std::ptrdiff_t>(x.size());
-  for (std::size_t pos = 0; pos < nfull; pos += S) {
+  const auto run = static_cast<std::ptrdiff_t>(leading_run(x));
+  std::size_t blocks = 0, reused = 0;
+  std::size_t run_block = nfull;  // output position of the first in-run block
+  for (std::size_t pos = 0; pos < nfull; pos += S, ++blocks) {
     const auto start =
         static_cast<std::ptrdiff_t>(pos) - static_cast<std::ptrdiff_t>(nh - 1);
+    const bool in_run =
+        start >= 0 && start + static_cast<std::ptrdiff_t>(B) <= run;
+    // In-run blocks end before x does, so each writes a full S samples.
+    if (in_run && run_block != nfull) {
+      std::copy_n(y.begin() + static_cast<std::ptrdiff_t>(run_block), S,
+                  y.begin() + static_cast<std::ptrdiff_t>(pos));
+      ++reused;
+      continue;
+    }
+    if (in_run) run_block = pos;
     const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(start, 0);
     const std::ptrdiff_t hi =
         std::min(start + static_cast<std::ptrdiff_t>(B), nx);
@@ -101,6 +140,8 @@ void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
               y.begin() + static_cast<std::ptrdiff_t>(pos));
   }
   hits_counter().add();
+  blocks_counter().add(blocks);
+  blocks_reused_counter().add(reused);
 }
 
 }  // namespace pab::dsp

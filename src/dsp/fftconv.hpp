@@ -11,9 +11,14 @@
 //     arena otherwise, so steady-state calls never touch the heap;
 //   * results equal the direct accumulation within 1e-9 relative tolerance
 //     (FFT round-off); the dispatch escape hatch PAB_SIMD=off routes callers
-//     back to the bit-exact direct loops (see dsp/simd.hpp).
+//     back to the bit-exact direct loops (see dsp/simd.hpp);
+//   * blocks whose input window repeats the input's leading run of identical
+//     samples (a CW envelope) are transformed once and copied after that,
+//     with the same bits as transforming each.
 //
-// Every FFT-path call increments the obs counter `dsp.fftconv.hits`.
+// Every FFT-path call increments the obs counter `dsp.fftconv.hits` and adds
+// its overlap-save block count to `dsp.fftconv.blocks`, of which the copied
+// ones to `dsp.fftconv.blocks_reused`.
 #pragma once
 
 #include <complex>

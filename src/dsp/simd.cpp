@@ -70,23 +70,58 @@ void scalar_chip_sum_diff(const double* soft, double* sum, double* diff,
   }
 }
 
+// The direction is fixed at compile time so the innermost loop carries no
+// branch.
+template <bool kInverse>
+void scalar_butterfly_passes(cplx* data, std::size_t n, const cplx* tw) {
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const cplx* stage = tw + (half - 1);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const cplx w = kInverse ? std::conj(stage[k]) : stage[k];
+        const cplx u = data[i + k];
+        const cplx v = data[i + k + half] * w;
+        data[i + k] = u + v;
+        data[i + k + half] = u - v;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void scalar_fft_butterflies(cplx* data, std::size_t n, const cplx* tw,
+                            bool inverse) {
+  if (inverse)
+    scalar_butterfly_passes<true>(data, n, tw);
+  else
+    scalar_butterfly_passes<false>(data, n, tw);
+}
+
+namespace {
+
 constexpr KernelTable kScalarTable = {
-    scalar_sum,  scalar_cov_var,  scalar_axpy,   scalar_magnitude,
-    scalar_cmul, scalar_mix_down, scalar_mix_up, scalar_chip_sum_diff,
+    scalar_sum,           scalar_cov_var,         scalar_axpy,
+    scalar_magnitude,     scalar_cmul,            scalar_mix_down,
+    scalar_mix_up,        scalar_chip_sum_diff,   scalar_fft_butterflies,
 };
 
 // ---- dispatch ---------------------------------------------------------------
 
+// The table for `isa`, or the scalar table when this build or host has none.
 const KernelTable* table_for(Isa isa) {
+  const KernelTable* table = nullptr;
   switch (isa) {
     case Isa::kAvx2:
-      return avx2_kernels();
+      table = avx2_kernels();
+      break;
     case Isa::kNeon:
-      return neon_kernels();
+      table = neon_kernels();
+      break;
     case Isa::kScalar:
       break;
   }
-  return &kScalarTable;
+  return table != nullptr ? table : &kScalarTable;
 }
 
 Isa detect_isa() {
@@ -132,6 +167,8 @@ struct Dispatch {
     reg.gauge("dsp.simd.dispatch")
         .set(static_cast<double>(isa.load(std::memory_order_relaxed)));
     (void)reg.counter("dsp.fftconv.hits");
+    (void)reg.counter("dsp.fftconv.blocks");
+    (void)reg.counter("dsp.fftconv.blocks_reused");
   }
 };
 
@@ -225,6 +262,15 @@ void mix_down(std::span<const double> x, double w, std::span<cplx> out) {
 void mix_up(std::span<const cplx> x, double w, std::span<double> out) {
   require(out.size() == x.size(), "simd::mix_up: size mismatch");
   kernels().mix_up(x.data(), w, out.data(), x.size());
+}
+
+void fft_butterflies(std::span<cplx> data, std::span<const cplx> tw,
+                     bool inverse) {
+  const std::size_t n = data.size();
+  require(n != 0 && (n & (n - 1)) == 0 && tw.size() == n - 1,
+          "simd::fft_butterflies: size must be a power of two with n - 1 "
+          "twiddles");
+  kernels().fft_butterflies(data.data(), n, tw.data(), inverse);
 }
 
 void chip_sum_diff(std::span<const double> soft, std::span<double> sum,

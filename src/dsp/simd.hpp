@@ -12,7 +12,8 @@
 //   * scalar dispatch  -> bit-identical to the pre-SIMD reference loops;
 //   * AVX2/NEON paths  -> equal to the reference within 1e-9 relative
 //     (vector lanes reassociate sums; oscillators use block-anchored
-//     rotations with libm-exact anchors).
+//     rotations with libm-exact anchors), except fft_butterflies, which is
+//     bit-identical to the scalar table on every ISA.
 //
 // Escape hatch: PAB_SIMD=off (or "scalar"/"0") in the environment forces the
 // scalar table AND disables FFT fast convolution (dsp/fftconv.hpp), so the
@@ -104,6 +105,18 @@ void mix_down(std::span<const double> x, double w, std::span<cplx> out);
 
 // out[i] = Re(x[i]) cos(w i) - Im(x[i]) sin(w i)   (up-conversion).
 void mix_up(std::span<const cplx> x, double w, std::span<double> out);
+
+// ---- FFT butterflies ---------------------------------------------------------
+// The radix-2 butterfly passes of dsp::FftPlan over bit-reversed `data`
+// (n = data.size(), a power of two): for each half-length h = 1, 2, .., n/2
+// and each butterfly, v = data[i+k+h] * w, data[i+k] = u + v and
+// data[i+k+h] = u - v, with w = tw[h-1+k], or conj(w) when `inverse` (the
+// 1/n scale is the caller's).  tw.size() must be n - 1.  Unlike the other
+// vector kernels this one is bit-identical across tables: the vector path
+// forms v from the scalar complex product's own multiplies and adds, never
+// fused (DESIGN.md §12).
+void fft_butterflies(std::span<cplx> data, std::span<const cplx> tw,
+                     bool inverse);
 
 // ---- FM0 branch-metric precompute ------------------------------------------
 // sum[t] = soft[2t] + soft[2t+1], diff[t] = soft[2t] - soft[2t+1].

@@ -1,9 +1,10 @@
 // AVX2+FMA kernel table.  Compiled into every x86-64 build via per-function
 // target attributes (no special compile flags); selected at runtime only when
-// __builtin_cpu_supports says the host can run it.  All results are
-// tolerance-bounded (<= 1e-9 relative) against the scalar reference table:
-// reductions reassociate across lanes, oscillators rotate block-anchored
-// phasors instead of calling libm per sample.
+// __builtin_cpu_supports says the host can run it.  All results but the FFT
+// butterflies' are tolerance-bounded (<= 1e-9 relative) against the scalar
+// reference table: reductions reassociate across lanes, oscillators rotate
+// block-anchored phasors instead of calling libm per sample.  The butterflies
+// are bit-identical to the scalar table (see below).
 #include "dsp/simd_kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -145,9 +146,79 @@ PAB_AVX2 void avx2_chip_sum_diff(const double* soft, double* sum, double* diff,
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
+// ---- FFT butterflies: bit-identical to the scalar table ----------------------
+// Compiled for avx2 WITHOUT fma: GCC contracts a multiply and an add into one
+// fused rounding when the target allows it, and the scalar complex product
+// rounds each multiply.  Per butterfly pair the product v * w is formed from
+// the scalar's four products and two sums: re = a*c - b*d and
+// im = b*c + a*d (the scalar's a*d + b*c; IEEE addition commutes exactly).
+// conj(w) negates d, exactly as std::conj does.
+#define PAB_AVX2_EXACT __attribute__((target("avx2")))
+
+// v * (c + jd) for two interleaved complex values, given (c, c) and (d, d)
+// per pair.
+PAB_AVX2_EXACT inline __m256d cmul_rounded(__m256d v, __m256d w_re,
+                                           __m256d w_im) {
+  const __m256d v_sw = _mm256_permute_pd(v, 0b0101);  // (b, a) per pair
+  return _mm256_addsub_pd(_mm256_mul_pd(v, w_re), _mm256_mul_pd(v_sw, w_im));
+}
+
+template <bool kInverse>
+PAB_AVX2_EXACT void avx2_butterfly_passes(cplx* data, std::size_t n,
+                                          const cplx* tw) {
+  auto* d = reinterpret_cast<double*>(data);
+  const auto* t = reinterpret_cast<const double*>(tw);
+  // Half-length 1: one twiddle; each pair of registers holds two butterflies
+  // (x0 x1 | x2 x3), regrouped as u = (x0, x2) and v = (x1, x3).
+  {
+    const __m256d w_re = _mm256_set1_pd(t[0]);
+    const __m256d w_im = _mm256_set1_pd(kInverse ? -t[1] : t[1]);
+    for (std::size_t i = 0; i < n; i += 4) {
+      const __m256d a = _mm256_loadu_pd(d + 2 * i);
+      const __m256d b = _mm256_loadu_pd(d + 2 * i + 4);
+      const __m256d u = _mm256_permute2f128_pd(a, b, 0x20);
+      const __m256d v =
+          cmul_rounded(_mm256_permute2f128_pd(a, b, 0x31), w_re, w_im);
+      const __m256d sum = _mm256_add_pd(u, v);
+      const __m256d diff = _mm256_sub_pd(u, v);
+      _mm256_storeu_pd(d + 2 * i, _mm256_permute2f128_pd(sum, diff, 0x20));
+      _mm256_storeu_pd(d + 2 * i + 4, _mm256_permute2f128_pd(sum, diff, 0x31));
+    }
+  }
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (std::size_t half = 2; half < n; half <<= 1) {
+    const double* stage = t + 2 * (half - 1);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      double* lo = d + 2 * i;
+      double* hi = lo + 2 * half;
+      for (std::size_t k = 0; k < half; k += 2) {
+        const __m256d w = _mm256_loadu_pd(stage + 2 * k);
+        const __m256d w_re = _mm256_movedup_pd(w);
+        __m256d w_im = _mm256_permute_pd(w, 0b1111);
+        if constexpr (kInverse) w_im = _mm256_xor_pd(w_im, sign);
+        const __m256d u = _mm256_loadu_pd(lo + 2 * k);
+        const __m256d v = cmul_rounded(_mm256_loadu_pd(hi + 2 * k), w_re, w_im);
+        _mm256_storeu_pd(lo + 2 * k, _mm256_add_pd(u, v));
+        _mm256_storeu_pd(hi + 2 * k, _mm256_sub_pd(u, v));
+      }
+    }
+  }
+}
+
+PAB_AVX2_EXACT void avx2_fft_butterflies(cplx* data, std::size_t n,
+                                         const cplx* tw, bool inverse) {
+  if (n < 4)
+    scalar_fft_butterflies(data, n, tw, inverse);
+  else if (inverse)
+    avx2_butterfly_passes<true>(data, n, tw);
+  else
+    avx2_butterfly_passes<false>(data, n, tw);
+}
+
 constexpr KernelTable kAvx2Table = {
-    avx2_sum,  avx2_cov_var,  avx2_axpy,   avx2_magnitude,
-    avx2_cmul, avx2_mix_down, avx2_mix_up, avx2_chip_sum_diff,
+    avx2_sum,       avx2_cov_var,       avx2_axpy,
+    avx2_magnitude, avx2_cmul,          avx2_mix_down,
+    avx2_mix_up,    avx2_chip_sum_diff, avx2_fft_butterflies,
 };
 
 }  // namespace

@@ -37,7 +37,15 @@ struct KernelTable {
   void (*mix_up)(const cplx* x, double w, double* out, std::size_t n);
   void (*chip_sum_diff)(const double* soft, double* sum, double* diff,
                         std::size_t n);
+  void (*fft_butterflies)(cplx* data, std::size_t n, const cplx* tw,
+                          bool inverse);
 };
+
+// The scalar table's butterfly passes (simd.cpp).  NEON points at it, and
+// the AVX2 kernel runs it for n < 4, so those paths are the scalar bits by
+// construction.
+void scalar_fft_butterflies(cplx* data, std::size_t n, const cplx* tw,
+                            bool inverse);
 
 // Vector tables; null when the ISA is not compiled in (wrong architecture).
 const KernelTable* avx2_kernels();  // simd_avx2.cpp

@@ -5,7 +5,7 @@
 // oscillators and element-wise kernels reuse the generic block
 // implementations from simd_kernels.hpp, which the compiler auto-vectorizes
 // for NEON.  Tolerance-bounded (<= 1e-9 relative) against the scalar table,
-// exactly like the AVX2 path.
+// exactly like the AVX2 path; the FFT butterflies are the scalar function.
 #include "dsp/simd_kernels.hpp"
 
 #if defined(__aarch64__)
@@ -71,9 +71,13 @@ void neon_chip_sum_diff(const double* soft, double* sum, double* diff,
   detail::chip_sum_diff_ew(soft, sum, diff, n);
 }
 
+// The butterflies are the scalar table's function itself: no NEON kernel is
+// tested on aarch64 hardware, and sharing the function keeps the
+// bit-identical contract by construction.
 constexpr KernelTable kNeonTable = {
-    neon_sum,  neon_cov_var,  neon_axpy,   neon_magnitude,
-    neon_cmul, neon_mix_down, neon_mix_up, neon_chip_sum_diff,
+    neon_sum,       neon_cov_var,       neon_axpy,
+    neon_magnitude, neon_cmul,          neon_mix_down,
+    neon_mix_up,    neon_chip_sum_diff, scalar_fft_butterflies,
 };
 
 }  // namespace

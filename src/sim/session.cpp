@@ -227,6 +227,15 @@ pab::Expected<bool> Session::uplink_into(std::uint64_t trial, TrialContext& ctx,
                       "projector, hydrophone and node 0 must lie inside the "
                       "tank"};
   const Waveform& w = scenario_.waveform;
+  const double fs = link_.config().sample_rate;
+  if (!core::uplink_timing_ok(
+          w,
+          phy::scheme_waveform_length(w.scheme, w.payload_bits, w.bitrate, fs),
+          fs))
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "waveform node_start_s and tail_s must be finite and "
+                      "non-negative, and the capture shorter than 2^53 "
+                      "samples"};
   pab::Rng rng = trial_rng(trial);
   out.sent.resize(w.payload_bits);  // reuses capacity in steady state
   rng.bits_into(out.sent);

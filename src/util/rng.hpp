@@ -2,15 +2,57 @@
 //
 // Every stochastic component of the simulator draws from an explicitly seeded
 // `Rng` so that experiments are repeatable bit-for-bit.  A light wrapper over
-// std::mt19937_64 with the distributions the stack actually needs.
+// an in-house MT19937-64 engine with the distributions the stack actually
+// needs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
 
 namespace pab {
+
+// MT19937-64, word for word the engine std::mt19937_64 is: the standard fixes
+// its output ([rand.predef]: the 10000th word of a default-seeded engine is
+// 9981545732273789042).  In-house so that bulk draws twist the state one
+// block at a time and temper straight into the caller's buffer, and so that
+// no stream depends on a library version.  A UniformRandomBitGenerator, so
+// std::shuffle and the std distributions take it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type seed = default_seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ == kStateSize) twist();
+    return temper(state_[pos_++]);
+  }
+
+  // The next out.size() words, as that many calls would return them.
+  void fill(std::span<result_type> out);
+
+ private:
+  static constexpr std::size_t kStateSize = 312;
+
+  static result_type temper(result_type y) {
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71d67fffeda60000ULL;
+    y ^= (y << 37) & 0xfff7eee000000000ULL;
+    return y ^ (y >> 43);
+  }
+  void twist();  // regenerates all kStateSize words and rewinds pos_
+
+  std::array<result_type, kStateSize> state_{};
+  std::size_t pos_ = kStateSize;
+};
 
 class Rng {
  public:
@@ -21,13 +63,15 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  // Standard normal (or scaled) sample.  std::normal_distribution requires
-  // stddev > 0, so the draw is standard normal, rescaled here: the same
-  // arithmetic libstdc++ applies inside the distribution, so every stream is
-  // unchanged, and stddev == 0 (an ideal, noiseless component) yields `mean`.
-  [[nodiscard]] double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
-  }
+  // Standard normal (or scaled) sample: the value a fresh
+  // std::normal_distribution<double>(0, 1) draws from this engine (libstdc++'s
+  // polar method, whose second value is discarded), times stddev plus mean.
+  // stddev == 0 (an ideal, noiseless component) yields `mean`.
+  [[nodiscard]] double gaussian(double mean = 0.0, double stddev = 1.0);
+
+  // out.size() gaussian(mean, stddev) draws in bulk: the same values, and the
+  // same engine state afterwards, as that many gaussian() calls.
+  void gaussian_into(std::span<double> out, double mean, double stddev);
 
   // Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -69,10 +113,10 @@ class Rng {
   // Derive an independent child stream (for per-node randomness).
   [[nodiscard]] Rng fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace pab

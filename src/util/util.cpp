@@ -1,5 +1,5 @@
-// pab_util is header-only; this translation unit anchors the static library
-// and holds compile-time checks on the header set.
+// pab_util is header-only apart from util/rng.cpp; this translation unit
+// holds compile-time checks on the header set.
 #include "util/bitops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

@@ -2,14 +2,19 @@
 // two-node collision pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/controller.hpp"
 #include "core/link.hpp"
 #include "core/network.hpp"
 #include "core/projector.hpp"
+#include "dsp/simd.hpp"
 #include "mac/protocol.hpp"
 #include "node/node.hpp"
 #include "phy/metrics.hpp"
 #include "sim/scenario.hpp"
+#include "sim/session.hpp"
 
 namespace pab::core {
 namespace {
@@ -180,6 +185,56 @@ TEST(Integration, SwimmingPoolLinkDecodes) {
   const auto out = sim.run_and_decode(proj, fe, bits, sim::Waveform{}, noise);
   ASSERT_TRUE(out.ok()) << out.error().message();
   EXPECT_EQ(phy::bit_error_rate(bits, out.value().demod.bits), 0.0);
+}
+
+// fig8's close placement at 100 bps: each of the three tap convolutions
+// runs 32 overlap-save blocks, and 29 and 30 of the two CW convolutions'
+// blocks lie inside the constant envelope, so 57 of 96 are copies.
+TEST(Integration, UplinkCaptureCopiesRepeatedConvolutionBlocks) {
+  Placement close;
+  close.projector = {1.2, 1.5, 0.65};
+  close.hydrophone = {1.8, 1.5, 0.65};
+  close.node = {1.5, 2.1, 0.65};
+  sim::Scenario sc =
+      sim::Scenario::pool_a().with_seed(1).with_placement(close);
+  sc.medium.noise.psd_db_re_upa = 82.0;
+  sc.waveform.bitrate = 100.0;
+  sc.waveform.payload_bits = 96;
+  const sim::Session session(sc);
+  const dsp::simd::DispatchGuard fft_path(dsp::simd::active(), true);
+  auto& reg = obs::MetricRegistry::global();
+  const auto count = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const std::uint64_t hits = count("dsp.fftconv.hits");
+  const std::uint64_t blocks = count("dsp.fftconv.blocks");
+  const std::uint64_t reused = count("dsp.fftconv.blocks_reused");
+  const auto out = session.run_trial<sim::TrialKind::kUplink>(0);
+  ASSERT_TRUE(out.ok()) << out.error().message();
+  EXPECT_EQ(count("dsp.fftconv.hits") - hits, 3u);
+  EXPECT_EQ(count("dsp.fftconv.blocks") - blocks, 96u);
+  EXPECT_EQ(count("dsp.fftconv.blocks_reused") - reused, 57u);
+}
+
+// A direct caller gets an exception for a waveform timing the link cannot
+// run (sim::Session reports it as kInvalidArgument instead).
+TEST(Integration, UplinkRejectsUnrunnableWaveformTiming) {
+  const LinkSimulator sim(sim::Scenario::pool_a().medium, Placement{});
+  const auto proj = standard_projector();
+  const auto fe = circuit::make_recto_piezo(15000.0);
+  pab::Rng rng(3);
+  const auto bits = rng.bits(16);
+  for (const double start : {-0.01, 1e300, std::nan("")}) {
+    sim::Waveform cfg;
+    cfg.node_start_s = start;
+    EXPECT_THROW((void)sim.run_uplink(proj, fe, bits, cfg, rng),
+                 std::invalid_argument)
+        << start;
+  }
+  sim::Waveform negative_tail;
+  negative_tail.tail_s = -1.0;
+  EXPECT_THROW((void)sim.run_uplink(proj, fe, bits, negative_tail, rng),
+               std::invalid_argument);
 }
 
 TEST(Integration, ProjectorIdealIsFlat) {

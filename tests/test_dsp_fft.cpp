@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "dsp/fft.hpp"
+#include "dsp/simd.hpp"
+#include "fftconv_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -68,6 +74,84 @@ TEST(Fft, SinglebinTone) {
   fft_plan(x.size()).transform(x);
   EXPECT_NEAR(std::abs(x[32]), 512.0, 1e-6);
   EXPECT_NEAR(std::abs(x[33]), 0.0, 1e-6);
+}
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// Inputs that stress the last bit: Gaussian values, signed zeros among
+// them, subnormals, and magnitudes near 1e+300 and 1e-300.
+std::vector<std::vector<cplx>> butterfly_inputs(std::size_t n, Rng& rng) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<std::vector<cplx>> out(5, std::vector<cplx>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = rng.gaussian(), b = rng.gaussian();
+    out[0][i] = {a, b};
+    const double z = (i % 3 == 0) ? -0.0 : 0.0;
+    out[1][i] = (i % 5 == 1) ? cplx(a, z) : cplx(z, (i % 2) ? -0.0 : 0.0);
+    out[2][i] = {tiny * static_cast<double>(rng.uniform_int(-4096, 4096)),
+                 tiny * static_cast<double>(rng.uniform_int(-4096, 4096))};
+    out[3][i] = {1e300 * a, -1e300 * b};
+    out[4][i] = {1e-300 * a, 1e-300 * b};
+  }
+  return out;
+}
+
+// The dispatched butterflies are bit-identical on every table, and equal to
+// the strided-twiddle transform the per-stage table replaced.
+TEST(Fft, ButterfliesMatchTheStridedTransformBitForBitOnEveryTable) {
+  Rng rng(11);
+  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
+    const testing::OracleFft oracle(n);
+    for (const auto& input : butterfly_inputs(n, rng)) {
+      for (const bool inverse : {false, true}) {
+        std::vector<cplx> want = input;
+        oracle.transform(want, inverse);
+        for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
+                                    simd::Isa::kNeon}) {
+          const simd::DispatchGuard guard(isa, true);
+          std::vector<cplx> got = input;
+          fft_plan(n).transform(got, inverse);
+          EXPECT_TRUE(same_bits(want, got))
+              << "n " << n << " inverse " << inverse << " table "
+              << simd::isa_name(simd::active());
+        }
+      }
+    }
+  }
+}
+
+// One cached plan serves concurrent transforms: 4 threads run forward and
+// inverse transforms on their own buffers (under the vector table where the
+// host has one) and reproduce a serial run bit for bit.
+TEST(Fft, SharedPlanTransformsAgreeAcrossThreads) {
+  const simd::DispatchGuard guard(simd::Isa::kAvx2, true);
+  constexpr std::size_t kN = 4096, kThreads = 4, kRounds = 8;
+  const FftPlan& plan = fft_plan(kN);
+  Rng rng(13);
+  std::vector<std::vector<cplx>> inputs(kThreads, std::vector<cplx>(kN));
+  for (auto& in : inputs)
+    for (auto& x : in) x = {rng.gaussian(), rng.gaussian()};
+  const auto run = [&](std::size_t t) {
+    std::vector<cplx> v = inputs[t];
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      plan.transform(v);
+      plan.transform(v, /*inverse=*/true);
+    }
+    return v;
+  };
+  std::vector<std::vector<cplx>> serial(kThreads), parallel(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) serial[t] = run(t);
+  {
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      workers.emplace_back([&, t] { parallel[t] = run(t); });
+    for (auto& w : workers) w.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_TRUE(same_bits(serial[t], parallel[t])) << "thread " << t;
 }
 
 }  // namespace

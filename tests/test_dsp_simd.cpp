@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "channel/propagation.hpp"
@@ -15,6 +16,8 @@
 #include "dsp/fft.hpp"
 #include "dsp/fftconv.hpp"
 #include "dsp/simd.hpp"
+#include "fftconv_oracle.hpp"
+#include "obs/metrics.hpp"
 #include "phy/fm0.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -249,6 +252,83 @@ TEST(FftConv, PlanCacheReusesPlansAcrossCalls) {
   EXPECT_GE(planned, 1u);
   fftconv_full(h, x, y);  // same sizes -> no new plan
   EXPECT_EQ(fft_plan_cache_size(), planned);
+}
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+// Copying the blocks inside the leading run of identical samples gives the
+// bits of transforming every block (the oracle), on every table.  Inputs: a
+// constant at lengths around multiples of the block advance S, a constant
+// run then a step, alternating +0.0/-0.0 imaginary parts, and a run of
+// (0, +0.0) then (0, -0.0), which compares equal but convolves to other
+// bits.
+TEST(FftConv, RepeatedBlocksMatchTheBlockByBlockOracleBitForBit) {
+  Rng rng(8);
+  for (const std::size_t nh : {21u, 100u}) {
+    const auto h = random_cvec(rng, nh);
+    // Block size as fftconv_full picks it for these lengths (>= 256).
+    const std::size_t B = next_pow2(std::max<std::size_t>(4 * nh, 256));
+    const std::size_t S = B - nh + 1;
+    const cplx c(0.3, -1.7);
+    std::vector<std::vector<cplx>> inputs;
+    for (std::size_t m = 1; m <= 6; ++m) {
+      for (const std::size_t base : {m * S, m * S + nh - 1, m * S + B}) {
+        for (std::size_t n = base - 2; n <= base + 2; ++n)
+          inputs.emplace_back(n, c);
+      }
+      std::vector<cplx> step(7 * S, c);
+      std::fill(step.begin() + static_cast<std::ptrdiff_t>(m * S + nh),
+                step.end(), cplx(-0.5, 0.25));
+      inputs.push_back(step);
+    }
+    std::vector<cplx> alternating(5 * S), signed_zero_run(5 * S);
+    for (std::size_t i = 0; i < alternating.size(); ++i) {
+      alternating[i] = {0.0, (i % 2) ? -0.0 : 0.0};
+      signed_zero_run[i] = {0.0, i < 2 * S ? 0.0 : -0.0};
+    }
+    inputs.push_back(alternating);
+    inputs.push_back(signed_zero_run);
+    for (const auto& x : inputs) {
+      const auto want = testing::fftconv_full_oracle(h, x);
+      for (const Isa isa : {Isa::kScalar, host_isa()}) {
+        const DispatchGuard guard(isa, true);
+        std::vector<cplx> got(want.size());
+        fftconv_full(h, x, got);
+        EXPECT_TRUE(same_bits(want, got))
+            << "nh " << nh << " n " << x.size() << " table "
+            << simd::isa_name(simd::active());
+      }
+    }
+  }
+}
+
+// dsp.fftconv.blocks counts every overlap-save block of a call and
+// dsp.fftconv.blocks_reused the copied ones: of a constant input's blocks,
+// those whose window lies unpadded inside x, less the one computed.
+TEST(FftConv, BlockCountersCountEveryAndEveryCopiedBlock) {
+  Rng rng(9);
+  auto& reg = obs::MetricRegistry::global();
+  const auto h = random_cvec(rng, 21);  // B = 256, S = 236
+  const std::size_t B = 256, S = 236;
+  for (const std::size_t n : {300u, 600u, 3000u}) {
+    std::size_t blocks = 0, in_run = 0;
+    for (std::size_t pos = 0; pos < n + 20; pos += S, ++blocks)
+      in_run += (pos >= 20 && pos - 20 + B <= n) ? 1 : 0;
+    const std::vector<cplx> x(n, cplx(1.25, 0.0));
+    std::vector<cplx> y(n + 20);
+    const std::uint64_t blocks0 = reg.counter("dsp.fftconv.blocks").value();
+    const std::uint64_t reused0 =
+        reg.counter("dsp.fftconv.blocks_reused").value();
+    fftconv_full(h, x, y);
+    EXPECT_EQ(reg.counter("dsp.fftconv.blocks").value() - blocks0, blocks)
+        << n;
+    EXPECT_EQ(reg.counter("dsp.fftconv.blocks_reused").value() - reused0,
+              in_run > 0 ? in_run - 1 : 0)
+        << n;
+  }
 }
 
 // ---- channel tap convolution through the FFT path ---------------------------

@@ -285,6 +285,28 @@ TEST(SessionMetrics, SynthesisStagesAddUpToTheUplinkRun) {
   EXPECT_LE(stages, run.sum());
 }
 
+// The uplink trial's two timed stages, synthesis and decode, cover at least
+// 95% of the trial: what lies outside them (payload draw, modulation-cache
+// lookup, BER) stays visible as synthesis gets cheaper.
+TEST(SessionMetrics, UplinkRunAndDecodeAddUpToTheUplinkTrial) {
+  for (const double bitrate : {100.0, 5000.0}) {
+    MetricRegistry reg;
+    sim::Scenario sc = sim::Scenario::pool_a().with_seed(5);
+    sc.waveform.bitrate = bitrate;
+    const sim::Session session(sc, &reg);
+    for (std::size_t i = 0; i < 4; ++i)
+      (void)session.run_trial<sim::TrialKind::kUplink>(i);
+
+    const Histogram& trial = reg.histogram("sim.session.trial_seconds");
+    ASSERT_EQ(trial.count(), 4u) << bitrate;
+    const double stages =
+        reg.histogram("core.link.uplink_run_seconds").sum() +
+        reg.histogram("core.link.decode_seconds").sum();
+    EXPECT_GE(stages, 0.95 * trial.sum()) << bitrate;
+    EXPECT_LE(stages, trial.sum()) << bitrate;
+  }
+}
+
 TEST(SessionMetrics, FieldStagesAddUpToTheFieldTrial) {
   MetricRegistry reg;
   sim::FieldSpec field;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <set>
 #include <thread>
 #include <variant>
@@ -289,6 +290,28 @@ TEST(Session, UplinkOutsideTheTankReturnsInvalidArgument) {
     const auto out = session.run_trial<TrialKind::kUplink>(0);
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.error().code, ErrorCode::kInvalidArgument);
+  }
+}
+
+// Regression: spec text sets the waveform timing, and the link cast
+// node_start_s * fs and the capture length to size_t unchecked.  A negative
+// or huge node start read as "no preamble", and a NaN node start or a
+// negative tail threw out of the trial and ended the campaign.  Each is a
+// config error reported through Expected.
+TEST(Session, UplinkWaveformTimingOutOfRangeReturnsInvalidArgument) {
+  struct Timing {
+    double node_start_s, tail_s;
+  };
+  for (const Timing t : {Timing{-0.01, 0.02}, Timing{1e300, 0.02},
+                         Timing{std::nan(""), 0.02}, Timing{0.05, -1.0}}) {
+    Scenario sc = Scenario::pool_a();
+    sc.waveform.node_start_s = t.node_start_s;
+    sc.waveform.tail_s = t.tail_s;
+    const Session session(sc);
+    const auto out = session.run_trial<TrialKind::kUplink>(0);
+    ASSERT_FALSE(out.ok()) << t.node_start_s << " " << t.tail_s;
+    EXPECT_EQ(out.error().code, ErrorCode::kInvalidArgument)
+        << t.node_start_s << " " << t.tail_s << ": " << out.error().message();
   }
 }
 

@@ -2,6 +2,11 @@
 // and the Expected error type.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "util/bitops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -122,6 +127,73 @@ TEST(Rng, ForkIndependence) {
   Rng child = a.fork();
   // Child stream differs from the parent continuation.
   EXPECT_NE(child.uniform(), a.uniform());
+}
+
+// The in-house engine is std::mt19937_64 word for word, through single
+// calls, bulk fills and any interleaving of the two.
+TEST(Rng, EngineMatchesStdMt19937_64WordForWord) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{5489}, ~std::uint64_t{0}}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(ours(), want()) << seed;
+    // Fill sizes straddle the 312-word twist block.
+    for (const std::size_t n : {0u, 1u, 311u, 312u, 313u, 7u, 1000u, 624u}) {
+      std::vector<std::uint64_t> block(n);
+      ours.fill(block);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(block[i], want()) << "seed " << seed << " fill " << n;
+      ASSERT_EQ(ours(), want()) << "seed " << seed << " after fill " << n;
+    }
+  }
+}
+
+// [rand.predef]: the 10000th consecutive invocation of a default-constructed
+// mt19937_64 produces 9981545732273789042.
+TEST(Rng, EngineTenThousandthWordIsTheStandardsValue) {
+  Mt19937_64 engine;
+  std::vector<std::uint64_t> words(9999);
+  engine.fill(words);
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+// gaussian and gaussian_into reproduce std::normal_distribution<double>(0, 1)
+// on std::mt19937_64, one fresh distribution per value, rescaled: the values
+// bit for bit, and the engine state afterwards.
+TEST(Rng, GaussianMatchesNormalDistributionOnStdMt19937_64) {
+  struct Scale {
+    double mean, stddev;
+  };
+  const auto oracle = [](std::mt19937_64& e, Scale s) {
+    return std::normal_distribution<double>(0.0, 1.0)(e) * s.stddev + s.mean;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  std::uint64_t seed = 40;
+  for (const Scale s : {Scale{0.0, 1.0}, Scale{-0.0, 0.0}, Scale{3.0, 0.25}}) {
+    for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 110958u}) {
+      ++seed;
+      Rng bulk(seed), single(seed);
+      std::mt19937_64 want(seed);
+      std::vector<double> got(n);
+      bulk.gaussian_into(got, s.mean, s.stddev);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double w = oracle(want, s);
+        ASSERT_TRUE(same_bits(got[i], w))
+            << "n " << n << " i " << i << ": " << got[i] << " vs " << w;
+        ASSERT_TRUE(same_bits(single.gaussian(s.mean, s.stddev), w))
+            << "n " << n << " i " << i;
+      }
+      // Both leave the engine where the oracle's is (700 words cross a
+      // twist).
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t next = want();
+        ASSERT_EQ(bulk.engine()(), next) << "n " << n;
+        ASSERT_EQ(single.engine()(), next) << "n " << n;
+      }
+    }
+  }
 }
 
 TEST(Expected, ValueAndError) {
