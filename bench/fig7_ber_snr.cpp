@@ -9,6 +9,7 @@
 // sim::BatchRunner; trial i of each SNR point draws from RNG substream i, so
 // the curve is bit-identical at any thread count (verified below).
 #include <chrono>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "phy/fm0.hpp"

@@ -15,7 +15,9 @@
 // A sharded run and an --in-process run of the same spec produce identical
 // .records bytes; kill a run mid-campaign (or cap it with --max-shards) and
 // `--checkpoint DIR --resume` finishes it without repeating finished shards.
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -25,6 +27,7 @@
 
 #include "campaign/batch_executor.hpp"
 #include "campaign/process_executor.hpp"
+#include "sim/batch.hpp"
 
 namespace {
 
@@ -48,7 +51,9 @@ void usage() {
       "    --in-process           run the BatchExecutor (default: sharded)\n"
       "    --workers N            worker process count (default: 3)\n"
       "    --worker-bin PATH      pab_worker binary (default: next to serve)\n"
-      "    --threads N            BatchRunner width inside a shard (default 1)\n"
+      "    --threads N            threads the shards and their trials share\n"
+      "                           (at most 256, default 1; per worker\n"
+      "                           process when sharded)\n"
       "    --shard N              trials per shard (default 32)\n"
       "    --checkpoint DIR       persist finished shards under DIR\n"
       "    --resume               fold in DIR's finished shards\n"
@@ -74,6 +79,21 @@ bool parse_axis(const std::string& arg, SweepAxis& axis) {
     }
   }
   return !axis.values.empty();
+}
+
+// A whole decimal thread count no larger than BatchRunner::kMaxThreads (0
+// means 1, as in RunOptions); strtoul alone would read "-1" as 4294967295
+// and "4x" as 4.
+bool parse_threads(const char* text, unsigned& threads) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (errno != 0 || *end != '\0' ||
+      value > pab::sim::BatchRunner::kMaxThreads)
+    return false;
+  threads = static_cast<unsigned>(value);
+  return true;
 }
 
 bool write_artifact(const std::string& path, const std::string& bytes) {
@@ -161,8 +181,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--worker-bin" && (v = next()) != nullptr) {
       options.worker_binary = v;
     } else if (arg == "--threads" && (v = next()) != nullptr) {
-      options.worker_threads =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!parse_threads(v, options.worker_threads)) {
+        std::cerr << "pab_serve: bad --threads (want 0-"
+                  << pab::sim::BatchRunner::kMaxThreads << "): " << v << "\n";
+        return 2;
+      }
     } else if (arg == "--shard" && (v = next()) != nullptr) {
       options.shard_size = std::strtoull(v, nullptr, 10);
     } else if (arg == "--checkpoint" && (v = next()) != nullptr) {

@@ -1,10 +1,12 @@
 #include "campaign/batch_executor.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <mutex>
 #include <optional>
 #include <utility>
 
 #include "campaign/manifest.hpp"
+#include "sim/batch.hpp"
 
 namespace pab::campaign {
 
@@ -12,6 +14,8 @@ pab::Expected<CampaignResult> BatchExecutor::run(const CampaignSpec& spec,
                                                  const RunOptions& options) {
   auto valid = spec.validate();
   if (!valid.ok()) return valid.error();
+  auto threads_ok = check_worker_threads(options.worker_threads);
+  if (!threads_ok.ok()) return threads_ok.error();
   const std::vector<Shard> shards = spec.compile(options.shard_size);
 
   std::optional<CheckpointStore> store;
@@ -22,30 +26,58 @@ pab::Expected<CampaignResult> BatchExecutor::run(const CampaignSpec& spec,
     if (!opened.ok()) return opened.error();
   }
 
-  std::vector<ShardOutput> outputs;
-  outputs.reserve(shards.size());
-  std::uint64_t executed = 0;
+  ShardFold fold(spec);
+  std::vector<const Shard*> pending;
   for (const Shard& shard : shards) {
     if (store.has_value() && store->is_done(shard.index)) {
       auto loaded = store->load(shard.index);
       if (!loaded.ok()) return loaded.error();
-      outputs.push_back(std::move(loaded).value());
-      continue;
+      auto added = fold.add(std::move(loaded).value());
+      if (!added.ok()) return added.error();
+    } else {
+      pending.push_back(&shard);
     }
-    if (options.max_shards != 0 && executed >= options.max_shards)
-      return pab::Error{pab::ErrorCode::kTimeout,
-                        "campaign interrupted after max_shards shards "
-                        "(progress checkpointed; re-run with resume)"};
-    auto output = run_shard(spec, shard, options.worker_threads);
-    if (!output.ok()) return output.error();
-    ++executed;
-    if (store.has_value()) {
-      auto stored = store->store(output.value());
-      if (!stored.ok()) return stored.error();
-    }
-    outputs.push_back(std::move(output).value());
   }
-  return assemble_result(spec, std::move(outputs));
+  // max_shards runs exactly the first max_shards pending shards.
+  const std::size_t budget =
+      options.max_shards == 0
+          ? pending.size()
+          : static_cast<std::size_t>(
+                std::min<std::uint64_t>(options.max_shards, pending.size()));
+
+  // The runner's trial counts land in each shard's own registry (run_shard
+  // takes a with_metrics view), so this runner records nothing itself.
+  const sim::BatchRunner runner(std::max(1u, options.worker_threads), nullptr);
+  std::mutex mutex;  // guards store, fold, failed_at and failure
+  std::size_t failed_at = budget;
+  std::optional<pab::Error> failure;
+  (void)runner.map(budget, [&](std::size_t k) {
+    {
+      // Claim no shard above a failed one.  Shards are claimed in index
+      // order, so the lowest failing shard always runs and its error is
+      // the one returned, at any thread count.
+      const std::lock_guard lock(mutex);
+      if (k > failed_at) return false;
+    }
+    auto output = run_shard(spec, *pending[k], runner);
+    const std::lock_guard lock(mutex);
+    // A finished shard is checkpointed before it is folded.
+    pab::Expected<bool> done = true;
+    if (!output.ok()) done = output.error();
+    if (done.ok() && store.has_value()) done = store->store(output.value());
+    if (done.ok()) done = fold.add(std::move(output).value());
+    if (!done.ok() && k < failed_at) {
+      failed_at = k;
+      failure = done.error();
+    }
+    return done.ok();
+  });
+  if (failure.has_value()) return *failure;
+  if (budget < pending.size())
+    return pab::Error{pab::ErrorCode::kTimeout,
+                      "campaign interrupted after max_shards shards "
+                      "(progress checkpointed; re-run with resume)"};
+  return std::move(fold).finish();
 }
 
 }  // namespace pab::campaign

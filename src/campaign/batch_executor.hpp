@@ -1,11 +1,13 @@
 // BatchExecutor: the in-process campaign executor.
 //
-// Runs the compiled shard queue serially in shard-index order (parallelism
-// lives inside each shard, via the BatchRunner width in
-// RunOptions::worker_threads), checkpointing each finished shard when a
-// checkpoint directory is configured.  This is both the reference
-// implementation the multi-process executor is asserted against and the
-// sensible default for campaigns that fit one machine.
+// Runs the compiled shard queue on one sim::BatchRunner of
+// RunOptions::worker_threads threads: shards are claimed in index order and
+// run concurrently, each shard's trials borrow whichever of the runner's
+// helpers are idle, and finished shards are checkpointed (when a checkpoint
+// directory is configured) and folded in shard-index order as they finish.
+// This is both the reference implementation the multi-process executor is
+// asserted against and the sensible default for campaigns that fit one
+// machine.
 #pragma once
 
 #include "campaign/executor.hpp"

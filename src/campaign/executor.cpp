@@ -1,8 +1,9 @@
 #include "campaign/executor.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <utility>
 
+#include "sim/batch.hpp"
 #include "util/stats.hpp"
 
 namespace pab::campaign {
@@ -18,10 +19,13 @@ std::string fmt_double(double v) {
 }  // namespace
 
 std::string CampaignResult::records_bytes() const {
+  std::size_t size = 4;
+  for (const auto& batch : points) size += batch.serialized_size();
   ByteWriter w;
+  w.reserve(size);
   w.u32(static_cast<std::uint32_t>(points.size()));
   for (const auto& batch : points) batch.serialize(w);
-  return w.bytes();
+  return w.take();
 }
 
 std::string CampaignResult::summary_json() const {
@@ -61,51 +65,86 @@ std::string CampaignResult::summary_json() const {
   return out;
 }
 
+pab::Expected<bool> check_worker_threads(std::uint64_t threads) {
+  if (threads > sim::BatchRunner::kMaxThreads)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "worker_threads " + std::to_string(threads) +
+                          " exceeds the limit of " +
+                          std::to_string(sim::BatchRunner::kMaxThreads)};
+  return true;
+}
+
+ShardFold::ShardFold(const CampaignSpec& spec) {
+  result_.spec = spec;
+  result_.fingerprint = spec.fingerprint();
+  result_.points.assign(spec.point_count(), RecordBatch(spec.kind));
+}
+
+pab::Expected<bool> ShardFold::add(ShardOutput output) {
+  if (error_) return *error_;
+  if (output.shard < next_ || early_.count(output.shard) != 0) {
+    error_ = pab::Error{pab::ErrorCode::kInvalidArgument,
+                        "campaign fold: duplicate shard " +
+                            std::to_string(output.shard)};
+    return *error_;
+  }
+  if (output.shard != next_) {
+    early_.emplace(output.shard, std::move(output));
+    return true;
+  }
+  auto folded = fold(output);
+  while (folded.ok() && !early_.empty() && early_.begin()->first == next_) {
+    const auto node = early_.extract(early_.begin());
+    folded = fold(node.mapped());
+  }
+  if (!folded.ok()) error_ = folded.error();
+  return folded;
+}
+
+// Shard index k covers trials [k_begin, k_end) of one point, and compile()
+// numbers shards in (point, begin) order -- so appending batches in shard
+// order reconstructs every point's rows in trial order.
+pab::Expected<bool> ShardFold::fold(const ShardOutput& output) {
+  ++next_;
+  if (output.records.kind() != result_.spec.kind)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign fold: shard kind mismatch"};
+  if (point_rows_ == result_.spec.trials_per_point) {
+    point_rows_ = 0;
+    ++point_;
+  }
+  if (point_ >= result_.points.size())
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign fold: more rows than the spec declares"};
+  result_.points[point_].append_batch(output.records);
+  point_rows_ += output.records.rows();
+  if (point_rows_ > result_.spec.trials_per_point)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign fold: shard rows overflow their point"};
+  result_.metrics.merge_from(output.metrics);
+  return true;
+}
+
+pab::Expected<CampaignResult> ShardFold::finish() && {
+  if (error_) return *error_;
+  if (!early_.empty())
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign fold: missing shard " + std::to_string(next_)};
+  if (point_ + 1 != result_.points.size() ||
+      point_rows_ != result_.spec.trials_per_point)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign fold: incomplete campaign (shards missing)"};
+  return std::move(result_);
+}
+
 pab::Expected<CampaignResult> assemble_result(const CampaignSpec& spec,
                                               std::vector<ShardOutput> shards) {
-  std::sort(shards.begin(), shards.end(),
-            [](const ShardOutput& a, const ShardOutput& b) {
-              return a.shard < b.shard;
-            });
-  CampaignResult result;
-  result.spec = spec;
-  result.fingerprint = spec.fingerprint();
-  result.points.assign(spec.point_count(), RecordBatch(spec.kind));
-
-  // Shard index k covers trials [k_begin, k_end) of one point, and compile()
-  // numbers shards in (point, begin) order -- so appending batches in shard
-  // order reconstructs every point's rows in trial order.
-  std::uint64_t expected = 0;
-  std::uint64_t rows_per_point_seen = 0;
-  std::uint64_t point_cursor = 0;
-  for (const ShardOutput& shard : shards) {
-    if (shard.shard != expected)
-      return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "assemble_result: missing shard " +
-                            std::to_string(expected)};
-    ++expected;
-    if (shard.records.kind() != spec.kind)
-      return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "assemble_result: shard kind mismatch"};
-    if (rows_per_point_seen == spec.trials_per_point) {
-      rows_per_point_seen = 0;
-      ++point_cursor;
-    }
-    if (point_cursor >= result.points.size())
-      return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "assemble_result: more rows than the spec declares"};
-    result.points[point_cursor].append_batch(shard.records);
-    rows_per_point_seen += shard.records.rows();
-    if (rows_per_point_seen > spec.trials_per_point)
-      return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "assemble_result: shard rows overflow their point"};
-    result.metrics.merge_from(shard.metrics);
+  ShardFold fold(spec);
+  for (ShardOutput& shard : shards) {
+    auto added = fold.add(std::move(shard));
+    if (!added.ok()) return added.error();
   }
-  if (point_cursor + 1 != result.points.size() ||
-      rows_per_point_seen != spec.trials_per_point)
-    return pab::Error{pab::ErrorCode::kInvalidArgument,
-                      "assemble_result: incomplete campaign (shards missing)"};
-  return result;
+  return std::move(fold).finish();
 }
 
 }  // namespace pab::campaign

@@ -3,15 +3,17 @@
 // An Executor turns (CampaignSpec, RunOptions) into a CampaignResult:
 // per-point record batches in trial order, plus the campaign's merged
 // metrics.  Two implementations ship -- BatchExecutor (in-process, shards
-// run serially through sim::BatchRunner) and ProcessExecutor (shards farmed
-// to pab_worker processes over the pipe protocol) -- and the contract is
-// that for the same spec and worker_threads they produce byte-identical
-// records_bytes() and identical deterministic counters, because both sides
-// execute every shard through campaign::run_shard and fold outputs in
-// shard-index order.
+// run concurrently over one sim::BatchRunner) and ProcessExecutor (shards
+// farmed to pab_worker processes over the pipe protocol) -- and the contract
+// is that for the same spec they produce byte-identical records_bytes() and
+// identical deterministic counters, because both sides execute every shard
+// through campaign::run_shard and fold outputs through one ShardFold, in
+// shard-index order whatever order they finish in.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +27,7 @@ namespace pab::campaign {
 
 struct RunOptions {
   std::uint64_t shard_size = 32;  // trials per shard (0 = one shard per point)
-  unsigned worker_threads = 1;    // BatchRunner width inside each shard
+  unsigned worker_threads = 1;    // threads the campaign's shards and trials share
   unsigned workers = 3;           // ProcessExecutor: worker process count
   std::string worker_binary;      // ProcessExecutor: path to pab_worker
   std::string checkpoint_dir;     // empty = no checkpointing
@@ -59,9 +61,41 @@ class Executor {
       const CampaignSpec& spec, const RunOptions& options) = 0;
 };
 
+// kInvalidArgument when a worker thread count -- it arrives from outside
+// the program, in RunOptions or a kSpec frame -- is above
+// sim::BatchRunner::kMaxThreads.  Checked before any runner is built.
+[[nodiscard]] pab::Expected<bool> check_worker_threads(std::uint64_t threads);
+
+// The one fold of shard outputs into a CampaignResult.  Outputs arrive in
+// any order (shards finish concurrently, or come back from other
+// processes); each is folded in shard-index order -- its rows appended to
+// its point, its metrics delta merged -- as soon as every lower-index shard
+// has been, and one that arrives early waits until then.  The result is the
+// same bytes and the same merge sequence whatever the arrival order.
+class ShardFold {
+ public:
+  explicit ShardFold(const CampaignSpec& spec);
+
+  // Take one shard's output.  An error (a duplicate shard, a kind mismatch,
+  // rows beyond the spec) is sticky: every later call returns it too.
+  [[nodiscard]] pab::Expected<bool> add(ShardOutput output);
+  // The assembled campaign; an error unless every shard of the spec's
+  // compile() partition was folded.
+  [[nodiscard]] pab::Expected<CampaignResult> finish() &&;
+
+ private:
+  [[nodiscard]] pab::Expected<bool> fold(const ShardOutput& output);
+
+  CampaignResult result_;
+  std::map<std::uint64_t, ShardOutput> early_;  // arrived before their turn
+  std::uint64_t next_ = 0;                       // shard index folded next
+  std::uint64_t point_ = 0;                      // point being filled
+  std::uint64_t point_rows_ = 0;                 // its rows so far
+  std::optional<pab::Error> error_;
+};
+
 // Fold complete shard outputs (all shards of spec.compile(shard_size), in
-// any order) into a CampaignResult.  Shared by both executors and by tests
-// that exercise merge associativity directly.
+// any order) into a CampaignResult: feeds a ShardFold, then finishes it.
 [[nodiscard]] pab::Expected<CampaignResult> assemble_result(
     const CampaignSpec& spec, std::vector<ShardOutput> shards);
 

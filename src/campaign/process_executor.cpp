@@ -104,6 +104,8 @@ pab::Expected<CampaignResult> ProcessExecutor::run(const CampaignSpec& spec,
   if (options.worker_binary.empty())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "ProcessExecutor: options.worker_binary is required"};
+  auto threads_ok = check_worker_threads(options.worker_threads);
+  if (!threads_ok.ok()) return threads_ok.error();
   const std::vector<Shard> shards = spec.compile(options.shard_size);
 
   std::optional<CheckpointStore> store;
@@ -114,19 +116,19 @@ pab::Expected<CampaignResult> ProcessExecutor::run(const CampaignSpec& spec,
     if (!opened.ok()) return opened.error();
   }
 
-  std::vector<ShardOutput> outputs;
-  outputs.reserve(shards.size());
+  ShardFold fold(spec);
   std::deque<const Shard*> pending;
   for (const Shard& shard : shards) {
     if (store.has_value() && store->is_done(shard.index)) {
       auto loaded = store->load(shard.index);
       if (!loaded.ok()) return loaded.error();
-      outputs.push_back(std::move(loaded).value());
+      auto added = fold.add(std::move(loaded).value());
+      if (!added.ok()) return added.error();
     } else {
       pending.push_back(&shard);
     }
   }
-  if (pending.empty()) return assemble_result(spec, std::move(outputs));
+  if (pending.empty()) return std::move(fold).finish();
 
   const SigpipeGuard sigpipe;
   const unsigned n_workers = std::max(1u, options.workers);
@@ -233,7 +235,8 @@ pab::Expected<CampaignResult> ProcessExecutor::run(const CampaignSpec& spec,
               auto stored = store->store(output);
               if (!stored.ok()) return fail(stored.error());
             }
-            outputs.push_back(std::move(output));
+            auto added = fold.add(std::move(output));
+            if (!added.ok()) return fail(added.error());
             w.busy = false;
             if (!pending.empty() && budget_left()) {
               auto ok = assign(w);
@@ -261,7 +264,7 @@ pab::Expected<CampaignResult> ProcessExecutor::run(const CampaignSpec& spec,
     return pab::Error{pab::ErrorCode::kTimeout,
                       "campaign interrupted after max_shards shards "
                       "(progress checkpointed; re-run with resume)"};
-  return assemble_result(spec, std::move(outputs));
+  return std::move(fold).finish();
 }
 
 }  // namespace pab::campaign

@@ -5,7 +5,8 @@
 // sends every worker the spec once, then farms the compiled shard queue out
 // on demand: whichever worker finishes a shard first gets the next pending
 // one.  Record chunks stream back while shards are in flight; finished
-// shards are checkpointed exactly as BatchExecutor would.  Scheduling is
+// shards are checkpointed exactly as BatchExecutor would, then fed to the
+// ShardFold as each kShardDone frame arrives.  Scheduling is
 // nondeterministic, results are not: outputs fold in shard-index order, so
 // the assembled CampaignResult is byte-identical to the in-process run.
 #pragma once

@@ -5,7 +5,8 @@
 #include <optional>
 #include <utility>
 
-#include "campaign/shard_runner.hpp"
+#include "campaign/executor.hpp"
+#include "sim/batch.hpp"
 
 namespace pab::campaign {
 
@@ -29,6 +30,8 @@ pab::Expected<SpecPayload> decode_spec(std::string_view payload) {
     if (p.version != kProtocolVersion)
       return pab::Error{pab::ErrorCode::kInvalidArgument,
                         "campaign protocol version mismatch"};
+    auto threads_ok = check_worker_threads(p.worker_threads);
+    if (!threads_ok.ok()) return threads_ok.error();
     return p;
   } catch (const std::exception& e) {
     return pab::Error{pab::ErrorCode::kInvalidArgument, e.what()};
@@ -70,7 +73,7 @@ int fail(int out_fd, const std::string& message) {
 
 int worker_main(int in_fd, int out_fd) {
   std::optional<CampaignSpec> spec;
-  unsigned threads = 1;
+  std::optional<sim::BatchRunner> runner;  // one per kSpec, shared by shards
   for (;;) {
     auto frame = read_frame(in_fd);
     if (!frame.ok()) {
@@ -87,7 +90,7 @@ int worker_main(int in_fd, int out_fd) {
         if (parsed.value().fingerprint() != payload.value().fingerprint)
           return fail(out_fd, "spec fingerprint mismatch after transport");
         spec = std::move(parsed).value();
-        threads = payload.value().worker_threads;
+        runner.emplace(std::max(1u, payload.value().worker_threads), nullptr);
         break;
       }
       case MsgType::kRunShard: {
@@ -95,7 +98,7 @@ int worker_main(int in_fd, int out_fd) {
           return fail(out_fd, "kRunShard before kSpec");
         auto shard = decode_shard(frame.value().payload);
         if (!shard.ok()) return fail(out_fd, shard.error().message());
-        const auto output = run_shard(*spec, shard.value(), threads);
+        const auto output = run_shard(*spec, shard.value(), *runner);
         if (!output.ok()) return fail(out_fd, output.error().message());
         // Stream the rows in trial-order chunks, then the metrics delta.
         const RecordBatch& records = output.value().records;

@@ -9,9 +9,10 @@
 //   worker -> serve  : kShardDone shard index + the shard's metrics delta
 //   serve  -> worker : kShutdown  (or EOF on the pipe) -- worker exits 0
 //   worker -> serve  : kError     fatal failure; worker exits nonzero
-// The worker is stateless between shards: each kRunShard runs through
-// campaign::run_shard against a fresh session and registry, so any worker
-// may run any shard and a re-run reproduces the same bytes.
+// The worker keeps only its spec and one BatchRunner (built per kSpec)
+// between shards: each kRunShard runs through campaign::run_shard against a
+// fresh session and registry, so any worker may run any shard and a re-run
+// reproduces the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,7 @@ inline constexpr std::size_t kRecordsChunkRows = 32;
 
 struct SpecPayload {
   std::uint32_t version = kProtocolVersion;
-  std::uint32_t worker_threads = 1;
+  std::uint32_t worker_threads = 1;  // decode_spec rejects > kMaxThreads
   std::uint64_t fingerprint = 0;
   std::string spec_text;
 };

@@ -1,6 +1,8 @@
 #include "campaign/record.hpp"
 
 #include <array>
+#include <bit>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -33,6 +35,12 @@ constexpr std::array<std::string_view, 21> kFieldColumns = {
     "channels",        "identified",       "simulated_s",
     "node_hours",      "mean_slot_sinr_db", "interference_corrupted_slots",
     "evm_rms",         "mer_db",           "cn0_dbhz"};
+
+// A column's in-memory bytes.
+template <typename T>
+std::string_view column_bytes(const std::vector<T>& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T)};
+}
 
 double mean_of(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
@@ -168,14 +176,31 @@ RecordBatch RecordBatch::slice(std::size_t begin, std::size_t end) const {
   return out;
 }
 
+// A row is a u64 trial index, ok and error-code bytes, and one f64 per
+// column.
+std::size_t RecordBatch::serialized_size() const {
+  return 1 + 8 + rows() * (10 + 8 * columns_.size());
+}
+
 void RecordBatch::serialize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(kind_));
   w.u64(rows());
-  for (const std::uint64_t t : trial_) w.u64(t);
-  for (const std::uint8_t o : ok_) w.u8(o);
-  for (const std::uint8_t e : error_code_) w.u8(e);
-  for (const auto& col : columns_)
-    for (const double v : col) w.f64(v);
+  // The wire is little-endian: on a little-endian host every column is
+  // already in wire order, so each goes out in one append.
+  if constexpr (std::endian::native == std::endian::little) {
+    w.raw(column_bytes(trial_));
+  } else {
+    for (const std::uint64_t t : trial_) w.u64(t);
+  }
+  w.raw(column_bytes(ok_));
+  w.raw(column_bytes(error_code_));
+  for (const auto& col : columns_) {
+    if constexpr (std::endian::native == std::endian::little) {
+      w.raw(column_bytes(col));
+    } else {
+      for (const double v : col) w.f64(v);
+    }
+  }
 }
 
 pab::Expected<RecordBatch> RecordBatch::deserialize(ByteReader& r) {
@@ -185,8 +210,7 @@ pab::Expected<RecordBatch> RecordBatch::deserialize(ByteReader& r) {
                       "RecordBatch: unknown trial kind on the wire"};
   RecordBatch out(static_cast<sim::TrialKind>(kind));
   const std::uint64_t rows = r.u64();
-  // A row is a u64 trial index, ok and error-code bytes, and one f64 per
-  // column: reject a count the payload cannot hold before reserving for it.
+  // Reject a row count the payload cannot hold before reserving for it.
   if (rows > r.remaining() / (10 + 8 * out.columns_.size()))
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "RecordBatch: row count exceeds the payload"};
@@ -205,6 +229,7 @@ pab::Expected<RecordBatch> RecordBatch::deserialize(ByteReader& r) {
 
 std::string RecordBatch::bytes() const {
   ByteWriter w;
+  w.reserve(serialized_size());
   serialize(w);
   return w.take();
 }

@@ -57,6 +57,8 @@ class RecordBatch {
   [[nodiscard]] RecordBatch slice(std::size_t begin, std::size_t end) const;
 
   void serialize(ByteWriter& w) const;
+  // serialize()'s byte count, for callers that reserve before writing.
+  [[nodiscard]] std::size_t serialized_size() const;
   [[nodiscard]] static pab::Expected<RecordBatch> deserialize(ByteReader& r);
   // Canonical bytes (serialize into a fresh writer) -- the equality token.
   [[nodiscard]] std::string bytes() const;

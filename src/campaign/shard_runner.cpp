@@ -26,7 +26,8 @@ pab::Expected<ShardOutput> ShardOutput::deserialize(ByteReader& r) {
 }
 
 pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,
-                                     const Shard& shard, unsigned threads) {
+                                     const Shard& shard,
+                                     const sim::BatchRunner& runner) {
   if (shard.begin > shard.end || shard.end > spec.trials_per_point ||
       shard.point >= spec.point_count())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
@@ -46,13 +47,13 @@ pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,
   // reported to both executors as the same error.
   try {
     const sim::Session session(std::move(scenario).value(), &registry);
-    const sim::BatchRunner runner(threads == 0 ? 1 : threads, &registry);
+    const sim::BatchRunner shard_runner = runner.with_metrics(&registry);
 
     ShardOutput out;
     out.shard = shard.index;
     out.records = RecordBatch(spec.kind);
     const std::uint64_t n = shard.end - shard.begin;
-    const auto results = runner.map(n, [&](std::size_t i) {
+    const auto results = shard_runner.map(n, [&](std::size_t i) {
       return session.run_trial(spec.kind, shard.begin + i, opts.value());
     });
     for (std::uint64_t i = 0; i < n; ++i)

@@ -25,12 +25,8 @@ namespace pab::campaign {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
   void f64(double v);  // IEEE-754 bit pattern, little-endian
   // Length-prefixed string (u32 length + bytes).
   void str(std::string_view s) {
@@ -38,11 +34,21 @@ class ByteWriter {
     raw(s);
   }
   void raw(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
+  // The little-endian bytes of `v`, appended in one call.
+  template <typename T>
+  void le(T v) {
+    char bytes[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      bytes[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(bytes, sizeof(T));
+  }
+
   std::string buf_;
 };
 

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "phy/packet.hpp"
 #include "phy/scheme.hpp"
+#include "sim/batch.hpp"
 #include "sim/scenario.hpp"
 #include "util/units.hpp"
 
@@ -1233,8 +1234,9 @@ CheckResult check_campaign_shard_merge(std::uint64_t seed) {
   const std::vector<campaign::Shard> shards = spec.compile(sliced.shard_size);
   std::vector<campaign::ShardOutput> reversed;
   reversed.reserve(shards.size());
+  const sim::BatchRunner serial(1, nullptr);
   for (auto it = shards.rbegin(); it != shards.rend(); ++it) {
-    auto out = campaign::run_shard(spec, *it, /*threads=*/1);
+    auto out = campaign::run_shard(spec, *it, serial);
     if (!out.ok())
       return CheckResult::fail("shard " + std::to_string(it->index) +
                                " failed: " + out.error().message());

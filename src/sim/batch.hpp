@@ -1,6 +1,7 @@
 // BatchRunner: deterministic parallel Monte-Carlo execution.
 //
-// Fans independent trials out over a std::thread pool.  Trial `i` always
+// Fans independent trials out over helper threads the runner starts once
+// and parks between dispatches; the calling thread works too.  Trial `i` always
 // draws its randomness from RNG substream `substream_seed(base_seed, i)` and
 // writes its result into slot `i`, so the result vector is bit-identical at
 // any thread count -- the worker that happens to execute a trial never
@@ -12,13 +13,9 @@
 //   const auto trials = pool.run<sim::TrialKind::kUplink>(session, 1000);
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
-#include <mutex>
+#include <memory>
 #include <optional>
-#include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,41 +30,46 @@ namespace pab::sim {
 
 class BatchRunner {
  public:
-  // `threads == 0` uses the hardware concurrency (at least 1).  Dispatch
-  // telemetry (`sim.batch.*`: per-worker trial counts, queue drain time,
-  // exception counts) lands in `metrics` -- the process-global registry by
-  // default, or an explicit registry for isolated accounting.
+  // Upper bound on `threads`: a width that arrives from outside the program
+  // (a spec frame, a command line) is checked against it before any thread
+  // starts.  A safety limit, not a tuning knob.
+  static constexpr unsigned kMaxThreads = 256;
+
+  // `threads == 0` uses the hardware concurrency (at least 1, at most
+  // kMaxThreads); a larger explicit value throws std::invalid_argument.
+  // The runner starts `threads - 1` helper threads here; they park until a
+  // map() needs them and are joined when the last runner sharing them (see
+  // with_metrics) is destroyed.  Dispatch telemetry (`sim.batch.*`:
+  // per-worker trial counts, queue drain time, exception counts) lands in
+  // `metrics` -- the process-global registry by default, or an explicit
+  // registry for isolated accounting.
   explicit BatchRunner(unsigned threads = 0,
-                       obs::MetricRegistry* metrics = &obs::MetricRegistry::global())
-      : threads_(threads != 0 ? threads
-                              : std::max(1u, std::thread::hardware_concurrency())),
-        metrics_(metrics) {
-    // Resolve every instrument the dispatch path can touch once, here: a
-    // dispatch never uses more than `threads_` workers, and instrument
-    // references are registry-lifetime stable, so the hot path stays
-    // allocation-free (the per-call name build used to put one string
-    // allocation in every worker's drain).
-    if (metrics_ != nullptr) {
-      trials_counter_ = &metrics_->counter("sim.batch.trials");
-      exceptions_counter_ = &metrics_->counter("sim.batch.exceptions");
-      dispatch_hist_ = &metrics_->histogram("sim.batch.dispatch_seconds");
-      worker_trials_.reserve(threads_);
-      for (unsigned t = 0; t < threads_; ++t)
-        worker_trials_.push_back(&metrics_->counter(
-            "sim.batch.worker." + std::to_string(t) + ".trials"));
-    }
-  }
+                       obs::MetricRegistry* metrics = &obs::MetricRegistry::global());
+  ~BatchRunner();
+  BatchRunner(const BatchRunner&) = delete;
+  BatchRunner& operator=(const BatchRunner&) = delete;
+  BatchRunner(BatchRunner&&) = delete;
+  BatchRunner& operator=(BatchRunner&&) = delete;
+
+  // A runner over this runner's helpers whose `sim.batch.*` instruments
+  // live in `metrics` (null disables them).  Both runners may dispatch at
+  // once; the helpers are joined with whichever of them is destroyed last.
+  [[nodiscard]] BatchRunner with_metrics(obs::MetricRegistry* metrics) const;
 
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   // out[i] = fn(i) for i in [0, n).  `fn` must be safe to call concurrently;
   // use this for deterministic sweeps whose per-point work needs no RNG (or
-  // derives it itself, as Session::run_trial does).
+  // derives it itself, as Session::run_trial does).  The calling thread
+  // runs indices too, joined by whichever helpers are idle, so a map() from
+  // inside a map() body on the same runner, or several threads calling
+  // map() at once, share the helpers instead of waiting for them.
   template <typename Fn>
   auto map(std::size_t n, Fn&& fn) const {
     using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
     std::vector<std::optional<R>> slots(n);
-    dispatch(n, [&](std::size_t i) { slots[i].emplace(fn(i)); });
+    auto body = [&](std::size_t i) { slots[i].emplace(fn(i)); };
+    dispatch(n, &invoke<decltype(body)>, &body);
     std::vector<R> out;
     out.reserve(n);
     for (auto& s : slots) out.push_back(std::move(*s));
@@ -110,62 +112,32 @@ class BatchRunner {
   }
 
  private:
-  // Run body(i) for every i in [0, n) across the pool; rethrows the first
-  // worker exception after all workers have joined.  A worker exception
-  // cancels the remaining queue: workers finish their in-flight trial and
-  // stop, instead of draining the whole batch to completion.
-  template <typename Body>
-  void dispatch(std::size_t n, Body&& body) const {
-    if (n == 0) return;
-    const obs::ScopedTimer drain_timer(dispatch_hist_);
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(threads_, n));
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      count_worker_trials(0, n);
-      return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    auto worker = [&](unsigned t) {
-      std::size_t executed = 0;
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        try {
-          body(i);
-          ++executed;
-        } catch (...) {
-          if (exceptions_counter_ != nullptr) exceptions_counter_->add();
-          {
-            std::lock_guard lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-          // Cancel the queue: park the cursor at the end so no worker picks
-          // up further trials (each finishes at most its in-flight one).
-          next.store(n, std::memory_order_relaxed);
-        }
-      }
-      count_worker_trials(t, executed);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+  struct Helpers;   // the parked helper threads (batch.cpp)
+  struct Dispatch;  // one map() in flight (batch.cpp)
+  using Body = void (*)(void* ctx, std::size_t i);
+
+  BatchRunner(std::shared_ptr<Helpers> helpers, unsigned threads,
+              obs::MetricRegistry* metrics);
+
+  template <typename F>
+  static void invoke(void* ctx, std::size_t i) {
+    (*static_cast<F*>(ctx))(i);
   }
 
-  void count_worker_trials(unsigned worker, std::size_t trials) const {
-    if (trials_counter_ == nullptr || trials == 0) return;
-    trials_counter_->add(trials);
-    worker_trials_[worker]->add(trials);
-  }
+  // Run body(ctx, i) for every i in [0, n) on the caller and any idle
+  // helpers; rethrows the first body exception once every helper that
+  // joined has left.  An exception cancels the remaining indices: each
+  // participant finishes at most its in-flight one.
+  void dispatch(std::size_t n, Body body, void* ctx) const;
+  // Run index `i`, already claimed, then claim and run indices of `d` until
+  // none is left; `slot` is the participant's number in this dispatch (0 =
+  // the caller).
+  void drain(Dispatch& d, unsigned slot, std::size_t i) const;
 
   unsigned threads_;
-  obs::MetricRegistry* metrics_;
-  // Constructor-resolved instrument handles (null when metrics_ is null);
-  // worker_trials_[t] is worker t's trial counter, t < threads_.
+  std::shared_ptr<Helpers> helpers_;  // null when threads_ == 1
+  // Instrument handles resolved once per runner (null when metrics are
+  // off); worker_trials_[t] counts participant slot t, t < threads_.
   obs::Counter* trials_counter_ = nullptr;
   obs::Counter* exceptions_counter_ = nullptr;
   obs::Histogram* dispatch_hist_ = nullptr;

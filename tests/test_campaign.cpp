@@ -9,20 +9,26 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/batch_executor.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/process_executor.hpp"
+#include "campaign/protocol.hpp"
 #include "campaign/record.hpp"
 #include "campaign/shard_runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/wire.hpp"
 #include "obs/metrics.hpp"
+#include "sim/batch.hpp"
 #include "sim/session.hpp"
 
 namespace {
@@ -149,6 +155,22 @@ TEST(CampaignWire, MetricsRejectBucketCountBeyondPayload) {
   w.u32(0xFFFFFFFFu);  // bucket bounds: would also wrap bounds + 1 in u32
   campaign::ByteReader r(w.bytes());
   EXPECT_THROW((void)campaign::read_metrics(r), std::runtime_error);
+}
+
+// Regression: decode_spec took any u32 worker thread count from a kSpec
+// frame, and the worker built a BatchRunner that wide.
+TEST(CampaignWire, SpecFrameRejectsWorkerThreadsAboveTheLimit) {
+  campaign::SpecPayload payload;
+  payload.fingerprint = 42;
+  payload.spec_text = "spec";
+  payload.worker_threads = 0xFFFFFFFFu;
+  EXPECT_FALSE(campaign::decode_spec(campaign::encode_spec(payload)).ok());
+  payload.worker_threads = sim::BatchRunner::kMaxThreads + 1;
+  EXPECT_FALSE(campaign::decode_spec(campaign::encode_spec(payload)).ok());
+  payload.worker_threads = sim::BatchRunner::kMaxThreads;
+  auto decoded = campaign::decode_spec(campaign::encode_spec(payload));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+  EXPECT_EQ(decoded.value().worker_threads, sim::BatchRunner::kMaxThreads);
 }
 
 TEST(CampaignSpec, SerializeParseIsFixedPoint) {
@@ -392,6 +414,95 @@ TEST(CampaignExecutor, FieldCampaignRunsShardedAndMergesDeterministically) {
   }
 }
 
+// Counters of a campaign run, without the per-participant dispatch counts
+// (which thread ran which trial is scheduling, not a result), and the sum
+// of those.
+std::pair<std::map<std::string, std::uint64_t>, std::uint64_t>
+split_worker_counters(const obs::MetricsSnapshot& m) {
+  std::map<std::string, std::uint64_t> rest;
+  std::uint64_t per_worker = 0;
+  for (const auto& [name, value] : m.counters) {
+    if (name.rfind("sim.batch.worker.", 0) == 0)
+      per_worker += value;
+    else
+      rest.emplace(name, value);
+  }
+  return {rest, per_worker};
+}
+
+// Shards run concurrently and their trials borrow idle helpers, but every
+// output folds in shard order: records, summaries and counters do not
+// depend on the thread count.
+TEST(CampaignExecutor, WorkerThreadsDoNotChangeBytes) {
+  for (const campaign::CampaignSpec& spec :
+       {small_timeline_spec(), small_field_spec()}) {
+    campaign::BatchExecutor executor;
+    campaign::RunOptions options;
+    options.shard_size = 1;
+    options.worker_threads = 1;
+    auto serial = executor.run(spec, options);
+    ASSERT_TRUE(serial.ok()) << serial.error().message();
+    const auto [serial_counters, serial_workers] =
+        split_worker_counters(serial.value().metrics);
+    EXPECT_EQ(serial_workers, serial_counters.at("sim.batch.trials"));
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      options.worker_threads = threads;
+      auto parallel = executor.run(spec, options);
+      ASSERT_TRUE(parallel.ok()) << parallel.error().message();
+      EXPECT_EQ(parallel.value().records_bytes(),
+                serial.value().records_bytes())
+          << spec.name << " at " << threads << " threads";
+      EXPECT_EQ(parallel.value().summary_json(), serial.value().summary_json())
+          << spec.name << " at " << threads << " threads";
+      const auto [counters, workers] =
+          split_worker_counters(parallel.value().metrics);
+      EXPECT_EQ(counters, serial_counters)
+          << spec.name << " at " << threads << " threads";
+      EXPECT_EQ(workers, counters.at("sim.batch.trials"))
+          << spec.name << " at " << threads << " threads";
+    }
+  }
+}
+
+// After a shard fails no shard above it starts any more, and the error
+// returned is the lowest failing shard's, so it does not depend on the
+// thread count.
+TEST(CampaignExecutor, FailingShardsReportTheSameErrorAtAnyThreadCount) {
+  campaign::CampaignSpec spec = small_uplink_spec();
+  spec.axes[0].values = {0.0};  // a zero payload: every trial throws
+  campaign::BatchExecutor executor;
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  auto serial = executor.run(spec, options);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.code(), pab::ErrorCode::kInvalidArgument);
+  options.worker_threads = 4;
+  auto parallel = executor.run(spec, options);
+  ASSERT_FALSE(parallel.ok());
+  EXPECT_EQ(parallel.code(), serial.code());
+  EXPECT_EQ(parallel.error().message(), serial.error().message());
+}
+
+// Regression: a worker thread count from outside the program was never
+// bounded; BatchRunner(4294967295) reserved 32 GiB of counter pointers.
+// Both executors refuse it before building a runner.
+TEST(CampaignExecutor, WorkerThreadsAboveTheLimitAreRejected) {
+  const campaign::CampaignSpec spec = node_outside_tank_spec();  // 2 trials
+  campaign::RunOptions options;
+  options.worker_threads = sim::BatchRunner::kMaxThreads + 1;
+  campaign::BatchExecutor batch;
+  const auto in_process = batch.run(spec, options);
+  ASSERT_FALSE(in_process.ok());
+  EXPECT_EQ(in_process.code(), pab::ErrorCode::kInvalidArgument);
+  campaign::ProcessExecutor sharded;
+  options.worker_binary = "/nonexistent/pab_worker";
+  const auto process = sharded.run(spec, options);
+  ASSERT_FALSE(process.ok());
+  EXPECT_EQ(process.code(), pab::ErrorCode::kInvalidArgument);
+  options.worker_threads = 2;
+  EXPECT_TRUE(batch.run(spec, options).ok());
+}
+
 TEST(CampaignRecord, AppendSliceSerializeRoundTrip) {
   campaign::RecordBatch batch(sim::TrialKind::kUplink);
   sim::UplinkTrial trial{};
@@ -460,6 +571,126 @@ TEST(CampaignRecord, FieldRowsRoundTripThroughTheWire) {
   EXPECT_EQ(back.value().bytes(), batch.bytes());
 }
 
+// The byte-at-a-time encoder RecordBatch::serialize used before it wrote
+// each column with one append: the oracle for the wire bytes.
+std::string byte_at_a_time_bytes(const campaign::RecordBatch& batch) {
+  std::string out;
+  const auto u8 = [&](std::uint8_t v) { out.push_back(static_cast<char>(v)); };
+  const auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  u8(static_cast<std::uint8_t>(batch.kind()));
+  u64(batch.rows());
+  for (const std::uint64_t t : batch.trial()) u64(t);
+  for (const std::uint8_t o : batch.ok()) u8(o);
+  for (const std::uint8_t e : batch.error_code()) u8(e);
+  for (std::size_t c = 0; c < batch.column_count(); ++c) {
+    for (const double v : batch.column(c)) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      u64(bits);
+    }
+  }
+  return out;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Every column of every kind, filled with the values whose bit patterns a
+// careless bulk copy could change: signed zeros, NaNs with payloads (quiet,
+// signalling, negative), subnormals and infinities.
+TEST(CampaignRecord, BulkSerializeMatchesByteAtATimeOracle) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      0.0,  -0.0,  from_bits(0x7ff8000000000123ull),
+      from_bits(0x7ff0000000000001ull),  from_bits(0xfff8000000000abcull),
+      Limits::denorm_min(), -Limits::denorm_min(),
+      from_bits(0x000fffffffffffffull), Limits::infinity(),
+      -Limits::infinity(), Limits::max(), 1.0 / 3.0};
+  std::vector<campaign::RecordBatch> batches;
+  for (std::size_t k = 0; k < 4; ++k) {
+    const auto kind = static_cast<sim::TrialKind>(k);
+    campaign::RecordBatch batch(kind);
+    for (std::size_t r = 0; r < specials.size(); ++r) {
+      const double x = specials[r];
+      const double y = specials[(r + 5) % specials.size()];
+      sim::TrialResult row;
+      switch (kind) {
+        case sim::TrialKind::kUplink: {
+          sim::UplinkTrial u{};
+          u.ber = x;
+          u.demod.snr_db = y;
+          u.demod.channel_amp = x;
+          u.incident_pressure_pa = y;
+          u.modulation_pressure_pa = x;
+          u.demod.quality.evm_rms = y;
+          u.demod.quality.mer_db = x;
+          u.demod.quality.cn0_dbhz = y;
+          row.emplace<0>(u);
+          break;
+        }
+        case sim::TrialKind::kNetwork: {
+          core::NetworkRunResult n{};
+          n.condition_number = x;
+          n.aggregate_goodput_bps = y;
+          row.emplace<1>(n);
+          break;
+        }
+        case sim::TrialKind::kTimeline: {
+          sim::TimelineRunResult t{};
+          t.poll.payload_bits_delivered = x;
+          t.poll.elapsed_s = y;
+          t.simulated_s = x;
+          t.harvested_j = y;
+          t.consumed_j = x;
+          row.emplace<2>(t);
+          break;
+        }
+        case sim::TrialKind::kField: {
+          sim::FieldRunResult f{};
+          f.cull_radius_m = x;
+          f.mean_pair_gain = y;
+          f.mean_reader_gain = x;
+          f.simulated_s = y;
+          f.node_hours = x;
+          f.mean_slot_sinr_db = y;
+          f.slot_quality.evm_rms = x;
+          f.slot_quality.mer_db = y;
+          f.slot_quality.cn0_dbhz = x;
+          row.emplace<3>(f);
+          break;
+        }
+      }
+      batch.append(1000 + r, row);
+    }
+    batch.append(7, pab::Error{pab::ErrorCode::kDecodeFailure, "no preamble"});
+    batches.push_back(batch);
+    batches.push_back(campaign::RecordBatch(kind));  // no rows
+  }
+  for (const campaign::RecordBatch& batch : batches) {
+    const std::string want = byte_at_a_time_bytes(batch);
+    EXPECT_EQ(batch.bytes(), want) << sim::to_string(batch.kind());
+    EXPECT_EQ(batch.serialized_size(), want.size());
+    campaign::ByteReader r(want);
+    auto back = campaign::RecordBatch::deserialize(r);
+    ASSERT_TRUE(back.ok()) << back.error().message();
+    EXPECT_EQ(back.value().bytes(), want);
+  }
+  // A campaign's bytes are its point count and then each batch's bytes.
+  campaign::CampaignResult result;
+  result.points = batches;
+  std::string want;
+  for (int i = 0; i < 4; ++i)
+    want.push_back(static_cast<char>((batches.size() >> (8 * i)) & 0xff));
+  for (const campaign::RecordBatch& batch : batches)
+    want += byte_at_a_time_bytes(batch);
+  EXPECT_EQ(result.records_bytes(), want);
+}
+
 // Merge associativity: any partition of the trial range, executed in any
 // order, folds to the same bytes as the unsharded run.
 TEST(CampaignMerge, ArbitraryShardBoundariesFoldIdentically) {
@@ -474,7 +705,7 @@ TEST(CampaignMerge, ArbitraryShardBoundariesFoldIdentically) {
     const auto shards = spec.compile(shard_size);
     std::vector<campaign::ShardOutput> outputs;
     for (auto it = shards.rbegin(); it != shards.rend(); ++it) {
-      auto out = campaign::run_shard(spec, *it, 1);
+      auto out = campaign::run_shard(spec, *it, sim::BatchRunner(1, nullptr));
       ASSERT_TRUE(out.ok()) << out.error().message();
       outputs.push_back(std::move(out).value());
     }
@@ -489,13 +720,57 @@ TEST(CampaignMerge, ArbitraryShardBoundariesFoldIdentically) {
   }
 }
 
+// The incremental fold both executors use, fed shards last to first (each
+// waits until every lower shard has arrived), equals assemble_result.
+TEST(CampaignMerge, ReversedIncrementalFoldEqualsAssembleResult) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  for (const std::uint64_t shard_size : {1u, 2u, 3u}) {
+    const auto shards = spec.compile(shard_size);
+    std::vector<campaign::ShardOutput> outputs;
+    for (const auto& shard : shards) {
+      auto out = campaign::run_shard(spec, shard, sim::BatchRunner(1, nullptr));
+      ASSERT_TRUE(out.ok()) << out.error().message();
+      outputs.push_back(std::move(out).value());
+    }
+    campaign::ShardFold fold(spec);
+    for (auto it = outputs.rbegin(); it != outputs.rend(); ++it) {
+      auto added = fold.add(*it);
+      ASSERT_TRUE(added.ok()) << added.error().message();
+    }
+    auto folded = std::move(fold).finish();
+    ASSERT_TRUE(folded.ok()) << folded.error().message();
+    auto assembled = campaign::assemble_result(spec, outputs);
+    ASSERT_TRUE(assembled.ok()) << assembled.error().message();
+    EXPECT_EQ(folded.value().records_bytes(),
+              assembled.value().records_bytes())
+        << "shard_size " << shard_size;
+    EXPECT_EQ(folded.value().metrics.counters,
+              assembled.value().metrics.counters)
+        << "shard_size " << shard_size;
+    EXPECT_EQ(folded.value().metrics.to_json(),
+              assembled.value().metrics.to_json())
+        << "shard_size " << shard_size;
+  }
+}
+
+TEST(CampaignMerge, DuplicateShardIsAnError) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  const auto shards = spec.compile(2);
+  auto out = campaign::run_shard(spec, shards[0], sim::BatchRunner(1, nullptr));
+  ASSERT_TRUE(out.ok());
+  campaign::ShardFold fold(spec);
+  ASSERT_TRUE(fold.add(out.value()).ok());
+  EXPECT_FALSE(fold.add(out.value()).ok());
+  EXPECT_FALSE(std::move(fold).finish().ok());
+}
+
 TEST(CampaignMerge, MissingShardIsAnError) {
   const campaign::CampaignSpec spec = small_timeline_spec();
   const auto shards = spec.compile(2);
   std::vector<campaign::ShardOutput> outputs;
   for (const auto& s : shards) {
     if (s.index == 1) continue;  // drop one shard
-    auto out = campaign::run_shard(spec, s, 1);
+    auto out = campaign::run_shard(spec, s, sim::BatchRunner(1, nullptr));
     ASSERT_TRUE(out.ok());
     outputs.push_back(std::move(out).value());
   }
@@ -530,6 +805,39 @@ TEST(CampaignResume, InterruptedThenResumedMatchesUninterrupted) {
   EXPECT_EQ(second.value().records_bytes(), reference.value().records_bytes());
   EXPECT_EQ(second.value().metrics.counters,
             reference.value().metrics.counters);
+}
+
+// Concurrent shards keep the max_shards rule: exactly the first max_shards
+// pending shards run and are checkpointed, whatever order they finish in.
+TEST(CampaignResume, ConcurrentShardsCheckpointExactlyTheFirstMaxShards) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  campaign::BatchExecutor executor;
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  options.worker_threads = 4;
+  auto reference = executor.run(spec, options);
+  ASSERT_TRUE(reference.ok()) << reference.error().message();
+
+  const TempDir dir("concurrent-resume");
+  campaign::RunOptions interrupted = options;
+  interrupted.checkpoint_dir = dir.path.string();
+  interrupted.max_shards = 3;
+  auto first = executor.run(spec, interrupted);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.code(), pab::ErrorCode::kTimeout);
+  campaign::CheckpointStore manifest(dir.path.string());
+  ASSERT_TRUE(manifest.open(spec.fingerprint(), spec.compile(1).size(),
+                            /*resume=*/true)
+                  .ok());
+  EXPECT_EQ(manifest.done(), (std::set<std::uint64_t>{0, 1, 2}));
+
+  campaign::RunOptions resumed = interrupted;
+  resumed.max_shards = 0;
+  resumed.resume = true;
+  auto second = executor.run(spec, resumed);
+  ASSERT_TRUE(second.ok()) << second.error().message();
+  EXPECT_EQ(second.value().records_bytes(), reference.value().records_bytes());
+  EXPECT_EQ(second.value().summary_json(), reference.value().summary_json());
 }
 
 TEST(CampaignResume, ManifestRejectsForeignFingerprintAndShardCount) {

@@ -6,9 +6,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <variant>
+#include <vector>
 
 #include "core/link.hpp"
 #include "core/network.hpp"
@@ -92,6 +96,120 @@ TEST(BatchRunner, ExceptionCountReported) {
                                         }),
                std::runtime_error);
   EXPECT_GE(reg.counter("sim.batch.exceptions").value(), 1u);
+}
+
+// A map() from inside a map() body on the same runner runs on its caller
+// plus whichever helpers are idle; it never waits for a helper that is busy
+// in the outer map, so two levels of nesting with every helper busy finish
+// and equal the serial result.
+TEST(BatchRunner, NestedMapsOnTheSameRunnerFinishAndMatchSerial) {
+  const BatchRunner runner(4);
+  const auto leaf = [](std::size_t i, std::size_t j, std::size_t k) {
+    return (i * 131 + j) * 17 + k;
+  };
+  const auto nested = runner.map(8, [&](std::size_t i) {
+    const auto middle = runner.map(6, [&](std::size_t j) {
+      const auto inner =
+          runner.map(5, [&](std::size_t k) { return leaf(i, j, k); });
+      std::size_t sum = 0;
+      for (const std::size_t v : inner) sum = sum * 31 + v;
+      return sum;
+    });
+    std::size_t sum = 0;
+    for (const std::size_t v : middle) sum = sum * 37 + v;
+    return sum;
+  });
+  std::vector<std::size_t> serial;
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::size_t outer = 0;
+    for (std::size_t j = 0; j < 6; ++j) {
+      std::size_t sum = 0;
+      for (std::size_t k = 0; k < 5; ++k) sum = sum * 31 + leaf(i, j, k);
+      outer = outer * 37 + sum;
+    }
+    serial.push_back(outer);
+  }
+  EXPECT_EQ(nested, serial);
+}
+
+// Several threads may call map() on one runner at once; each dispatch gets
+// its own results.
+TEST(BatchRunner, ConcurrentCallersShareOneRunner) {
+  const BatchRunner runner(4);
+  const auto work = [](std::size_t caller, std::size_t rep, std::size_t i) {
+    return caller * 1000003 + rep * 1009 + i * i;
+  };
+  std::vector<std::vector<std::vector<std::size_t>>> got(4);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t rep = 0; rep < 50; ++rep)
+        got[c].push_back(runner.map(
+            16, [&](std::size_t i) { return work(c, rep, i); }));
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < 4; ++c) {
+    ASSERT_EQ(got[c].size(), 50u);
+    for (std::size_t rep = 0; rep < 50; ++rep) {
+      std::vector<std::size_t> serial;
+      for (std::size_t i = 0; i < 16; ++i) serial.push_back(work(c, rep, i));
+      EXPECT_EQ(got[c][rep], serial) << "caller " << c << " rep " << rep;
+    }
+  }
+}
+
+TEST(BatchRunner, NestedExceptionReachesTheOuterCaller) {
+  const BatchRunner runner(4);
+  EXPECT_THROW(runner.map(8,
+                          [&](std::size_t i) {
+                            return runner.map(8, [&](std::size_t j) -> int {
+                              if (i == 5 && j == 3)
+                                throw std::runtime_error("boom");
+                              return 0;
+                            });
+                          }),
+               std::runtime_error);
+  // The runner is still usable after the failed dispatch.
+  EXPECT_EQ(runner.map(3, [](std::size_t i) { return i; }),
+            (std::vector<std::size_t>{0, 1, 2}));
+}
+
+// A runner's helpers are joined by its destructor, right after a map() has
+// returned (clean under ASan and TSan).
+TEST(BatchRunner, DestroyedRightAfterMapIsClean) {
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::size_t> out;
+    {
+      const BatchRunner runner(4);
+      out = runner.map(16, [](std::size_t i) { return i + 1; });
+    }
+    ASSERT_EQ(out.size(), 16u);
+    EXPECT_EQ(out.back(), 16u);
+  }
+}
+
+// with_metrics: a runner over the same helpers that counts in its own
+// registry; the helpers outlive whichever owner goes first.
+TEST(BatchRunner, WithMetricsSharesHelpersAndCountsSeparately) {
+  obs::MetricRegistry base_reg;
+  obs::MetricRegistry view_reg;
+  std::optional<BatchRunner> base;
+  base.emplace(3, &base_reg);
+  const BatchRunner view = base->with_metrics(&view_reg);
+  EXPECT_EQ(view.threads(), 3u);
+  (void)base->map(10, [](std::size_t i) { return i; });
+  base.reset();  // the view still owns the helpers
+  const auto out = view.map(12, [](std::size_t i) { return 2 * i; });
+  EXPECT_EQ(out[11], 22u);
+  EXPECT_EQ(base_reg.counter("sim.batch.trials").value(), 10u);
+  EXPECT_EQ(view_reg.counter("sim.batch.trials").value(), 12u);
+  std::uint64_t per_worker = 0;
+  for (unsigned t = 0; t < view.threads(); ++t)
+    per_worker += view_reg.counter("sim.batch.worker." + std::to_string(t) +
+                                   ".trials")
+                      .value();
+  EXPECT_EQ(per_worker, 12u);
 }
 
 // The acceptance criterion of the engine: a Monte-Carlo uplink sweep produces

@@ -219,6 +219,23 @@ TEST(ZeroAlloc, BatchDispatchMetricsPathAddsNoAllocations) {
   EXPECT_GE(reg.counter("sim.batch.worker.0.trials").value(), 1u);
 }
 
+// The runner's helpers start once, in its constructor, and park between
+// dispatches, whose state lives on the caller's stack: a warm map() makes
+// only its two result vectors (it used to add a std::thread vector and one
+// state per thread it started).
+TEST(ZeroAlloc, BatchDispatchStartsNoThreads) {
+  const sim::BatchRunner runner(2, nullptr);
+  const auto work = [](std::size_t i) { return i * 3; };
+  (void)runner.map(4, work);  // warm
+  constexpr int kReps = 8;
+  for (int r = 0; r < kReps; ++r) {
+    const obs::AllocScope scope;
+    const auto out = runner.map(4, work);
+    EXPECT_LE(scope.allocations(), 2u) << "rep " << r;
+    EXPECT_EQ(out[3], 9u);
+  }
+}
+
 // A scheduled event is one entry in the queue's heap, whose vector keeps its
 // capacity; its label is interned once per Timeline and a short callback
 // stays in std::function's inline buffer.  A steady-state event allocates
