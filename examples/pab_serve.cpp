@@ -16,11 +16,12 @@
 // .records bytes; kill a run mid-campaign (or cap it with --max-shards) and
 // `--checkpoint DIR --resume` finishes it without repeating finished shards.
 #include <cerrno>
-#include <cstdio>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,15 +42,18 @@ void usage() {
       "    --spec FILE            load a serialized campaign spec\n"
       "    --name NAME            campaign name (default: campaign)\n"
       "    --preset NAME          pool_a | pool_b | swimming_pool |\n"
-      "                           pool_a_concurrent (default: pool_a)\n"
-      "    --kind KIND            uplink | network | timeline\n"
+      "                           pool_a_concurrent | open_water_grid |\n"
+      "                           open_water_random | open_water_clusters\n"
+      "                           (default: pool_a)\n"
+      "    --kind KIND            uplink | network | timeline | field\n"
       "    --trials N             trials per operating point\n"
       "    --seed N               base seed (common random numbers)\n"
       "    --axis P=V1,V2,...     sweep axis (repeatable; cartesian product)\n"
       "    --timeline K=V         timeline knob override (repeatable)\n"
       "  execution:\n"
       "    --in-process           run the BatchExecutor (default: sharded)\n"
-      "    --workers N            worker process count (default: 3)\n"
+      "    --workers N            worker process count (at most 256,\n"
+      "                           default 3)\n"
       "    --worker-bin PATH      pab_worker binary (default: next to serve)\n"
       "    --threads N            threads the shards and their trials share\n"
       "                           (at most 256, default 1; per worker\n"
@@ -64,6 +68,39 @@ void usage() {
       "    --print-spec           dump the canonical spec text and exit\n";
 }
 
+// A whole decimal count no larger than `max`; strtoull alone would read
+// "-1" as 18446744073709551615 and "4x" as 4.
+bool parse_count(const char* text, std::uint64_t max, std::uint64_t& count) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) return false;
+  count = value;
+  return true;
+}
+
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
+
+// A thread or worker count, at most BatchRunner::kMaxThreads (0 means 1,
+// as in RunOptions).
+bool parse_threads(const char* text, unsigned& threads) {
+  std::uint64_t value = 0;
+  if (!parse_count(text, pab::sim::BatchRunner::kMaxThreads, value))
+    return false;
+  threads = static_cast<unsigned>(value);
+  return true;
+}
+
+// A finite decimal number that is the whole of `text`.
+bool parse_decimal(const std::string& text, double& value) {
+  errno = 0;
+  char* end = nullptr;
+  value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && errno == 0 &&
+         std::isfinite(value);
+}
+
 bool parse_axis(const std::string& arg, SweepAxis& axis) {
   const std::size_t eq = arg.find('=');
   if (eq == std::string::npos || eq == 0) return false;
@@ -71,29 +108,20 @@ bool parse_axis(const std::string& arg, SweepAxis& axis) {
   axis.values.clear();
   std::istringstream values(arg.substr(eq + 1));
   std::string token;
+  double value = 0.0;
   while (std::getline(values, token, ',')) {
-    try {
-      axis.values.push_back(std::stod(token));
-    } catch (const std::exception&) {
-      return false;
-    }
+    if (!parse_decimal(token, value)) return false;
+    axis.values.push_back(value);
   }
   return !axis.values.empty();
 }
 
-// A whole decimal thread count no larger than BatchRunner::kMaxThreads (0
-// means 1, as in RunOptions); strtoul alone would read "-1" as 4294967295
-// and "4x" as 4.
-bool parse_threads(const char* text, unsigned& threads) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (errno != 0 || *end != '\0' ||
-      value > pab::sim::BatchRunner::kMaxThreads)
-    return false;
-  threads = static_cast<unsigned>(value);
-  return true;
+// A malformed flag value is a usage error: exit code 2.
+int bad_value(const std::string& flag, const char* value,
+              const std::string& want) {
+  std::cerr << "pab_serve: bad " << flag << " (want " << want << "): " << value
+            << "\n";
+  return 2;
 }
 
 bool write_artifact(const std::string& path, const std::string& bytes) {
@@ -122,6 +150,8 @@ int main(int argc, char** argv) {
   bool in_process = false;
   bool print_spec = false;
   std::string out_prefix;
+  const std::string thread_range =
+      "0-" + std::to_string(pab::sim::BatchRunner::kMaxThreads);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -154,9 +184,11 @@ int main(int argc, char** argv) {
       }
       spec.kind = *kind;
     } else if (arg == "--trials" && (v = next()) != nullptr) {
-      spec.trials_per_point = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, kAnyCount, spec.trials_per_point))
+        return bad_value(arg, v, "a whole number");
     } else if (arg == "--seed" && (v = next()) != nullptr) {
-      spec.base_seed = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, kAnyCount, spec.base_seed))
+        return bad_value(arg, v, "a whole number");
     } else if (arg == "--axis" && (v = next()) != nullptr) {
       SweepAxis axis;
       if (!parse_axis(v, axis)) {
@@ -168,32 +200,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline" && (v = next()) != nullptr) {
       const std::string kv = v;
       const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        std::cerr << "pab_serve: bad --timeline (want key=value): " << kv
-                  << "\n";
-        return 2;
-      }
-      spec.timeline[kv.substr(0, eq)] = std::stod(kv.substr(eq + 1));
+      double value = 0.0;
+      if (eq == std::string::npos || eq == 0 ||
+          !parse_decimal(kv.substr(eq + 1), value))
+        return bad_value(arg, v, "key=finite number");
+      spec.timeline[kv.substr(0, eq)] = value;
     } else if (arg == "--in-process") {
       in_process = true;
     } else if (arg == "--workers" && (v = next()) != nullptr) {
-      options.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!parse_threads(v, options.workers))
+        return bad_value(arg, v, thread_range);
     } else if (arg == "--worker-bin" && (v = next()) != nullptr) {
       options.worker_binary = v;
     } else if (arg == "--threads" && (v = next()) != nullptr) {
-      if (!parse_threads(v, options.worker_threads)) {
-        std::cerr << "pab_serve: bad --threads (want 0-"
-                  << pab::sim::BatchRunner::kMaxThreads << "): " << v << "\n";
-        return 2;
-      }
+      if (!parse_threads(v, options.worker_threads))
+        return bad_value(arg, v, thread_range);
     } else if (arg == "--shard" && (v = next()) != nullptr) {
-      options.shard_size = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, kAnyCount, options.shard_size))
+        return bad_value(arg, v, "a whole number");
     } else if (arg == "--checkpoint" && (v = next()) != nullptr) {
       options.checkpoint_dir = v;
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--max-shards" && (v = next()) != nullptr) {
-      options.max_shards = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, kAnyCount, options.max_shards))
+        return bad_value(arg, v, "a whole number");
     } else if (arg == "--out" && (v = next()) != nullptr) {
       out_prefix = v;
     } else if (arg == "--print-spec") {
@@ -212,12 +243,9 @@ int main(int argc, char** argv) {
   if (options.worker_binary.empty())
     options.worker_binary = sibling_worker_binary(argv[0]);
 
-  pab::campaign::BatchExecutor batch;
-  pab::campaign::ProcessExecutor sharded;
-  pab::campaign::Executor& executor =
-      in_process ? static_cast<pab::campaign::Executor&>(batch)
-                 : static_cast<pab::campaign::Executor&>(sharded);
-  auto result = executor.run(spec, options);
+  auto result = in_process
+                    ? pab::campaign::BatchExecutor().run(spec, options)
+                    : pab::campaign::ProcessExecutor().run(spec, options);
   if (!result.ok()) {
     std::cerr << "pab_serve: " << result.error().message() << "\n";
     return 1;

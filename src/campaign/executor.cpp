@@ -1,8 +1,11 @@
 #include "campaign/executor.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <utility>
 
+#include "campaign/manifest.hpp"
 #include "sim/batch.hpp"
 #include "util/stats.hpp"
 
@@ -14,6 +17,19 @@ std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+// An output is folded as `shard` only if it is that shard's: its index, the
+// spec's kind and one row per trial.
+pab::Expected<bool> check_output(const CampaignSpec& spec, const Shard& shard,
+                                 const ShardOutput& output) {
+  if (output.shard != shard.index || output.records.kind() != spec.kind ||
+      output.records.rows() != shard.end - shard.begin)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign: the output for shard " +
+                          std::to_string(shard.index) +
+                          " names another shard, kind or row count"};
+  return true;
 }
 
 }  // namespace
@@ -68,7 +84,7 @@ std::string CampaignResult::summary_json() const {
 pab::Expected<bool> check_worker_threads(std::uint64_t threads) {
   if (threads > sim::BatchRunner::kMaxThreads)
     return pab::Error{pab::ErrorCode::kInvalidArgument,
-                      "worker_threads " + std::to_string(threads) +
+                      "worker count " + std::to_string(threads) +
                           " exceeds the limit of " +
                           std::to_string(sim::BatchRunner::kMaxThreads)};
   return true;
@@ -144,6 +160,80 @@ pab::Expected<CampaignResult> assemble_result(const CampaignSpec& spec,
     auto added = fold.add(std::move(shard));
     if (!added.ok()) return added.error();
   }
+  return std::move(fold).finish();
+}
+
+pab::Expected<CampaignResult> run_campaign(const CampaignSpec& spec,
+                                           const RunOptions& options,
+                                           unsigned width,
+                                           const RunShard& run_one) {
+  auto valid = spec.validate();
+  if (!valid.ok()) return valid.error();
+  auto width_ok = check_worker_threads(width);
+  if (!width_ok.ok()) return width_ok.error();
+  const std::vector<Shard> shards = spec.compile(options.shard_size);
+
+  std::optional<CheckpointStore> store;
+  if (!options.checkpoint_dir.empty()) {
+    store.emplace(options.checkpoint_dir);
+    auto opened =
+        store->open(spec.fingerprint(), shards.size(), options.resume);
+    if (!opened.ok()) return opened.error();
+  }
+
+  ShardFold fold(spec);
+  std::vector<const Shard*> pending;
+  for (const Shard& shard : shards) {
+    if (store.has_value() && store->is_done(shard.index)) {
+      auto loaded = store->load(shard.index);
+      if (!loaded.ok()) return loaded.error();
+      auto added = check_output(spec, shard, loaded.value());
+      if (added.ok()) added = fold.add(std::move(loaded).value());
+      if (!added.ok()) return added.error();
+    } else {
+      pending.push_back(&shard);
+    }
+  }
+  // max_shards runs exactly the first max_shards pending shards.
+  const std::size_t budget =
+      options.max_shards == 0
+          ? pending.size()
+          : static_cast<std::size_t>(
+                std::min<std::uint64_t>(options.max_shards, pending.size()));
+
+  // The runner's trial counts land in each shard's own registry (run_shard
+  // takes a with_metrics view), so this runner records nothing itself.
+  const sim::BatchRunner runner(std::max(1u, width), nullptr);
+  std::mutex mutex;  // guards store, fold, failed_at and failure
+  std::size_t failed_at = budget;
+  std::optional<pab::Error> failure;
+  (void)runner.map(budget, [&](std::size_t k) {
+    {
+      // Claim no shard above a failed one.  Shards are claimed in index
+      // order, so the lowest failing shard always runs and its error is
+      // the one returned, at any width.
+      const std::lock_guard lock(mutex);
+      if (k > failed_at) return false;
+    }
+    auto output = run_one(spec, *pending[k], runner);
+    const std::lock_guard lock(mutex);
+    // A finished shard is checkpointed before it is folded.
+    pab::Expected<bool> done = true;
+    if (!output.ok()) done = output.error();
+    if (done.ok()) done = check_output(spec, *pending[k], output.value());
+    if (done.ok() && store.has_value()) done = store->store(output.value());
+    if (done.ok()) done = fold.add(std::move(output).value());
+    if (!done.ok() && k < failed_at) {
+      failed_at = k;
+      failure = done.error();
+    }
+    return done.ok();
+  });
+  if (failure.has_value()) return *failure;
+  if (budget < pending.size())
+    return pab::Error{pab::ErrorCode::kTimeout,
+                      "campaign interrupted after max_shards shards "
+                      "(progress checkpointed; re-run with resume)"};
   return std::move(fold).finish();
 }
 

@@ -1,17 +1,16 @@
-// Executor: the campaign engine's one execution contract.
+// The campaign loop: one path from (CampaignSpec, RunOptions) to a
+// CampaignResult -- per-point record batches in trial order, plus the
+// campaign's merged metrics -- whichever executor runs the shards.
 //
-// An Executor turns (CampaignSpec, RunOptions) into a CampaignResult:
-// per-point record batches in trial order, plus the campaign's merged
-// metrics.  Two implementations ship -- BatchExecutor (in-process, shards
-// run concurrently over one sim::BatchRunner) and ProcessExecutor (shards
-// farmed to pab_worker processes over the pipe protocol) -- and the contract
-// is that for the same spec they produce byte-identical records_bytes() and
-// identical deterministic counters, because both sides execute every shard
-// through campaign::run_shard and fold outputs through one ShardFold, in
-// shard-index order whatever order they finish in.
+// The executors differ only in how one shard runs: BatchExecutor calls
+// campaign::run_shard in-process, ProcessExecutor sends the shard to a
+// pab_worker process that calls it there.  So for the same spec both
+// produce byte-identical records_bytes(), identical deterministic counters
+// and the same error.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,6 +28,7 @@ struct RunOptions {
   std::uint64_t shard_size = 32;  // trials per shard (0 = one shard per point)
   unsigned worker_threads = 1;    // threads the campaign's shards and trials share
   unsigned workers = 3;           // ProcessExecutor: worker process count
+                                  // (0 = 1; at most BatchRunner::kMaxThreads)
   std::string worker_binary;      // ProcessExecutor: path to pab_worker
   std::string checkpoint_dir;     // empty = no checkpointing
   bool resume = false;            // fold in a previous pass's finished shards
@@ -54,16 +54,10 @@ struct CampaignResult {
   [[nodiscard]] std::string summary_json() const;
 };
 
-class Executor {
- public:
-  virtual ~Executor() = default;
-  [[nodiscard]] virtual pab::Expected<CampaignResult> run(
-      const CampaignSpec& spec, const RunOptions& options) = 0;
-};
-
-// kInvalidArgument when a worker thread count -- it arrives from outside
-// the program, in RunOptions or a kSpec frame -- is above
-// sim::BatchRunner::kMaxThreads.  Checked before any runner is built.
+// kInvalidArgument when a worker count -- threads or processes; it arrives
+// from outside the program, in RunOptions or a kSpec frame -- is above
+// sim::BatchRunner::kMaxThreads.  Checked before any runner is built or
+// worker spawned.
 [[nodiscard]] pab::Expected<bool> check_worker_threads(std::uint64_t threads);
 
 // The one fold of shard outputs into a CampaignResult.  Outputs arrive in
@@ -98,5 +92,25 @@ class ShardFold {
 // any order) into a CampaignResult: feeds a ShardFold, then finishes it.
 [[nodiscard]] pab::Expected<CampaignResult> assemble_result(
     const CampaignSpec& spec, std::vector<ShardOutput> shards);
+
+// How one shard runs: campaign::run_shard's signature.  `runner` is the
+// campaign's runner, whose idle helpers the shard's trials may borrow.
+using RunShard = std::function<pab::Expected<ShardOutput>(
+    const CampaignSpec& spec, const Shard& shard,
+    const sim::BatchRunner& runner)>;
+
+// The one campaign loop.  Validates the spec and `width` (0 means 1),
+// compiles the shards and, with a checkpoint directory, folds the shards a
+// previous pass finished.  Then it runs the first max_shards (0 = all)
+// pending shards through `run_one` on a sim::BatchRunner of `width`
+// threads: shards are claimed in index order and no shard above a failed
+// one is claimed, so the lowest failing shard's error is the one returned,
+// at any width.  Every output -- run, received or loaded -- must name its
+// shard and hold the spec's kind and one row per trial; it is
+// checkpointed, then folded, under one lock.  Pending shards left over
+// are kTimeout (progress checkpointed; resume finishes them).
+[[nodiscard]] pab::Expected<CampaignResult> run_campaign(
+    const CampaignSpec& spec, const RunOptions& options, unsigned width,
+    const RunShard& run_one);
 
 }  // namespace pab::campaign

@@ -117,18 +117,14 @@ pab::Expected<ShardOutput> CheckpointStore::load(std::uint64_t shard) const {
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string bytes = buf.str();
-  try {
-    ByteReader r(bytes);
-    auto out = ShardOutput::deserialize(r);
-    if (!out.ok()) return out.error();
-    if (out.value().shard != shard)
-      return pab::Error{pab::ErrorCode::kInvalidArgument,
-                        "shard file names the wrong shard"};
-    return out;
-  } catch (const std::exception& e) {
+  auto out = ShardOutput::deserialize(bytes);
+  if (!out.ok())
     return pab::Error{pab::ErrorCode::kInvalidArgument,
-                      std::string("corrupt shard file: ") + e.what()};
-  }
+                      "corrupt shard file: " + out.error().detail};
+  if (out.value().shard != shard)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "shard file names the wrong shard"};
+  return out;
 }
 
 }  // namespace pab::campaign

@@ -1,25 +1,23 @@
 // ProcessExecutor: the sharded multi-process campaign executor.
 //
-// Forks RunOptions::workers pab_worker processes, each with a pipe pair
-// (serve writes frames to the worker's stdin, reads frames from its stdout),
-// sends every worker the spec once, then farms the compiled shard queue out
-// on demand: whichever worker finishes a shard first gets the next pending
-// one.  Record chunks stream back while shards are in flight; finished
-// shards are checkpointed exactly as BatchExecutor would, then fed to the
-// ShardFold as each kShardDone frame arrives.  Scheduling is
-// nondeterministic, results are not: outputs fold in shard-index order, so
-// the assembled CampaignResult is byte-identical to the in-process run.
+// Runs the campaign loop (campaign::run_campaign) on a sim::BatchRunner of
+// RunOptions::workers threads, each shard on a pab_worker process: a
+// participant takes an idle worker (spawning one and sending it the spec
+// when none is idle), writes one kRunShard frame and blocks for the one
+// reply -- the shard's ShardOutput::serialize bytes, or its run_shard error
+// unchanged.  Checkpointing, folding and failure are the loop's, so the
+// assembled CampaignResult, or the error, is the in-process run's.
 #pragma once
 
 #include "campaign/executor.hpp"
 
 namespace pab::campaign {
 
-class ProcessExecutor : public Executor {
+class ProcessExecutor {
  public:
   // `options.worker_binary` must point at a pab_worker executable.
   [[nodiscard]] pab::Expected<CampaignResult> run(
-      const CampaignSpec& spec, const RunOptions& options) override;
+      const CampaignSpec& spec, const RunOptions& options) const;
 };
 
 }  // namespace pab::campaign

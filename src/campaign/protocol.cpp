@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "campaign/executor.hpp"
@@ -63,13 +64,62 @@ pab::Expected<Shard> decode_shard(std::string_view payload) {
 
 namespace {
 
-// Emit an error frame (best effort) and the failing exit code.
-int fail(int out_fd, const std::string& message) {
-  (void)write_frame(out_fd, MsgType::kError, message);
+std::string encode_error(const pab::Error& error) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(error.code));
+  w.str(error.detail);
+  return w.take();
+}
+
+// A bad frame or spec: reported (best effort), then the worker exits
+// nonzero.
+int fail(int out_fd, const pab::Error& error) {
+  (void)write_frame(out_fd, MsgType::kError, encode_error(error));
   return 1;
 }
 
+// One kRunShard's reply: the shard's serialized output, or its error.
+pab::Expected<bool> reply(int out_fd, const Shard& shard,
+                          const pab::Expected<ShardOutput>& output) {
+  if (!output.ok())
+    return write_frame(out_fd, MsgType::kError, encode_error(output.error()));
+  ByteWriter w;
+  output.value().serialize(w);
+  if (w.bytes().size() >= kMaxFrameBytes)
+    return write_frame(
+        out_fd, MsgType::kError,
+        encode_error({pab::ErrorCode::kInvalidArgument,
+                      "shard " + std::to_string(shard.index) + ": " +
+                          std::to_string(shard.end - shard.begin) +
+                          " trials do not fit one 1 GiB frame; use a "
+                          "smaller shard size"}));
+  return write_frame(out_fd, MsgType::kShardDone, w.bytes());
+}
+
 }  // namespace
+
+std::optional<pab::Expected<ShardOutput>> decode_reply(const Frame& frame,
+                                                       std::uint64_t shard) {
+  try {
+    if (frame.type == MsgType::kShardDone) {
+      auto output = ShardOutput::deserialize(frame.payload);
+      if (!output.ok() || output.value().shard != shard) return std::nullopt;
+      return output;
+    }
+    if (frame.type == MsgType::kError) {
+      ByteReader r(frame.payload);
+      const std::uint8_t code = r.u8();
+      std::string detail = r.str();
+      constexpr auto kLastCode =
+          static_cast<std::uint8_t>(pab::ErrorCode::kBusError);
+      if (code == 0 || code > kLastCode || !r.done()) return std::nullopt;
+      return pab::Expected<ShardOutput>(pab::Error{
+          static_cast<pab::ErrorCode>(code), std::move(detail)});
+    }
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
 
 int worker_main(int in_fd, int out_fd) {
   std::optional<CampaignSpec> spec;
@@ -79,50 +129,36 @@ int worker_main(int in_fd, int out_fd) {
     if (!frame.ok()) {
       // Serve closing the pipe is the normal end of a worker's life.
       if (frame.error().detail == "eof") return 0;
-      return fail(out_fd, frame.error().message());
+      return fail(out_fd, frame.error());
     }
     switch (frame.value().type) {
       case MsgType::kSpec: {
         auto payload = decode_spec(frame.value().payload);
-        if (!payload.ok()) return fail(out_fd, payload.error().message());
+        if (!payload.ok()) return fail(out_fd, payload.error());
         auto parsed = CampaignSpec::parse(payload.value().spec_text);
-        if (!parsed.ok()) return fail(out_fd, parsed.error().message());
+        if (!parsed.ok()) return fail(out_fd, parsed.error());
         if (parsed.value().fingerprint() != payload.value().fingerprint)
-          return fail(out_fd, "spec fingerprint mismatch after transport");
+          return fail(out_fd, {pab::ErrorCode::kInvalidArgument,
+                               "spec fingerprint mismatch after transport"});
         spec = std::move(parsed).value();
         runner.emplace(std::max(1u, payload.value().worker_threads), nullptr);
         break;
       }
       case MsgType::kRunShard: {
         if (!spec.has_value())
-          return fail(out_fd, "kRunShard before kSpec");
+          return fail(out_fd, {pab::ErrorCode::kInvalidArgument,
+                               "kRunShard before kSpec"});
         auto shard = decode_shard(frame.value().payload);
-        if (!shard.ok()) return fail(out_fd, shard.error().message());
+        if (!shard.ok()) return fail(out_fd, shard.error());
+        // A shard that fails is its reply; the worker keeps serving.
         const auto output = run_shard(*spec, shard.value(), *runner);
-        if (!output.ok()) return fail(out_fd, output.error().message());
-        // Stream the rows in trial-order chunks, then the metrics delta.
-        const RecordBatch& records = output.value().records;
-        for (std::size_t begin = 0; begin < records.rows();
-             begin += kRecordsChunkRows) {
-          const std::size_t end =
-              std::min(begin + kRecordsChunkRows, records.rows());
-          ByteWriter chunk;
-          chunk.u64(shard.value().index);
-          records.slice(begin, end).serialize(chunk);
-          auto sent = write_frame(out_fd, MsgType::kRecords, chunk.bytes());
-          if (!sent.ok()) return 1;  // serve is gone; nothing left to tell
-        }
-        ByteWriter done;
-        done.u64(shard.value().index);
-        write_metrics(done, output.value().metrics);
-        auto sent = write_frame(out_fd, MsgType::kShardDone, done.bytes());
-        if (!sent.ok()) return 1;
+        if (!reply(out_fd, shard.value(), output).ok())
+          return 1;  // serve is gone; nothing left to tell
         break;
       }
-      case MsgType::kShutdown:
-        return 0;
       default:
-        return fail(out_fd, "unexpected frame type from serve");
+        return fail(out_fd, {pab::ErrorCode::kInvalidArgument,
+                             "unexpected frame type from serve"});
     }
   }
 }

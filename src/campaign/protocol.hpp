@@ -3,12 +3,14 @@
 // Conversation, all frames length-prefixed (campaign/wire.hpp):
 //   serve  -> worker : kSpec      proto version, worker thread count,
 //                                 spec fingerprint, serialized CampaignSpec
+//   then, once per shard, one request and one reply:
 //   serve  -> worker : kRunShard  shard {index, point, begin, end}
-//   worker -> serve  : kRecords   shard index + a RecordBatch chunk
-//                                 (trial order, <= kRecordsChunkRows rows)
-//   worker -> serve  : kShardDone shard index + the shard's metrics delta
-//   serve  -> worker : kShutdown  (or EOF on the pipe) -- worker exits 0
-//   worker -> serve  : kError     fatal failure; worker exits nonzero
+//   worker -> serve  : kShardDone the shard's ShardOutput::serialize bytes
+//                                 (the checkpoint's encoding), or
+//   worker -> serve  : kError     (u8 ErrorCode, detail): the shard's
+//                                 run_shard error; the worker keeps serving
+// A bad frame or spec is a kError too, after which the worker exits
+// nonzero; the serve side closing the pipe ends the worker (exit 0).
 // The worker keeps only its spec and one BatchRunner (built per kSpec)
 // between shards: each kRunShard runs through campaign::run_shard against a
 // fresh session and registry, so any worker may run any shard and a re-run
@@ -16,19 +18,18 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "campaign/shard_runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/wire.hpp"
 #include "util/error.hpp"
 
 namespace pab::campaign {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
-// Rows per kRecords frame: small enough that results stream while a shard
-// is in flight on another worker, large enough to amortize frame overhead.
-inline constexpr std::size_t kRecordsChunkRows = 32;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 struct SpecPayload {
   std::uint32_t version = kProtocolVersion;
@@ -42,6 +43,13 @@ struct SpecPayload {
 
 [[nodiscard]] std::string encode_shard(const Shard& s);
 [[nodiscard]] pab::Expected<Shard> decode_shard(std::string_view payload);
+
+// The worker's reply to kRunShard for shard `shard`: its output, or the
+// error it failed with, exactly as run_shard returned it.  nullopt when the
+// frame is neither -- another type, a malformed payload, or an output
+// that names another shard.
+[[nodiscard]] std::optional<pab::Expected<ShardOutput>> decode_reply(
+    const Frame& frame, std::uint64_t shard);
 
 // The whole worker process: serve frames from in_fd, write frames to out_fd,
 // return the process exit code.  examples/pab_worker.cpp is one line around

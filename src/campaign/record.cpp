@@ -160,22 +160,6 @@ void RecordBatch::append_batch(const RecordBatch& other) {
                        other.columns_[c].end());
 }
 
-RecordBatch RecordBatch::slice(std::size_t begin, std::size_t end) const {
-  require(begin <= end && end <= rows(), "RecordBatch::slice: bad range");
-  RecordBatch out(kind_);
-  out.trial_.assign(trial_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    trial_.begin() + static_cast<std::ptrdiff_t>(end));
-  out.ok_.assign(ok_.begin() + static_cast<std::ptrdiff_t>(begin),
-                 ok_.begin() + static_cast<std::ptrdiff_t>(end));
-  out.error_code_.assign(
-      error_code_.begin() + static_cast<std::ptrdiff_t>(begin),
-      error_code_.begin() + static_cast<std::ptrdiff_t>(end));
-  for (std::size_t c = 0; c < columns_.size(); ++c)
-    out.columns_[c].assign(columns_[c].begin() + static_cast<std::ptrdiff_t>(begin),
-                           columns_[c].begin() + static_cast<std::ptrdiff_t>(end));
-  return out;
-}
-
 // A row is a u64 trial index, ok and error-code bytes, and one f64 per
 // column.
 std::size_t RecordBatch::serialized_size() const {

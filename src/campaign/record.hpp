@@ -53,9 +53,6 @@ class RecordBatch {
   // Append every row of `other` (same kind) after this batch's rows.
   void append_batch(const RecordBatch& other);
 
-  // Rows [begin, end) as a new batch (the wire chunking primitive).
-  [[nodiscard]] RecordBatch slice(std::size_t begin, std::size_t end) const;
-
   void serialize(ByteWriter& w) const;
   // serialize()'s byte count, for callers that reserve before writing.
   [[nodiscard]] std::size_t serialized_size() const;

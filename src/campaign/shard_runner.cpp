@@ -15,14 +15,23 @@ void ShardOutput::serialize(ByteWriter& w) const {
   write_metrics(w, metrics);
 }
 
-pab::Expected<ShardOutput> ShardOutput::deserialize(ByteReader& r) {
-  ShardOutput out;
-  out.shard = r.u64();
-  auto records = RecordBatch::deserialize(r);
-  if (!records.ok()) return records.error();
-  out.records = std::move(records).value();
-  out.metrics = read_metrics(r);
-  return out;
+pab::Expected<ShardOutput> ShardOutput::deserialize(std::string_view bytes) {
+  try {
+    ByteReader r(bytes);
+    ShardOutput out;
+    out.shard = r.u64();
+    auto records = RecordBatch::deserialize(r);
+    if (!records.ok()) return records.error();
+    out.records = std::move(records).value();
+    out.metrics = read_metrics(r);
+    if (!r.done())
+      return pab::Error{pab::ErrorCode::kInvalidArgument,
+                        "shard output: trailing bytes"};
+    return out;
+  } catch (const std::exception& e) {
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      std::string("shard output: ") + e.what()};
+  }
 }
 
 pab::Expected<ShardOutput> run_shard(const CampaignSpec& spec,

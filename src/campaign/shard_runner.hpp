@@ -8,6 +8,8 @@
 // run_trial path, and snapshots the same metrics delta.
 #pragma once
 
+#include <string_view>
+
 #include "campaign/record.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/wire.hpp"
@@ -27,8 +29,12 @@ struct ShardOutput {
   RecordBatch records;
   obs::MetricsSnapshot metrics;
 
+  // The one byte encoding of a finished shard: a checkpoint's shard file
+  // and a worker's kShardDone frame.  deserialize reads the whole of
+  // `bytes` -- untrusted -- and returns kInvalidArgument for anything else.
   void serialize(ByteWriter& w) const;
-  [[nodiscard]] static pab::Expected<ShardOutput> deserialize(ByteReader& r);
+  [[nodiscard]] static pab::Expected<ShardOutput> deserialize(
+      std::string_view bytes);
 };
 
 // Execute trials [shard.begin, shard.end) of the shard's operating point on

@@ -11,9 +11,6 @@ namespace pab::campaign {
 
 namespace {
 
-// Frames larger than this are a protocol error, not a workload: one chunk of
-// records is a few KiB, a metrics delta tens of KiB.
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 // read_frame grows a frame body by at most this much per read.
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
@@ -142,6 +139,9 @@ pab::Expected<bool> read_all(int fd, char* data, std::size_t n, bool* eof) {
 
 pab::Expected<bool> write_frame(int fd, MsgType type,
                                 std::string_view payload) {
+  if (payload.size() >= kMaxFrameBytes)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign wire: frame above the 1 GiB limit"};
   ByteWriter header;
   header.u32(static_cast<std::uint32_t>(payload.size() + 1));
   header.u8(static_cast<std::uint8_t>(type));

@@ -9,8 +9,8 @@
 // Frames (the pab_serve <-> pab_worker pipe protocol) are
 //   u32 length (type byte + payload) | u8 MsgType | payload bytes
 // with blocking full-read/full-write semantics: each side writes whole
-// frames, so a reader that has seen the length prefix can read to the end of
-// the frame without re-entering its event loop.
+// frames, and a reader that has seen the length prefix reads to the end of
+// the frame.
 #pragma once
 
 #include <cstdint>
@@ -82,20 +82,21 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// Metric snapshot codec: the per-shard deltas shipped in kShardDone frames
-// and embedded in checkpoint shard files.
+// Metric snapshot codec: the per-shard deltas inside every serialized
+// ShardOutput (kShardDone frames and checkpoint shard files).
 void write_metrics(ByteWriter& w, const obs::MetricsSnapshot& m);
 [[nodiscard]] obs::MetricsSnapshot read_metrics(ByteReader& r);
 
 // ---- Frames -----------------------------------------------------------------
 
+// Largest frame (type byte + payload) either side writes or reads.
+inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+
 enum class MsgType : std::uint8_t {
   kSpec = 1,      // serve -> worker: campaign spec + worker thread count
   kRunShard = 2,  // serve -> worker: one shard assignment
-  kRecords = 3,   // worker -> serve: a chunk of a shard's record batch
-  kShardDone = 4, // worker -> serve: shard finished; metrics delta attached
-  kShutdown = 5,  // serve -> worker: drain and exit
-  kError = 6,     // worker -> serve: fatal failure (message payload)
+  kShardDone = 4, // worker -> serve: the shard's serialized ShardOutput
+  kError = 6,     // worker -> serve: (u8 ErrorCode, detail)
 };
 
 struct Frame {
@@ -104,7 +105,8 @@ struct Frame {
 };
 
 // Blocking full write of one frame.  Fails (kBusError) when the peer is gone
-// (EPIPE/EBADF) -- callers treat that as a dead worker, not a crash.
+// (EPIPE/EBADF) -- callers treat that as a dead worker, not a crash -- and
+// (kInvalidArgument, nothing written) above kMaxFrameBytes.
 [[nodiscard]] pab::Expected<bool> write_frame(int fd, MsgType type,
                                               std::string_view payload);
 

@@ -18,11 +18,6 @@ double NoiseModel::sample_stddev_pa(double sample_rate) const {
   return rms_pressure_pa(sample_rate / 2.0);
 }
 
-std::vector<double> NoiseModel::generate(std::size_t n, double sample_rate,
-                                         pab::Rng& rng) const {
-  return rng.awgn(n, sample_stddev_pa(sample_rate));
-}
-
 double wenz_noise_psd_db(double freq_hz, double shipping, double wind_speed_ms) {
   require(freq_hz > 0.0, "wenz: frequency must be positive");
   const double f_khz = freq_hz / 1000.0;

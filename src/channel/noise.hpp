@@ -6,10 +6,6 @@
 // deviation per passband sample at a given sample rate.
 #pragma once
 
-#include <vector>
-
-#include "util/rng.hpp"
-
 namespace pab::channel {
 
 struct NoiseModel {
@@ -22,10 +18,6 @@ struct NoiseModel {
   // Standard deviation of per-sample passband noise when sampling at
   // `sample_rate` (noise band = Nyquist).
   [[nodiscard]] double sample_stddev_pa(double sample_rate) const;
-
-  // Generate `n` samples of white Gaussian passband noise [Pa].
-  [[nodiscard]] std::vector<double> generate(std::size_t n, double sample_rate,
-                                             pab::Rng& rng) const;
 };
 
 // Simplified Wenz ambient noise PSD [dB re uPa^2/Hz] at `freq_hz` for given

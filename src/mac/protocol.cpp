@@ -28,9 +28,6 @@ phy::DownlinkQuery make_read_pressure(std::uint8_t address) {
 phy::DownlinkQuery make_set_bitrate(std::uint8_t address, std::uint8_t table_index) {
   return make(address, phy::Command::kSetBitrate, table_index);
 }
-phy::DownlinkQuery make_set_resonance(std::uint8_t address, std::uint8_t bank_index) {
-  return make(address, phy::Command::kSetResonance, bank_index);
-}
 
 phy::DownlinkQuery make_set_robust_mode(std::uint8_t address, bool enable) {
   return make(address, phy::Command::kSetRobustMode, enable ? 1 : 0);

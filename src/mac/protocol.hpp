@@ -16,8 +16,6 @@ namespace pab::mac {
 [[nodiscard]] phy::DownlinkQuery make_read_pressure(std::uint8_t address);
 [[nodiscard]] phy::DownlinkQuery make_set_bitrate(std::uint8_t address,
                                                   std::uint8_t table_index);
-[[nodiscard]] phy::DownlinkQuery make_set_resonance(std::uint8_t address,
-                                                    std::uint8_t bank_index);
 [[nodiscard]] phy::DownlinkQuery make_set_robust_mode(std::uint8_t address,
                                                       bool enable);
 

@@ -9,10 +9,12 @@
 //
 // Layering: mac sits below channel, so zones arrive as plain data (node
 // memberships by global index plus a zone-interference adjacency) computed
-// upstream by the sim layer from channel::SpatialIndex.  Everything here is a
-// pure function of that data: greedy coloring in zone-id order, carriers from
-// mac::plan_channels (whose over-subscription result maps color -> (carrier,
-// round)), and a slot-aligned frame schedule per zone.
+// upstream by the sim layer: Session::field_into bins nodes into a grid of
+// zone_extent_m cells and joins two zones whose cells lie within the cull
+// radius of each other.  Everything here is a pure function of that data:
+// greedy coloring in zone-id order, carriers from mac::plan_channels (whose
+// over-subscription result maps color -> (carrier, round)), and a
+// slot-aligned frame schedule per zone.
 //
 // Timeline contract: zones scheduled in the same round are concurrent and
 // *slot-aligned on the master timeline* -- every frame announcement and reply

@@ -78,12 +78,6 @@ Scenario Scenario::with_node(const channel::Vec3& node) const {
   return s;
 }
 
-Scenario Scenario::with_field(const FieldSpec& spec) const {
-  Scenario s = *this;
-  s.apply_field(spec);
-  return s;
-}
-
 void Scenario::apply_field(const FieldSpec& spec) {
   field_spec = spec;
   field = NodeField::generate(spec);

@@ -88,12 +88,9 @@ struct Scenario {
   // Sets the reader instruments and node 0 from the legacy 3-point view.
   [[nodiscard]] Scenario with_placement(const core::Placement& p) const;
   [[nodiscard]] Scenario with_node(const channel::Vec3& node) const;
-  // Regenerates geometry from `spec`: tank extent, reader mooring, and the
-  // node field (same transform open_water() applies, reusable in sweeps).
-  [[nodiscard]] Scenario with_field(const FieldSpec& spec) const;
-
-  // In-place form of with_field, for callers mutating an existing scenario
-  // (campaign param application).
+  // Regenerates geometry from `spec` in place: tank extent, reader mooring,
+  // and the node field (the transform open_water() applies; campaign field.*
+  // axes reuse it).
   void apply_field(const FieldSpec& spec);
 
   // Instantiate hardware from the specs.

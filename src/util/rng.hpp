@@ -101,15 +101,6 @@ class Rng {
     return out;
   }
 
-  // White Gaussian noise vector with the given standard deviation (rescaled
-  // from standard normal draws, as in gaussian()).
-  [[nodiscard]] std::vector<double> awgn(std::size_t n, double stddev) {
-    std::vector<double> out(n);
-    std::normal_distribution<double> dist(0.0, 1.0);
-    for (auto& v : out) v = dist(engine_) * stddev;
-    return out;
-  }
-
   // Derive an independent child stream (for per-node randomness).
   [[nodiscard]] Rng fork() { return Rng(engine_()); }
 

@@ -6,6 +6,7 @@
 // location as PAB_WORKER_BIN when examples are enabled, and the tests skip
 // (not fail) without it.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,6 +60,20 @@ campaign::CampaignSpec node_outside_tank_spec() {
   spec.kind = sim::TrialKind::kUplink;
   spec.trials_per_point = 2;
   spec.axes.push_back({"placement.node.x", {5.0}});
+  return spec;
+}
+
+// Schemes 5 and 6 do not exist: shard 0 runs, and shards 1 and 2 fail with
+// different messages.
+campaign::CampaignSpec bad_schemes_spec() {
+  campaign::CampaignSpec spec;
+  spec.name = "test-bad-schemes";
+  spec.preset = "pool_a";
+  spec.kind = sim::TrialKind::kUplink;
+  spec.trials_per_point = 1;
+  spec.base_seed = 7;
+  spec.axes.push_back({"waveform.payload_bits", {16.0}});
+  spec.axes.push_back({"waveform.scheme", {0.0, 5.0, 6.0}});
   return spec;
 }
 
@@ -171,6 +187,105 @@ TEST(CampaignWire, SpecFrameRejectsWorkerThreadsAboveTheLimit) {
   auto decoded = campaign::decode_spec(campaign::encode_spec(payload));
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
   EXPECT_EQ(decoded.value().worker_threads, sim::BatchRunner::kMaxThreads);
+}
+
+// A reply is the asked-for shard's output or an error.  Anything else -- a
+// truncated or padded payload, another shard's output, a code that is no
+// error, a frame of another type -- is nullopt, a dead worker to the serve.
+TEST(CampaignWire, RepliesDecodeOnlyForTheirShard) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  auto output = campaign::run_shard(spec, spec.compile(2)[1],
+                                    sim::BatchRunner(1, nullptr));
+  ASSERT_TRUE(output.ok()) << output.error().message();
+  campaign::ByteWriter w;
+  output.value().serialize(w);
+  const std::string done = w.take();
+  const auto decoded =
+      campaign::decode_reply({campaign::MsgType::kShardDone, done}, 1);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(decoded->ok());
+  EXPECT_EQ(decoded->value().records.bytes(), output.value().records.bytes());
+  EXPECT_EQ(decoded->value().metrics.counters, output.value().metrics.counters);
+  EXPECT_FALSE(
+      campaign::decode_reply({campaign::MsgType::kShardDone, done}, 2));
+  EXPECT_FALSE(
+      campaign::decode_reply({campaign::MsgType::kShardDone, done + "x"}, 1));
+  EXPECT_FALSE(campaign::decode_reply(
+      {campaign::MsgType::kShardDone, done.substr(0, 20)}, 1));
+  EXPECT_FALSE(campaign::decode_reply({campaign::MsgType::kSpec, done}, 1));
+
+  const auto error_frame = [](std::uint8_t code, std::string_view detail) {
+    campaign::ByteWriter e;
+    e.u8(code);
+    e.str(detail);
+    return campaign::Frame{campaign::MsgType::kError, e.take()};
+  };
+  const auto failed = campaign::decode_reply(
+      error_frame(static_cast<std::uint8_t>(pab::ErrorCode::kTimeout), "late"),
+      7);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->code(), pab::ErrorCode::kTimeout);
+  EXPECT_EQ(failed->error().message(), "timeout: late");
+  EXPECT_FALSE(campaign::decode_reply(error_frame(0, "ok is no error"), 7));
+  EXPECT_FALSE(campaign::decode_reply(error_frame(200, "no such code"), 7));
+  EXPECT_FALSE(
+      campaign::decode_reply({campaign::MsgType::kError, "\x01"}, 7));
+}
+
+// The worker answers every kRunShard with one frame: run_shard's error for a
+// shard that fails, after which it keeps serving, or the shard's output.
+// Closing its input is its normal end.
+TEST(CampaignWire, WorkerRepliesToEveryShardAndKeepsServing) {
+  const campaign::CampaignSpec spec = bad_schemes_spec();
+  int down[2];
+  int up[2];
+  ASSERT_EQ(::pipe(down), 0);
+  ASSERT_EQ(::pipe(up), 0);
+  int exit_code = -1;
+  std::thread worker(
+      [&] { exit_code = campaign::worker_main(down[0], up[1]); });
+  campaign::SpecPayload hello;
+  hello.fingerprint = spec.fingerprint();
+  hello.spec_text = spec.serialize();
+  EXPECT_TRUE(campaign::write_frame(down[1], campaign::MsgType::kSpec,
+                                    campaign::encode_spec(hello))
+                  .ok());
+  const sim::BatchRunner runner(1, nullptr);
+  const auto shards = spec.compile(1);
+  // Shards 2 and 1 fail; shard 0 still runs after them.  No fatal assertion
+  // until the worker thread is joined.
+  for (const std::size_t k : {2u, 1u, 0u}) {
+    const campaign::Shard& shard = shards[k];
+    EXPECT_TRUE(campaign::write_frame(down[1], campaign::MsgType::kRunShard,
+                                      campaign::encode_shard(shard))
+                    .ok());
+    const auto frame = campaign::read_frame(up[0]);
+    if (!frame.ok()) {
+      ADD_FAILURE() << "shard " << k << ": " << frame.error().message();
+      break;
+    }
+    const auto reply = campaign::decode_reply(frame.value(), shard.index);
+    if (!reply.has_value()) {
+      ADD_FAILURE() << "shard " << k << ": not a reply";
+      break;
+    }
+    const auto expected = campaign::run_shard(spec, shard, runner);
+    EXPECT_EQ(reply->ok(), expected.ok()) << "shard " << k;
+    if (reply->ok() && expected.ok()) {
+      EXPECT_EQ(frame.value().type, campaign::MsgType::kShardDone);
+      EXPECT_EQ(reply->value().records.bytes(),
+                expected.value().records.bytes());
+      EXPECT_EQ(reply->value().metrics.counters,
+                expected.value().metrics.counters);
+    } else {
+      EXPECT_EQ(reply->code(), expected.code()) << "shard " << k;
+      EXPECT_EQ(reply->error().message(), expected.error().message());
+    }
+  }
+  ::close(down[1]);
+  worker.join();
+  EXPECT_EQ(exit_code, 0);
+  for (const int fd : {down[0], up[0], up[1]}) ::close(fd);
 }
 
 TEST(CampaignSpec, SerializeParseIsFixedPoint) {
@@ -466,21 +581,42 @@ TEST(CampaignExecutor, WorkerThreadsDoNotChangeBytes) {
 
 // After a shard fails no shard above it starts any more, and the error
 // returned is the lowest failing shard's, so it does not depend on the
-// thread count.
+// thread count -- nor on the executor: a worker process replies with
+// run_shard's error unchanged, and both executors run one campaign loop.
 TEST(CampaignExecutor, FailingShardsReportTheSameErrorAtAnyThreadCount) {
-  campaign::CampaignSpec spec = small_uplink_spec();
-  spec.axes[0].values = {0.0};  // a zero payload: every trial throws
-  campaign::BatchExecutor executor;
-  campaign::RunOptions options;
-  options.shard_size = 1;
-  auto serial = executor.run(spec, options);
-  ASSERT_FALSE(serial.ok());
-  EXPECT_EQ(serial.code(), pab::ErrorCode::kInvalidArgument);
-  options.worker_threads = 4;
-  auto parallel = executor.run(spec, options);
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.code(), serial.code());
-  EXPECT_EQ(parallel.error().message(), serial.error().message());
+  campaign::CampaignSpec zero_payload = small_uplink_spec();
+  zero_payload.axes[0].values = {0.0};  // a zero payload: every trial throws
+  for (const campaign::CampaignSpec& spec :
+       {zero_payload, bad_schemes_spec()}) {
+    campaign::BatchExecutor executor;
+    campaign::RunOptions options;
+    options.shard_size = 1;
+    auto serial = executor.run(spec, options);
+    ASSERT_FALSE(serial.ok());
+    EXPECT_EQ(serial.code(), pab::ErrorCode::kInvalidArgument);
+    options.worker_threads = 4;
+    auto parallel = executor.run(spec, options);
+    ASSERT_FALSE(parallel.ok());
+    EXPECT_EQ(parallel.code(), serial.code());
+    EXPECT_EQ(parallel.error().message(), serial.error().message());
+#ifdef PAB_WORKER_BIN
+    options.worker_threads = 1;
+    options.worker_binary = PAB_WORKER_BIN;
+    for (const unsigned workers : {1u, 2u, 3u}) {
+      options.workers = workers;
+      // Two shards fail at once; repeats give the later one chances to
+      // finish first.
+      for (int repeat = 0; repeat < 5; ++repeat) {
+        const auto sharded = campaign::ProcessExecutor().run(spec, options);
+        ASSERT_FALSE(sharded.ok());
+        EXPECT_EQ(sharded.code(), serial.code())
+            << spec.name << " at " << workers << " workers";
+        EXPECT_EQ(sharded.error().message(), serial.error().message())
+            << spec.name << " at " << workers << " workers";
+      }
+    }
+#endif  // PAB_WORKER_BIN
+  }
 }
 
 // Regression: a worker thread count from outside the program was never
@@ -501,6 +637,11 @@ TEST(CampaignExecutor, WorkerThreadsAboveTheLimitAreRejected) {
   EXPECT_EQ(process.code(), pab::ErrorCode::kInvalidArgument);
   options.worker_threads = 2;
   EXPECT_TRUE(batch.run(spec, options).ok());
+  // The worker process count is a width too, refused before any spawn.
+  options.workers = sim::BatchRunner::kMaxThreads + 1;
+  const auto too_many = sharded.run(spec, options);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.code(), pab::ErrorCode::kInvalidArgument);
 }
 
 TEST(CampaignRecord, AppendSliceSerializeRoundTrip) {
@@ -519,9 +660,14 @@ TEST(CampaignRecord, AppendSliceSerializeRoundTrip) {
   EXPECT_EQ(batch.error_code()[1],
             static_cast<std::uint8_t>(pab::ErrorCode::kDecodeFailure));
 
-  // slice + append_batch reassembles the original bytes.
-  campaign::RecordBatch head = batch.slice(0, 2);
-  const campaign::RecordBatch tail = batch.slice(2, 3);
+  // Rows appended in two batches, then joined, are the same bytes.
+  campaign::RecordBatch head(sim::TrialKind::kUplink);
+  trial.ber = 0.125;
+  head.append(0, sim::TrialResult{std::in_place_index<0>, trial});
+  head.append(1, pab::Error{pab::ErrorCode::kDecodeFailure, "no preamble"});
+  campaign::RecordBatch tail(sim::TrialKind::kUplink);
+  trial.ber = 0.5;
+  tail.append(2, sim::TrialResult{std::in_place_index<0>, trial});
   head.append_batch(tail);
   EXPECT_EQ(head.bytes(), batch.bytes());
 
@@ -840,6 +986,36 @@ TEST(CampaignResume, ConcurrentShardsCheckpointExactlyTheFirstMaxShards) {
   EXPECT_EQ(second.value().summary_json(), reference.value().summary_json());
 }
 
+// Every output is checked against its shard before it is folded, one loaded
+// from a checkpoint too: a shard file holding another row count is refused.
+TEST(CampaignResume, CheckpointedShardWithTheWrongRowCountIsRefused) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  const TempDir dir("wrong-rows");
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  options.checkpoint_dir = dir.path.string();
+  options.max_shards = 2;
+  ASSERT_EQ(campaign::BatchExecutor().run(spec, options).code(),
+            pab::ErrorCode::kTimeout);
+  // Shard 0's file now holds trials [0, 2) under index 0.
+  auto wide = campaign::run_shard(spec, campaign::Shard{0, 0, 0, 2},
+                                  sim::BatchRunner(1, nullptr));
+  ASSERT_TRUE(wide.ok()) << wide.error().message();
+  campaign::CheckpointStore store(dir.path.string());
+  ASSERT_TRUE(store.open(spec.fingerprint(), spec.compile(1).size(),
+                         /*resume=*/true)
+                  .ok());
+  ASSERT_TRUE(store.store(wide.value()).ok());
+
+  options.max_shards = 0;
+  options.resume = true;
+  const auto resumed = campaign::BatchExecutor().run(spec, options);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.code(), pab::ErrorCode::kInvalidArgument);
+  EXPECT_NE(resumed.error().message().find("shard 0"), std::string::npos)
+      << resumed.error().message();
+}
+
 TEST(CampaignResume, ManifestRejectsForeignFingerprintAndShardCount) {
   const TempDir dir("manifest");
   campaign::CheckpointStore store(dir.path.string());
@@ -923,13 +1099,15 @@ TEST(CampaignExecutor, SimulatorRejectionIsAnError) {
 #ifdef PAB_WORKER_BIN
     campaign::ProcessExecutor sharded;
     campaign::RunOptions options;
-    options.workers = 2;
     options.worker_binary = PAB_WORKER_BIN;
-    const auto result = sharded.run(spec, options);
-    ASSERT_FALSE(result.ok()) << spec.name;
-    EXPECT_NE(result.error().message().find(in_process.error().message()),
-              std::string::npos)
-        << result.error().message();
+    for (const unsigned workers : {1u, 2u, 3u}) {
+      options.workers = workers;
+      const auto result = sharded.run(spec, options);
+      ASSERT_FALSE(result.ok()) << spec.name;
+      EXPECT_EQ(result.code(), in_process.code()) << spec.name;
+      EXPECT_EQ(result.error().message(), in_process.error().message())
+          << spec.name << " at " << workers << " workers";
+    }
 #endif  // PAB_WORKER_BIN
   }
 }
@@ -1015,6 +1193,23 @@ TEST(CampaignProcess, DeadWorkerBinaryReportsError) {
   options.worker_binary = "/nonexistent/pab_worker";
   auto result = sharded.run(spec, options);
   EXPECT_FALSE(result.ok());
+}
+
+// A worker that dies fails its shard with kBusError; every shard's worker
+// dies here, so the lowest, shard 0, names the error at any worker count.
+TEST(CampaignProcess, DeadWorkerFailsTheLowestShardWithABusError) {
+  const campaign::CampaignSpec spec = small_timeline_spec();
+  campaign::RunOptions options;
+  options.shard_size = 1;
+  options.worker_binary = "/nonexistent/pab_worker";
+  for (const unsigned workers : {1u, 3u}) {
+    options.workers = workers;
+    const auto result = campaign::ProcessExecutor().run(spec, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.code(), pab::ErrorCode::kBusError);
+    EXPECT_EQ(result.error().message(),
+              "peripheral bus error: worker for shard 0 died");
+  }
 }
 
 #else

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "channel/noise.hpp"
 #include "channel/propagation.hpp"
 #include "channel/tank.hpp"
 #include "channel/water.hpp"
 #include "signal_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pab::channel {
@@ -149,7 +151,8 @@ TEST(Noise, BandwidthScaling) {
 TEST(Noise, GeneratedPowerMatchesModel) {
   NoiseModel n{60.0};
   pab::Rng rng(1);
-  const auto samples = n.generate(100000, 96000.0, rng);
+  std::vector<double> samples(100000);
+  rng.gaussian_into(samples, 0.0, n.sample_stddev_pa(96000.0));
   const double measured = std::sqrt(
       testing::signal_power(std::span<const double>(samples)));
   EXPECT_NEAR(measured / n.sample_stddev_pa(96000.0), 1.0, 0.02);
