@@ -5,15 +5,12 @@
 // through a two-ray wavy-surface envelope with noise and compares packet
 // delivery for uncoded vs Hamming(7,4)+interleaver payloads at equal *data*
 // goodput accounting (the code spends 1.75x airtime).
-#include <cmath>
-
 #include "bench_util.hpp"
 #include "channel/timevarying.hpp"
 #include "phy/fec.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
 #include "util/rng.hpp"
-#include "util/units.hpp"
 
 namespace {
 
@@ -22,7 +19,8 @@ using namespace pab;
 constexpr double kCarrier = 15000.0;
 constexpr double kChipRate = 500.0;  // 250 bps FM0
 
-// Complex channel gain sequence over `n` chips from the wavy two-ray model.
+// Two-ray envelope gain over `n` chips from the wavy-surface model,
+// normalized to the direct path.
 std::vector<double> fade_series(std::size_t n, double wave_amp, Rng& rng) {
   channel::WavySurfaceConfig cfg;
   cfg.source = {0, 0, 1.5};
@@ -30,24 +28,14 @@ std::vector<double> fade_series(std::size_t n, double wave_amp, Rng& rng) {
   cfg.surface_z = 3.0;
   cfg.wave_amplitude = wave_amp;
   cfg.wave_freq_hz = 1.5 + rng.uniform(0.0, 1.0);  // short chop
-  const double c = channel::sound_speed_mackenzie(cfg.water);
-  const double d_direct = channel::distance(cfg.source, cfg.receiver);
-  const double g_direct = channel::path_amplitude_gain(d_direct, kCarrier);
+  const double g_direct = channel::path_amplitude_gain(
+      channel::distance(cfg.source, cfg.receiver), kCarrier);
   std::vector<double> fade(n);
   const double phase0 = rng.uniform(0.0, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(i) / kChipRate;
-    const double zs = cfg.surface_z +
-                      cfg.wave_amplitude *
-                          std::sin(kTwoPi * (cfg.wave_freq_hz * t + phase0));
-    const channel::Vec3 image{cfg.source.x, cfg.source.y, 2.0 * zs - cfg.source.z};
-    const double d_img = channel::distance(image, cfg.receiver);
-    const double g_img =
-        cfg.surface_reflection * channel::path_amplitude_gain(d_img, kCarrier);
-    const std::complex<double> sum =
-        g_direct + g_img * std::exp(std::complex<double>(
-                               0.0, -kTwoPi * kCarrier * (d_img - d_direct) / c));
-    fade[i] = std::abs(sum) / g_direct;  // normalized to the direct path
+    const double phase = cfg.wave_freq_hz * t + phase0;
+    fade[i] = channel::wavy_gain_at(cfg, kCarrier, phase) / g_direct;
   }
   return fade;
 }

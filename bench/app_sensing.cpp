@@ -6,7 +6,7 @@
 // packets.  This bench runs the full query -> sense -> backscatter -> decode
 // loop through the waveform simulator and compares against ground truth.
 #include "bench_util.hpp"
-#include "core/controller.hpp"
+#include "core/transact.hpp"
 #include "mac/protocol.hpp"
 #include "node/node.hpp"
 #include "sim/scenario.hpp"

@@ -9,7 +9,7 @@
 // core::transact call; the charge is one PabNode::cold_start.
 #include <cstdio>
 
-#include "core/controller.hpp"
+#include "core/transact.hpp"
 #include "mac/protocol.hpp"
 #include "mac/scheduler.hpp"
 #include "node/node.hpp"

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "channel/tank.hpp"
-#include "core/controller.hpp"
+#include "core/transact.hpp"
 #include "core/projector.hpp"
 #include "dsp/wav.hpp"
 #include "energy/mcu.hpp"

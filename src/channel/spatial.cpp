@@ -5,7 +5,6 @@
 
 #include "channel/water.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace pab::channel {
 
@@ -23,7 +22,9 @@ SpatialIndex::SpatialIndex(std::span<const Vec3> points, double cell_m)
   std::vector<CellKey> key_of(points_.size());
   members_.resize(points_.size());
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    key_of[i] = cell_of(i);
+    const Vec3& p = points_[i];
+    key_of[i] = {cell_coord(p.x, cell_m_), cell_coord(p.y, cell_m_),
+                 cell_coord(p.z, cell_m_)};
     members_[i] = static_cast<std::uint32_t>(i);
   }
   // Stable: members stay ascending within each cell.
@@ -39,12 +40,6 @@ SpatialIndex::SpatialIndex(std::span<const Vec3> points, double cell_m)
   }
 }
 
-std::array<std::int64_t, 3> SpatialIndex::cell_of(std::size_t i) const {
-  const Vec3& p = points_.at(i);
-  return {cell_coord(p.x, cell_m_), cell_coord(p.y, cell_m_),
-          cell_coord(p.z, cell_m_)};
-}
-
 std::span<const std::uint32_t> SpatialIndex::members_of(
     const CellKey& key) const {
   const auto it = std::lower_bound(
@@ -52,23 +47,6 @@ std::span<const std::uint32_t> SpatialIndex::members_of(
       [](const Cell& c, const CellKey& k) { return c.key < k; });
   if (it == cells_.end() || it->key != key) return {};
   return {members_.data() + it->begin, it->end - it->begin};
-}
-
-void SpatialIndex::neighbors_within(std::size_t i, double radius,
-                                    std::vector<std::uint32_t>& out) const {
-  out.clear();
-  if (radius < 0.0) return;
-  const Vec3& p = points_.at(i);
-  const std::int64_t reach =
-      static_cast<std::int64_t>(std::ceil(radius / cell_m_));
-  for_each_cell_near(cell_of(i), reach,
-                     [&](std::span<const std::uint32_t> members) {
-                       for (const std::uint32_t j : members)
-                         if (j != i && distance(p, points_[j]) <= radius)
-                           out.push_back(j);
-                     });
-  // Cells were visited in grid order, not index order.
-  std::sort(out.begin(), out.end());
 }
 
 double cull_radius_m(double gain_floor, double freq_hz, double max_radius_m) {
@@ -137,19 +115,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
     stats->culled_pairs = stats->total_pairs - stats->kept_pairs;
   }
   return kept;
-}
-
-double aggregate_power_gain(std::span<const Vec3> points,
-                            std::span<const std::uint32_t> indices,
-                            const Vec3& rx, double freq_hz) {
-  NeumaierSum sum;
-  for (const std::uint32_t i : indices) {
-    require(i < points.size(), "aggregate_power_gain: index out of range");
-    const double d = std::max(distance(points[i], rx), 1e-6);
-    const double g = path_amplitude_gain(d, freq_hz);
-    sum.add(g * g);
-  }
-  return sum.value();
 }
 
 }  // namespace pab::channel

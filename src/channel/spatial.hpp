@@ -10,9 +10,9 @@
 // to brute-force pair enumeration by construction (the `channel.spatial_cull`
 // audit invariant re-verifies this on random fields).
 //
-// Determinism: queries return indices in ascending order and pair
-// enumeration in ascending lexicographic (i, j) order, independent of grid
-// internals, so downstream consumers see a platform-stable link list.
+// Determinism: pair enumeration is in ascending lexicographic (i, j) order,
+// independent of grid internals, so downstream consumers see a
+// platform-stable link list.
 #pragma once
 
 #include <array>
@@ -38,19 +38,9 @@ class SpatialIndex {
   SpatialIndex(std::span<const Vec3> points, double cell_m);
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
-  [[nodiscard]] double cell_m() const { return cell_m_; }
-  [[nodiscard]] const std::vector<Vec3>& points() const { return points_; }
-
-  // Integer grid coordinate of point i (floor(p / cell) per axis).
-  [[nodiscard]] std::array<std::int64_t, 3> cell_of(std::size_t i) const;
-
-  // Indices of every point j != i with distance(p_i, p_j) <= radius,
-  // ascending.  `out` is cleared first (reusable scratch for zero-alloc
-  // steady state).
-  void neighbors_within(std::size_t i, double radius,
-                        std::vector<std::uint32_t>& out) const;
 
  private:
+  // Integer grid coordinate of a point (floor(p / cell) per axis).
   using CellKey = std::array<std::int64_t, 3>;
   // One occupied cell: its key and its members' range in members_.
   struct Cell {
@@ -97,17 +87,5 @@ class SpatialIndex {
 // Every pair (i < j) with distance <= radius, ascending lexicographic order.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
     const SpatialIndex& index, double radius, CullStats* stats = nullptr);
-
-// Aggregate *power* gain at a receiver point from a set of concurrent
-// co-channel transmitters: the Neumaier-exact sum over `indices` of the
-// squared one-way amplitude-gain estimate from points[i] to rx.  The pairwise
-// cull reasons about single links crossing the gain floor; many sub-floor
-// links can still sum above it (the interference case a per-pair threshold
-// cannot see), and this query is how callers measure that aggregate.
-// Indices are summed in span order -- pass them sorted for a deterministic
-// result.  An empty index set aggregates to 0.
-[[nodiscard]] double aggregate_power_gain(std::span<const Vec3> points,
-                                          std::span<const std::uint32_t> indices,
-                                          const Vec3& rx, double freq_hz);
 
 }  // namespace pab::channel

@@ -71,11 +71,6 @@ class TapCache {
     return lookups_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] const Tank& tank() const { return tank_; }
-  [[nodiscard]] int max_image_order() const { return max_image_order_; }
-  [[nodiscard]] bool use_image_method() const { return use_image_method_; }
-  [[nodiscard]] const TapQuantization& quantization() const { return quant_; }
-
  private:
   struct Key {
     std::uint64_t bits[7];  // a.xyz, b.xyz, freq as raw IEEE-754 patterns

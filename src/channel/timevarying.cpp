@@ -68,12 +68,13 @@ dsp::BasebandSignal propagate_moving(const dsp::BasebandSignal& x,
   return y;
 }
 
-double wavy_gain_at(const WavySurfaceConfig& cfg, double carrier_hz, double t) {
+double wavy_gain_at(const WavySurfaceConfig& cfg, double carrier_hz,
+                    double phase) {
   const double c = sound_speed_mackenzie(cfg.water);
   const double d_direct = std::max(distance(cfg.source, cfg.receiver), 1e-3);
   const double g_direct = path_amplitude_gain(d_direct, carrier_hz);
   const double zs =
-      cfg.surface_z + cfg.wave_amplitude * std::sin(kTwoPi * cfg.wave_freq_hz * t);
+      cfg.surface_z + cfg.wave_amplitude * std::sin(kTwoPi * phase);
   const Vec3 image{cfg.source.x, cfg.source.y, 2.0 * zs - cfg.source.z};
   const double d_img = std::max(distance(image, cfg.receiver), 1e-3);
   const double g_img =
@@ -122,21 +123,11 @@ dsp::BasebandSignal propagate_wavy(const dsp::BasebandSignal& x,
 }
 
 double fade_depth_db(const WavySurfaceConfig& cfg, double carrier_hz) {
-  const double c = sound_speed_mackenzie(cfg.water);
-  const double d_direct = std::max(distance(cfg.source, cfg.receiver), 1e-3);
-  const double g_direct = path_amplitude_gain(d_direct, carrier_hz);
   double lo = 1e300, hi = 0.0;
   for (double phase = 0.0; phase < 1.0; phase += 0.005) {
-    const double zs = cfg.surface_z + cfg.wave_amplitude * std::sin(kTwoPi * phase);
-    const Vec3 image{cfg.source.x, cfg.source.y, 2.0 * zs - cfg.source.z};
-    const double d_img = std::max(distance(image, cfg.receiver), 1e-3);
-    const double g_img =
-        cfg.surface_reflection * path_amplitude_gain(d_img, carrier_hz);
-    const dsp::cplx sum =
-        g_direct +
-        g_img * std::exp(dsp::cplx(0.0, -kTwoPi * carrier_hz * (d_img - d_direct) / c));
-    lo = std::min(lo, std::abs(sum));
-    hi = std::max(hi, std::abs(sum));
+    const double g = wavy_gain_at(cfg, carrier_hz, phase);
+    lo = std::min(lo, g);
+    hi = std::max(hi, g);
   }
   if (lo <= 0.0) return 120.0;
   return db_from_amplitude_ratio(hi / lo);

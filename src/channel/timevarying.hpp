@@ -57,12 +57,6 @@ struct MovingPathConfig {
 [[nodiscard]] double doppler_shift_at(const MovingPathConfig& cfg,
                                       double carrier_hz, double t);
 
-// Coherent |direct + surface-image| amplitude gain at time t for the wavy
-// two-path geometry below (the instantaneous value fade_depth_db sweeps).
-struct WavySurfaceConfig;
-[[nodiscard]] double wavy_gain_at(const WavySurfaceConfig& cfg,
-                                  double carrier_hz, double t);
-
 // Two-path (direct + surface image) channel where the surface heaves
 // sinusoidally: z_surface(t) = z0 + A sin(2 pi f_w t).  Produces the periodic
 // fading a backscatter link sees under waves.
@@ -78,6 +72,12 @@ struct WavySurfaceConfig {
 
 [[nodiscard]] dsp::BasebandSignal propagate_wavy(const dsp::BasebandSignal& x,
                                                  const WavySurfaceConfig& cfg);
+
+// Coherent |direct + surface-image| amplitude gain with the surface at swell
+// phase `phase`, in cycles: z_surface = z0 + A sin(2 pi phase).  At time t
+// the phase is wave_freq_hz * t.
+[[nodiscard]] double wavy_gain_at(const WavySurfaceConfig& cfg,
+                                  double carrier_hz, double phase);
 
 // Envelope fade depth [dB] between the strongest and weakest coherent sum of
 // direct + surface paths over one wave period.

@@ -70,7 +70,6 @@ class RectoPiezo {
 
   [[nodiscard]] const piezo::Transducer& transducer() const { return transducer_; }
   [[nodiscard]] const MatchingNetwork& network() const { return network_; }
-  [[nodiscard]] const Rectifier& rectifier() const { return rectifier_; }
   [[nodiscard]] double match_frequency() const { return config_.match_frequency_hz; }
   [[nodiscard]] bool battery_assisted() const { return config_.assist_gain_db > 0.0; }
   // Extra electrical power a reflection amplifier burns to boost the

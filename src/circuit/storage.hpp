@@ -21,7 +21,6 @@ class Supercapacitor {
 
   [[nodiscard]] double voltage() const { return voltage_; }
   [[nodiscard]] double stored_energy_j() const;
-  [[nodiscard]] double capacitance() const { return capacitance_; }
 
  private:
   double capacitance_;

@@ -30,8 +30,8 @@ struct SimConfig {
   // frequency offset of f_c * ppm * 1e-6 after down-conversion.
   double receiver_clock_offset_ppm = 0.0;
   // Base seed of a run's randomness.  No simulator reads it (each run method
-  // takes a pab::Rng); sim::Session and core::ReaderController derive their
-  // streams from it.
+  // takes a pab::Rng); sim::Session derives its trial streams from it, and
+  // programs that drive a simulator directly seed their noise with it.
   std::uint64_t seed = 42;
 };
 

@@ -166,25 +166,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return out;
 }
 
-void Histogram::merge_from(const HistogramSnapshot& other) {
-  require(bounds_ == other.bounds,
-          "Histogram::merge_from: bucket bounds differ");
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + other.sum,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 std::span<const double> Histogram::default_time_buckets() {
   static const std::vector<double> kBuckets = {
       1e-6,   2.5e-6, 5e-6,   1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3,
@@ -210,13 +191,6 @@ Histogram& MetricRegistry::histogram(std::string_view name,
   });
 }
 
-void MetricRegistry::reset() {
-  std::unique_lock lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
 MetricsSnapshot MetricRegistry::snapshot() const {
   std::shared_lock lock(mutex_);
   MetricsSnapshot out;
@@ -227,37 +201,7 @@ MetricsSnapshot MetricRegistry::snapshot() const {
   return out;
 }
 
-void MetricRegistry::merge_from(const MetricsSnapshot& other) {
-  for (const auto& [name, v] : other.counters) counter(name).add(v);
-  for (const auto& [name, v] : other.gauges) gauge(name).set(v);
-  for (const auto& [name, h] : other.histograms)
-    histogram(name, h.bounds).merge_from(h);
-}
-
 std::string MetricRegistry::to_json() const { return snapshot().to_json(); }
-
-std::string MetricRegistry::to_text() const {
-  const MetricsSnapshot s = snapshot();
-  std::string out;
-  char buf[256];
-  for (const auto& [name, v] : s.counters) {
-    std::snprintf(buf, sizeof(buf), "counter %-44s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  }
-  for (const auto& [name, v] : s.gauges) {
-    std::snprintf(buf, sizeof(buf), "gauge   %-44s %.6g\n", name.c_str(), v);
-    out += buf;
-  }
-  for (const auto& [name, h] : s.histograms) {
-    std::snprintf(buf, sizeof(buf),
-                  "hist    %-44s count=%llu mean=%.3g p50=%.3g p95=%.3g\n",
-                  name.c_str(), static_cast<unsigned long long>(h.count),
-                  h.mean(), h.quantile(0.50), h.quantile(0.95));
-    out += buf;
-  }
-  return out;
-}
 
 MetricRegistry& MetricRegistry::global() {
   static MetricRegistry registry;

@@ -15,7 +15,7 @@
 //
 // References returned by the registry stay valid for the registry's lifetime;
 // hot paths resolve an instrument once and keep the pointer.  Export is
-// `to_json()` (bench sidecars) and `to_text()` (human-readable dumps).
+// `to_json()` (bench sidecars).
 #pragma once
 
 #include <atomic>
@@ -37,7 +37,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -56,7 +55,6 @@ class Gauge {
   [[nodiscard]] double value() const {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
@@ -114,10 +112,6 @@ class Histogram {
   // Value copy of the current state (relaxed reads; per-bucket totals are
   // exact once writers have quiesced, as at shard boundaries).
   [[nodiscard]] HistogramSnapshot snapshot() const;
-  // Fold a snapshot's buckets into this histogram.  Bounds must match.
-  void merge_from(const HistogramSnapshot& other);
-
-  void reset();
 
   // Default latency bucket edges: log-spaced 1 us .. 10 s, suitable for every
   // timing in the pipeline (chip decode ~ us, full waveform trials ~ s).
@@ -186,18 +180,10 @@ class MetricRegistry {
       std::string_view name,
       std::span<const double> bounds = Histogram::default_time_buckets());
 
-  // Zero every registered instrument (registrations are kept, so cached
-  // pointers stay valid).
-  void reset();
-
-  // Value copy of every registered instrument.  The campaign engine snapshots
-  // a worker's registry at each shard boundary (then reset()s it), so each
-  // snapshot is a per-shard delta that merges exactly across processes.
+  // Value copy of every registered instrument.  The campaign engine runs
+  // each shard on a fresh registry and snapshots it at the shard's end, so
+  // each snapshot is that shard's delta and merges exactly across processes.
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  // Fold a snapshot into the live instruments: counters add, gauges
-  // overwrite, histograms merge bucket-wise (created with the snapshot's
-  // bounds when absent).
-  void merge_from(const MetricsSnapshot& other);
 
   // Exports walk a consistent name-sorted order.  JSON schema:
   //   {"counters": {name: n}, "gauges": {name: v},
@@ -206,7 +192,6 @@ class MetricRegistry {
   //                          "buckets": [{"le": bound, "count": n}, ...],
   //                          "overflow": n}}}
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] std::string to_text() const;
 
   // Process-wide registry: default sink of instrumented components, and the
   // source of the bench sidecars.  Components also accept an explicit

@@ -34,8 +34,6 @@ class Ms5837Device : public I2cDevice {
   void write(std::span<const std::uint8_t> data) override;
   [[nodiscard]] std::vector<std::uint8_t> read(std::size_t n) override;
 
-  [[nodiscard]] const std::array<std::uint16_t, 8>& prom() const { return prom_; }
-
  private:
   [[nodiscard]] std::uint32_t raw_d1() const;  // pressure counts
   [[nodiscard]] std::uint32_t raw_d2() const;  // temperature counts

@@ -144,8 +144,6 @@ class Session {
   explicit Session(Scenario scenario,
                    obs::MetricRegistry* metrics = &obs::MetricRegistry::global());
 
-  [[nodiscard]] obs::MetricRegistry& metrics() const { return *metrics_; }
-
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   [[nodiscard]] const core::Projector& projector() const { return projector_; }
   [[nodiscard]] const circuit::RectoPiezo& front_end(std::size_t j = 0) const {

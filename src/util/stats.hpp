@@ -36,12 +36,6 @@ namespace pab {
   return std::sqrt(s / static_cast<double>(xs.size()));
 }
 
-[[nodiscard]] inline double max_abs(std::span<const double> xs) {
-  double m = 0.0;
-  for (double x : xs) m = std::max(m, std::abs(x));
-  return m;
-}
-
 // Neumaier-compensated accumulator: the running sum stays exact to ~1 ulp of
 // the final value over arbitrarily long streams.  Used for simulated-time and
 // airtime sums, where a plain `+=` across millions of events drifts by many

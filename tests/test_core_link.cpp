@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/controller.hpp"
+#include "core/transact.hpp"
 #include "core/link.hpp"
 #include "core/network.hpp"
 #include "core/projector.hpp"

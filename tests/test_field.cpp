@@ -142,22 +142,6 @@ TEST(OpenWaterScenario, TankPresetsKeepTheirSingleAndDualNodeShapes) {
 
 // --- Spatial index and culling ----------------------------------------------
 
-TEST(SpatialIndex, NeighborsMatchBruteForceOnARandomField) {
-  const NodeField f = NodeField::generate(spec_of(FieldLayout::kRandom, 150, 7));
-  const auto& pts = f.positions();
-  const channel::SpatialIndex index(pts, 13.0);
-  const double radius = 35.0;
-  std::vector<std::uint32_t> got;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    index.neighbors_within(i, radius, got);
-    std::vector<std::uint32_t> want;
-    for (std::size_t j = 0; j < pts.size(); ++j)
-      if (j != i && dist(pts[i], pts[j]) <= radius)
-        want.push_back(static_cast<std::uint32_t>(j));
-    EXPECT_EQ(got, want) << "point " << i;
-  }
-}
-
 TEST(SpatialIndex, CullPairsIsExactAndConserved) {
   const NodeField f =
       NodeField::generate(spec_of(FieldLayout::kClusters, 180, 11));
@@ -631,23 +615,6 @@ TEST(FieldTrial, CaptureThresholdExtremesBracketTheFieldInventory) {
   ASSERT_TRUE(n.ok());
   EXPECT_TRUE(n.value().identified.empty());
   EXPECT_GT(n.value().interference_corrupted_slots, 0u);
-}
-
-TEST(SpatialIndex, AggregatePowerGainSumsSquaredAmplitudes) {
-  const std::vector<channel::Vec3> points{
-      {0.0, 0.0, 5.0}, {30.0, 0.0, 5.0}, {0.0, 40.0, 5.0}};
-  const channel::Vec3 rx{10.0, 10.0, 5.0};
-  const double f = 15e3;
-  const std::vector<std::uint32_t> indices{0, 1, 2};
-  double want = 0.0;
-  for (const std::uint32_t i : indices) {
-    const double g =
-        channel::path_amplitude_gain(dist(points[i], rx), f);
-    want += g * g;
-  }
-  EXPECT_NEAR(channel::aggregate_power_gain(points, indices, rx, f), want,
-              1e-15);
-  EXPECT_EQ(channel::aggregate_power_gain(points, {}, rx, f), 0.0);
 }
 
 TEST(FieldTrial, RejectsBadConfig) {

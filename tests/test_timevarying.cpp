@@ -188,11 +188,13 @@ TEST(EventSampling, WavyGainOscillatesAtTheWavePeriod) {
   const double g0 = wavy_gain_at(cfg, 18500.0, 0.0);
   EXPECT_GT(g0, 0.0);
   // Periodic in the wave period, and actually moving within it.
-  EXPECT_NEAR(wavy_gain_at(cfg, 18500.0, period), g0, 1e-9);
+  EXPECT_NEAR(wavy_gain_at(cfg, 18500.0, cfg.wave_freq_hz * period), g0,
+              1e-9);
   double min_g = g0;
   double max_g = g0;
   for (int i = 1; i < 50; ++i) {
-    const double g = wavy_gain_at(cfg, 18500.0, period * i / 50.0);
+    const double t = period * i / 50.0;
+    const double g = wavy_gain_at(cfg, 18500.0, cfg.wave_freq_hz * t);
     min_g = std::min(min_g, g);
     max_g = std::max(max_g, g);
   }
