@@ -92,7 +92,7 @@ void print_series() {
               "decoding double the network throughput (abstract, section 6.3).\n");
 
   // Ideal-plan cross-check from the MAC layer.
-  const auto plan = mac::plan_channels(2, mac::ChannelPlanConfig{});
+  const auto plan = mac::plan_channels(2);
   std::printf("Channel plan: %.1f / %.1f kHz; ideal gain %.1fx\n",
               plan.carriers_hz[0] / 1000.0, plan.carriers_hz[1] / 1000.0,
               mac::fdma_throughput_bps(2, kBitrate) /

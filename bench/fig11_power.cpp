@@ -76,7 +76,7 @@ void print_series() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   auto& global = obs::MetricRegistry::global();
-  tl.export_to(global, "sim.timeline");
+  tl.export_to(global);
   global.gauge("sim.timeline.events_per_sec")
       .set(wall_s > 0.0
                ? static_cast<double>(tl.events_processed()) / wall_s

@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "core/link.hpp"
 #include "core/projector.hpp"
+#include "energy/mcu.hpp"
 #include "phy/metrics.hpp"
 #include "sim/batch.hpp"
 #include "sim/scenario.hpp"
@@ -15,9 +16,6 @@
 namespace {
 
 using namespace pab;
-
-const double kBitrates[] = {100,  200,  400,  600,  800,
-                            1000, 2000, 2800, 3000, 5000};
 
 core::Placement close_placement() {
   // "within a meter of both the projector and the hydrophone" (6.1b).
@@ -34,7 +32,7 @@ void print_series() {
 
   bench::print_row({"rate [bps]", "SNR [dB]", "stddev", "decoded"});
   double snr_1k = 0.0, snr_5k = 0.0;
-  for (double rate : kBitrates) {
+  for (const double rate : energy::kClockDividerBitrates) {
     sim::Scenario sc = sim::Scenario::pool_a()
                            .with_seed(100 + static_cast<std::uint64_t>(rate))
                            .with_placement(close_placement());

@@ -18,7 +18,7 @@ int main() {
   std::printf("==============================================\n\n");
 
   // Channel plan from the MAC layer.
-  const auto plan = mac::plan_channels(2, mac::ChannelPlanConfig{});
+  const auto plan = mac::plan_channels(2);
   std::printf("channel plan: tag 1 at %.1f kHz, tag 2 at %.1f kHz\n",
               plan.carriers_hz[0] / 1000.0, plan.carriers_hz[1] / 1000.0);
 

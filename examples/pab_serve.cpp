@@ -15,25 +15,25 @@
 // A sharded run and an --in-process run of the same spec produce identical
 // .records bytes; kill a run mid-campaign (or cap it with --max-shards) and
 // `--checkpoint DIR --resume` finishes it without repeating finished shards.
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/batch_executor.hpp"
 #include "campaign/process_executor.hpp"
+#include "parse_numbers.hpp"
 #include "sim/batch.hpp"
 
 namespace {
 
 using pab::campaign::CampaignSpec;
 using pab::campaign::SweepAxis;
+using pab::cli::kAnyCount;
+using pab::cli::parse_count;
+using pab::cli::parse_decimal;
 
 void usage() {
   std::cout <<
@@ -68,20 +68,6 @@ void usage() {
       "    --print-spec           dump the canonical spec text and exit\n";
 }
 
-// A whole decimal count no larger than `max`; strtoull alone would read
-// "-1" as 18446744073709551615 and "4x" as 4.
-bool parse_count(const char* text, std::uint64_t max, std::uint64_t& count) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || value > max) return false;
-  count = value;
-  return true;
-}
-
-constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
-
 // A thread or worker count, at most BatchRunner::kMaxThreads (0 means 1,
 // as in RunOptions).
 bool parse_threads(const char* text, unsigned& threads) {
@@ -90,15 +76,6 @@ bool parse_threads(const char* text, unsigned& threads) {
     return false;
   threads = static_cast<unsigned>(value);
   return true;
-}
-
-// A finite decimal number that is the whole of `text`.
-bool parse_decimal(const std::string& text, double& value) {
-  errno = 0;
-  char* end = nullptr;
-  value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0' && errno == 0 &&
-         std::isfinite(value);
 }
 
 bool parse_axis(const std::string& arg, SweepAxis& axis) {

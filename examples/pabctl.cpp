@@ -10,11 +10,14 @@
 //                  [--payload BYTES]
 //   pabctl info
 //
-// Every subcommand runs the same library code the tests and benches use.
+// Every subcommand runs the same library code the tests and benches use.  A
+// flag value that is not a finite number (or, for a count, not a whole
+// number in range), and a value the models reject, is a usage error: the
+// message goes to stderr and pabctl exits 2.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "channel/tank.hpp"
@@ -27,6 +30,7 @@
 #include "phy/metrics.hpp"
 #include "piezo/design.hpp"
 #include "sim/scenario.hpp"
+#include "parse_numbers.hpp"
 
 namespace {
 
@@ -34,12 +38,34 @@ using namespace pab;
 
 // --- tiny flag parser ---------------------------------------------------------
 
+// Largest --bits: 41 s of signal at 100 bps.
+constexpr std::uint64_t kMaxLinkBits = 4096;
+// Largest --payload: the packet's one-byte length field.
+constexpr std::uint64_t kMaxPayloadBytes = 255;
+
 struct Args {
   std::map<std::string, std::string> kv;
   bool has(const std::string& key) const { return kv.count(key) != 0; }
+  // A finite number; throws std::invalid_argument (a usage error) otherwise.
   double num(const std::string& key, double fallback) const {
     auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::atof(it->second.c_str());
+    if (it == kv.end()) return fallback;
+    double value = 0.0;
+    if (!cli::parse_decimal(it->second, value))
+      throw std::invalid_argument("bad --" + key + " (want a finite number): " +
+                                  it->second);
+    return value;
+  }
+  // A whole number in [0, max]; throws std::invalid_argument otherwise.
+  std::uint64_t count(const std::string& key, std::uint64_t fallback,
+                      std::uint64_t max) const {
+    auto it = kv.find(key);
+    if (it == kv.end()) return fallback;
+    std::uint64_t value = 0;
+    if (!cli::parse_count(it->second.c_str(), max, value))
+      throw std::invalid_argument("bad --" + key + " (want a whole number, at most " +
+                                  std::to_string(max) + "): " + it->second);
+    return value;
   }
   std::string str(const std::string& key, const std::string& fallback) const {
     auto it = kv.find(key);
@@ -72,13 +98,13 @@ sim::Scenario pool_config(const Args& a) {
 int cmd_link(const Args& a) {
   const sim::Scenario scenario = pool_config(a);
   core::SimConfig sc = scenario.medium;
-  sc.seed = static_cast<std::uint64_t>(a.num("seed", 42));
+  sc.seed = a.count("seed", 42, cli::kAnyCount);
   core::LinkSimulator sim(sc, scenario.placement());
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 50.0));
   const auto fe = circuit::make_recto_piezo(a.num("carrier", 15000.0));
   Rng rng(sc.seed);
-  const auto bits = rng.bits(static_cast<std::size_t>(a.num("bits", 96)));
+  const auto bits = rng.bits(a.count("bits", 96, kMaxLinkBits));
   sim::Waveform cfg;
   cfg.carrier_hz = a.num("carrier", 15000.0);
   cfg.bitrate = a.num("bitrate", 1000.0);
@@ -202,7 +228,7 @@ int cmd_decode(const Args& a) {
   dc.carrier_hz = a.num("carrier", 15000.0);
   dc.bitrate = a.num("bitrate", 1000.0);
   dc.sample_rate = capture.value().sample_rate;
-  const auto payload_len = static_cast<std::size_t>(a.num("payload", 4));
+  const auto payload_len = a.count("payload", 4, kMaxPayloadBytes);
   const auto packet =
       phy::demodulate_packet(capture.value(), dc, payload_len);
   if (!packet.ok()) {
@@ -257,12 +283,18 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Args args = parse(argc, argv, 2);
-  if (cmd == "link") return cmd_link(args);
-  if (cmd == "harvest") return cmd_harvest(args);
-  if (cmd == "range") return cmd_range(args);
-  if (cmd == "sense") return cmd_sense(args);
-  if (cmd == "decode") return cmd_decode(args);
-  if (cmd == "info") return cmd_info(args);
+  try {
+    if (cmd == "link") return cmd_link(args);
+    if (cmd == "harvest") return cmd_harvest(args);
+    if (cmd == "range") return cmd_range(args);
+    if (cmd == "sense") return cmd_sense(args);
+    if (cmd == "decode") return cmd_decode(args);
+    if (cmd == "info") return cmd_info(args);
+  } catch (const std::invalid_argument& e) {
+    // A malformed flag value, or one a model's require() rejects.
+    std::fprintf(stderr, "pabctl: %s\n", e.what());
+    return 2;
+  }
   usage();
   return 1;
 }

@@ -1,11 +1,11 @@
 #include "campaign/executor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <mutex>
 #include <utility>
 
 #include "campaign/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "sim/batch.hpp"
 #include "util/stats.hpp"
 
@@ -13,11 +13,7 @@ namespace pab::campaign {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using obs::fmt_double;
 
 // An output is folded as `shard` only if it is that shard's: its index, the
 // spec's kind and one row per trial.

@@ -31,7 +31,6 @@ class RecordBatch {
 
   [[nodiscard]] sim::TrialKind kind() const { return kind_; }
   [[nodiscard]] std::size_t rows() const { return trial_.size(); }
-  [[nodiscard]] std::size_t column_count() const { return columns_.size(); }
 
   [[nodiscard]] const std::vector<std::uint64_t>& trial() const {
     return trial_;

@@ -1,20 +1,42 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+
+#include "obs/metrics.hpp"
 
 namespace pab::campaign {
 
 namespace {
 
-// Shortest representation that round-trips an IEEE-754 double (the same
-// contract as the metrics sidecar writer).
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+using obs::fmt_double;
+
+// The most trials one campaign may hold over all its points: compile()
+// builds the whole shard list up front (32 bytes a shard, up to one shard a
+// trial), so a spec past this limit is refused before any allocation.  Far
+// above every campaign in the repository (the largest runs 4096 trials).
+constexpr std::uint64_t kMaxCampaignTrials = std::uint64_t{1} << 24;
+
+// Reads the next token of `in` as a whole decimal number; anything else
+// (a sign, a fraction, trailing text, a value past 2^64 - 1) sets failbit.
+void read_whole(std::istringstream& in, std::uint64_t& value) {
+  std::string token;
+  in >> token;
+  const bool digits =
+      !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  errno = 0;
+  const unsigned long long parsed =
+      digits ? std::strtoull(token.c_str(), nullptr, 10) : 0;
+  if (!digits || errno != 0) {
+    in.setstate(std::ios::failbit);
+    return;
+  }
+  value = parsed;
 }
 
 bool one_token(std::string_view s) {
@@ -263,11 +285,22 @@ pab::Expected<bool> CampaignSpec::validate() const {
   if (trials_per_point == 0)
     return pab::Error{pab::ErrorCode::kInvalidArgument,
                       "campaign needs at least one trial per point"};
+  // point_count() * trials_per_point, saturating at the limit + 1 so the
+  // product never overflows.
+  std::uint64_t total = trials_per_point;
   for (const auto& axis : axes) {
     if (!one_token(axis.param) || axis.values.empty())
       return pab::Error{pab::ErrorCode::kInvalidArgument,
                         "sweep axis needs a name and at least one value"};
+    total = axis.values.size() > kMaxCampaignTrials / total
+                ? kMaxCampaignTrials + 1
+                : total * axis.values.size();
   }
+  if (total > kMaxCampaignTrials)
+    return pab::Error{pab::ErrorCode::kInvalidArgument,
+                      "campaign holds more than " +
+                          std::to_string(kMaxCampaignTrials) +
+                          " trials over all its points"};
   const auto scenario = scenario_for_point(0);
   if (!scenario.ok()) return scenario.error();
   const auto opts = trial_options();
@@ -335,9 +368,9 @@ pab::Expected<CampaignSpec> CampaignSpec::parse(std::string_view text) {
                           "campaign spec: unknown trial kind: " + kind};
       spec.kind = *parsed;
     } else if (key == "trials") {
-      fields >> spec.trials_per_point;
+      read_whole(fields, spec.trials_per_point);
     } else if (key == "seed") {
-      fields >> spec.base_seed;
+      read_whole(fields, spec.base_seed);
     } else if (key == "axis") {
       SweepAxis axis;
       fields >> axis.param;

@@ -68,7 +68,9 @@ struct Shard {
 
 // Set one named scalar on a field round config (the `field` override
 // registry): gain_floor, quant_cell_m, brute_force, zone_extent_m,
-// frame_announce_s, slot_s, keep_log.  Returns false for an unknown name.
+// frame_announce_s, slot_s, keep_log, interference, noise_power,
+// capture_threshold_db, rejection_passband_hz, rejection_slope_db_per_khz,
+// rejection_floor_db.  Returns false for an unknown name.
 [[nodiscard]] bool apply_field_round_param(sim::FieldRoundConfig& c,
                                            std::string_view name, double value);
 
@@ -101,15 +103,18 @@ struct CampaignSpec {
   // a `timeline keep_log 1` override re-enables them for in-process runs.
   [[nodiscard]] pab::Expected<sim::TrialOptions> trial_options() const;
 
-  // Full validation without running anything (presets, params, counts).
+  // Full validation without running anything (presets, params, counts).  A
+  // campaign holds at most 2^24 trials over all its points, a safety limit
+  // on the shard list compile() builds.
   [[nodiscard]] pab::Expected<bool> validate() const;
 
   // The work queue: every point split into <= shard_size trial ranges, in
   // (point, begin) order.  shard_size == 0 means one shard per point.
   [[nodiscard]] std::vector<Shard> compile(std::uint64_t shard_size) const;
 
-  // Canonical text form; parse() inverts it.  Doubles round-trip exactly
-  // (%.17g), so serialize-parse-serialize is a fixed point and fingerprint()
+  // Canonical text form; parse() inverts it (`trials` and `seed` must be
+  // whole decimal numbers).  Doubles round-trip exactly (%.17g), so
+  // serialize-parse-serialize is a fixed point and fingerprint()
   // -- FNV-1a over the serialized text -- identifies the campaign across
   // processes and resume passes.
   [[nodiscard]] std::string serialize() const;

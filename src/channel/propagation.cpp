@@ -48,14 +48,8 @@ bool try_fft_taps_baseband(std::span<const dsp::cplx> x, double sample_rate,
     h[int_delay] += gain * (1.0 - frac);
     h[int_delay + 1] += gain * frac;
   }
-  dsp::fftconv_full(h, x, y, &arena);
+  dsp::fftconv_full(h, x, y, arena);
   return true;
-}
-
-// Fallback scratch for the no-arena entry points; grows once then plateaus.
-dsp::Arena& local_arena() {
-  thread_local dsp::Arena arena;
-  return arena;
 }
 
 }  // namespace
@@ -67,9 +61,11 @@ dsp::BasebandSignal apply_taps_baseband(const dsp::BasebandSignal& x,
   y.sample_rate = x.sample_rate;
   y.carrier_hz = x.carrier_hz;
   y.samples.resize(apply_taps_length(x.size(), x.sample_rate, taps));
-  if (!taps.empty())
+  if (!taps.empty()) {
+    dsp::Arena arena;
     apply_taps_baseband_into(x.samples, x.sample_rate, x.carrier_hz, taps,
-                             y.samples);
+                             y.samples, arena);
+  }
   return y;
 }
 
@@ -98,12 +94,6 @@ void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
     const dsp::cplx gain = t.gain * dsp::cplx(std::cos(phase), std::sin(phase));
     dsp::add_delayed_scaled_into(y, x, t.delay_s * sample_rate, gain);
   }
-}
-
-void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
-                              double carrier_hz, const std::vector<PathTap>& taps,
-                              std::span<dsp::cplx> y) {
-  apply_taps_baseband_into(x, sample_rate, carrier_hz, taps, y, local_arena());
 }
 
 dsp::CplxView apply_taps_baseband(dsp::CplxView x,

@@ -29,14 +29,10 @@ namespace pab::channel {
 // + accumulate on the direct path, overwrite on the FFT path) and must not
 // alias `x`.  Dense tap sets over long signals switch to overlap-save fast
 // convolution (dsp/fftconv.hpp) when the cost model favours it; `scratch`
-// backs the dense impulse response and FFT buffers.  The overload without an
-// arena uses a thread-local fallback.
+// backs the dense impulse response and FFT buffers.
 void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
                               double carrier_hz, const std::vector<PathTap>& taps,
                               std::span<dsp::cplx> y, dsp::Arena& scratch);
-void apply_taps_baseband_into(std::span<const dsp::cplx> x, double sample_rate,
-                              double carrier_hz, const std::vector<PathTap>& taps,
-                              std::span<dsp::cplx> y);
 
 // Arena convenience: propagate a baseband view into fresh arena scratch,
 // preserving rate and carrier metadata.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pab::channel {
 
@@ -13,18 +14,13 @@ namespace {
 
 std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-// splitmix64 finalizer: cheap, well-mixed combiner for the key hash.
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
+// The SplitMix64 finalizer as a cheap, well-mixed combiner for the key hash.
 std::size_t TapCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const std::uint64_t b : k.bits) h = mix(h ^ b) + 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = kSplitMix64Gamma;
+  for (const std::uint64_t b : k.bits)
+    h = splitmix64_finalize(h ^ b) + kSplitMix64Gamma;
   return static_cast<std::size_t>(h);
 }
 

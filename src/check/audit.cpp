@@ -2,16 +2,15 @@
 
 #include <exception>
 
+#include "util/rng.hpp"
+
 namespace pab::check {
 namespace {
 
-// SplitMix64 finalizer: decorrelates (base_seed, name, trial) triples so
+// One SplitMix64 output: decorrelates (base_seed, name, trial) triples so
 // neighbouring trials do not feed neighbouring mt19937_64 states.
 std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(z + kSplitMix64Gamma);
 }
 
 std::uint64_t fnv1a(const std::string& s) {

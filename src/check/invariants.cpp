@@ -215,7 +215,7 @@ TimedSchedulerRunFn real_timed_scheduler_run() {
 ZonedRunFn real_zoned_inventory() {
   return [](const ZonedScenario& s, const mac::ZoneInterferenceModel& model) {
     sim::Timeline tl;
-    const mac::ZoneSchedule schedule = mac::plan_zones(s.layout, {});
+    const mac::ZoneSchedule schedule = mac::plan_zones(s.layout);
     mac::ZonedInventoryOptions options;
     options.frame_announce_s = s.frame_announce_s;
     options.slot_s = s.slot_s;

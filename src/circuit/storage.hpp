@@ -5,7 +5,7 @@
 // node powers up once the capacitor reaches 2.5 V (Fig. 3).  The LDO itself
 // lives in the energy model: its quiescent current is
 // energy::McuPowerParams::ldo_quiescent_a, and its regulation floor (1.8 V
-// output + 0.3 V dropout) is energy::HarvesterParams::brown_out_v.
+// output + 0.3 V dropout) is the brown-out voltage of energy::Harvester.
 #pragma once
 
 namespace pab::circuit {

@@ -77,15 +77,6 @@ class Arena {
 
   [[nodiscard]] Frame frame() { return Frame(*this); }
 
-  // Rewind everything (keeps the blocks for reuse).
-  void reset() { rewind(0, 0); }
-
-  // Grow capacity up front so the first trial does not pay block-by-block
-  // doubling.  No-op if already at least `bytes`.
-  void reserve(std::size_t bytes) {
-    while (capacity_bytes_ < bytes) add_block(bytes - capacity_bytes_);
-  }
-
   // -- stats (feed the obs gauges / bench sidecars) --
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t used_bytes() const {

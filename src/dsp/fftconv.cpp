@@ -14,14 +14,6 @@ namespace {
 
 using cplx = std::complex<double>;
 
-// Scratch source: the caller's arena (trial path: the phy::Workspace arena)
-// or a thread-local fallback that grows once and is reused forever after.
-Arena& scratch_arena(Arena* a) {
-  if (a != nullptr) return *a;
-  thread_local Arena tls;
-  return tls;
-}
-
 obs::Counter& hits_counter() {
   static obs::Counter& c = obs::MetricRegistry::global().counter("dsp.fftconv.hits");
   return c;
@@ -88,7 +80,7 @@ bool fftconv_use_for_taps(std::size_t ntaps, std::size_t n,
 // block, so its transforms yield the same S output samples bit for bit: the
 // first is computed and the rest copy it.  A CW envelope is one such run.
 void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
-                  std::span<cplx> y, Arena* scratch) {
+                  std::span<cplx> y, Arena& arena) {
   require(!h.empty(), "fftconv: empty kernel");
   const std::size_t nh = h.size();
   const std::size_t nfull = x.size() + nh - 1;
@@ -100,7 +92,6 @@ void fftconv_full(std::span<const cplx> h, std::span<const cplx> x,
   const std::size_t B = choose_block(nh, nfull);
   const std::size_t S = B - nh + 1;
   const FftPlan& plan = fft_plan(B);
-  Arena& arena = scratch_arena(scratch);
   const auto frame = arena.frame();
 
   auto hspec = arena.alloc_zero<cplx>(B);

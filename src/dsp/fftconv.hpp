@@ -6,9 +6,8 @@
 // its cost model favours it (DESIGN.md §12):
 //
 //   * transforms run on the process-wide plans of dsp::fft_plan;
-//   * scratch comes from the caller's Arena when one is supplied (the
-//     phy::Workspace arena on the trial path) or from a thread-local fallback
-//     arena otherwise, so steady-state calls never touch the heap;
+//   * scratch comes from the caller's Arena (the phy::Workspace arena on the
+//     trial path), so steady-state calls never touch the heap;
 //   * results equal the direct accumulation within 1e-9 relative tolerance
 //     (FFT round-off); the dispatch escape hatch PAB_SIMD=off routes callers
 //     back to the bit-exact direct loops (see dsp/simd.hpp);
@@ -37,9 +36,10 @@ namespace pab::dsp {
                                         std::size_t dense_len);
 
 // Full linear convolution y = x (*) h, y.size() == x.size() + h.size() - 1.
-// `y` is overwritten and must not alias `x` or `h`.
+// `y` is overwritten and must not alias `x` or `h`; `arena` backs the
+// kernel spectrum and the block buffer.
 void fftconv_full(std::span<const std::complex<double>> h,
                   std::span<const std::complex<double>> x,
-                  std::span<std::complex<double>> y, Arena* scratch = nullptr);
+                  std::span<std::complex<double>> y, Arena& arena);
 
 }  // namespace pab::dsp

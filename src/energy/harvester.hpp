@@ -16,13 +16,6 @@
 
 namespace pab::energy {
 
-struct HarvesterParams {
-  double power_up_threshold_v = 2.5;  // capacitor voltage to boot (Fig. 3)
-  // The LDO's regulation floor (1.8 V output + 0.3 V dropout): below it
-  // the MCU resets.
-  double brown_out_v = 2.1;
-};
-
 // MCU power-state transition caused by one harvesting step.
 enum class PowerEvent : std::uint8_t {
   kNone = 0,
@@ -41,7 +34,7 @@ struct HarvestStep {
 
 class Harvester {
  public:
-  Harvester(circuit::Supercapacitor cap, HarvesterParams params = {});
+  explicit Harvester(circuit::Supercapacitor cap) : cap_(cap) {}
 
   // Advance by `dt` with `p_harvest` watts of DC input (already through the
   // rectifier), `p_load` watts of digital load, and `v_ceiling` the
@@ -55,16 +48,20 @@ class Harvester {
   [[nodiscard]] const EnergyLedger& ledger() const { return ledger_; }
   EnergyLedger& ledger() { return ledger_; }
 
-  // Time to first power-up for constant harvest conditions; returns a
-  // negative value if the node can never reach the threshold (ceiling below
-  // threshold or zero harvested power).
-  [[nodiscard]] static double time_to_power_up(double p_harvest, double v_ceiling,
-                                               double capacitance_f = 1000e-6,
-                                               double threshold_v = 2.5);
+  // Time to first power-up of the node's 1000 uF supercapacitor for constant
+  // harvest conditions; returns a negative value if the node can never reach
+  // the threshold (ceiling below threshold or zero harvested power).
+  [[nodiscard]] static double time_to_power_up(double p_harvest,
+                                               double v_ceiling);
 
  private:
+  // Capacitor voltage at which the MCU boots (Fig. 3).
+  static constexpr double kPowerUpThresholdV = 2.5;
+  // The LDO's regulation floor (1.8 V output + 0.3 V dropout): below it
+  // the MCU resets.
+  static constexpr double kBrownOutV = 2.1;
+
   circuit::Supercapacitor cap_;
-  HarvesterParams params_;
   EnergyLedger ledger_;
   bool powered_up_ = false;
 };

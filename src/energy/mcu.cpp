@@ -6,10 +6,6 @@
 
 namespace pab::energy {
 
-McuPowerModel::McuPowerModel(McuPowerParams p) : params_(p) {
-  require(p.supply_v > 0.0, "McuPowerModel: supply must be positive");
-}
-
 double McuPowerModel::state_power_w(McuState state) const {
   const double v = params_.supply_v;
   switch (state) {

@@ -7,9 +7,15 @@
 // while backscattering -- "within 7% of the datasheets specifications".
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 namespace pab::energy {
+
+// Backscatter bitrates [bps] the MCU's integer clock dividers reach (paper
+// section 6.1b), ascending.
+inline constexpr std::array<double, 10> kClockDividerBitrates = {
+    100, 200, 400, 600, 800, 1000, 2000, 2800, 3000, 5000};
 
 enum class McuState {
   kOff,          // below power-up threshold, nothing runs
@@ -32,8 +38,6 @@ struct McuPowerParams {
 
 class McuPowerModel {
  public:
-  explicit McuPowerModel(McuPowerParams p = {});
-
   // Static power [W] in a given state (excludes switching energy).
   [[nodiscard]] double state_power_w(McuState state) const;
 
@@ -51,7 +55,7 @@ class McuPowerModel {
   [[nodiscard]] const McuPowerParams& params() const { return params_; }
 
  private:
-  McuPowerParams params_;
+  McuPowerParams params_{};
 };
 
 }  // namespace pab::energy

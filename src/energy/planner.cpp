@@ -6,8 +6,6 @@
 
 namespace pab::energy {
 
-EnergyPlanner::EnergyPlanner(McuPowerModel mcu) : mcu_(mcu) {}
-
 double EnergyPlanner::transaction_energy_j(const TransactionCost& cost) const {
   require(cost.uplink_bitrate > 0.0, "planner: uplink bitrate must be positive");
   const double decode_j =

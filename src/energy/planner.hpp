@@ -25,8 +25,6 @@ struct TransactionCost {
 
 class EnergyPlanner {
  public:
-  explicit EnergyPlanner(McuPowerModel mcu = McuPowerModel{});
-
   // Energy one full transaction costs the node [J].
   [[nodiscard]] double transaction_energy_j(const TransactionCost& cost) const;
 
@@ -50,7 +48,7 @@ class EnergyPlanner {
   [[nodiscard]] const McuPowerModel& mcu() const { return mcu_; }
 
  private:
-  McuPowerModel mcu_;
+  McuPowerModel mcu_{};
 };
 
 }  // namespace pab::energy

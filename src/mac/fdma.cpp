@@ -6,14 +6,15 @@
 
 namespace pab::mac {
 
-ChannelPlan plan_channels(std::size_t n_nodes, const ChannelPlanConfig& config) {
+ChannelPlan plan_channels(std::size_t n_nodes) {
   require(n_nodes >= 1, "plan_channels: need at least one node");
-  require(config.band_high_hz > config.band_low_hz, "plan_channels: empty band");
-  require(config.min_spacing_hz > 0.0, "plan_channels: spacing must be positive");
+  constexpr double kBandLowHz = 15000.0;
+  constexpr double kBandHighHz = 18000.0;
+  constexpr double kMinSpacingHz = 2500.0;
 
-  const double band = config.band_high_hz - config.band_low_hz;
+  const double band = kBandHighHz - kBandLowHz;
   const auto max_channels =
-      static_cast<std::size_t>(std::floor(band / config.min_spacing_hz)) + 1;
+      static_cast<std::size_t>(std::floor(band / kMinSpacingHz)) + 1;
   // Over-subscription is a structured result, not an error: plan as many
   // distinct channels as the band holds and report the reuse factor the
   // caller needs to cover the surplus (zoned spatial reuse or sequential
@@ -25,13 +26,13 @@ ChannelPlan plan_channels(std::size_t n_nodes, const ChannelPlanConfig& config) 
   plan.requested = n_nodes;
   plan.reuse_factor = (n_nodes + distinct - 1) / distinct;
   if (distinct == 1) {
-    plan.carriers_hz.push_back(0.5 * (config.band_low_hz + config.band_high_hz));
+    plan.carriers_hz.push_back(0.5 * (kBandLowHz + kBandHighHz));
     return plan;
   }
   // Spread across the band edge-to-edge.
   const double step = band / static_cast<double>(distinct - 1);
   for (std::size_t i = 0; i < distinct; ++i)
-    plan.carriers_hz.push_back(config.band_low_hz + step * static_cast<double>(i));
+    plan.carriers_hz.push_back(kBandLowHz + step * static_cast<double>(i));
   return plan;
 }
 

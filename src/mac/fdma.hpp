@@ -21,32 +21,22 @@ struct ChannelPlan {
                                     // rounds (or reusing zones) per carrier
 
   [[nodiscard]] std::size_t channels() const { return carriers_hz.size(); }
-  // More nodes than distinct channels: carriers must be reused across
-  // non-interfering zones or sequential rounds (mac/zones.hpp does both).
-  [[nodiscard]] bool oversubscribed() const { return reuse_factor > 1; }
   // Carrier assigned to node/zone slot `i` under round-robin reuse.
   [[nodiscard]] double carrier_for(std::size_t i) const {
     return carriers_hz[i % carriers_hz.size()];
   }
 };
 
-struct ChannelPlanConfig {
-  // The paper's two concurrent channels sit at 15 and 18 kHz, inside the
-  // cylinder's usable mechanical band.
-  double band_low_hz = 15000.0;
-  double band_high_hz = 18000.0;
-  double min_spacing_hz = 2500.0;  // >= recto-piezo bandwidth + guard
-};
-
-// Greedy plan: as many channels as fit with the required spacing, centered in
-// the band.  When `n_nodes` exceeds the channel count the band can hold, the
-// plan is *oversubscribed* rather than an error: it carries every channel
-// that fits plus the reuse factor callers need to schedule the surplus
-// (round-robin via carrier_for, or spatial reuse across non-interfering
-// zones).  Plans for n_nodes within capacity are unchanged: one carrier per
-// node, reuse_factor == 1.
-[[nodiscard]] ChannelPlan plan_channels(std::size_t n_nodes,
-                                        const ChannelPlanConfig& config = {});
+// Greedy plan over the 15-18 kHz band, where the paper's two concurrent
+// channels sit inside the cylinder's usable mechanical band: as many
+// channels as fit 2.5 kHz apart (the recto-piezo bandwidth plus a guard),
+// spread edge to edge, or one at mid-band for a single node.  When `n_nodes`
+// exceeds the channel count the band can hold, the plan is *oversubscribed*
+// rather than an error: it carries every channel that fits plus the reuse
+// factor callers need to schedule the surplus (round-robin via carrier_for,
+// or spatial reuse across non-interfering zones).  Plans for n_nodes within
+// capacity are one carrier per node, reuse_factor == 1.
+[[nodiscard]] ChannelPlan plan_channels(std::size_t n_nodes);
 
 // Receiver rejection of off-carrier backscatter.  The hydrophone separates
 // concurrent FDMA streams with per-carrier filters; a transmitter on another

@@ -4,20 +4,17 @@
 #include <array>
 
 #include "sim/timeline.hpp"
+#include "util/rng.hpp"
 
 namespace pab::mac {
 
 std::size_t inventory_slot(std::uint8_t node_id, std::uint64_t frame_nonce,
                            std::size_t slot_count) {
   require(slot_count >= 1, "inventory_slot: need at least one slot");
-  // SplitMix64-style mixing of (id, nonce): cheap, well distributed, and
+  // SplitMix64 mixing of (id, nonce): cheap, well distributed, and
   // implementable on the node's MCU.
-  std::uint64_t x = frame_nonce + 0x9E3779B97F4A7C15ULL * (node_id + 1ULL);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64_finalize(frame_nonce + kSplitMix64Gamma * (node_id + 1ULL));
   return static_cast<std::size_t>(x % slot_count);
 }
 

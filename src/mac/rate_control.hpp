@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "energy/mcu.hpp"
 #include "phy/modem.hpp"
 #include "phy/scheme_id.hpp"
 #include "util/error.hpp"
@@ -39,9 +40,8 @@ struct LadderRung {
 
 struct RateControlConfig {
   // The walk, most robust rung first.  Default: FM0 at the MCU's ten
-  // clock-divider rates (paper section 6.1b).
-  std::vector<LadderRung> ladder = fm0_ladder(std::vector<double>{
-      100, 200, 400, 600, 800, 1000, 2000, 2800, 3000, 5000});
+  // clock-divider rates.
+  std::vector<LadderRung> ladder = fm0_ladder(energy::kClockDividerBitrates);
   // Margins [dB] over the current rung's scheme decode floor (FM0: ~2 dB,
   // Fig. 7): upshift when headroom clears `up_margin`, downshift when it
   // falls within `down_margin`.

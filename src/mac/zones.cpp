@@ -6,19 +6,17 @@
 
 #include "sim/timeline.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace pab::mac {
 
 namespace {
 
-// splitmix64 finalizer: derives an independent per-zone inventory seed from
+// One SplitMix64 output: derives an independent per-zone inventory seed from
 // the base seed and the zone id (never from execution order).
 std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(z + kSplitMix64Gamma);
 }
 
 // SINR values are clamped to this band (dB) so a zero-interference or
@@ -26,9 +24,8 @@ std::uint64_t mix(std::uint64_t z) {
 constexpr double kSinrCapDb = 300.0;
 
 // One reply window of a zone-frame: slot k occupies [start, end] on the
-// master clock, and ids[first, first + count) of its WindowRun would
-// transmit in it (zone-local ids fixed at the frame announcement;
-// availability is re-sampled when the window is read).
+// master clock, and ids[first, first + count) of its WindowRun transmit in
+// it (zone-local ids fixed at the frame announcement).
 struct SlotWindow {
   double start = 0.0;
   double end = 0.0;
@@ -57,9 +54,9 @@ struct RoundState;
 // mirrors, operation for operation, the clock of the old per-zone
 // sub-timeline: frame announcements add frame_announce_s, frame ends land on
 // frame_start + slots * slot_s, and every event is scheduled on the master
-// timeline at round_start + t_local -- so availability predicates observe
-// bit-identical absolute timestamps and the interference-off schedule
-// reproduces the isolated-zone results exactly.
+// timeline at round_start + t_local -- so slots fire at bit-identical
+// absolute timestamps and the interference-off schedule reproduces the
+// isolated-zone results exactly.
 struct ZoneRun {
   std::uint32_t zone_id = 0;
   const std::vector<std::uint32_t>* members = nullptr;
@@ -101,11 +98,6 @@ struct RoundState {
   std::vector<WindowRun> runs;
   std::size_t live_runs = 0;
 };
-
-bool node_available(const ZonedInventoryOptions& options, std::uint32_t node,
-                    double t) {
-  return !options.available || options.available(node, t);
-}
 
 double rejection(RoundState& rs, std::size_t rx, std::size_t tx) {
   double& factor = rs.rejection[rx * rs.carriers.size() + tx];
@@ -162,10 +154,8 @@ void register_windows(RoundState& rs, const ZoneRun& z) {
 
 // Aggregate interference power leaking into zone z's receive filter during
 // [slot_start, slot_end]: every other zone's window overlapping it
-// contributes its available transmitters' squared reader-path amplitudes
-// through the rejection mask.  Availability of an interferer is sampled at
-// the overlap start -- already in the past when the listening slot fires.
-// Windows are visited in announcement order, so the sum is accumulated in
+// contributes its transmitters' squared reader-path amplitudes through the
+// rejection mask.  Windows are visited in announcement order, so the sum is accumulated in
 // the same order however the overlaps are found.
 double interference_power(RoundState& rs, const ZoneRun& z, double slot_start,
                           double slot_end) {
@@ -189,10 +179,8 @@ double interference_power(RoundState& rs, const ZoneRun& z, double slot_start,
          w != run.windows.end() && w->start < slot_end; ++w) {
       const double reject = rejection(rs, z.channel, run.channel);
       if (reject <= 0.0) continue;
-      const double sample_t = std::max(slot_start, w->start);
       for (std::size_t i = w->first; i < w->first + w->count; ++i) {
         const std::uint32_t node = (*run.members)[run.ids[i] - 1];
-        if (!node_available(*rs.options, node, sample_t)) continue;
         const double amp = model.node_amplitude[node];
         power += amp * amp * reject;
       }
@@ -233,17 +221,13 @@ void finish_frame(ZoneRun& z, sim::Timeline& tl) {
   schedule_frame(z, tl);
 }
 
-// One reply slot fires at its end time: collect the zone's own replies
-// (availability sampled at the fire time, the interference-off semantics),
+// One reply slot fires at its end time: collect the zone's own replies,
 // evaluate the SINR verdict for singleton replies, and on the frame's last
 // slot run the frame-end bookkeeping.
 void fire_slot(ZoneRun& z, sim::Timeline& tl, std::size_t k) {
   RoundState& rs = *z.round;
   const ZonedInventoryOptions& options = *rs.options;
-  for (const std::uint8_t id : z.aloha.assigned(k)) {
-    if (node_available(options, (*z.members)[id - 1], tl.now()))
-      z.aloha.reply(k, id);
-  }
+  for (const std::uint8_t id : z.aloha.assigned(k)) z.aloha.reply(k, id);
   // The SINR verdict is decided now, at the slot's fire time, when every
   // window overlapping the slot is registered (any overlapping frame was
   // announced before the slot ends).
@@ -303,8 +287,7 @@ void schedule_frame(ZoneRun& z, sim::Timeline& tl) {
 
 }  // namespace
 
-ZoneSchedule plan_zones(const ZoneLayout& layout,
-                        const ChannelPlanConfig& config) {
+ZoneSchedule plan_zones(const ZoneLayout& layout) {
   const std::size_t n = layout.members.size();
   require(layout.adjacency.size() == n,
           "plan_zones: adjacency/members size mismatch");
@@ -335,7 +318,7 @@ ZoneSchedule plan_zones(const ZoneLayout& layout,
 
   // One channel-plan "slot" per color: the over-subscription result maps
   // color -> (carrier, sequential round) when colors exceed the band.
-  out.plan = plan_channels(std::max<std::size_t>(colors, 1), config);
+  out.plan = plan_channels(std::max<std::size_t>(colors, 1));
   const std::size_t channels = out.plan.channels();
   for (std::size_t z = 0; z < n; ++z) {
     ZoneAssignment& a = out.zones[z];

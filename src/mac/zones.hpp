@@ -39,14 +39,11 @@
 //   SINR = a_sig^2 / (noise_power + sum_m a_m^2 * rejection_factor)
 // clears the capture threshold; below it the slot is a CRC failure, counted
 // as a collision (slot conservation holds) plus a corrupted-slot tally.
-// Interferer availability is sampled at the overlap start (already in the
-// past when the listening slot fires -- causal); the receiving zone's own
-// repliers stay sampled at the slot end, exactly the interference-off
-// semantics.
+// Every node assigned to a slot replies in it: the zoned inventory runs on
+// nodes that are powered for the whole round.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -84,8 +81,7 @@ struct ZoneSchedule {
 // color), then color -> (carrier, round) through the over-subscribed channel
 // plan: colors beyond the distinct channel count wrap onto the same carriers
 // in later rounds.
-[[nodiscard]] ZoneSchedule plan_zones(const ZoneLayout& layout,
-                                      const ChannelPlanConfig& config = {});
+[[nodiscard]] ZoneSchedule plan_zones(const ZoneLayout& layout);
 
 // Cross-zone interference model, injected as plain data (mac never sees
 // positions): the sim layer precomputes each node's reader-path amplitude
@@ -108,10 +104,6 @@ struct ZoneInterferenceModel {
 struct ZonedInventoryOptions {
   double frame_announce_s = 0.05;  // per-frame announcement airtime
   double slot_s = 0.02;            // one reply slot
-  // Availability by *global* node index at master-timeline time; null means
-  // always available.  With interference enabled the predicate must answer
-  // for recent past times too (interferers are sampled at overlap starts).
-  std::function<bool(std::uint32_t node, double t)> available;
   ZoneInterferenceModel interference{};
 };
 

@@ -35,10 +35,9 @@ struct NodeConfig {
   double mechanical_resonance_hz = 16500.0;
   circuit::RectifierParams rectifier{};
   double scatter_efficiency = 0.6;
-  // Bitrates reachable through the MCU's integer clock dividers
-  // (paper section 6.1b).
-  std::vector<double> bitrate_table = {100,  200,  400,  600,  800,
-                                       1000, 2000, 2800, 3000, 5000};
+  // Selectable uplink bitrates: every rate the MCU's clock dividers reach.
+  std::vector<double> bitrate_table{energy::kClockDividerBitrates.begin(),
+                                    energy::kClockDividerBitrates.end()};
   std::size_t active_bitrate = 5;  // 1 kbps default
   phy::PwmParams downlink_pwm{};
   double node_depth_m = 0.5;

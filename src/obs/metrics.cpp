@@ -8,14 +8,13 @@
 
 namespace pab::obs {
 
-namespace {
-
-// Shortest representation that round-trips an IEEE-754 double.
 std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+namespace {
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -137,14 +136,8 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-Histogram::Histogram(std::span<const double> upper_bounds)
-    : bounds_(upper_bounds.begin(), upper_bounds.end()),
-      buckets_(new std::atomic<std::uint64_t>[upper_bounds.size() + 1]()) {
-  require(std::is_sorted(bounds_.begin(), bounds_.end()),
-          "Histogram: bucket bounds must be sorted");
-  require(std::adjacent_find(bounds_.begin(), bounds_.end()) == bounds_.end(),
-          "Histogram: bucket bounds must be distinct");
-}
+Histogram::Histogram()
+    : buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]()) {}
 
 void Histogram::observe(double x) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
@@ -158,7 +151,7 @@ void Histogram::observe(double x) {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
-  out.bounds = bounds_;
+  out.bounds.assign(bounds_.begin(), bounds_.end());
   out.buckets.resize(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) out.buckets[i] = bucket_count(i);
   out.count = count();
@@ -184,11 +177,9 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
                         [] { return std::make_unique<Gauge>(); });
 }
 
-Histogram& MetricRegistry::histogram(std::string_view name,
-                                     std::span<const double> bounds) {
-  return find_or_create(mutex_, histograms_, name, [&] {
-    return std::make_unique<Histogram>(bounds);
-  });
+Histogram& MetricRegistry::histogram(std::string_view name) {
+  return find_or_create(mutex_, histograms_, name,
+                        [] { return std::make_unique<Histogram>(); });
 }
 
 MetricsSnapshot MetricRegistry::snapshot() const {

@@ -31,6 +31,10 @@
 
 namespace pab::obs {
 
+// `v` with 17 significant digits (%.17g), which round-trips every IEEE-754
+// double: the number format of the sidecars and of the campaign files.
+[[nodiscard]] std::string fmt_double(double v);
+
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
@@ -83,13 +87,13 @@ struct HistogramSnapshot {
   void merge_from(const HistogramSnapshot& other);
 };
 
-// Fixed-bucket histogram: bucket i counts observations x <= bound[i] (first
-// matching bucket); anything above the last bound lands in the overflow
-// bucket.  Bounds are fixed at construction so observation is a branch-free
-// scan plus one atomic increment.
+// Fixed-bucket histogram over the default_time_buckets() edges: bucket i
+// counts observations x <= bound[i] (first matching bucket); anything above
+// the last bound lands in the overflow bucket.  Observation is a binary
+// search plus one atomic increment.
 class Histogram {
  public:
-  explicit Histogram(std::span<const double> upper_bounds);
+  Histogram();
 
   void observe(double x);
 
@@ -103,7 +107,7 @@ class Histogram {
     const auto n = count();
     return n > 0 ? sum() / static_cast<double>(n) : 0.0;
   }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
+  [[nodiscard]] std::span<const double> bounds() const { return bounds_; }
   // Count of bucket i in [0, bounds().size()]; index bounds().size() is the
   // overflow bucket.
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
@@ -113,12 +117,13 @@ class Histogram {
   // exact once writers have quiesced, as at shard boundaries).
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
-  // Default latency bucket edges: log-spaced 1 us .. 10 s, suitable for every
-  // timing in the pipeline (chip decode ~ us, full waveform trials ~ s).
+  // The bucket edges of every histogram: log-spaced 1 us .. 10 s, suitable
+  // for every timing in the pipeline (chip decode ~ us, full waveform trials
+  // ~ s).
   [[nodiscard]] static std::span<const double> default_time_buckets();
 
  private:
-  std::vector<double> bounds_;
+  std::span<const double> bounds_ = default_time_buckets();
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size()+1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -173,12 +178,9 @@ class MetricRegistry {
 
   // Find-or-create by name.  The returned reference is stable for the
   // registry's lifetime; repeated calls with one name return one instrument.
-  // A histogram's bounds are fixed by its first registration.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(
-      std::string_view name,
-      std::span<const double> bounds = Histogram::default_time_buckets());
+  Histogram& histogram(std::string_view name);
 
   // Value copy of every registered instrument.  The campaign engine runs
   // each shard on a fresh registry and snapshots it at the shard's end, so

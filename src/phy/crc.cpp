@@ -1,30 +1,15 @@
 #include "phy/crc.hpp"
 
 namespace pab::phy {
-namespace {
 
-constexpr std::uint16_t kPoly = 0x1021;
-
-std::uint16_t step_bit(std::uint16_t crc, std::uint8_t bit) {
-  const bool xor_flag = ((crc >> 15) & 1u) != (bit & 1u);
-  crc = static_cast<std::uint16_t>(crc << 1);
-  if (xor_flag) crc ^= kPoly;
-  return crc;
-}
-
-}  // namespace
-
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> bytes, std::uint16_t init) {
-  std::uint16_t crc = init;
-  for (std::uint8_t byte : bytes)
-    for (int i = 7; i >= 0; --i)
-      crc = step_bit(crc, static_cast<std::uint8_t>((byte >> i) & 1u));
-  return crc;
-}
-
-std::uint16_t crc16_bits(std::span<const std::uint8_t> bits, std::uint16_t init) {
-  std::uint16_t crc = init;
-  for (std::uint8_t b : bits) crc = step_bit(crc, b);
+std::uint16_t crc16_bits(std::span<const std::uint8_t> bits) {
+  constexpr std::uint16_t kPoly = 0x1021;
+  std::uint16_t crc = 0xFFFF;
+  for (const std::uint8_t b : bits) {
+    const bool xor_flag = ((crc >> 15) & 1u) != (b & 1u);
+    crc = static_cast<std::uint16_t>(crc << 1);
+    if (xor_flag) crc ^= kPoly;
+  }
   return crc;
 }
 

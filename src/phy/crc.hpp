@@ -13,12 +13,8 @@
 
 namespace pab::phy {
 
-[[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> bytes,
-                                        std::uint16_t init = 0xFFFF);
-
-// CRC over a bit vector (MSB-first packing; bit count need not be byte-aligned,
-// remaining bits are processed individually).
-[[nodiscard]] std::uint16_t crc16_bits(std::span<const std::uint8_t> bits,
-                                       std::uint16_t init = 0xFFFF);
+// CRC over a bit vector, one bit per element in transmission order (the bit
+// count need not be byte-aligned).
+[[nodiscard]] std::uint16_t crc16_bits(std::span<const std::uint8_t> bits);
 
 }  // namespace pab::phy

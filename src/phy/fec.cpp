@@ -5,6 +5,9 @@
 namespace pab::phy {
 namespace {
 
+// Interleaver depth of the robust-mode pipeline.
+constexpr std::size_t kInterleaverRows = 7;
+
 // Codeword layout [p1 p2 d1 p3 d2 d3 d4] (1-indexed positions 1..7), the
 // classic Hamming construction where parity bit p_i covers positions with
 // bit i set in their index.
@@ -92,16 +95,15 @@ Bits deinterleave(std::span<const std::uint8_t> bits, std::size_t rows) {
   return out;
 }
 
-Bits fec_protect(std::span<const std::uint8_t> data, const FecParams& params) {
+Bits fec_protect(std::span<const std::uint8_t> data) {
   Bits padded(data.begin(), data.end());
   while (padded.size() % 4 != 0) padded.push_back(0);
   const Bits coded = hamming74_encode(padded);
-  return interleave(coded, params.interleaver_rows);
+  return interleave(coded, kInterleaverRows);
 }
 
-Bits fec_recover(std::span<const std::uint8_t> coded, std::size_t data_bits,
-                 const FecParams& params) {
-  const Bits de = deinterleave(coded, params.interleaver_rows);
+Bits fec_recover(std::span<const std::uint8_t> coded, std::size_t data_bits) {
+  const Bits de = deinterleave(coded, kInterleaverRows);
   Bits decoded = hamming74_decode(de);
   require(decoded.size() >= data_bits, "fec_recover: too few bits");
   decoded.resize(data_bits);

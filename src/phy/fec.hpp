@@ -39,19 +39,14 @@ namespace pab::phy {
 
 // --- Robust-mode pipeline ------------------------------------------------------
 
-struct FecParams {
-  std::size_t interleaver_rows = 7;
-};
-
-// data bits -> Hamming(7,4) -> interleave.  Pads data to a multiple of 4 with
-// zeros; the caller carries the original length.
-[[nodiscard]] Bits fec_protect(std::span<const std::uint8_t> data,
-                               const FecParams& params = {});
+// data bits -> Hamming(7,4) -> interleave over 7 rows, so a burst of up to 7
+// channel errors hits 7 distinct codewords.  Pads data to a multiple of 4
+// with zeros; the caller carries the original length.
+[[nodiscard]] Bits fec_protect(std::span<const std::uint8_t> data);
 
 // Inverse pipeline; returns `data_bits` decoded bits.
 [[nodiscard]] Bits fec_recover(std::span<const std::uint8_t> coded,
-                               std::size_t data_bits,
-                               const FecParams& params = {});
+                               std::size_t data_bits);
 
 // On-air size of a protected payload.
 [[nodiscard]] std::size_t fec_coded_size(std::size_t data_bits);

@@ -4,12 +4,6 @@
 
 namespace pab::phy {
 
-CMatrix CMatrix::identity(std::size_t n) {
-  CMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
 CMatrix CMatrix::operator*(const CMatrix& rhs) const {
   require(cols_ == rhs.rows_, "CMatrix: dimension mismatch in multiply");
   CMatrix out(rows_, rhs.cols_);

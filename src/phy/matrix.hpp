@@ -26,8 +26,6 @@ class CMatrix {
   CMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols) {}
 
-  [[nodiscard]] static CMatrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace pab::phy {
@@ -31,14 +30,6 @@ inline constexpr std::size_t kSchemeCount = 3;
     case SchemeId::kFsk4: return "fsk4";
   }
   return "unknown";
-}
-
-[[nodiscard]] constexpr std::optional<SchemeId> scheme_from(
-    std::string_view name) {
-  if (name == "fm0") return SchemeId::kFm0;
-  if (name == "fsk2") return SchemeId::kFsk2;
-  if (name == "fsk4") return SchemeId::kFsk4;
-  return std::nullopt;
 }
 
 }  // namespace pab::phy

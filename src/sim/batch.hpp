@@ -101,16 +101,6 @@ class BatchRunner {
     });
   }
 
-  // Runtime-kind form (campaign engine / worker protocol): result rows are
-  // TrialResult variants whose alternative index equals the kind value.
-  [[nodiscard]] std::vector<pab::Expected<TrialResult>> run(
-      const Session& session, TrialKind kind, std::size_t trials,
-      const TrialOptions& opts = {}) const {
-    return map(trials, [&](std::size_t i) {
-      return session.run_trial(kind, i, opts);
-    });
-  }
-
  private:
   struct Helpers;   // the parked helper threads (batch.cpp)
   struct Dispatch;  // one map() in flight (batch.cpp)

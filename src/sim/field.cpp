@@ -135,10 +135,6 @@ void NodeField::set_position(std::size_t j, const channel::Vec3& position) {
   positions_.at(j) = position;
 }
 
-void NodeField::set_front_end(std::size_t j, const FrontEndSpec& spec) {
-  front_ends_.at(j) = spec;
-}
-
 void NodeField::clear() {
   positions_.clear();
   front_ends_.clear();

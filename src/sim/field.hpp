@@ -110,7 +110,6 @@ class NodeField {
   // Mutators keep the pairing invariant by construction.
   void push_back(const channel::Vec3& position, const FrontEndSpec& spec = {});
   void set_position(std::size_t j, const channel::Vec3& position);
-  void set_front_end(std::size_t j, const FrontEndSpec& spec);
   void clear();
 
   friend bool operator==(const NodeField&, const NodeField&) = default;

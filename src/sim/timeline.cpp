@@ -99,13 +99,11 @@ double Timeline::charged(std::string_view label) const {
   return it == ids_.end() ? 0.0 : sums_[it->second].value();
 }
 
-void Timeline::export_to(obs::MetricRegistry& registry,
-                         std::string_view prefix) const {
-  const std::string base = std::string(prefix) + ".";
-  registry.gauge(base + "events_processed")
+void Timeline::export_to(obs::MetricRegistry& registry) const {
+  registry.gauge("sim.timeline.events_processed")
       .set(static_cast<double>(processed_));
-  registry.gauge(base + "simulated_s").set(now_);
-  registry.gauge(base + "pending").set(static_cast<double>(queue_.size()));
+  registry.gauge("sim.timeline.simulated_s").set(now_);
+  registry.gauge("sim.timeline.pending").set(static_cast<double>(queue_.size()));
 }
 
 }  // namespace pab::sim

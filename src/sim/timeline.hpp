@@ -131,10 +131,9 @@ class Timeline {
   // label; 0.0 for labels never charged.
   [[nodiscard]] double charged(std::string_view label) const;
 
-  // Publish `<prefix>.events_processed`, `<prefix>.simulated_s`, and
-  // `<prefix>.pending` gauges (bench sidecars).
-  void export_to(obs::MetricRegistry& registry,
-                 std::string_view prefix = "sim.timeline") const;
+  // Publish the `sim.timeline.events_processed`, `sim.timeline.simulated_s`
+  // and `sim.timeline.pending` gauges (bench sidecars).
+  void export_to(obs::MetricRegistry& registry) const;
 
  private:
   // One pending event.  `label` is an interned id (see intern()), so a queued

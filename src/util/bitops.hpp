@@ -16,25 +16,6 @@ namespace pab {
 using Bits = std::vector<std::uint8_t>;
 using Bytes = std::vector<std::uint8_t>;
 
-// Unpack bytes to bits, MSB first.
-[[nodiscard]] inline Bits bits_from_bytes(std::span<const std::uint8_t> bytes) {
-  Bits out;
-  out.reserve(bytes.size() * 8);
-  for (std::uint8_t byte : bytes)
-    for (int i = 7; i >= 0; --i)
-      out.push_back(static_cast<std::uint8_t>((byte >> i) & 1u));
-  return out;
-}
-
-// Pack bits (MSB first) into bytes.  Bit count must be a multiple of 8.
-[[nodiscard]] inline Bytes bytes_from_bits(std::span<const std::uint8_t> bits) {
-  require(bits.size() % 8 == 0, "bytes_from_bits: bit count not a multiple of 8");
-  Bytes out(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    out[i / 8] = static_cast<std::uint8_t>((out[i / 8] << 1) | (bits[i] & 1u));
-  return out;
-}
-
 // Append `width` bits of `value`, MSB first.
 inline void append_uint(Bits& bits, std::uint32_t value, int width) {
   require(width > 0 && width <= 32, "append_uint: width out of range");

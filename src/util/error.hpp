@@ -75,10 +75,6 @@ class [[nodiscard]] Expected {
     return std::move(*value_);
   }
 
-  [[nodiscard]] const T& value_or(const T& fallback) const& {
-    return ok() ? *value_ : fallback;
-  }
-
   [[nodiscard]] const Error& error() const {
     static const Error kNone{};
     return ok() ? kNone : error_;

@@ -15,6 +15,18 @@
 
 namespace pab {
 
+// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), the pieces used to derive
+// seeds and hashes from small or neighbouring integers: the generator's
+// golden-ratio increment, and its output finalizer -- a bijection on 64-bit
+// words whose every output bit depends on every input bit.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 // MT19937-64, word for word the engine std::mt19937_64 is: the standard fixes
 // its output ([rand.predef]: the 10000th word of a default-seeded engine is
 // 9981545732273789042).  In-house so that bulk draws twist the state one

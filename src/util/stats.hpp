@@ -29,13 +29,6 @@ namespace pab {
   return std::sqrt(variance(xs));
 }
 
-[[nodiscard]] inline double rms(std::span<const double> xs) {
-  require(!xs.empty(), "rms: empty input");
-  double s = 0.0;
-  for (double x : xs) s += x * x;
-  return std::sqrt(s / static_cast<double>(xs.size()));
-}
-
 // Neumaier-compensated accumulator: the running sum stays exact to ~1 ulp of
 // the final value over arbitrarily long streams.  Used for simulated-time and
 // airtime sums, where a plain `+=` across millions of events drifts by many

@@ -464,6 +464,58 @@ TEST(CampaignSpec, IntegerParametersRejectBadValues) {
   }
 }
 
+// Spec text counts are whole decimal numbers.  The stream extraction they
+// used to go through read "-1" as 2^64 - 1 and "-5" as 2^64 - 5.
+TEST(CampaignSpec, ParseRejectsCountsThatAreNotWholeNumbers) {
+  const std::string head =
+      "pab-campaign-spec v1\nname c\npreset pool_a\nkind uplink\n";
+  const auto parse = [&](const std::string& trials, const std::string& seed) {
+    return campaign::CampaignSpec::parse(head + "trials " + trials +
+                                         "\nseed " + seed + "\n");
+  };
+  const auto ok = parse("4", "18446744073709551615");
+  ASSERT_TRUE(ok.ok()) << ok.error().message();
+  EXPECT_EQ(ok.value().trials_per_point, 4u);
+  EXPECT_EQ(ok.value().base_seed, 18446744073709551615u);
+  for (const std::string bad :
+       {"-1", "-5", "+4", "4x", "1.5", "1e3", "18446744073709551616"}) {
+    EXPECT_FALSE(parse(bad, "7").ok()) << "trials " << bad;
+    EXPECT_FALSE(parse("4", bad).ok()) << "seed " << bad;
+  }
+}
+
+// A campaign holds at most 2^24 trials over all its points.  validate()
+// used to pass 2^40 trials (compile() then built 2^35 shards, about 1 TiB)
+// and four 2^16-value axes, whose point count wrapped to 0.  Only
+// validate() runs here: nothing is compiled.
+TEST(CampaignSpec, ValidateRefusesCampaignsPastTheTrialLimit) {
+  campaign::CampaignSpec spec = small_timeline_spec();
+  spec.axes.clear();
+  spec.trials_per_point = std::uint64_t{1} << 24;
+  EXPECT_TRUE(spec.validate().ok());
+  spec.trials_per_point = (std::uint64_t{1} << 24) + 1;
+  EXPECT_FALSE(spec.validate().ok());
+  spec.trials_per_point = std::uint64_t{1} << 40;
+  const auto huge = spec.validate();
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.code(), pab::ErrorCode::kInvalidArgument);
+
+  // 2^12 trials at 2^12 points is the limit; one more point is past it.
+  spec.trials_per_point = std::uint64_t{1} << 12;
+  std::vector<double> seeds(std::size_t{1} << 12);
+  for (std::size_t i = 0; i < seeds.size(); ++i)
+    seeds[i] = static_cast<double>(i);
+  spec.axes.push_back({"seed", seeds});
+  EXPECT_TRUE(spec.validate().ok());
+  spec.axes[0].values.push_back(1e6);
+  EXPECT_FALSE(spec.validate().ok());
+
+  // 2^64 points: the product overflows a 64-bit count.
+  spec.trials_per_point = 1;
+  spec.axes.assign(4, {"seed", std::vector<double>(std::size_t{1} << 16, 1.0)});
+  EXPECT_FALSE(spec.validate().ok());
+}
+
 // A cheap two-point deployment-field campaign.
 campaign::CampaignSpec small_field_spec() {
   campaign::CampaignSpec spec;
@@ -682,17 +734,18 @@ TEST(CampaignRecord, AppendSliceSerializeRoundTrip) {
   EXPECT_EQ(back.value().kind(), sim::TrialKind::kUplink);
 }
 
+// One failed row serializes as kind (1 byte), row count (8), trial index
+// (8), ok and error code (1 + 1), then one 8-byte zero per schema column.
 TEST(CampaignRecord, ColumnSchemasPerKind) {
-  EXPECT_EQ(campaign::RecordBatch::column_names(sim::TrialKind::kUplink).size(),
-            campaign::RecordBatch(sim::TrialKind::kUplink).column_count());
-  EXPECT_EQ(
-      campaign::RecordBatch::column_names(sim::TrialKind::kNetwork).size(),
-      campaign::RecordBatch(sim::TrialKind::kNetwork).column_count());
-  EXPECT_EQ(
-      campaign::RecordBatch::column_names(sim::TrialKind::kTimeline).size(),
-      campaign::RecordBatch(sim::TrialKind::kTimeline).column_count());
-  EXPECT_EQ(campaign::RecordBatch::column_names(sim::TrialKind::kField).size(),
-            campaign::RecordBatch(sim::TrialKind::kField).column_count());
+  for (const sim::TrialKind kind :
+       {sim::TrialKind::kUplink, sim::TrialKind::kNetwork,
+        sim::TrialKind::kTimeline, sim::TrialKind::kField}) {
+    campaign::RecordBatch batch(kind);
+    batch.append(0, pab::Error{pab::ErrorCode::kTimeout, "lost"});
+    EXPECT_EQ(batch.bytes().size(),
+              19 + 8 * campaign::RecordBatch::column_names(kind).size())
+        << sim::to_string(kind);
+  }
 }
 
 TEST(CampaignRecord, FieldRowsRoundTripThroughTheWire) {
@@ -730,7 +783,8 @@ std::string byte_at_a_time_bytes(const campaign::RecordBatch& batch) {
   for (const std::uint64_t t : batch.trial()) u64(t);
   for (const std::uint8_t o : batch.ok()) u8(o);
   for (const std::uint8_t e : batch.error_code()) u8(e);
-  for (std::size_t c = 0; c < batch.column_count(); ++c) {
+  for (std::size_t c = 0;
+       c < campaign::RecordBatch::column_names(batch.kind()).size(); ++c) {
     for (const double v : batch.column(c)) {
       std::uint64_t bits = 0;
       std::memcpy(&bits, &v, sizeof(bits));

@@ -130,10 +130,11 @@ TEST(DspInto, ApplyTapsMatchesWrapper) {
   const dsp::BasebandSignal bwant = channel::apply_taps_baseband(bx, taps);
   ASSERT_EQ(bwant.size(), channel::apply_taps_length(bx.size(), fs, taps));
   std::vector<dsp::cplx> bgot(bwant.size());
-  channel::apply_taps_baseband_into(bx.samples, fs, bx.carrier_hz, taps, bgot);
+  dsp::Arena arena;
+  channel::apply_taps_baseband_into(bx.samples, fs, bx.carrier_hz, taps, bgot,
+                                    arena);
   expect_exactly_equal<dsp::cplx>(bwant.samples, bgot);
 
-  dsp::Arena arena;
   const auto frame = arena.frame();
   const dsp::CplxView aview =
       channel::apply_taps_baseband(dsp::CplxView(bx), taps, arena);

@@ -235,7 +235,8 @@ TEST(FftConv, FullConvolutionMatchesNaiveWithinTolerance) {
   for (std::size_t i = 0; i < cx.size(); ++i)
     for (std::size_t k = 0; k < ch.size(); ++k) cnaive[i + k] += cx[i] * ch[k];
   std::vector<cplx> cgot(cnaive.size());
-  fftconv_full(ch, cx, cgot);
+  Arena arena;
+  fftconv_full(ch, cx, cgot, arena);
   for (std::size_t i = 0; i < cnaive.size(); ++i) {
     expect_close(cnaive[i].real(), cgot[i].real(), 40.0, "cfull.re", i);
     expect_close(cnaive[i].imag(), cgot[i].imag(), 40.0, "cfull.im", i);
@@ -247,10 +248,11 @@ TEST(FftConv, PlanCacheReusesPlansAcrossCalls) {
   const auto h = random_cvec(rng, 64);
   const auto x = random_cvec(rng, 600);
   std::vector<cplx> y(x.size() + h.size() - 1);
-  fftconv_full(h, x, y);
+  Arena arena;
+  fftconv_full(h, x, y, arena);
   const std::size_t planned = fft_plan_cache_size();
   EXPECT_GE(planned, 1u);
-  fftconv_full(h, x, y);  // same sizes -> no new plan
+  fftconv_full(h, x, y, arena);  // same sizes -> no new plan
   EXPECT_EQ(fft_plan_cache_size(), planned);
 }
 
@@ -267,6 +269,7 @@ bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
 // bits.
 TEST(FftConv, RepeatedBlocksMatchTheBlockByBlockOracleBitForBit) {
   Rng rng(8);
+  Arena arena;
   for (const std::size_t nh : {21u, 100u}) {
     const auto h = random_cvec(rng, nh);
     // Block size as fftconv_full picks it for these lengths (>= 256).
@@ -296,7 +299,7 @@ TEST(FftConv, RepeatedBlocksMatchTheBlockByBlockOracleBitForBit) {
       for (const Isa isa : {Isa::kScalar, host_isa()}) {
         const DispatchGuard guard(isa, true);
         std::vector<cplx> got(want.size());
-        fftconv_full(h, x, got);
+        fftconv_full(h, x, got, arena);
         EXPECT_TRUE(same_bits(want, got))
             << "nh " << nh << " n " << x.size() << " table "
             << simd::isa_name(simd::active());
@@ -313,6 +316,7 @@ TEST(FftConv, BlockCountersCountEveryAndEveryCopiedBlock) {
   auto& reg = obs::MetricRegistry::global();
   const auto h = random_cvec(rng, 21);  // B = 256, S = 236
   const std::size_t B = 256, S = 236;
+  Arena arena;
   for (const std::size_t n : {300u, 600u, 3000u}) {
     std::size_t blocks = 0, in_run = 0;
     for (std::size_t pos = 0; pos < n + 20; pos += S, ++blocks)
@@ -322,7 +326,7 @@ TEST(FftConv, BlockCountersCountEveryAndEveryCopiedBlock) {
     const std::uint64_t blocks0 = reg.counter("dsp.fftconv.blocks").value();
     const std::uint64_t reused0 =
         reg.counter("dsp.fftconv.blocks_reused").value();
-    fftconv_full(h, x, y);
+    fftconv_full(h, x, y, arena);
     EXPECT_EQ(reg.counter("dsp.fftconv.blocks").value() - blocks0, blocks)
         << n;
     EXPECT_EQ(reg.counter("dsp.fftconv.blocks_reused").value() - reused0,
@@ -347,13 +351,13 @@ TEST(FftConv, ApplyTapsFftPathMatchesDirectAccumulation) {
   const auto cx = random_cvec(rng, 4000);
   const std::size_t cout_len = channel::apply_taps_length(cx.size(), fs, taps);
   std::vector<cplx> cdirect(cout_len), cfft(cout_len);
+  Arena arena;
   {
     const DispatchGuard guard(Isa::kScalar, false);
-    channel::apply_taps_baseband_into(cx, fs, 18500.0, taps, cdirect);
+    channel::apply_taps_baseband_into(cx, fs, 18500.0, taps, cdirect, arena);
   }
   {
     const DispatchGuard guard(host_isa(), true);
-    Arena arena;
     channel::apply_taps_baseband_into(cx, fs, 18500.0, taps, cfft, arena);
   }
   for (std::size_t i = 0; i < cout_len; ++i) {

@@ -55,8 +55,6 @@ TEST(NodeField, PairingInvariantHoldsThroughMutation) {
   const NodeView v = f.at(0);
   EXPECT_EQ(v.index, 0u);
   EXPECT_EQ(v.front_end.match_frequency_hz, 18000.0);
-  f.set_front_end(1, FrontEndSpec{20000.0, 21000.0, 3.0});
-  EXPECT_EQ(f.front_end(1).match_frequency_hz, 20000.0);
   f.set_position(1, {3.0, 3.0, 0.6});
   EXPECT_EQ(f.position(1).x, 3.0);
 }

@@ -348,7 +348,7 @@ TEST(RateControl, LadderEvmGatesOverrideMer) {
 
 TEST(Fdma, TwoChannelPlanMatchesPaper) {
   // The paper's two concurrent recto-piezos sit at 15 and 18 kHz.
-  const auto plan = plan_channels(2, ChannelPlanConfig{15000.0, 18000.0, 2500.0});
+  const auto plan = plan_channels(2);
   ASSERT_EQ(plan.channels(), 2u);
   EXPECT_NEAR(plan.carriers_hz[0], 15000.0, 1e-9);
   EXPECT_NEAR(plan.carriers_hz[1], 18000.0, 1e-9);
@@ -359,13 +359,12 @@ TEST(Fdma, TwoChannelPlanMatchesPaper) {
 // every channel that fits, plus the reuse factor zoned scheduling needs --
 // instead of rejecting deployment-scale populations outright.
 TEST(Fdma, OvercrowdedBandReturnsOversubscribedPlan) {
-  const auto plan = plan_channels(10, ChannelPlanConfig{15000.0, 18000.0, 2500.0});
+  const auto plan = plan_channels(10);
   ASSERT_EQ(plan.channels(), 2u);  // the band still fits exactly two carriers
   EXPECT_NEAR(plan.carriers_hz[0], 15000.0, 1e-9);
   EXPECT_NEAR(plan.carriers_hz[1], 18000.0, 1e-9);
   EXPECT_EQ(plan.requested, 10u);
   EXPECT_EQ(plan.reuse_factor, 5u);  // ceil(10 / 2)
-  EXPECT_TRUE(plan.oversubscribed());
   // Round-robin reuse: slot i gets carrier i % channels.
   EXPECT_NEAR(plan.carrier_for(0), 15000.0, 1e-9);
   EXPECT_NEAR(plan.carrier_for(1), 18000.0, 1e-9);
@@ -374,20 +373,19 @@ TEST(Fdma, OvercrowdedBandReturnsOversubscribedPlan) {
 }
 
 TEST(Fdma, WithinCapacityPlanIsNotOversubscribed) {
-  const auto plan = plan_channels(2, ChannelPlanConfig{15000.0, 18000.0, 2500.0});
+  const auto plan = plan_channels(2);
   EXPECT_EQ(plan.requested, 2u);
   EXPECT_EQ(plan.reuse_factor, 1u);
-  EXPECT_FALSE(plan.oversubscribed());
 }
 
 TEST(Fdma, SingleNodeCentered) {
-  const auto plan = plan_channels(1, ChannelPlanConfig{14000.0, 18000.0, 2000.0});
+  const auto plan = plan_channels(1);
   ASSERT_EQ(plan.channels(), 1u);
-  EXPECT_NEAR(plan.carriers_hz[0], 16000.0, 1e-9);
+  EXPECT_NEAR(plan.carriers_hz[0], 16500.0, 1e-9);  // mid 15-18 kHz
 }
 
 TEST(Fdma, CrosstalkMatrixDiagonalDominant) {
-  const auto plan = plan_channels(2, ChannelPlanConfig{15000.0, 18000.0, 2500.0});
+  const auto plan = plan_channels(2);
   const auto m = crosstalk_matrix(plan);
   // Diagonal is normalized to 1; off-diagonal nonzero (frequency-agnostic
   // backscatter) but below on-channel.
@@ -510,7 +508,7 @@ TEST(Zones, ColorsBeyondTheBandWrapIntoSequentialRounds) {
   }
   const ZoneSchedule schedule = plan_zones(layout);
   EXPECT_EQ(schedule.colors, 5u);
-  EXPECT_TRUE(schedule.plan.oversubscribed());
+  EXPECT_GT(schedule.plan.reuse_factor, 1u);
   EXPECT_EQ(schedule.rounds, 3u);
   EXPECT_EQ(schedule.zones[0].round, 0u);
   EXPECT_EQ(schedule.zones[2].round, 1u);
@@ -584,21 +582,6 @@ TEST(Zones, OversizedZoneIsRejected) {
   EXPECT_THROW(
       (void)run_zoned_inventory(layout, schedule, InventoryConfig{}, tl),
       std::exception);
-}
-
-TEST(Zones, AvailabilityGateSeesGlobalIdsAndMasterTime) {
-  // Nodes 0..9 in one zone; the gate rejects every odd global index.
-  ZoneLayout layout;
-  layout.members.resize(1);
-  for (std::uint32_t i = 0; i < 10; ++i) layout.members[0].push_back(i);
-  layout.adjacency.resize(1);
-  sim::Timeline tl;
-  ZonedInventoryOptions options;
-  options.available = [](std::uint32_t node, double) { return node % 2 == 0; };
-  const auto result = run_zoned_inventory(layout, plan_zones(layout),
-                                          InventoryConfig{}, tl, options);
-  for (const std::uint32_t id : result.identified) EXPECT_EQ(id % 2, 0u);
-  EXPECT_EQ(result.identified.size(), 5u);
 }
 
 // --- cross-zone interference -------------------------------------------------

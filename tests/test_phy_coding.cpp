@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <vector>
+#include "bytes_oracle.hpp"
 #include "signal_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -19,13 +20,15 @@ TEST(Crc, KnownVector) {
   // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
   const std::string s = "123456789";
   const std::vector<std::uint8_t> bytes(s.begin(), s.end());
-  EXPECT_EQ(crc16_ccitt(bytes), 0x29B1);
+  EXPECT_EQ(testing::crc16_ccitt(bytes), 0x29B1);
+  EXPECT_EQ(crc16_bits(testing::bits_from_bytes(bytes)), 0x29B1);
 }
 
 TEST(Crc, BitAndByteAgree) {
   pab::Rng rng(1);
   const auto bytes = rng.bytes(32);
-  EXPECT_EQ(crc16_ccitt(bytes), crc16_bits(bits_from_bytes(bytes)));
+  EXPECT_EQ(testing::crc16_ccitt(bytes),
+            crc16_bits(testing::bits_from_bytes(bytes)));
 }
 
 TEST(Crc, DetectsSingleBitFlips) {

@@ -470,8 +470,9 @@ TEST(UnifiedTrialApi, TemplateAndRuntimeKindFormsAgreeExactly) {
     EXPECT_EQ(typed.value().demod.snr_db, row.demod.snr_db);
   }
   const auto pool_typed = BatchRunner(2).run<TrialKind::kUplink>(session, 4);
-  const auto pool_dynamic =
-      BatchRunner(2).run(session, TrialKind::kUplink, 4);
+  const auto pool_dynamic = BatchRunner(2).map(4, [&](std::size_t i) {
+    return session.run_trial(TrialKind::kUplink, i);
+  });
   ASSERT_EQ(pool_typed.size(), pool_dynamic.size());
   for (std::size_t i = 0; i < pool_typed.size(); ++i) {
     ASSERT_EQ(pool_typed[i].ok(), pool_dynamic[i].ok()) << i;

@@ -125,7 +125,7 @@ TEST(Timeline, ExportsGaugesToRegistry) {
   tl.elapse(2.5, "work");
   tl.schedule_at(9.0, "pending");
   obs::MetricRegistry reg;
-  tl.export_to(reg, "sim.timeline");
+  tl.export_to(reg);
   EXPECT_DOUBLE_EQ(reg.gauge("sim.timeline.events_processed").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("sim.timeline.simulated_s").value(), 2.5);
   EXPECT_DOUBLE_EQ(reg.gauge("sim.timeline.pending").value(), 1.0);
@@ -334,21 +334,22 @@ TEST(Lifecycle, BrownoutMidInventoryAndRejoin) {
 }
 
 TEST(Lifecycle, BrownedOutNodeRejoinsMidZonedRoundOnTheMasterTimeline) {
-  // The zoned counterpart of the acceptance scenario above, and the
-  // regression for round >= 1 availability timestamps: three mutually
+  // The zoned counterpart of the acceptance scenario above.  Three mutually
   // adjacent single-node zones need three colors, so zone 2 inventories in
-  // round 1 -- after the master clock has already advanced past round 0.
-  // Zone 2's node is driven by a real lifecycle with no harvest until t = 8:
-  // its slots and the lifecycle's ticks MUST interleave on one event queue
-  // for the rejoin to be visible mid-round (the old isolated sub-timelines
-  // froze lifecycle state for the whole round, and their local clocks
-  // restarted from zero every round).
+  // round 1 -- after the master clock has already advanced past round 0.  A
+  // node lifecycle on the same timeline cold-starts, browns out when its
+  // harvest stops at t = 0.2, and re-boots when it resumes at t = 0.9, in
+  // the middle of round 1: its ticks and the zone slots interleave on one
+  // event queue (the old isolated sub-timelines froze lifecycle state for a
+  // whole round, and their local clocks restarted from zero every round).
   Timeline tl;
   node::LifecycleConfig lc;
   lc.tick_s = 0.01;
-  lc.idle_load_w = 1e-3;
+  lc.idle_load_w = 5e-3;
   lc.v_ceiling = 5.0;
-  lc.harvest_power_w = [](double t) { return t >= 8.0 ? 5e-3 : 0.0; };
+  lc.harvest_power_w = [](double t) {
+    return t < 0.2 ? 10e-3 : t < 0.9 ? 0.0 : 20e-3;
+  };
   node::NodeLifecycle node(7, energy::Harvester{circuit::Supercapacitor(100e-6)},
                            lc);
   node.attach(tl, 20.0);
@@ -369,45 +370,57 @@ TEST(Lifecycle, BrownedOutNodeRejoinsMidZonedRoundOnTheMasterTimeline) {
   mac::ZonedInventoryOptions options;
   options.frame_announce_s = 0.5;
   options.slot_s = 0.25;
-  std::vector<double> zone2_query_times;
-  double round0_last_query = 0.0;
-  options.available = [&](std::uint32_t global, double t) {
-    if (global == 2) {
-      zone2_query_times.push_back(t);
-      return node.powered();
-    }
-    round0_last_query = std::max(round0_last_query, t);
-    return true;
-  };
   const auto result =
       mac::run_zoned_inventory(layout, schedule, config, tl, options);
 
-  // Round 0 finds zones 0 and 1 in one frame each; zone 2 then polls empty
-  // frames on the master clock until the node boots at ~8 s and answers.
+  // Each zone finds its node in one single-slot frame.
   std::vector<std::uint32_t> sorted = result.identified;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(node.power_ups(), 1u);
-  EXPECT_TRUE(node.powered());
   EXPECT_EQ(result.inventory.singletons, 3u);
   EXPECT_EQ(result.inventory.collisions, 0u);
-  EXPECT_GT(result.inventory.empties, 0u);
 
-  // The availability gate saw absolute master timestamps: every round-1
-  // query happened after the last round-0 query, none restarted from zero,
-  // and the winning query came after the 8 s harvest step.
-  ASSERT_FALSE(zone2_query_times.empty());
-  const double first = *std::min_element(zone2_query_times.begin(),
-                                         zone2_query_times.end());
-  EXPECT_GT(first, round0_last_query);
-  EXPECT_GE(first, 0.75);  // round 1 cannot start before round 0's wall
-  EXPECT_GT(*std::max_element(zone2_query_times.begin(),
-                              zone2_query_times.end()),
-            8.0);
-  // The wall accounts both rounds end to end: round 0's frame plus zone 2's
-  // long wait -- and the master clock agrees.
+  // The event log, read back: one clock, never running backwards; round 0's
+  // two zones announce at 0.5 s and reply at 0.75 s, and round 1 starts at
+  // round 0's wall (not at zero), so zone 2 announces at 1.25 s and replies
+  // at 1.5 s.
+  std::vector<double> frames, slots, round_walls, power_ups, brownouts;
+  std::size_t ticks_between_rounds = 0;
+  double last = 0.0;
+  for (const TimelineEvent& e : tl.log()) {
+    EXPECT_GE(e.time, last);
+    last = e.time;
+    if (e.label == "mac.zone.frame") frames.push_back(e.time);
+    if (e.label == "mac.zone.slot") slots.push_back(e.time);
+    if (e.label == "mac.zone.round") round_walls.push_back(e.value);
+    if (e.label == "node.power_up") power_ups.push_back(e.time);
+    if (e.label == "node.brownout") brownouts.push_back(e.time);
+    if (e.label == "node.tick") {
+      ticks_between_rounds += e.time > 0.75 && e.time < 1.25 ? 1 : 0;
+      EXPECT_LE(e.time, 1.5);  // the inventory stops driving the clock
+    }
+  }
+  EXPECT_EQ(frames, (std::vector<double>{0.5, 0.5, 1.25}));
+  EXPECT_EQ(slots, (std::vector<double>{0.75, 0.75, 1.5}));
+  EXPECT_GT(ticks_between_rounds, 0u);
+  // Cold start and brownout while round 0 is on the air; the rejoin lands
+  // mid round 1, between round 0's wall and zone 2's slot.
+  ASSERT_EQ(power_ups.size(), 2u);
+  ASSERT_EQ(brownouts.size(), 1u);
+  EXPECT_LT(power_ups[0], 0.2);
+  EXPECT_GT(brownouts[0], 0.2);
+  EXPECT_LT(brownouts[0], 0.75);
+  EXPECT_GT(power_ups[1], 0.9);
+  EXPECT_LT(power_ups[1], 1.5);
+  EXPECT_EQ(node.power_ups(), 2u);
+  EXPECT_EQ(node.brown_outs(), 1u);
+  EXPECT_TRUE(node.powered());
+
+  // The wall accounts both rounds end to end, and the master clock agrees.
+  EXPECT_EQ(round_walls, (std::vector<double>{0.75, 0.75}));
+  EXPECT_EQ(result.simulated_s, 1.5);
+  EXPECT_EQ(tl.charged("mac.zone.round"), result.simulated_s);
   EXPECT_EQ(tl.now(), result.simulated_s);
-  EXPECT_GT(result.simulated_s, 8.0);
 }
 
 // --- kTimeline golden --------------------------------------------------------
