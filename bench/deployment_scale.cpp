@@ -6,8 +6,9 @@
 // occupancy -- stay flat while the region grows with the population.  Two
 // execution paths run on identical fields:
 //
-//   culled  gain-floor spatial culling (channel::cull_pairs) plus the
-//           quantized TapCache, the production path;
+//   culled  gain-floor spatial culling (channel::SpatialIndex, each kept
+//           pair costed as the cull finds it) plus the quantized TapCache,
+//           the production path;
 //   brute   every O(n^2) pair with exact tap keys, the reference path.
 //
 // Both paths run the same zoned inventory with the same cull radius, so the

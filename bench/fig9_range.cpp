@@ -13,6 +13,7 @@
 #include "channel/tapcache.hpp"
 #include "circuit/rectopiezo.hpp"
 #include "core/projector.hpp"
+#include "energy/harvester.hpp"
 #include "energy/mcu.hpp"
 #include "sim/batch.hpp"
 
@@ -63,7 +64,8 @@ double max_power_up_distance(const RangeScan& scan,
       best_p = std::max(best_p, p1m * channel::coherent_gain(*taps, kCarrier));
     }
     const bool threshold_ok =
-        fe.rectified_open_voltage(kCarrier, best_p) >= 2.5;
+        fe.rectified_open_voltage(kCarrier, best_p) >=
+        energy::Harvester::kPowerUpThresholdV;
     const bool power_ok =
         fe.harvested_dc_power(kCarrier, best_p) >= idle_power_w;
     if (threshold_ok && power_ok) max_d = d;

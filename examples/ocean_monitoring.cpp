@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/transact.hpp"
+#include "energy/harvester.hpp"
 #include "mac/protocol.hpp"
 #include "mac/scheduler.hpp"
 #include "node/node.hpp"
@@ -39,8 +40,8 @@ int main() {
   // Cold start: harvest from the downlink carrier until powered.
   const double t = node.cold_start(
       15000.0, sim.incident_pressure(projector, 15000.0), 120.0);
-  std::printf("cold start: %.1f s to reach %.2f V (threshold 2.5 V)\n\n", t,
-              node.capacitor_voltage());
+  std::printf("cold start: %.1f s to reach %.2f V (threshold %g V)\n\n", t,
+              node.capacitor_voltage(), energy::Harvester::kPowerUpThresholdV);
   if (!node.powered_up()) {
     std::printf("node failed to power up -- projector too weak or too far\n");
     return 1;

@@ -11,6 +11,7 @@
 #include "channel/water.hpp"
 #include "circuit/rectopiezo.hpp"
 #include "core/projector.hpp"
+#include "energy/harvester.hpp"
 #include "energy/mcu.hpp"
 #include "util/units.hpp"
 
@@ -49,7 +50,8 @@ int main() {
     const double incident = p1m * g;
     const double harvest = node.harvested_dc_power(kCarrier, incident);
     const bool up = harvest >= mcu.idle_power_w() &&
-                    node.rectified_open_voltage(kCarrier, incident) >= 2.5;
+                    node.rectified_open_voltage(kCarrier, incident) >=
+                        energy::Harvester::kPowerUpThresholdV;
     const double mod_at_rx = incident * node.modulation_depth(kCarrier) * g;
     const double snr = db_from_amplitude_ratio(
         (mod_at_rx / std::numbers::sqrt2) / noise_rms);

@@ -11,12 +11,14 @@
 //   pabctl info
 //
 // Every subcommand runs the same library code the tests and benches use.  A
-// flag value that is not a finite number (or, for a count, not a whole
-// number in range), and a value the models reject, is a usage error: the
-// message goes to stderr and pabctl exits 2.
+// flag that takes a value but is given none, a flag value that is not a
+// finite number (or, for a count, not a whole number in range), and a value
+// the models reject, is a usage error: the message goes to stderr and pabctl
+// exits 2.
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +26,7 @@
 #include "core/transact.hpp"
 #include "core/projector.hpp"
 #include "dsp/wav.hpp"
+#include "energy/harvester.hpp"
 #include "energy/mcu.hpp"
 #include "mac/protocol.hpp"
 #include "node/node.hpp"
@@ -44,32 +47,43 @@ constexpr std::uint64_t kMaxLinkBits = 4096;
 constexpr std::uint64_t kMaxPayloadBytes = 255;
 
 struct Args {
-  std::map<std::string, std::string> kv;
+  // A flag given without a value (a switch such as --equalize) maps to
+  // nullopt.
+  std::map<std::string, std::optional<std::string>> kv;
   bool has(const std::string& key) const { return kv.count(key) != 0; }
-  // A finite number; throws std::invalid_argument (a usage error) otherwise.
-  double num(const std::string& key, double fallback) const {
+  // The value of a flag that takes one, or null when the flag is absent;
+  // throws std::invalid_argument (a usage error) when it was given bare.
+  const std::string* value(const std::string& key) const {
     auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    double value = 0.0;
-    if (!cli::parse_decimal(it->second, value))
+    if (it == kv.end()) return nullptr;
+    if (!it->second)
+      throw std::invalid_argument("bad --" + key + " (want a value)");
+    return &*it->second;
+  }
+  // A finite number; throws std::invalid_argument otherwise.
+  double num(const std::string& key, double fallback) const {
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    double v = 0.0;
+    if (!cli::parse_decimal(*text, v))
       throw std::invalid_argument("bad --" + key + " (want a finite number): " +
-                                  it->second);
-    return value;
+                                  *text);
+    return v;
   }
   // A whole number in [0, max]; throws std::invalid_argument otherwise.
   std::uint64_t count(const std::string& key, std::uint64_t fallback,
                       std::uint64_t max) const {
-    auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    std::uint64_t value = 0;
-    if (!cli::parse_count(it->second.c_str(), max, value))
+    const std::string* text = value(key);
+    if (text == nullptr) return fallback;
+    std::uint64_t v = 0;
+    if (!cli::parse_count(text->c_str(), max, v))
       throw std::invalid_argument("bad --" + key + " (want a whole number, at most " +
-                                  std::to_string(max) + "): " + it->second);
-    return value;
+                                  std::to_string(max) + "): " + *text);
+    return v;
   }
   std::string str(const std::string& key, const std::string& fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
+    const std::string* text = value(key);
+    return text == nullptr ? fallback : *text;
   }
 };
 
@@ -82,7 +96,7 @@ Args parse(int argc, char** argv, int first) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       a.kv[key] = argv[++i];
     } else {
-      a.kv[key] = "1";  // boolean flag
+      a.kv[key] = std::nullopt;
     }
   }
   return a;
@@ -164,7 +178,8 @@ int cmd_range(const Args& a) {
     const auto taps = channel::image_method_taps(sc.tank, start, rx, 2, 15000.0);
     const double p = proj.pressure_at_1m(15000.0) *
                      channel::coherent_gain(taps, 15000.0);
-    const bool up = fe.rectified_open_voltage(15000.0, p) >= 2.5 &&
+    const bool up = fe.rectified_open_voltage(15000.0, p) >=
+                        energy::Harvester::kPowerUpThresholdV &&
                     fe.harvested_dc_power(15000.0, p) >= mcu.idle_power_w();
     std::printf("%5.1f  %12.1f  %11.1f  %s\n", d, p,
                 fe.harvested_dc_power(15000.0, p) * 1e6, up ? "yes" : "no");
@@ -258,7 +273,8 @@ int cmd_info(const Args&) {
               node.bvd().c0 * 1e9, node.bvd().rm, node.bvd().coupling_keff());
   std::printf("  power model       : idle %.0f uW, backscatter %.0f uW @1kbps\n",
               mcu.idle_power_w() * 1e6, mcu.backscatter_power_w(1000.0) * 1e6);
-  std::printf("  power-up threshold: 2.5 V on a 1000 uF supercapacitor\n");
+  std::printf("  power-up threshold: %g V on a 1000 uF supercapacitor\n",
+              energy::Harvester::kPowerUpThresholdV);
   return 0;
 }
 

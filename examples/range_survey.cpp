@@ -25,7 +25,8 @@ int main() {
   std::printf("PAB deployment survey (projector at 200 V, 15 kHz)\n");
   std::printf("==================================================\n");
   std::printf("source pressure at 1 m: %.0f Pa\n", p1m);
-  std::printf("node idle draw: %.0f uW; power-up threshold 2.5 V\n", idle_w * 1e6);
+  std::printf("node idle draw: %.0f uW; power-up threshold %g V\n", idle_w * 1e6,
+              energy::Harvester::kPowerUpThresholdV);
 
   struct PoolScan {
     const char* name;
@@ -56,7 +57,8 @@ int main() {
       const double vrect = node.rectified_open_voltage(kCarrier, p);
       const double t_up =
           energy::Harvester::time_to_power_up(harvest, vrect);
-      const bool sustained = harvest >= idle_w && vrect >= 2.5;
+      const bool sustained =
+          harvest >= idle_w && vrect >= energy::Harvester::kPowerUpThresholdV;
       if (t_up > 0.0 && sustained) {
         std::printf("%7.1f   %11.1f   %10.1f   %8.2f   %10.1f\n", d, p,
                     harvest * 1e6, vrect, t_up);

@@ -68,48 +68,35 @@ double cull_radius_m(double gain_floor, double freq_hz, double max_radius_m) {
   return hi;
 }
 
+SpatialIndex::Neighbourhoods SpatialIndex::neighbourhoods(double radius) const {
+  const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_m_));
+  Neighbourhoods near;
+  near.cell_of.resize(points_.size());
+  near.begin.assign(cells_.size() + 1, 0);
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const Cell& cell = cells_[c];
+    for (std::uint32_t m = cell.begin; m < cell.end; ++m)
+      near.cell_of[members_[m]] = static_cast<std::uint32_t>(c);
+    for_each_cell_near(cell.key, reach,
+                       [&near](std::span<const std::uint32_t> members) {
+                         near.candidates.insert(near.candidates.end(),
+                                                members.begin(), members.end());
+                       });
+    std::sort(near.candidates.begin() + near.begin[c], near.candidates.end());
+    near.begin[c + 1] = near.candidates.size();
+  }
+  return near;
+}
+
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
     const SpatialIndex& index, double radius, CullStats* stats) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> kept;
-  const std::size_t n = index.size();
-  if (radius >= 0.0) {
-    // Each cell's neighbourhood -- the member ranges of the occupied cells
-    // within reach, in grid order -- is resolved once per cell, not once per
-    // point.
-    const std::int64_t reach =
-        static_cast<std::int64_t>(std::ceil(radius / index.cell_m_));
-    std::vector<std::uint32_t> cell_of(n);
-    std::vector<std::size_t> near_begin(index.cells_.size() + 1, 0);
-    std::vector<std::span<const std::uint32_t>> near;
-    for (std::size_t c = 0; c < index.cells_.size(); ++c) {
-      const SpatialIndex::Cell& cell = index.cells_[c];
-      for (std::uint32_t m = cell.begin; m < cell.end; ++m)
-        cell_of[index.members_[m]] = static_cast<std::uint32_t>(c);
-      index.for_each_cell_near(
-          cell.key, reach,
-          [&near](std::span<const std::uint32_t> members) {
-            near.push_back(members);
-          });
-      near_begin[c + 1] = near.size();
-    }
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Each pair is tested once, from its lower index.
-      const Vec3& p = index.points_[i];
-      scratch.clear();
-      for (std::size_t k = near_begin[cell_of[i]]; k < near_begin[cell_of[i] + 1];
-           ++k) {
-        const std::span<const std::uint32_t> members = near[k];
-        for (auto j = std::upper_bound(members.begin(), members.end(), i);
-             j != members.end(); ++j)
-          if (distance(p, index.points_[*j]) <= radius) scratch.push_back(*j);
-      }
-      std::sort(scratch.begin(), scratch.end());
-      for (const std::uint32_t j : scratch)
-        kept.emplace_back(static_cast<std::uint32_t>(i), j);
-    }
-  }
+  index.for_each_pair_within(
+      radius, [&kept](std::uint32_t i, std::uint32_t j, double) {
+        kept.emplace_back(i, j);
+      });
   if (stats != nullptr) {
+    const std::size_t n = index.size();
     stats->total_pairs = static_cast<std::uint64_t>(n) * (n - (n > 0 ? 1 : 0)) / 2;
     stats->kept_pairs = kept.size();
     stats->culled_pairs = stats->total_pairs - stats->kept_pairs;

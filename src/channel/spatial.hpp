@@ -15,6 +15,7 @@
 // platform-stable link list.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -39,6 +40,14 @@ class SpatialIndex {
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
 
+  // Calls visit(i, j, d) for every pair i < j whose distance
+  // d = channel::distance(p[i], p[j]) is at most `radius`, in ascending
+  // lexicographic (i, j) order, and returns the number of pairs visited (none
+  // for a negative or NaN radius).  This is the one pair enumeration:
+  // cull_pairs collects what it visits.
+  template <typename Visit>
+  std::uint64_t for_each_pair_within(double radius, Visit&& visit) const;
+
  private:
   // Integer grid coordinate of a point (floor(p / cell) per axis).
   using CellKey = std::array<std::int64_t, 3>;
@@ -48,6 +57,17 @@ class SpatialIndex {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
   };
+
+  // Every cell's neighbourhood within a radius: the members of the occupied
+  // cells within reach, merged into one ascending list.  Cell c's list is
+  // candidates[begin[c] .. begin[c + 1]), and cell_of maps a point to its
+  // cell.
+  struct Neighbourhoods {
+    std::vector<std::uint32_t> cell_of;
+    std::vector<std::size_t> begin;
+    std::vector<std::uint32_t> candidates;
+  };
+  [[nodiscard]] Neighbourhoods neighbourhoods(double radius) const;
 
   // Ascending member indices of the cell at `key` (empty when unoccupied).
   [[nodiscard]] std::span<const std::uint32_t> members_of(const CellKey& key) const;
@@ -72,10 +92,31 @@ class SpatialIndex {
   // ascending within the cell.
   std::vector<Cell> cells_;
   std::vector<std::uint32_t> members_;
-
-  friend std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
-      const SpatialIndex& index, double radius, CullStats* stats);
 };
+
+template <typename Visit>
+std::uint64_t SpatialIndex::for_each_pair_within(double radius,
+                                                 Visit&& visit) const {
+  if (!(radius >= 0.0)) return 0;
+  // Each cell's neighbourhood is resolved once, not once per point, and is
+  // ascending, so the kept pairs of a point come out in j order.
+  const Neighbourhoods near = neighbourhoods(radius);
+  std::uint64_t visited = 0;
+  for (std::uint32_t i = 0; i < points_.size(); ++i) {
+    // Each pair is tested once, from its lower index.
+    const Vec3& p = points_[i];
+    const auto first = near.candidates.begin() + near.begin[near.cell_of[i]];
+    const auto last = near.candidates.begin() + near.begin[near.cell_of[i] + 1];
+    for (auto j = std::upper_bound(first, last, i); j != last; ++j) {
+      const double d = distance(p, points_[*j]);
+      if (d <= radius) {
+        visit(i, *j, d);
+        ++visited;
+      }
+    }
+  }
+  return visited;
+}
 
 // Largest distance whose one-way amplitude gain still reaches `gain_floor`
 // at `freq_hz` (bisection over the monotone-decreasing gain; the returned
@@ -84,7 +125,8 @@ class SpatialIndex {
 [[nodiscard]] double cull_radius_m(double gain_floor, double freq_hz,
                                    double max_radius_m = 1.0e5);
 
-// Every pair (i < j) with distance <= radius, ascending lexicographic order.
+// Every pair (i < j) with distance <= radius, ascending lexicographic order:
+// the pairs SpatialIndex::for_each_pair_within visits, collected.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> cull_pairs(
     const SpatialIndex& index, double radius, CullStats* stats = nullptr);
 

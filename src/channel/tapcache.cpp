@@ -72,7 +72,7 @@ const TapCache::Taps* TapCache::taps(const Vec3& a, const Vec3& b,
       if (lex_less(kb, ka)) std::swap(ka, kb);
     } else {
       ka = Vec3{};
-      kb = Vec3{snap(distance(a, b), quant_.cell_m), 0.0, 0.0};
+      kb = Vec3{distance_bin(distance(a, b)) * quant_.cell_m, 0.0, 0.0};
     }
   }
   const Key key{{to_bits(ka.x), to_bits(ka.y), to_bits(ka.z), to_bits(kb.x),

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <shared_mutex>
 #include <unordered_map>
@@ -61,6 +62,18 @@ class TapCache {
   // from any thread.
   [[nodiscard]] const Taps* taps(const Vec3& a, const Vec3& b,
                                  double freq_hz) const;
+
+  // True when a lookup's key is its quantized distance and frequency and
+  // nothing else: free-field taps with cell_m > 0.  Then every path whose
+  // distance falls in one distance_bin shares one entry per frequency.
+  [[nodiscard]] bool keys_by_distance() const {
+    return !use_image_method_ && quant_.cell_m > 0.0;
+  }
+  // The distance bin of such a key, round(d / cell_m); the key and the
+  // computation use the distance distance_bin(d) * cell_m.
+  [[nodiscard]] double distance_bin(double d) const {
+    return std::round(d / quant_.cell_m);
+  }
 
   // Observability for regression tests: how many tap sets were actually
   // computed vs how many lookups were served.

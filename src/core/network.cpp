@@ -132,9 +132,11 @@ NetworkRunResult MultiNodeSimulator::run(
   capture.sample_rate = fs;
   capture.samples.resize(len);
   const double sens = config_.hydrophone.volts_per_pascal();
-  const double noise_sd = config_.noise.sample_stddev_pa(fs);
+  // Each sample starts from its noise, drawn in bulk (the values one
+  // gaussian() call per sample would give), and adds the carriers to it.
+  rng.gaussian_into(capture.samples, 0.0, config_.noise.sample_stddev_pa(fs));
   for (std::size_t i = 0; i < len; ++i) {
-    double p = rng.gaussian(0.0, noise_sd);
+    double p = capture.samples[i];
     for (std::size_t ci = 0; ci < n; ++ci) {
       if (i >= y_env[ci].size()) continue;
       const double ph = kTwoPi * cfg.carriers_hz[ci] * static_cast<double>(i) / fs;

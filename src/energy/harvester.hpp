@@ -54,9 +54,12 @@ class Harvester {
   [[nodiscard]] static double time_to_power_up(double p_harvest,
                                                double v_ceiling);
 
- private:
-  // Capacitor voltage at which the MCU boots (Fig. 3).
+  // Capacitor voltage at which the MCU boots (Fig. 3).  The capacitor charges
+  // to at most the rectified open-circuit voltage, so a node whose rectifier
+  // stays below it never powers up.
   static constexpr double kPowerUpThresholdV = 2.5;
+
+ private:
   // The LDO's regulation floor (1.8 V output + 0.3 V dropout): below it
   // the MCU resets.
   static constexpr double kBrownOutV = 2.1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -388,6 +389,77 @@ pab::Expected<bool> Session::timeline_into(std::uint64_t trial,
   return true;
 }
 
+namespace {
+
+// The one-way coherent gains a field trial reads, all through the trial's tap
+// cache.  When the cache keys a path by its distance bin and frequency alone
+// (TapCache::keys_by_distance), the first read of a (frequency, bin) asks the
+// cache and every later one is served from a flat per-frequency table;
+// otherwise every read is one cache lookup.  Either way a read returns the
+// gain of the taps the cache hands out for that path, and lookups() counts
+// every read, served from a table or not.
+class GainMemo {
+ public:
+  explicit GainMemo(const channel::TapCache& cache) : cache_(cache) {}
+
+  // Gain of the a -> b path at freq_hz.
+  double gain(const channel::Vec3& a, const channel::Vec3& b, double freq_hz) {
+    return cache_.keys_by_distance()
+               ? binned(a, b, channel::distance(a, b), freq_hz)
+               : lookup(a, b, freq_hz);
+  }
+  // The same, where the caller already holds d = channel::distance(a, b).
+  double gain(const channel::Vec3& a, const channel::Vec3& b, double d,
+              double freq_hz) {
+    return cache_.keys_by_distance() ? binned(a, b, d, freq_hz)
+                                     : lookup(a, b, freq_hz);
+  }
+
+  [[nodiscard]] std::uint64_t lookups() const {
+    return cache_.lookups() + table_hits_;
+  }
+
+ private:
+  // A bin past this many cells is read through the cache, which bounds a
+  // table at 512 KB however fine the quantization.
+  static constexpr double kMaxBins = 65536.0;
+  static constexpr double kUnset = -1.0;
+
+  double lookup(const channel::Vec3& a, const channel::Vec3& b,
+                double freq_hz) const {
+    return channel::coherent_gain(*cache_.taps(a, b, freq_hz), freq_hz);
+  }
+
+  double binned(const channel::Vec3& a, const channel::Vec3& b, double d,
+                double freq_hz) {
+    const double bin = cache_.distance_bin(d);
+    if (!(bin < kMaxBins)) return lookup(a, b, freq_hz);
+    std::vector<double>& gains = table(freq_hz);
+    const auto k = static_cast<std::size_t>(bin);
+    if (k >= gains.size()) gains.resize(k + 1, kUnset);
+    if (gains[k] >= 0.0) {
+      ++table_hits_;
+      return gains[k];
+    }
+    gains[k] = lookup(a, b, freq_hz);
+    return gains[k];
+  }
+
+  // The table of one frequency, keyed by its bits as the cache keys it.
+  std::vector<double>& table(double freq_hz) {
+    const auto bits = std::bit_cast<std::uint64_t>(freq_hz);
+    for (auto& [key, gains] : tables_)
+      if (key == bits) return gains;
+    return tables_.emplace_back(bits, std::vector<double>{}).second;
+  }
+
+  const channel::TapCache& cache_;
+  std::vector<std::pair<std::uint64_t, std::vector<double>>> tables_;
+  std::uint64_t table_hits_ = 0;
+};
+
+}  // namespace
+
 pab::Expected<bool> Session::field_into(std::uint64_t trial,
                                         const FieldRoundConfig& config,
                                         Timeline& tl,
@@ -470,17 +542,18 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   // path, quantized shared keys on the culled path -- so the sharing the
   // quantized geometry buys is measured within one trial, not smuggled in
   // from earlier trials.  It is private to this thread, so it counts on its
-  // own and the trial publishes the totals once, at the end.
+  // own and the trial publishes the totals once, at the end.  Every gain the
+  // trial reads goes through one memo over it.
   const channel::TapCache cache(
       scenario_.medium.tank, scenario_.medium.max_image_order,
       scenario_.medium.use_image_method, nullptr,
       channel::TapQuantization{config.brute_force ? 0.0 : config.quant_cell_m});
+  GainMemo gains(cache);
 
   // Reader -> node budget: always O(n).
   double reader_sum = 0.0;
   for (std::size_t j = 0; j < n; ++j)
-    reader_sum += channel::coherent_gain(
-        *cache.taps(scenario_.reader.projector, positions[j], carrier), carrier);
+    reader_sum += gains.gain(scenario_.reader.projector, positions[j], carrier);
   out.mean_reader_gain = reader_sum / static_cast<double>(n);
   double census_s = lap();
 
@@ -493,6 +566,7 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   const double radius = std::min(
       channel::cull_radius_m(config.gain_floor, carrier, diagonal), diagonal);
   out.cull_radius_m = radius;
+  out.total_pairs = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   double pair_sum = 0.0;
   double cull_s = 0.0;
   if (config.brute_force) {
@@ -502,12 +576,10 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
     // within-radius pairs -- the same set, in the same lexicographic order,
     // as the culled path.  Summing all pairs here diluted the parity metric
     // with sub-floor gains the production path deliberately excludes.
-    out.total_pairs = static_cast<std::uint64_t>(n) * (n - 1) / 2;
     std::uint64_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        const double gain = channel::coherent_gain(
-            *cache.taps(positions[i], positions[j], carrier), carrier);
+        const double gain = gains.gain(positions[i], positions[j], carrier);
         if (channel::distance(positions[i], positions[j]) <= radius) {
           pair_sum += gain;
           ++kept;
@@ -515,26 +587,24 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
       }
     }
     out.kept_pairs = kept;
-    out.culled_pairs = out.total_pairs - kept;
+    census_s += lap();
   } else {
+    // One pass culls and costs: the index hands each kept pair, with its
+    // distance, straight to the census, so no pair list is built.
     const double cell = std::max(std::min(radius, diagonal), 1.0);
     const channel::SpatialIndex index(positions, cell);
-    channel::CullStats stats;
-    const auto kept = channel::cull_pairs(index, radius, &stats);
-    out.total_pairs = stats.total_pairs;
-    out.kept_pairs = stats.kept_pairs;
-    out.culled_pairs = stats.culled_pairs;
+    out.kept_pairs = index.for_each_pair_within(
+        radius, [&](std::uint32_t i, std::uint32_t j, double d) {
+          pair_sum += gains.gain(positions[i], positions[j], d, carrier);
+        });
     cull_s = lap();
-    for (const auto& [i, j] : kept)
-      pair_sum += channel::coherent_gain(
-          *cache.taps(positions[i], positions[j], carrier), carrier);
   }
+  out.culled_pairs = out.total_pairs - out.kept_pairs;
   out.mean_pair_gain = out.kept_pairs > 0
                            ? pair_sum / static_cast<double>(out.kept_pairs)
                            : 0.0;
   metrics_->counter("channel.spatial.culled_pairs").add(out.culled_pairs);
   metrics_->counter("channel.spatial.kept_pairs").add(out.kept_pairs);
-  census_s += lap();
 
   // Interference adjacency: two zones interfere when the gap between their
   // bounding boxes is within the cull radius -- then and only then can a
@@ -576,8 +646,8 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   // Cross-zone SINR coupling: mac stays below channel, so the geometry is
   // folded into plain per-node data here -- each node's reader-path
   // backscatter amplitude (projector -> node gain times node -> hydrophone
-  // gain, both at the node's zone carrier, through the same per-trial tap
-  // cache as the census above).  The model (and its extra tap evaluations)
+  // gain, both at the node's zone carrier, through the same per-trial gain
+  // memo as the census above).  The model (and its extra tap evaluations)
   // is gated off by default, leaving the silent-zone schedule bit-identical.
   std::vector<double> node_amplitude;
   if (config.interference) {
@@ -588,10 +658,8 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
     node_amplitude.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
       const double f = schedule.zones[zone_of[j]].carrier_hz;
-      const double down = channel::coherent_gain(
-          *cache.taps(scenario_.reader.projector, positions[j], f), f);
-      const double up = channel::coherent_gain(
-          *cache.taps(positions[j], scenario_.reader.hydrophone, f), f);
+      const double down = gains.gain(scenario_.reader.projector, positions[j], f);
+      const double up = gains.gain(positions[j], scenario_.reader.hydrophone, f);
       node_amplitude[j] = down * up;
     }
     slots.interference.enabled = true;
@@ -623,7 +691,7 @@ pab::Expected<bool> Session::field_into(std::uint64_t trial,
   // evaluates nothing after this point on the off path, so off-mode numbers
   // are unchanged).
   out.tap_evaluations = cache.evaluations();
-  out.tap_lookups = cache.lookups();
+  out.tap_lookups = gains.lookups();
   out.simulated_s = tl.now();
   out.node_hours =
       static_cast<double>(n) * out.simulated_s / 3600.0;

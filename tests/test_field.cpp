@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "channel/spatial.hpp"
 #include "channel/tapcache.hpp"
 #include "channel/water.hpp"
+#include "mac/zones.hpp"
 #include "sim/batch.hpp"
 #include "sim/field.hpp"
 #include "sim/scenario.hpp"
@@ -161,6 +165,57 @@ TEST(SpatialIndex, CullPairsIsExactAndConserved) {
   }
 }
 
+TEST(SpatialIndex, PairVisitorSeesCullPairsWithTheirDistances) {
+  // The visitor is the one enumeration; cull_pairs collects it.  Both must
+  // give the brute-force pair list in order, and every distance the visitor
+  // hands out must be the bits channel::distance gives for (p[i], p[j]).
+  for (const FieldLayout layout :
+       {FieldLayout::kRandom, FieldLayout::kGrid, FieldLayout::kClusters}) {
+    std::vector<channel::Vec3> pts =
+        NodeField::generate(spec_of(layout, 150, 5)).positions();
+    pts.push_back(pts[17]);  // a coincident pair, kept at radius 0
+    channel::Vec3 lo = pts[0], hi = pts[0];
+    for (const channel::Vec3& p : pts) {
+      lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+      hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+    }
+    const double diagonal = dist(lo, hi);
+    const channel::SpatialIndex index(pts, 30.0);
+    for (const double radius : {0.0, 25.0, diagonal, 2.0 * diagonal}) {
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
+      for (std::uint32_t i = 0; i < pts.size(); ++i)
+        for (std::uint32_t j = i + 1; j < pts.size(); ++j)
+          if (dist(pts[i], pts[j]) <= radius) want.emplace_back(i, j);
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> seen;
+      std::size_t inexact = 0;
+      const std::uint64_t visited = index.for_each_pair_within(
+          radius, [&](std::uint32_t i, std::uint32_t j, double d) {
+            seen.emplace_back(i, j);
+            if (std::bit_cast<std::uint64_t>(d) !=
+                std::bit_cast<std::uint64_t>(channel::distance(pts[i], pts[j])))
+              ++inexact;
+          });
+      EXPECT_EQ(seen, want) << "radius " << radius;
+      EXPECT_EQ(channel::cull_pairs(index, radius), want) << "radius " << radius;
+      EXPECT_EQ(visited, want.size());
+      EXPECT_EQ(inexact, 0u) << "radius " << radius;
+      if (radius == 0.0) {
+        const std::pair<std::uint32_t, std::uint32_t> coincident{
+            17u, static_cast<std::uint32_t>(pts.size() - 1)};
+        EXPECT_EQ(want, std::vector{coincident});
+      }
+      if (radius >= diagonal) {
+        EXPECT_EQ(want.size(), pts.size() * (pts.size() - 1) / 2);
+      }
+    }
+    // A negative or NaN radius keeps nothing.
+    for (const double radius : {-1.0, std::numeric_limits<double>::quiet_NaN()})
+      EXPECT_EQ(index.for_each_pair_within(
+                    radius, [](std::uint32_t, std::uint32_t, double) {}),
+                0u);
+  }
+}
+
 TEST(SpatialIndex, CullRadiusBracketsTheGainFloorCrossing) {
   const double carrier = 15000.0;
   const double floor = 0.02;
@@ -244,6 +299,34 @@ TEST(TapCacheQuant, FreeFieldKeysCollapseToQuantizedDistance) {
   (void)cache.taps({100, 50, 20}, {100, 79.9, 20}, 15000.0);  // also ~30 m
   EXPECT_EQ(cache.evaluations(), 1u);
   EXPECT_EQ(cache.lookups(), 2u);
+}
+
+TEST(TapCacheQuant, FreeFieldTapsSitAtTheNearestCellDistance) {
+  // The free-field key rule: a path's bin is its distance rounded to the
+  // nearest cell, and its taps are computed at bin * cell_m.
+  const channel::Tank tank{};
+  const double cell = 0.5;
+  channel::TapCache cache(tank, 1, false, nullptr, channel::TapQuantization{cell});
+  ASSERT_TRUE(cache.keys_by_distance());
+  const channel::Vec3 a{3.0, 4.0, 5.0};
+  for (const double dx : {0.1, 0.26, 29.74, 29.76, 30.0, 120.49}) {
+    const channel::Vec3 b{3.0 + dx, 4.0, 5.0};
+    const double d = channel::distance(a, b);
+    EXPECT_EQ(cache.distance_bin(d), std::round(d / cell));
+    const auto got = cache.taps(a, b, 15000.0);
+    const auto want = channel::free_field_tap(
+        {}, {std::round(d / cell) * cell, 0.0, 0.0}, 15000.0, tank.water);
+    ASSERT_EQ(got->size(), 1u);
+    EXPECT_EQ((*got)[0].delay_s, want[0].delay_s) << dx;
+    EXPECT_EQ((*got)[0].gain, want[0].gain) << dx;
+  }
+  // Image-method keys and exact keys depend on more than the distance.
+  EXPECT_FALSE(channel::TapCache(tank, 1, true, nullptr,
+                                 channel::TapQuantization{cell})
+                   .keys_by_distance());
+  EXPECT_FALSE(channel::TapCache(tank, 1, false, nullptr,
+                                 channel::TapQuantization{0.0})
+                   .keys_by_distance());
 }
 
 TEST(TapCacheQuant, GridFieldHitRateBeatsEvaluations) {
@@ -345,6 +428,173 @@ TEST(FieldTrial, BruteForceCensusAveragesOnlyWithinRadiusPairs) {
   EXPECT_EQ(a.value().culled_pairs, b.value().culled_pairs);
   EXPECT_EQ(a.value().mean_pair_gain, b.value().mean_pair_gain);
   EXPECT_EQ(a.value().mean_reader_gain, b.value().mean_reader_gain);
+}
+
+// What a field trial's census reports, computed the plain way: one TapCache
+// lookup and one coherent_gain for every gain read (the reader census, every
+// cull_pairs pair, both reader paths of every node), then the zoned
+// inventory those reader paths drive, set up as Session::field_into sets it
+// up.  The trial must match it bit for bit whether or not its gain memo
+// serves a read.
+struct PerLookupCensus {
+  std::uint64_t kept_pairs = 0, culled_pairs = 0;
+  double mean_pair_gain = 0.0, mean_reader_gain = 0.0;
+  std::uint64_t tap_lookups = 0, tap_evaluations = 0;
+  double mean_slot_sinr_db = 0.0;
+};
+
+PerLookupCensus per_lookup_census(const Scenario& sc, std::uint64_t trial,
+                                  const FieldRoundConfig& config) {
+  const auto& positions = sc.field.positions();
+  const std::size_t n = positions.size();
+  const double carrier = sc.waveform.carrier_hz;
+  const channel::Vec3& extent = sc.medium.tank.size;
+  const double diagonal = std::sqrt(extent.x * extent.x + extent.y * extent.y +
+                                    extent.z * extent.z);
+  const channel::TapCache cache(sc.medium.tank, sc.medium.max_image_order,
+                                sc.medium.use_image_method, nullptr,
+                                channel::TapQuantization{config.quant_cell_m});
+  const auto gain = [&cache](const channel::Vec3& a, const channel::Vec3& b,
+                             double f) {
+    return channel::coherent_gain(*cache.taps(a, b, f), f);
+  };
+  PerLookupCensus out;
+  double reader_sum = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    reader_sum += gain(sc.reader.projector, positions[j], carrier);
+  out.mean_reader_gain = reader_sum / static_cast<double>(n);
+
+  const double radius = std::min(
+      channel::cull_radius_m(config.gain_floor, carrier, diagonal), diagonal);
+  channel::CullStats stats;
+  const auto kept = channel::cull_pairs(
+      channel::SpatialIndex(positions, std::max(radius, 1.0)), radius, &stats);
+  double pair_sum = 0.0;
+  for (const auto& [i, j] : kept)
+    pair_sum += gain(positions[i], positions[j], carrier);
+  out.kept_pairs = stats.kept_pairs;
+  out.culled_pairs = stats.culled_pairs;
+  out.mean_pair_gain =
+      kept.empty() ? 0.0 : pair_sum / static_cast<double>(kept.size());
+
+  std::map<std::array<std::int64_t, 2>, std::vector<std::uint32_t>> grid;
+  for (std::size_t j = 0; j < n; ++j)
+    grid[{static_cast<std::int64_t>(
+              std::floor(positions[j].x / config.zone_extent_m)),
+          static_cast<std::int64_t>(
+              std::floor(positions[j].y / config.zone_extent_m))}]
+        .push_back(static_cast<std::uint32_t>(j));
+  mac::ZoneLayout layout;
+  std::vector<std::array<std::int64_t, 2>> coords;
+  for (auto& [coord, members] : grid) {
+    coords.push_back(coord);
+    layout.members.push_back(std::move(members));
+  }
+  layout.adjacency.resize(layout.members.size());
+  const auto gap = [&](std::int64_t da) {
+    return static_cast<double>(std::max<std::int64_t>(std::llabs(da) - 1, 0)) *
+           config.zone_extent_m;
+  };
+  for (std::size_t a = 0; a < coords.size(); ++a)
+    for (std::size_t b = a + 1; b < coords.size(); ++b) {
+      const double gx = gap(coords[a][0] - coords[b][0]);
+      const double gy = gap(coords[a][1] - coords[b][1]);
+      if (std::sqrt(gx * gx + gy * gy) <= radius) {
+        layout.adjacency[a].push_back(static_cast<std::uint32_t>(b));
+        layout.adjacency[b].push_back(static_cast<std::uint32_t>(a));
+      }
+    }
+  const mac::ZoneSchedule schedule = mac::plan_zones(layout);
+
+  mac::ZonedInventoryOptions slots;
+  slots.frame_announce_s = config.frame_announce_s;
+  slots.slot_s = config.slot_s;
+  std::vector<double> node_amplitude(n);
+  if (config.interference) {
+    std::vector<std::uint32_t> zone_of(n, 0);
+    for (std::size_t z = 0; z < layout.members.size(); ++z)
+      for (const std::uint32_t g : layout.members[z])
+        zone_of[g] = static_cast<std::uint32_t>(z);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double f = schedule.zones[zone_of[j]].carrier_hz;
+      const double down = gain(sc.reader.projector, positions[j], f);
+      const double up = gain(positions[j], sc.reader.hydrophone, f);
+      node_amplitude[j] = down * up;
+    }
+    slots.interference.enabled = true;
+    slots.interference.noise_power = config.noise_power;
+    slots.interference.capture_threshold_db = config.capture_threshold_db;
+    slots.interference.mask.passband_hz = config.rejection_passband_hz;
+    slots.interference.mask.slope_db_per_khz = config.rejection_slope_db_per_khz;
+    slots.interference.mask.floor_db = config.rejection_floor_db;
+    slots.interference.node_amplitude = node_amplitude;
+  }
+  mac::InventoryConfig inventory;
+  inventory.seed = substream_seed(sc.medium.seed, trial);
+  Timeline tl;
+  out.mean_slot_sinr_db =
+      mac::run_zoned_inventory(layout, schedule, inventory, tl, slots)
+          .mean_slot_sinr_db;
+  out.tap_lookups = cache.lookups();
+  out.tap_evaluations = cache.evaluations();
+  return out;
+}
+
+TEST(FieldTrial, GainMemoMatchesOneLookupPerGainBitForBit) {
+  struct Case {
+    const char* name;
+    Scenario scenario;
+    double quant_cell_m;
+  };
+  // A tank field: image-method keys depend on both endpoints, so the memo
+  // must read every gain through the cache.
+  Scenario tank = Scenario::pool_a();
+  {
+    std::vector<channel::Vec3> nodes;
+    for (int k = 0; k < 14; ++k)
+      nodes.push_back({0.3 + 0.17 * k, 0.4 + 0.23 * k, 0.2 + 0.06 * k});
+    tank.field = NodeField::from_nodes(
+        nodes, std::vector<FrontEndSpec>(nodes.size(), FrontEndSpec{}));
+  }
+  const auto open = [](FieldLayout layout, std::uint64_t seed) {
+    return Scenario::open_water(spec_of(layout, 300, seed)).with_seed(seed + 40);
+  };
+  const Case cases[] = {
+      {"random, 0.5 m cells", open(FieldLayout::kRandom, 21), 0.5},
+      {"grid, 0.5 m cells", open(FieldLayout::kGrid, 4), 0.5},
+      {"clusters, 0.5 m cells", open(FieldLayout::kClusters, 3), 0.5},
+      {"clusters, 0.05 m cells", open(FieldLayout::kClusters, 3), 0.05},
+      {"random, exact keys", open(FieldLayout::kRandom, 21), 0.0},
+      {"pool A tank, 0.5 m cells", tank, 0.5},
+  };
+  for (const Case& c : cases) {
+    obs::MetricRegistry registry;
+    const Session session(c.scenario, &registry);
+    TrialOptions opts;
+    opts.field.quant_cell_m = c.quant_cell_m;
+    opts.field.zone_extent_m = 60.0;
+    opts.field.interference = true;
+    for (const std::uint64_t trial : {0u, 5u}) {
+      const auto r = session.run_trial<TrialKind::kField>(trial, opts);
+      ASSERT_TRUE(r.ok()) << c.name << ": " << r.error().message();
+      const FieldRunResult& f = r.value();
+      const PerLookupCensus want =
+          per_lookup_census(c.scenario, trial, opts.field);
+      EXPECT_EQ(f.kept_pairs, want.kept_pairs) << c.name;
+      EXPECT_EQ(f.culled_pairs, want.culled_pairs) << c.name;
+      EXPECT_EQ(f.mean_pair_gain, want.mean_pair_gain) << c.name;
+      EXPECT_EQ(f.mean_reader_gain, want.mean_reader_gain) << c.name;
+      EXPECT_EQ(f.tap_lookups, want.tap_lookups) << c.name;
+      EXPECT_EQ(f.tap_evaluations, want.tap_evaluations) << c.name;
+      EXPECT_EQ(f.mean_slot_sinr_db, want.mean_slot_sinr_db) << c.name;
+      // Every gain read counts as a lookup: the reader census, every kept
+      // pair, and two reader paths per node.
+      const std::uint64_t n = c.scenario.node_count();
+      EXPECT_EQ(f.tap_lookups, n + f.kept_pairs + 2 * n) << c.name;
+      EXPECT_GT(f.kept_pairs, 0u) << c.name;
+      EXPECT_NE(f.mean_slot_sinr_db, 0.0) << c.name;
+    }
+  }
 }
 
 TEST(FieldTrial, SpatialCountersAndArenaGaugesAreExported) {
