@@ -85,18 +85,11 @@ void print_series() {
               gain_10db, gain_20db);
 }
 
-void bm_range_search(benchmark::State& state) {
-  const auto fe = circuit::make_recto_piezo(kCarrier);
-  for (auto _ : state) benchmark::DoNotOptimize(uplink_range_m(fe));
-}
-BENCHMARK(bm_range_search)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_battery_assist";
-  spec.description = "Range and energy per bit vs reflection-amplifier gain";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_battery_assist";

@@ -87,24 +87,11 @@ void print_series() {
               "users by frequency diversity instead (sections 3.3.1-3.3.2).\n");
 }
 
-void bm_despread(benchmark::State& state) {
-  Rng rng(1);
-  const auto code = phy::walsh_code(8, 3);
-  std::vector<double> rx(8000);
-  for (auto& v : rx) v = rng.gaussian();
-  for (auto _ : state) {
-    auto soft = phy::cdma_despread(rx, code);
-    benchmark::DoNotOptimize(soft.data());
-  }
-}
-BENCHMARK(bm_despread)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_cdma";
-  spec.description = "Bandwidth, per-user rate, and near-far";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_cdma";
@@ -112,6 +99,6 @@ int main(int argc, char** argv) {
   sweep.preset = "pool_a_concurrent";
   sweep.trials_per_point = 8;
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.batch.trials"};
+  spec.required_metrics = {{"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

@@ -84,23 +84,11 @@ void print_series() {
               "keeping false alarms on pure noise near zero.\n");
 }
 
-void bm_detection(benchmark::State& state) {
-  Rng rng(1);
-  const auto env = make_envelope(true, 6.0, rng);
-  const phy::SchemeDemodulator demod{phy::SchemeConfig{}};
-  for (auto _ : state) {
-    auto r = demod.demodulate_envelope(env, kFs, 64);
-    benchmark::DoNotOptimize(&r);
-  }
-}
-BENCHMARK(bm_detection)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_detection";
-  spec.description = "Detection probability and false alarms vs threshold";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_detection";
@@ -109,6 +97,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 12;
   sweep.axes.push_back({"noise.psd_db_re_upa", {40.0, 50.0, 60.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.batch.trials"};
+  spec.required_metrics = {{"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

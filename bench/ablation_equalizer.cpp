@@ -116,29 +116,11 @@ void print_series() {
               "to the paper's decoder that needs no node changes.\n");
 }
 
-void bm_equalizer_train(benchmark::State& state) {
-  Rng rng(1);
-  const auto bits = rng.bits(150);
-  const auto chips = phy::fm0_encode(bits);
-  std::vector<std::complex<double>> rx(chips.size());
-  std::vector<double> ref(chips.begin(), chips.end());
-  for (std::size_t i = 0; i < rx.size(); ++i)
-    rx[i] = {static_cast<double>(chips[i]) + rng.gaussian(0.0, 0.1),
-             rng.gaussian(0.0, 0.1)};
-  for (auto _ : state) {
-    phy::LinearEqualizer eq;
-    eq.train(rx, ref);
-    benchmark::DoNotOptimize(&eq);
-  }
-}
-BENCHMARK(bm_equalizer_train)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_equalizer";
-  spec.description = "BER with/without chip-spaced MMSE equalizer";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_equalizer";
@@ -147,6 +129,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 12;
   sweep.axes.push_back({"medium.receiver_clock_offset_ppm", {0.0, 20.0, 50.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.batch.trials"};
+  spec.required_metrics = {{"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

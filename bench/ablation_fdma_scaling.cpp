@@ -90,28 +90,11 @@ void print_series() {
               "conditioning worsens and band-edge nodes fail (section 8).\n");
 }
 
-void bm_zero_force_4(benchmark::State& state) {
-  Rng rng(1);
-  phy::CMatrix h(4, 4);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      h.at(i, j) = {rng.gaussian(), rng.gaussian()};
-  std::vector<std::vector<phy::CMatrix::cplx>> y(4, std::vector<phy::CMatrix::cplx>(4096));
-  for (auto& s : y)
-    for (auto& v : s) v = {rng.gaussian(), rng.gaussian()};
-  for (auto _ : state) {
-    auto x = phy::zero_force_n(y, h);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(bm_zero_force_4)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_fdma_scaling";
-  spec.description = "Aggregate goodput and conditioning vs channel count";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_fdma_scaling";
@@ -120,6 +103,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 8;
   sweep.axes.push_back({"fdma.bitrate", {250.0, 500.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.session.trials"};
+  spec.required_metrics = {{"sim.session.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

@@ -93,23 +93,11 @@ void print_series() {
               "FEC should be switched adaptively, like the bitrate.\n");
 }
 
-void bm_fec_pipeline(benchmark::State& state) {
-  Rng rng(1);
-  const auto data = rng.bits(96);
-  for (auto _ : state) {
-    auto coded = phy::fec_protect(data);
-    auto back = phy::fec_recover(coded, 96);
-    benchmark::DoNotOptimize(back.data());
-  }
-}
-BENCHMARK(bm_fec_pipeline)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_fec";
-  spec.description = "Packet delivery, uncoded vs Hamming(7,4)+interleaver";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_fec";

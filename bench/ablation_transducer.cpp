@@ -83,19 +83,11 @@ void print_series() {
               p_matched / std::max(p_unmatched, 1e-12));
 }
 
-void bm_transducer_eval(benchmark::State& state) {
-  const auto air = circuit::make_recto_piezo(kCarrier);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(air.harvested_dc_power(kCarrier, kIncident));
-}
-BENCHMARK(bm_transducer_eval);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ablation_transducer";
-  spec.description = "Air-backed vs fully-potted; matched vs unmatched";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ablation_transducer";

@@ -83,26 +83,11 @@ void print_series() {
               ledger.total(energy::Category::kBackscatter) * 1e3);
 }
 
-void bm_sensor_transaction(benchmark::State& state) {
-  sense::Environment env;
-  node::NodeConfig ncfg;
-  ncfg.node_depth_m = 0.0;
-  node::PabNode node(ncfg, &env);
-  node.cold_start(15000.0, 600.0, 50.0);
-  const auto query = mac::make_read_pressure(node.config().id);
-  for (auto _ : state) {
-    auto resp = node.process_query(query);
-    benchmark::DoNotOptimize(&resp);
-  }
-}
-BENCHMARK(bm_sensor_transaction)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "app_sensing";
-  spec.description = "Sensing applications: pH, temperature, pressure";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "app_sensing";

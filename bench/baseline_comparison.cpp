@@ -79,20 +79,11 @@ void print_series() {
   std::printf("Measured energy-per-bit gap: %.1f orders of magnitude\n", orders);
 }
 
-void bm_harvest_power(benchmark::State& state) {
-  const auto fe = circuit::make_recto_piezo(15000.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fe.harvested_dc_power(kCarrier, kIncidentPa));
-  }
-}
-BENCHMARK(bm_harvest_power);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "baseline_comparison";
-  spec.description = "Backscatter vs harvest-then-beacon active transmission";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "baseline_comparison";

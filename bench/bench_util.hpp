@@ -1,26 +1,27 @@
 // Shared helpers for the figure-regeneration benches.
 //
-// Each bench binary declares a BenchSpec -- its name, what it reproduces,
-// the series printer, an optional campaign projection, and the counters its
-// run must have touched -- and hands it to run_bench_main.  The default path
-// prints the figure series, runs google-benchmark timings of the hot kernels
-// involved, writes a metrics JSON sidecar (`<bench>.metrics.json`, next to
-// wherever the bench was run) holding every instrument the run touched in
-// the process-wide obs::MetricRegistry, and then fails the process if any
-// required counter is absent or zero -- so CI catches a bench that silently
-// stopped exercising the subsystem it claims to measure.
+// Each bench binary declares a BenchSpec -- its name, the series printer, an
+// optional campaign projection, and the metrics its run must leave behind --
+// and hands it to run_bench_main.  The default path prints the figure
+// series, writes a metrics JSON sidecar (`<name>.metrics.json` in the
+// working directory) holding every instrument the run touched in the
+// process-wide obs::MetricRegistry, and then fails the process if any
+// required metric is absent or below its minimum -- so CI catches a bench
+// that silently stopped exercising the subsystem it claims to measure, or
+// whose paper claim no longer holds.  Stdout is a function of the code
+// alone: a wall-clock rate goes to a sidecar gauge, never to the figure
+// text, and timing the simulator is perfbench's job.
 //
-// Two flags route the same binary through the campaign engine instead:
+// One flag routes the same binary through the campaign engine instead; any
+// other argument is a usage error (exit 2):
 //   --campaign              run spec.campaign through the in-process
 //                           BatchExecutor; writes <name>.campaign.records /
 //                           .campaign.metrics.json / .campaign.summary.json
-//                           and prints the summary (no google-benchmark run)
+//                           and prints the summary
 //   --print-campaign-spec   dump the canonical campaign spec text and exit,
 //                           ready to feed to `pab_serve --spec` for a
 //                           sharded multi-process run of the same sweep
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -64,45 +65,24 @@ inline std::string fmt_sci(double v, int precision = 2) {
 // parsing.  `campaign` is the bench's sweep expressed as a CampaignSpec, so
 // the same binary doubles as a campaign job (see the flags above); the spec
 // is also what `pab_serve` shards across worker processes.
-// `required_counters` are sidecar assertions: global-registry counters the
-// default path must leave nonzero.
+// `required_metrics` are the sidecar assertions, (name, minimum) pairs: each
+// names a counter or gauge of the global registry that the default path must
+// leave at or above its minimum.  A counter at minimum 1 shows the run
+// exercised a subsystem; a `claim.*` gauge shows a paper claim or a
+// self-check held.
 struct BenchSpec {
-  std::string name;         // binary/figure name; campaign artifact stem
-  std::string description;  // one line: what the bench reproduces
+  std::string name;  // binary/figure name; sidecar and campaign artifact stem
   void (*print_series)() = nullptr;
   std::optional<campaign::CampaignSpec> campaign;
-  std::vector<std::string> required_counters;
+  std::vector<std::pair<std::string, double>> required_metrics;
 };
-
-// `<basename of argv0>.metrics.json` in the working directory.
-inline std::string metrics_sidecar_path(const char* argv0) {
-  std::string_view name = argv0 != nullptr ? argv0 : "bench";
-  if (const auto slash = name.rfind('/'); slash != std::string_view::npos)
-    name.remove_prefix(slash + 1);
-  return std::string(name) + ".metrics.json";
-}
-
-// Dump `registry` as the bench's metrics sidecar; returns the path ("" on
-// I/O failure).  run_bench_main calls this with the global registry -- call
-// it directly only for an isolated registry.
-inline std::string write_metrics_sidecar(
-    const char* argv0,
-    const obs::MetricRegistry& registry = obs::MetricRegistry::global()) {
-  const std::string path = metrics_sidecar_path(argv0);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return "";
-  const std::string json = registry.to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return path;
-}
 
 namespace detail {
 
 inline bool write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
+  out.close();
   if (!out) {
     std::fprintf(stderr, "%s: cannot write %s\n", "bench", path.c_str());
     return false;
@@ -136,53 +116,70 @@ inline int run_as_campaign(const BenchSpec& spec) {
   return 0;
 }
 
-// Sidecar assertions: every required counter present and nonzero in the
-// global registry after the run.
-inline int check_required_counters(const BenchSpec& spec) {
+// Sidecar assertions: every required metric present among the global
+// registry's counters or gauges after the run, and at least its minimum (a
+// NaN gauge fails too).
+inline int check_required_metrics(const BenchSpec& spec) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricRegistry::global().snapshot();
-  int missing = 0;
-  for (const std::string& name : spec.required_counters) {
-    if (snapshot.counter_or(name, 0) == 0) {
+  int failed = 0;
+  for (const auto& [name, minimum] : spec.required_metrics) {
+    std::optional<double> value;
+    if (const auto c = snapshot.counters.find(name);
+        c != snapshot.counters.end())
+      value = static_cast<double>(c->second);
+    else if (const auto g = snapshot.gauges.find(name);
+             g != snapshot.gauges.end())
+      value = g->second;
+    if (!value.has_value()) {
       std::fprintf(stderr,
-                   "%s: required counter \"%s\" is absent or zero -- the "
-                   "bench no longer exercises what it claims to measure\n",
+                   "%s: required metric \"%s\" is absent -- the bench no "
+                   "longer exercises what it claims to measure\n",
                    spec.name.c_str(), name.c_str());
-      ++missing;
+      ++failed;
+    } else if (!(*value >= minimum)) {
+      std::fprintf(stderr, "%s: \"%s\" is %g, below its required %g\n",
+                   spec.name.c_str(), name.c_str(), *value, minimum);
+      ++failed;
     }
   }
-  return missing == 0 ? 0 : 1;
+  return failed == 0 ? 0 : 1;
 }
 
 }  // namespace detail
 
 // The bench entry point.  Handles the campaign flags, otherwise prints the
-// figure series, runs registered google-benchmark timings, emits the metrics
-// sidecar from the global registry, and enforces the spec's sidecar
-// assertions (nonzero exit when one fails).
+// figure series, writes the metrics sidecar from the global registry, and
+// enforces the spec's sidecar assertions.  Exits 2 on any other argument and
+// 1 when the sidecar cannot be written or an assertion fails.
 inline int run_bench_main(int argc, char** argv, const BenchSpec& spec) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--campaign") return detail::run_as_campaign(spec);
-    if (arg == "--print-campaign-spec") {
-      if (!spec.campaign.has_value()) {
-        std::fprintf(stderr, "%s: this bench has no campaign projection\n",
-                     spec.name.c_str());
-        return 2;
-      }
-      std::fputs(spec.campaign->serialize().c_str(), stdout);
-      return 0;
+    if (i > 1 || (arg != "--campaign" && arg != "--print-campaign-spec")) {
+      std::fprintf(stderr,
+                   "%s: unexpected argument \"%s\"\n"
+                   "usage: %s [--campaign | --print-campaign-spec]\n",
+                   spec.name.c_str(), argv[i], spec.name.c_str());
+      return 2;
     }
   }
+  const std::string_view flag = argc > 1 ? argv[1] : "";
+  if (flag == "--campaign") return detail::run_as_campaign(spec);
+  if (flag == "--print-campaign-spec") {
+    if (!spec.campaign.has_value()) {
+      std::fprintf(stderr, "%s: this bench has no campaign projection\n",
+                   spec.name.c_str());
+      return 2;
+    }
+    std::fputs(spec.campaign->serialize().c_str(), stdout);
+    return 0;
+  }
   if (spec.print_series != nullptr) spec.print_series();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  const std::string sidecar =
-      write_metrics_sidecar(argc > 0 ? argv[0] : nullptr);
-  if (!sidecar.empty())
-    std::printf("\nmetrics sidecar: %s\n", sidecar.c_str());
-  return detail::check_required_counters(spec);
+  const std::string sidecar = spec.name + ".metrics.json";
+  if (!detail::write_file(sidecar, obs::MetricRegistry::global().to_json()))
+    return 1;
+  std::printf("\nmetrics sidecar: %s\n", sidecar.c_str());
+  return detail::check_required_metrics(spec);
 }
 
 }  // namespace pab::bench

@@ -16,21 +16,20 @@
 // the wall-clock ratio isolates the channel-census cost.  The sidecar
 // publishes sim.field.node_hours_per_sec (culled throughput at the largest
 // population), sim.field.node_hours_per_sec_brute, and their ratio
-// sim.field.speedup_vs_brute.  A final interference-on pass at the largest
-// population publishes sim.field.mean_slot_sinr_db and
-// sim.field.interference_corrupted_slots, the cross-zone SINR corruption
-// gauges.
+// sim.field.speedup_vs_brute; these are wall-clock rates, so they stay out
+// of stdout, which prints only the deterministic census.  A final
+// interference-on pass at the largest population publishes
+// sim.field.mean_slot_sinr_db and sim.field.interference_corrupted_slots,
+// the cross-zone SINR corruption gauges.
 //
-// PAB_DEPLOY_MAX_POP caps the sweep (CI smoke runs at 200); the brute-force
-// reference is skipped above kBruteCap nodes to keep the sweep bounded.
+// The brute-force reference is skipped above kBruteCap nodes to keep the
+// sweep bounded.
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "channel/spatial.hpp"
 #include "obs/metrics.hpp"
 #include "sim/field.hpp"
 #include "sim/scenario.hpp"
@@ -41,15 +40,8 @@ namespace {
 using namespace pab;
 
 constexpr std::uint64_t kPopulations[] = {10, 50, 200, 1000, 2000};
+constexpr std::uint64_t kLargest = kPopulations[std::size(kPopulations) - 1];
 constexpr std::uint64_t kBruteCap = 1000;
-
-std::uint64_t max_population() {
-  if (const char* env = std::getenv("PAB_DEPLOY_MAX_POP")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::uint64_t>(v);
-  }
-  return kPopulations[std::size(kPopulations) - 1];
-}
 
 sim::FieldSpec field_spec(std::uint64_t population) {
   sim::FieldSpec spec;
@@ -91,20 +83,15 @@ void print_series() {
   bench::print_header("Deployment scale",
                       "node-field census + zoned inventory, 10 -> 2000 nodes");
 
-  const std::uint64_t cap = max_population();
   bench::print_row({"nodes", "radius_m", "kept", "culled", "tap_eval",
-                    "tap_lkup", "zones", "rounds", "found", "nodeh/s",
-                    "brute nodeh/s"});
+                    "tap_lkup", "zones", "rounds", "found"});
 
   auto& registry = obs::MetricRegistry::global();
   double last_culled_rate = 0.0;
   double speedup_at = 0.0;  // largest population with both paths run
   double speedup = 0.0;
-  std::uint64_t last_population = 0;
 
   for (const std::uint64_t population : kPopulations) {
-    if (population > cap) break;
-    last_population = population;
     const sim::Scenario scenario =
         sim::Scenario::open_water(field_spec(population)).with_seed(400 + population);
     const sim::Session session(scenario);
@@ -119,12 +106,10 @@ void print_series() {
     const TimedRun& c = culled.value();
     last_culled_rate = node_hours_per_sec(c);
 
-    std::string brute_cell = "-";
     if (population <= kBruteCap) {
       const auto brute = timed_field_trial(session, /*brute_force=*/true);
       if (brute.ok()) {
         const double brute_rate = node_hours_per_sec(brute.value());
-        brute_cell = bench::fmt(brute_rate, 1);
         if (brute_rate > 0.0) {
           speedup = last_culled_rate / brute_rate;
           speedup_at = static_cast<double>(population);
@@ -142,83 +127,49 @@ void print_series() {
          bench::fmt(static_cast<double>(c.result.tap_lookups), 0),
          bench::fmt(static_cast<double>(c.result.zones), 0),
          bench::fmt(static_cast<double>(c.result.zone_rounds), 0),
-         bench::fmt(static_cast<double>(c.result.identified.size()), 0),
-         bench::fmt(last_culled_rate, 1), brute_cell});
+         bench::fmt(static_cast<double>(c.result.identified.size()), 0)});
   }
 
   registry.gauge("sim.field.node_hours_per_sec").set(last_culled_rate);
   registry.gauge("sim.field.speedup_vs_brute").set(speedup);
   registry.gauge("sim.field.speedup_population").set(speedup_at);
 
-  // Cross-zone interference pass at the largest population run above: same
-  // field, SINR model on (culled path), so the sidecar carries the corruption
-  // gauges alongside the throughput numbers.
-  if (last_population > 0) {
-    const sim::Scenario scenario =
-        sim::Scenario::open_water(field_spec(last_population))
-            .with_seed(400 + last_population);
-    const sim::Session session(scenario);
-    const auto run =
-        timed_field_trial(session, /*brute_force=*/false, /*interference=*/true);
-    if (run.ok()) {
-      const TimedRun& r = run.value();
-      registry.gauge("sim.field.mean_slot_sinr_db")
-          .set(r.result.mean_slot_sinr_db);
-      registry.gauge("sim.field.interference_corrupted_slots")
-          .set(static_cast<double>(r.result.interference_corrupted_slots));
-      std::printf("\ninterference at %llu nodes: %llu corrupted slots, "
-                  "mean slot SINR %.2f dB, %llu/%llu identified\n",
-                  static_cast<unsigned long long>(last_population),
-                  static_cast<unsigned long long>(
-                      r.result.interference_corrupted_slots),
-                  r.result.mean_slot_sinr_db,
-                  static_cast<unsigned long long>(r.result.identified.size()),
-                  static_cast<unsigned long long>(last_population));
-    } else {
-      std::printf("\ninterference pass failed: %s\n",
-                  run.error().message().c_str());
-    }
+  // Cross-zone interference pass at the largest population: same field, SINR
+  // model on (culled path), so the sidecar carries the corruption gauges
+  // alongside the throughput numbers.
+  const sim::Scenario scenario =
+      sim::Scenario::open_water(field_spec(kLargest)).with_seed(400 + kLargest);
+  const sim::Session session(scenario);
+  const auto run =
+      timed_field_trial(session, /*brute_force=*/false, /*interference=*/true);
+  if (run.ok()) {
+    const TimedRun& r = run.value();
+    registry.gauge("sim.field.mean_slot_sinr_db")
+        .set(r.result.mean_slot_sinr_db);
+    registry.gauge("sim.field.interference_corrupted_slots")
+        .set(static_cast<double>(r.result.interference_corrupted_slots));
+    std::printf("\ninterference at %llu nodes: %llu corrupted slots, "
+                "mean slot SINR %.2f dB, %llu/%llu identified\n",
+                static_cast<unsigned long long>(kLargest),
+                static_cast<unsigned long long>(
+                    r.result.interference_corrupted_slots),
+                r.result.mean_slot_sinr_db,
+                static_cast<unsigned long long>(r.result.identified.size()),
+                static_cast<unsigned long long>(kLargest));
+  } else {
+    std::printf("\ninterference pass failed: %s\n",
+                run.error().message().c_str());
   }
 
-  std::printf("\nculled vs brute-force speedup: %.1fx at %.0f nodes "
-              "(node-hours simulated per wall-second)\n",
-              speedup, speedup_at);
-  std::printf("Paper shape: deployment cost grows with kept pairs (constant\n"
+  std::printf("\nPaper shape: deployment cost grows with kept pairs (constant\n"
               "density => linear in population), not with O(n^2) geometry.\n");
 }
-
-void bm_cull_pairs_1000(benchmark::State& state) {
-  const sim::NodeField field = sim::NodeField::generate(field_spec(1000));
-  const double radius = 50.0;
-  const channel::SpatialIndex index(field.positions(),
-                                    /*cell_m=*/radius);
-  for (auto _ : state) {
-    channel::CullStats stats;
-    auto pairs = channel::cull_pairs(index, radius, &stats);
-    benchmark::DoNotOptimize(&pairs);
-  }
-}
-BENCHMARK(bm_cull_pairs_1000)->Unit(benchmark::kMillisecond);
-
-void bm_field_trial_200(benchmark::State& state) {
-  const sim::Scenario scenario = sim::Scenario::open_water(field_spec(200));
-  const sim::Session session(scenario);
-  sim::TrialOptions opts;
-  opts.field.keep_log = false;
-  for (auto _ : state) {
-    auto r = session.run_trial<sim::TrialKind::kField>(/*trial=*/0, opts);
-    benchmark::DoNotOptimize(&r);
-  }
-}
-BENCHMARK(bm_field_trial_200)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "deployment_scale";
-  spec.description =
-      "node-field census + zoned inventory, 10 -> 2000 nodes";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "deployment_scale";
@@ -229,9 +180,9 @@ int main(int argc, char** argv) {
   sweep.axes.push_back({"field.population", {50.0, 200.0}});
   sweep.field["zone_extent_m"] = 80.0;
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"channel.spatial.culled_pairs",
-                            "channel.spatial.kept_pairs",
-                            "channel.tapcache.hits",
-                            "sim.session.field.trials"};
+  spec.required_metrics = {{"channel.spatial.culled_pairs", 1},
+                           {"channel.spatial.kept_pairs", 1},
+                           {"channel.tapcache.hits", 1},
+                           {"sim.session.field.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

@@ -69,19 +69,11 @@ void print_series() {
               "range, lower bitrate, much larger transducer.\n");
 }
 
-void bm_comm_range(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(comm_range_km(15000.0, 2500.0));
-  }
-}
-BENCHMARK(bm_comm_range)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "design_tradeoff";
-  spec.description = "Resonance frequency vs size, bandwidth, bitrate, range";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "design_tradeoff";

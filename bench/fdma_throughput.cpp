@@ -6,7 +6,6 @@
 // and the throughput ratio.
 #include "bench_util.hpp"
 #include "mac/fdma.hpp"
-#include "mac/protocol.hpp"
 #include "mac/scheduler.hpp"
 #include "sim/batch.hpp"
 
@@ -99,31 +98,11 @@ void print_series() {
                   mac::tdma_throughput_bps(2, kBitrate));
 }
 
-void bm_scheduler_round(benchmark::State& state) {
-  mac::PollScheduler sched;
-  const auto link = [](const phy::DownlinkQuery&) -> pab::Expected<phy::UplinkPacket> {
-    phy::UplinkPacket p;
-    p.payload = {1, 2, 3, 4};
-    return p;
-  };
-  const std::vector<phy::DownlinkQuery> queries = {mac::make_ping(1),
-                                                   mac::make_ping(2)};
-  for (auto _ : state) {
-    sched.poll_round(queries, link, 76, 1000.0);
-    const auto stats = sched.stats();
-    benchmark::DoNotOptimize(&stats);
-  }
-  // Fold the scheduler's mac.poll.* books into this bench's sidecar.
-  sched.export_to(pab::obs::MetricRegistry::global());
-}
-BENCHMARK(bm_scheduler_round);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fdma_throughput";
-  spec.description = "TDMA vs FDMA (recto-piezo) aggregate throughput";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fdma_throughput";
@@ -132,6 +111,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 16;
   sweep.axes.push_back({"fdma.bitrate", {125.0, 250.0, 500.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.session.trials", "sim.batch.trials"};
+  spec.required_metrics = {{"sim.session.trials", 1}, {"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

@@ -91,23 +91,11 @@ void print_series() {
               tl.events_processed());
 }
 
-void bm_power_model(benchmark::State& state) {
-  const energy::McuPowerModel mcu;
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (double r = 100.0; r <= 3000.0; r += 10.0)
-      acc += mcu.backscatter_power_w(r);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(bm_power_model);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig11_power";
-  spec.description = "Power consumption vs backscatter bitrate";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig11_power";

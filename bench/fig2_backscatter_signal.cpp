@@ -120,21 +120,11 @@ void print_series() {
               100.0 * std::abs(v_hi - v_lo) / v_cw);
 }
 
-void bm_demodulate(benchmark::State& state) {
-  const dsp::Signal capture = synthesize_trace();
-  for (auto _ : state) {
-    auto bb = dsp::downconvert_filtered(capture, kCarrier, 200.0, 4);
-    benchmark::DoNotOptimize(bb.samples.data());
-  }
-}
-BENCHMARK(bm_demodulate)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig2_backscatter_signal";
-  spec.description = "Received and demodulated backscatter signal";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig2_backscatter_signal";

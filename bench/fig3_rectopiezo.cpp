@@ -59,33 +59,11 @@ void print_series() {
               "1.5-3 kHz, complementary responses enabling FDMA.\n");
 }
 
-void bm_rectified_voltage_sweep(benchmark::State& state) {
-  const auto rp = circuit::make_recto_piezo(15000.0);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (double f = 11000.0; f <= 21000.0; f += 100.0)
-      acc += rp.rectified_open_voltage(f, kIncidentPa);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(bm_rectified_voltage_sweep)->Unit(benchmark::kMicrosecond);
-
-void bm_matching_network_design(benchmark::State& state) {
-  const auto xdcr = piezo::make_node_transducer();
-  for (auto _ : state) {
-    auto net = circuit::MatchingNetwork::design(
-        xdcr.thevenin_impedance(15000.0), 100000.0, 15000.0);
-    benchmark::DoNotOptimize(&net);
-  }
-}
-BENCHMARK(bm_matching_network_design);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig3_rectopiezo";
-  spec.description = "Rectified voltage vs frequency for two recto-piezos";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig3_rectopiezo";

@@ -7,10 +7,8 @@
 // Monte-Carlo at chip level: FM0-encode random payloads, add calibrated AWGN
 // to the soft chips, ML-decode, count errors.  Trials fan out over a
 // sim::BatchRunner; trial i of each SNR point draws from RNG substream i, so
-// the curve is bit-identical at any thread count (verified below).
-#include <chrono>
-#include <thread>
-
+// the curve is bit-identical at any thread count (checked below: the
+// claim.fig7.bit_identical_across_threads gauge must read 1).
 #include "bench_util.hpp"
 #include "phy/fm0.hpp"
 #include "phy/metrics.hpp"
@@ -72,12 +70,8 @@ void print_series() {
   constexpr double kBitsPerPoint =
       static_cast<double>(kBitsPerTrial * kTrialsPerPoint);
 
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
   const auto serial = sweep(sim::BatchRunner(1));
-  const auto t1 = clock::now();
   const auto parallel = sweep(sim::BatchRunner(8));
-  const auto t2 = clock::now();
 
   const auto grid = snr_grid();
   bench::print_row({"SNR [dB]", "BER"});
@@ -94,13 +88,11 @@ void print_series() {
   std::printf("BER reaches the 1e-5 floor at ~%.0f dB (paper: ~11 dB)\n",
               snr_at_1e5);
 
-  const double serial_s = std::chrono::duration<double>(t1 - t0).count();
-  const double parallel_s = std::chrono::duration<double>(t2 - t1).count();
-  std::printf("\nBatchRunner: serial %.2f s, 8 threads %.2f s (%.2fx, %u cores)\n",
-              serial_s, parallel_s, serial_s / std::max(parallel_s, 1e-9),
-              std::thread::hardware_concurrency());
-  std::printf("per-point error counts bit-identical across thread counts: %s\n",
+  std::printf("\nper-point error counts bit-identical across thread counts: %s\n",
               serial == parallel ? "yes" : "NO -- DETERMINISM BROKEN");
+  obs::MetricRegistry::global()
+      .gauge("claim.fig7.bit_identical_across_threads")
+      .set(serial == parallel ? 1.0 : 0.0);
 
   // Waveform-level cross-check: a short full-pipeline run (projector ->
   // tank multipath -> recto-piezo backscatter -> hydrophone -> receiver
@@ -133,26 +125,11 @@ void print_series() {
                                  static_cast<double>(taps.lookups())));
 }
 
-void bm_fm0_ml_decode(benchmark::State& state) {
-  Rng rng(7);
-  const auto bits = rng.bits(1000);
-  const auto chips = phy::fm0_encode(bits);
-  std::vector<double> soft(chips.size());
-  for (std::size_t i = 0; i < soft.size(); ++i)
-    soft[i] = chips[i] + rng.gaussian(0.0, 0.5);
-  for (auto _ : state) {
-    auto decoded = phy::fm0_decode_ml(soft);
-    benchmark::DoNotOptimize(decoded.data());
-  }
-}
-BENCHMARK(bm_fm0_ml_decode)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig7_ber_snr";
-  spec.description = "BER-SNR curve (FM0 ML decoding)";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig7_ber_snr";
@@ -162,6 +139,9 @@ int main(int argc, char** argv) {
   sweep.base_seed = 77;
   sweep.axes.push_back({"noise.psd_db_re_upa", {35.0, 45.0, 55.0, 65.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.session.trials", "sim.batch.trials", "phy.demod.attempts"};
+  spec.required_metrics = {{"sim.session.trials", 1},
+                           {"sim.batch.trials", 1},
+                           {"phy.demod.attempts", 1},
+                           {"claim.fig7.bit_identical_across_threads", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

@@ -5,8 +5,7 @@
 // 3 kbps because the recto-piezo's efficiency drops away from resonance.
 // Three trials per bitrate, mean +/- standard deviation.
 #include "bench_util.hpp"
-#include "core/link.hpp"
-#include "core/projector.hpp"
+#include "core/setup.hpp"
 #include "energy/mcu.hpp"
 #include "phy/metrics.hpp"
 #include "sim/batch.hpp"
@@ -66,28 +65,11 @@ void print_series() {
               "recto-piezo loses efficiency away from resonance.\n");
 }
 
-void bm_uplink_run(benchmark::State& state) {
-  core::SimConfig sc = sim::Scenario::pool_a().medium;
-  core::LinkSimulator sim(sc, close_placement());
-  const auto proj = core::Projector(piezo::make_projector_transducer(), 50.0);
-  const auto fe = circuit::make_recto_piezo(15000.0);
-  Rng rng(1);
-  const auto bits = rng.bits(96);
-  sim::Waveform cfg;
-  Rng noise(sc.seed);
-  for (auto _ : state) {
-    auto out = sim.run_uplink(proj, fe, bits, cfg, noise);
-    benchmark::DoNotOptimize(out.hydrophone_v.samples.data());
-  }
-}
-BENCHMARK(bm_uplink_run)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig8_snr_bitrate";
-  spec.description = "SNR vs backscatter bitrate";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig8_snr_bitrate";
@@ -96,6 +78,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 12;
   sweep.axes.push_back({"waveform.bitrate", {250.0, 500.0, 1000.0, 2000.0, 5000.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.session.trials", "sim.batch.trials"};
+  spec.required_metrics = {{"sim.session.trials", 1}, {"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

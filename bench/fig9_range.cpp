@@ -118,33 +118,11 @@ void print_series() {
                                               cache_b.lookups()));
 }
 
-void bm_image_method(benchmark::State& state) {
-  const channel::Tank tank = channel::make_pool_b();
-  for (auto _ : state) {
-    auto taps = channel::image_method_taps(tank, {0.6, 0.2, 0.5},
-                                           {0.6, 8.0, 0.5}, 2, kCarrier);
-    benchmark::DoNotOptimize(taps.data());
-  }
-}
-BENCHMARK(bm_image_method)->Unit(benchmark::kMicrosecond);
-
-void bm_harvest_evaluation(benchmark::State& state) {
-  const auto fe = circuit::make_recto_piezo(15000.0);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (double p = 10.0; p < 1000.0; p += 10.0)
-      acc += fe.harvested_dc_power(kCarrier, p);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(bm_harvest_evaluation)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "fig9_range";
-  spec.description = "Maximum power-up distance vs transmitter voltage";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "fig9_range";
@@ -153,6 +131,6 @@ int main(int argc, char** argv) {
   sweep.trials_per_point = 8;
   sweep.axes.push_back({"projector.drive_v", {5.0, 10.0, 15.0, 20.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.batch.trials"};
+  spec.required_metrics = {{"sim.batch.trials", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

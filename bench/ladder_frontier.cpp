@@ -129,40 +129,11 @@ void print_series() {
               "clock -- the crossover is what the soft-metric ladder walks.\n");
 }
 
-void bm_fsk4_trial(benchmark::State& state) {
-  sim::Scenario sc = sim::Scenario::pool_a().with_seed(9);
-  sc.waveform.scheme = phy::SchemeId::kFsk4;
-  sc.waveform.bitrate = 2000.0;
-  sc.waveform.payload_bits = 96;
-  const sim::Session session(sc);
-  sim::UplinkTrial trial;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const auto r = session.run_into(i++, trial);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(bm_fsk4_trial)->Unit(benchmark::kMillisecond);
-
-void bm_fm0_trial(benchmark::State& state) {
-  sim::Scenario sc = sim::Scenario::pool_a().with_seed(9);
-  sc.waveform.payload_bits = 96;
-  const sim::Session session(sc);
-  sim::UplinkTrial trial;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    const auto r = session.run_into(i++, trial);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(bm_fm0_trial)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "ladder_frontier";
-  spec.description = "Throughput-vs-SNR frontier per modulation scheme";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "ladder_frontier";
@@ -172,7 +143,8 @@ int main(int argc, char** argv) {
   sweep.axes.push_back({"waveform.scheme", {0.0, 1.0, 2.0}});
   sweep.axes.push_back({"noise.psd_db_re_upa", {55.0, 79.0, 91.0}});
   spec.campaign = std::move(sweep);
-  spec.required_counters = {"sim.session.trials", "sim.batch.trials",
-                            "bench.ladder.schemes_published"};
+  spec.required_metrics = {{"sim.session.trials", 1},
+                           {"sim.batch.trials", 1},
+                           {"bench.ladder.schemes_published", 1}};
   return pab::bench::run_bench_main(argc, argv, spec);
 }

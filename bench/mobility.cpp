@@ -67,25 +67,11 @@ void print_series() {
               "dynamic multipath open-water PAB must ride out.\n");
 }
 
-void bm_propagate_moving(benchmark::State& state) {
-  channel::MovingPathConfig cfg;
-  cfg.source = {0, 0, 0};
-  cfg.rx_start = {30.0, 0, 0};
-  cfg.rx_velocity = {-1.0, 0, 0};
-  const auto tx = cw(1.0, 0.2);
-  for (auto _ : state) {
-    auto rx = channel::propagate_moving(tx, cfg);
-    benchmark::DoNotOptimize(rx.samples.data());
-  }
-}
-BENCHMARK(bm_propagate_moving)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pab::bench::BenchSpec spec;
   spec.name = "mobility";
-  spec.description = "Doppler tracking and surface-wave fading";
   spec.print_series = print_series;
   pab::campaign::CampaignSpec sweep;
   sweep.name = "mobility";
