@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "circuit/rectopiezo.hpp"
 #include "core/projector.hpp"
+#include "energy/harvester.hpp"
 
 namespace {
 
@@ -16,7 +17,6 @@ using namespace pab;
 // projector for each operating frequency, so the incident level at the node
 // is roughly constant across the sweep.
 constexpr double kIncidentPa = 65.0;
-constexpr double kPowerUpV = 2.5;
 
 void print_series() {
   bench::print_header("Figure 3",
@@ -24,7 +24,9 @@ void print_series() {
   const auto rp15 = circuit::make_recto_piezo(15000.0);
   const auto rp18 = circuit::make_recto_piezo(18000.0);
 
-  bench::print_row({"f [kHz]", "V(15k) [V]", "V(18k) [V]", ">=2.5V"});
+  const double threshold = energy::Harvester::kPowerUpThresholdV;
+  bench::print_row({"f [kHz]", "V(15k) [V]", "V(18k) [V]",
+                    ">=" + bench::fmt(threshold, 1) + "V"});
   double peak15 = 0.0, peak15_f = 0.0, peak18 = 0.0, peak18_f = 0.0;
   double band15_lo = 0.0, band15_hi = 0.0, band18_lo = 0.0, band18_hi = 0.0;
   for (double f = 11000.0; f <= 21000.0 + 1.0; f += 250.0) {
@@ -32,17 +34,17 @@ void print_series() {
     const double v18 = rp18.rectified_open_voltage(f, kIncidentPa);
     if (v15 > peak15) { peak15 = v15; peak15_f = f; }
     if (v18 > peak18) { peak18 = v18; peak18_f = f; }
-    if (v15 >= kPowerUpV) {
+    if (v15 >= threshold) {
       if (band15_lo == 0.0) band15_lo = f;
       band15_hi = f;
     }
-    if (v18 >= kPowerUpV) {
+    if (v18 >= threshold) {
       if (band18_lo == 0.0) band18_lo = f;
       band18_hi = f;
     }
     std::string marks;
-    if (v15 >= kPowerUpV) marks += "15k ";
-    if (v18 >= kPowerUpV) marks += "18k";
+    if (v15 >= threshold) marks += "15k ";
+    if (v18 >= threshold) marks += "18k";
     bench::print_row({bench::fmt(f / 1000.0, 2), bench::fmt(v15),
                       bench::fmt(v18), marks.empty() ? "-" : marks});
   }

@@ -14,7 +14,6 @@
 #include "circuit/rectopiezo.hpp"
 #include "core/projector.hpp"
 #include "energy/harvester.hpp"
-#include "energy/mcu.hpp"
 #include "sim/batch.hpp"
 
 namespace {
@@ -48,8 +47,7 @@ RangeScan pool_b_scan(const channel::Tank& tank) {
 // level of the sweep reuses the same memoized tap sets through `cache`.
 double max_power_up_distance(const RangeScan& scan,
                              const channel::TapCache& cache, double drive_v,
-                             const circuit::RectoPiezo& fe,
-                             double idle_power_w) {
+                             const circuit::RectoPiezo& fe) {
   const core::Projector proj(piezo::make_projector_transducer(), drive_v);
   const double p1m = proj.pressure_at_1m(kCarrier);
   double max_d = 0.0;
@@ -63,12 +61,10 @@ double max_power_up_distance(const RangeScan& scan,
       const auto taps = cache.taps(scan.start, rx, kCarrier);
       best_p = std::max(best_p, p1m * channel::coherent_gain(*taps, kCarrier));
     }
-    const bool threshold_ok =
-        fe.rectified_open_voltage(kCarrier, best_p) >=
-        energy::Harvester::kPowerUpThresholdV;
-    const bool power_ok =
-        fe.harvested_dc_power(kCarrier, best_p) >= idle_power_w;
-    if (threshold_ok && power_ok) max_d = d;
+    if (energy::Harvester::sustains_power_up(
+            fe.rectified_open_voltage(kCarrier, best_p),
+            fe.harvested_dc_power(kCarrier, best_p)))
+      max_d = d;
   }
   return max_d;
 }
@@ -77,8 +73,6 @@ void print_series() {
   bench::print_header("Figure 9",
                       "Maximum power-up distance vs transmitter voltage");
   const auto fe = circuit::make_recto_piezo(15000.0);
-  const energy::McuPowerModel mcu;
-  const double idle = mcu.idle_power_w();
 
   const channel::Tank pool_a = channel::make_pool_a();
   const channel::Tank pool_b = channel::make_pool_b();
@@ -96,8 +90,8 @@ void print_series() {
   struct Row { double da, db; };
   const sim::BatchRunner pool;
   const auto rows = pool.map(volts.size(), [&](std::size_t i) {
-    return Row{max_power_up_distance(scan_a, cache_a, volts[i], fe, idle),
-               max_power_up_distance(scan_b, cache_b, volts[i], fe, idle)};
+    return Row{max_power_up_distance(scan_a, cache_a, volts[i], fe),
+               max_power_up_distance(scan_b, cache_b, volts[i], fe)};
   });
 
   bench::print_row({"V_tx [V]", "Pool A [m]", "Pool B [m]"});

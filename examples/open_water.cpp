@@ -12,7 +12,6 @@
 #include "circuit/rectopiezo.hpp"
 #include "core/projector.hpp"
 #include "energy/harvester.hpp"
-#include "energy/mcu.hpp"
 #include "util/units.hpp"
 
 int main() {
@@ -34,7 +33,6 @@ int main() {
   // Link budgets vs range, free field.
   const core::Projector projector(piezo::make_projector_transducer(), 350.0);
   const auto node = circuit::make_recto_piezo(15000.0);
-  const energy::McuPowerModel mcu;
   const double p1m = projector.pressure_at_1m(kCarrier);
   const channel::NoiseModel noise = channel::sea_noise(kCarrier, 0.5, 8.0);
   const double noise_rms = noise.rms_pressure_pa(2.0 * kBitrate);
@@ -49,9 +47,8 @@ int main() {
     const double g = channel::path_amplitude_gain(d, kCarrier);
     const double incident = p1m * g;
     const double harvest = node.harvested_dc_power(kCarrier, incident);
-    const bool up = harvest >= mcu.idle_power_w() &&
-                    node.rectified_open_voltage(kCarrier, incident) >=
-                        energy::Harvester::kPowerUpThresholdV;
+    const bool up = energy::Harvester::sustains_power_up(
+        node.rectified_open_voltage(kCarrier, incident), harvest);
     const double mod_at_rx = incident * node.modulation_depth(kCarrier) * g;
     const double snr = db_from_amplitude_ratio(
         (mod_at_rx / std::numbers::sqrt2) / noise_rms);

@@ -164,7 +164,6 @@ int cmd_range(const Args& a) {
   const core::Projector proj(piezo::make_projector_transducer(),
                              a.num("drive", 200.0));
   const auto fe = circuit::make_recto_piezo(15000.0);
-  const energy::McuPowerModel mcu;
   const bool pool_b = a.str("pool", "A") == "B";
   const channel::Vec3 start = pool_b ? channel::Vec3{0.6, 0.2, 0.5}
                                      : channel::Vec3{0.2, 0.2, 0.65};
@@ -178,9 +177,9 @@ int cmd_range(const Args& a) {
     const auto taps = channel::image_method_taps(sc.tank, start, rx, 2, 15000.0);
     const double p = proj.pressure_at_1m(15000.0) *
                      channel::coherent_gain(taps, 15000.0);
-    const bool up = fe.rectified_open_voltage(15000.0, p) >=
-                        energy::Harvester::kPowerUpThresholdV &&
-                    fe.harvested_dc_power(15000.0, p) >= mcu.idle_power_w();
+    const bool up = energy::Harvester::sustains_power_up(
+        fe.rectified_open_voltage(15000.0, p),
+        fe.harvested_dc_power(15000.0, p));
     std::printf("%5.1f  %12.1f  %11.1f  %s\n", d, p,
                 fe.harvested_dc_power(15000.0, p) * 1e6, up ? "yes" : "no");
   }

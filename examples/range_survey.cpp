@@ -57,9 +57,7 @@ int main() {
       const double vrect = node.rectified_open_voltage(kCarrier, p);
       const double t_up =
           energy::Harvester::time_to_power_up(harvest, vrect);
-      const bool sustained =
-          harvest >= idle_w && vrect >= energy::Harvester::kPowerUpThresholdV;
-      if (t_up > 0.0 && sustained) {
+      if (energy::Harvester::sustains_power_up(vrect, harvest)) {
         std::printf("%7.1f   %11.1f   %10.1f   %8.2f   %10.1f\n", d, p,
                     harvest * 1e6, vrect, t_up);
       } else {

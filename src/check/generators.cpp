@@ -193,11 +193,9 @@ std::vector<TimelineOp> gen_timeline_ops(Rng& rng, std::size_t n) {
   ops.reserve(n);
   double now = 0.0;
   std::vector<double> pending;
-  const char* const labels[] = {"a.x", "a.y", "b.z", "mac.downlink",
-                                "energy.harvested"};
-  const auto label = [&] {
-    return std::string(labels[rng.uniform_int(0, 4)]);
-  };
+  constexpr sim::TimelineLabel kLabels[] = {"a.x", "a.y", "b.z",
+                                            "mac.downlink", "energy.harvested"};
+  const auto label = [&] { return kLabels[rng.uniform_int(0, 4)]; };
   const auto fire_until = [&](double t) {
     std::erase_if(pending, [&](double ft) { return ft <= t; });
     now = t;

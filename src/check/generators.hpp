@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "mac/scheduler.hpp"
 #include "mac/zones.hpp"
 #include "sim/scenario.hpp"
+#include "sim/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace pab::check {
@@ -109,7 +109,7 @@ struct TimelineOp {
   };
   Kind kind = Kind::kCharge;
   double time = 0.0;
-  std::string label;
+  sim::TimelineLabel label = "";  // unused by kRunUntil and kRunAll
   double value = 0.0;
 };
 

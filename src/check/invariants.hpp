@@ -95,8 +95,6 @@ struct TimelineProbe {
   std::vector<sim::TimelineEvent> log;
   double now = 0.0;
   std::size_t events_processed = 0;
-  // charged(label) for every label appearing in the log, sorted by label.
-  std::vector<std::pair<std::string, double>> sums;
 };
 using TimelineRunFn =
     std::function<TimelineProbe(std::span<const TimelineOp>)>;
@@ -219,8 +217,7 @@ using ZonedRunFn = std::function<ZonedRunProbe(
 // timeline.monotonic_clock: over a random op script, the event log's times
 // never decrease, entries at equal time are strictly ordered by sequence
 // number, the final clock is at or past the last log entry,
-// events_processed == log size, per-label charge sums re-derive exactly
-// (Neumaier over the log in order), and a re-run of the same script yields a
+// events_processed == log size, and a re-run of the same script yields a
 // bit-identical probe (no wall-clock or ambient nondeterminism).
 [[nodiscard]] CheckResult check_timeline_monotonic(
     std::uint64_t seed, const TimelineRunFn& subject = real_timeline_run());

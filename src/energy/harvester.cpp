@@ -26,6 +26,11 @@ HarvestStep Harvester::step(double dt, double p_harvest, double p_load,
   return out;
 }
 
+bool Harvester::sustains_power_up(double v_open, double p_harvest) {
+  return v_open >= kPowerUpThresholdV &&
+         p_harvest >= McuPowerModel{}.idle_power_w();
+}
+
 double Harvester::time_to_power_up(double p_harvest, double v_ceiling) {
   constexpr double kCapacitanceF = 1000e-6;
   if (p_harvest <= 0.0 || v_ceiling < kPowerUpThresholdV) return -1.0;

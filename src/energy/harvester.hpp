@@ -59,6 +59,11 @@ class Harvester {
   // stays below it never powers up.
   static constexpr double kPowerUpThresholdV = 2.5;
 
+  // Whether a node powers up and stays up where its rectifier gives `v_open`
+  // volts open-circuit and `p_harvest` watts of DC: the capacitor can reach
+  // kPowerUpThresholdV, and the harvest covers the MCU's idle draw.
+  [[nodiscard]] static bool sustains_power_up(double v_open, double p_harvest);
+
  private:
   // The LDO's regulation floor (1.8 V output + 0.3 V dropout): below it
   // the MCU resets.

@@ -32,7 +32,7 @@ void PollScheduler::export_to(obs::MetricRegistry& registry) const {
   registry.gauge("mac.poll.elapsed_s").add(s.elapsed_s);
 }
 
-void PollScheduler::charge_airtime(double dt, std::string_view label,
+void PollScheduler::charge_airtime(double dt, sim::TimelineLabel label,
                                    double& spent) {
   if (timeline_ != nullptr) timeline_->elapse(dt, label);
   elapsed_.add(dt);

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -19,6 +18,7 @@
 
 namespace pab::sim {
 class Timeline;
+class TimelineLabel;
 }  // namespace pab::sim
 
 namespace pab::mac {
@@ -105,7 +105,7 @@ class PollScheduler {
   // Charge one airtime phase: elapse it on the timeline (when attached), add
   // it to the elapsed sum, and count it against the current query's timeout
   // budget.
-  void charge_airtime(double dt, std::string_view label, double& spent);
+  void charge_airtime(double dt, sim::TimelineLabel label, double& spent);
 
   SchedulerConfig config_;
   sim::Timeline* timeline_ = nullptr;

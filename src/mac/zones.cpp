@@ -75,10 +75,9 @@ struct RoundState {
   double round_start = 0.0;
   std::size_t active = 0;
   const ZonedInventoryOptions* options = nullptr;
-  // Completion-order busy accumulator shared across rounds: the same
-  // compensated algorithm, fed in the same order, as the timeline's
-  // "mac.zone.inventory.busy_s" label sum -- so the result's busy_s is
-  // reconstructible bit-exactly from the event log.
+  // Completion-order busy accumulator shared across rounds, fed each zone's
+  // duration as it is charged under "mac.zone.inventory.busy_s" -- so the
+  // result's busy_s re-sums bit-exactly from those log entries in log order.
   pab::NeumaierSum* busy = nullptr;
   // Interference ledger of the round, accumulated in slot fire order
   // (deterministic: master-queue (time, seq) order).

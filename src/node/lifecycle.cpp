@@ -1,6 +1,5 @@
 #include "node/lifecycle.hpp"
 
-#include "sim/timeline.hpp"
 #include "util/error.hpp"
 
 namespace pab::node {
@@ -33,8 +32,10 @@ void NodeLifecycle::tick(sim::Timeline& timeline) {
   // reconstruction ("energy.<category>" entries summed in log order) matches
   // the live ledger bit for bit.
   if (step.harvested_j > 0.0)
-    timeline.charge("energy.harvested", step.harvested_j);
-  if (step.consumed_j > 0.0) timeline.charge("energy.idle", step.consumed_j);
+    timeline.charge(energy_label(energy::Category::kHarvested),
+                    step.harvested_j);
+  if (step.consumed_j > 0.0)
+    timeline.charge(energy_label(energy::Category::kIdle), step.consumed_j);
   if (step.event == energy::PowerEvent::kPowerUp) {
     ++power_ups_;
     timeline.charge("node.power_up", static_cast<double>(id_));

@@ -16,14 +16,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 
 #include "energy/harvester.hpp"
-
-namespace pab::sim {
-class Timeline;
-}  // namespace pab::sim
+#include "energy/ledger.hpp"
+#include "sim/timeline.hpp"
 
 namespace pab::node {
+
+// The Timeline label that mirrors an energy::Category's joules:
+// "energy.<to_string(c)>".  tick() posts two of them; the audit's ledger
+// mirror posts all six and re-derives the ledger from them.
+[[nodiscard]] constexpr sim::TimelineLabel energy_label(energy::Category c) {
+  constexpr sim::TimelineLabel kLabels[] = {
+      "energy.harvested",   "energy.idle",    "energy.decode",
+      "energy.backscatter", "energy.sensing", "energy.leakage"};
+  static_assert(std::size(kLabels) ==
+                static_cast<std::size_t>(energy::Category::kCount));
+  return kLabels[static_cast<std::size_t>(c)];
+}
 
 struct LifecycleConfig {
   double tick_s = 0.01;        // harvest integration step

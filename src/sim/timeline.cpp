@@ -1,7 +1,6 @@
 #include "sim/timeline.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -23,49 +22,37 @@ struct FiresLater {
 
 }  // namespace
 
-std::uint32_t Timeline::intern(std::string_view label) {
-  const auto it = ids_.find(label);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(label);
-  sums_.emplace_back();
-  ids_.emplace(names_.back(), id);
-  return id;
-}
-
-void Timeline::record(double t, std::uint64_t seq, std::uint32_t label,
+void Timeline::record(double t, std::uint64_t seq, TimelineLabel label,
                       double value, TimelineEventKind kind) {
   if (logging_)
-    log_.push_back(TimelineEvent{t, seq, names_[label], value, kind});
-  sums_[label].add(value);
+    log_.push_back(TimelineEvent{t, seq, label.view(), value, kind});
   ++processed_;
 }
 
-void Timeline::schedule_at(double t, std::string_view label,
-                           TimelineCallback fn, double value) {
+void Timeline::schedule_at(double t, TimelineLabel label, TimelineCallback fn,
+                           double value) {
   require(t >= now_, "Timeline: cannot schedule in the past");
-  queue_.push_back(
-      Scheduled{t, next_seq_++, value, intern(label), std::move(fn)});
+  queue_.push_back(Scheduled{t, next_seq_++, value, label, std::move(fn)});
   std::push_heap(queue_.begin(), queue_.end(), FiresLater{});
 }
 
-void Timeline::schedule_in(double dt, std::string_view label,
+void Timeline::schedule_in(double dt, TimelineLabel label,
                            TimelineCallback fn, double value) {
   require(dt >= 0.0, "Timeline: negative delay");
   schedule_at(now_ + dt, label, std::move(fn), value);
 }
 
-void Timeline::charge(std::string_view label, double value) {
-  record(now_, next_seq_++, intern(label), value, TimelineEventKind::kCharge);
+void Timeline::charge(TimelineLabel label, double value) {
+  record(now_, next_seq_++, label, value, TimelineEventKind::kCharge);
 }
 
-void Timeline::elapse(double dt, std::string_view label) {
+void Timeline::elapse(double dt, TimelineLabel label) {
   require(dt >= 0.0, "Timeline: negative elapse");
   // Fire everything due inside the interval first: elapse must not jump the
   // clock past scheduled work, or those events would run late and the log
   // would go non-monotonic.
   run_until(now_ + dt);
-  record(now_, next_seq_++, intern(label), dt, TimelineEventKind::kElapse);
+  record(now_, next_seq_++, label, dt, TimelineEventKind::kElapse);
 }
 
 bool Timeline::step() {
@@ -92,11 +79,6 @@ void Timeline::run_until(double t) {
 void Timeline::run() {
   while (step()) {
   }
-}
-
-double Timeline::charged(std::string_view label) const {
-  const auto it = ids_.find(label);
-  return it == ids_.end() ? 0.0 : sums_[it->second].value();
 }
 
 void Timeline::export_to(obs::MetricRegistry& registry) const {

@@ -15,9 +15,7 @@
 //     events were created, never by pointer values or hash order;
 //   - nothing in this class reads a wall clock, `Date`-style entropy, or any
 //     other ambient nondeterminism; a Timeline driven by the same calls
-//     produces the same event log, bit for bit, on any thread of any run;
-//   - per-label charge totals accumulate through pab::NeumaierSum, so the
-//     reported sums are exact to ~1 ulp regardless of event count.
+//     produces the same event log, bit for bit, on any thread of any run.
 //
 // Build note: this file compiles into its own bottom-layer target
 // `pab_timeline` (depending only on pab_util + pab_obs) so that mac/ and
@@ -26,15 +24,13 @@
 // concern, not a MAC or energy one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace pab::obs {
 class MetricRegistry;
@@ -43,6 +39,22 @@ class MetricRegistry;
 namespace pab::sim {
 
 class Timeline;
+
+// The label of a Timeline event.  Only a string literal builds one, so a
+// label always has static storage: a queued event holds one pointer and the
+// log views the literal without copying it.  A std::string, std::string_view
+// or const char* does not convert.  Implicit, so a call site passes the
+// literal itself.
+class TimelineLabel {
+ public:
+  template <std::size_t N>
+  consteval TimelineLabel(const char (&text)[N]) : text_(text) {}
+
+  [[nodiscard]] constexpr std::string_view view() const { return text_; }
+
+ private:
+  const char* text_;
+};
 
 // How a log entry came to be processed: popped off the queue (kScheduled),
 // posted instantaneously at now() (kCharge), or recorded by an elapse
@@ -61,7 +73,7 @@ enum class TimelineEventKind : std::uint8_t { kScheduled, kCharge, kElapse };
 struct TimelineEvent {
   double time = 0.0;
   std::uint64_t seq = 0;
-  std::string label;
+  std::string_view label;  // a TimelineLabel's literal
   double value = 0.0;
   TimelineEventKind kind = TimelineEventKind::kCharge;
 
@@ -86,16 +98,16 @@ class Timeline {
   // fires it is logged as (t, seq, label, value) *before* `fn` runs, so a
   // callback that charges further events sees itself already in the log.
   // `fn` may be null (pure marker).
-  void schedule_at(double t, std::string_view label,
+  void schedule_at(double t, TimelineLabel label,
                    TimelineCallback fn = nullptr, double value = 0.0);
 
   // Schedule `dt` seconds from now.
-  void schedule_in(double dt, std::string_view label,
+  void schedule_in(double dt, TimelineLabel label,
                    TimelineCallback fn = nullptr, double value = 0.0);
 
   // Log an instantaneous event at now() (a marker or a non-time quantity such
   // as mirrored joules).  Does not advance the clock.
-  void charge(std::string_view label, double value);
+  void charge(TimelineLabel label, double value);
 
   // Advance the clock by `dt`, firing every event scheduled inside the
   // interval first, then log (label, dt) at the new now().  This is how a
@@ -103,7 +115,7 @@ class Timeline {
   // *is* the authoritative record of that time being spent.  Note the due
   // events fire at their own timestamps -- elapse never jumps past pending
   // work, which is what keeps the log monotonic.
-  void elapse(double dt, std::string_view label);
+  void elapse(double dt, TimelineLabel label);
 
   // --- running the queue ----------------------------------------------------
 
@@ -123,32 +135,25 @@ class Timeline {
   // log().size() while logging is enabled.
   [[nodiscard]] std::size_t events_processed() const { return processed_; }
   [[nodiscard]] const std::vector<TimelineEvent>& log() const { return log_; }
-  // Disable/enable log retention for long runs where only the sums matter.
-  // Charge totals and events_processed() keep accumulating either way.
+  // Disable/enable log retention for long runs where no one reads the log.
+  // events_processed() keeps counting either way.
   void set_logging(bool enabled) { logging_ = enabled; }
-
-  // Exact (Neumaier) sum of `value` over all processed events with this
-  // label; 0.0 for labels never charged.
-  [[nodiscard]] double charged(std::string_view label) const;
 
   // Publish the `sim.timeline.events_processed`, `sim.timeline.simulated_s`
   // and `sim.timeline.pending` gauges (bench sidecars).
   void export_to(obs::MetricRegistry& registry) const;
 
  private:
-  // One pending event.  `label` is an interned id (see intern()), so a queued
-  // event holds no string.
+  // One pending event.
   struct Scheduled {
     double time = 0.0;
     std::uint64_t seq = 0;
     double value = 0.0;
-    std::uint32_t label = 0;
+    TimelineLabel label;
     TimelineCallback fn;
   };
 
-  // Id of `label`, registering it on first use.
-  std::uint32_t intern(std::string_view label);
-  void record(double t, std::uint64_t seq, std::uint32_t label, double value,
+  void record(double t, std::uint64_t seq, TimelineLabel label, double value,
               TimelineEventKind kind);
 
   double now_ = 0.0;
@@ -159,10 +164,6 @@ class Timeline {
   // its capacity, so a steady-state event allocates nothing.
   std::vector<Scheduled> queue_;
   std::vector<TimelineEvent> log_;
-  // Interned labels: ids_ maps a label to its index in names_ and sums_.
-  std::map<std::string, std::uint32_t, std::less<>> ids_;
-  std::vector<std::string> names_;
-  std::vector<NeumaierSum> sums_;
   std::size_t processed_ = 0;
   bool logging_ = true;
 };

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "energy/harvester.hpp"
@@ -19,9 +21,31 @@
 #include "sim/scenario.hpp"
 #include "sim/session.hpp"
 #include "sim/timeline.hpp"
+#include "timeline_sums.hpp"
 
 namespace pab::sim {
 namespace {
+
+using testing::logged_sum;
+
+// Only a string literal is a label: a runtime string could dangle in the log.
+static_assert(!std::is_convertible_v<std::string, TimelineLabel>);
+static_assert(!std::is_convertible_v<std::string_view, TimelineLabel>);
+static_assert(!std::is_convertible_v<const char*, TimelineLabel>);
+static_assert(std::is_trivially_copyable_v<TimelineEvent>);
+
+// Each energy category's label reads "energy.<to_string(c)>".
+static_assert([] {
+  for (std::size_t i = 0;
+       i < static_cast<std::size_t>(energy::Category::kCount); ++i) {
+    const auto c = static_cast<energy::Category>(i);
+    const std::string_view label = node::energy_label(c).view();
+    if (!label.starts_with("energy.") ||
+        label.substr(7) != energy::to_string(c))
+      return false;
+  }
+  return true;
+}());
 
 TEST(Timeline, FiresInTimeOrderWithStableTieBreak) {
   Timeline tl;
@@ -84,10 +108,10 @@ TEST(Timeline, ChargedSumsByLabelAndPrefix) {
   tl.elapse(0.25, "mac.downlink");
   tl.elapse(0.05, "mac.uplink");
   tl.charge("energy.idle", 1e-3);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.downlink"), 0.5);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.uplink"), 0.05);
-  EXPECT_DOUBLE_EQ(tl.charged("never"), 0.0);
-  EXPECT_DOUBLE_EQ(tl.charged("energy.idle"), 1e-3);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.downlink"), 0.5);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.uplink"), 0.05);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "never"), 0.0);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "energy.idle"), 1e-3);
   // Charges are instantaneous: the clock only moved for the elapses.
   EXPECT_DOUBLE_EQ(tl.now(), 0.55);
   EXPECT_EQ(tl.log().back().kind, TimelineEventKind::kCharge);
@@ -108,15 +132,13 @@ TEST(Timeline, CallbacksCanScheduleFollowUps) {
   EXPECT_EQ(tl.events_processed(), 5u);
 }
 
-TEST(Timeline, LoggingToggleKeepsSums) {
+TEST(Timeline, LoggingOffStillCountsEvents) {
   Timeline tl;
   tl.set_logging(false);
   tl.elapse(1.0, "work");
   tl.charge("marker", 2.0);
   EXPECT_TRUE(tl.log().empty());
-  // Sums and the processed count accumulate regardless of log retention.
-  EXPECT_DOUBLE_EQ(tl.charged("work"), 1.0);
-  EXPECT_DOUBLE_EQ(tl.charged("marker"), 2.0);
+  // The processed count accumulates regardless of log retention.
   EXPECT_EQ(tl.events_processed(), 2u);
 }
 
@@ -146,8 +168,6 @@ TEST(Timeline, ReplayIsBitIdentical) {
   const Timeline second = drive();
   EXPECT_EQ(first.log(), second.log());
   EXPECT_EQ(first.now(), second.now());
-  for (const char* label : {"a", "b", "c", "work", "marker"})
-    EXPECT_EQ(first.charged(label), second.charged(label)) << label;
 }
 
 // --- timeline-mode scheduler -------------------------------------------------
@@ -170,16 +190,16 @@ TEST(TimedScheduler, RetryBackoffIsATimedEvent) {
   EXPECT_EQ(stats.attempts, 2u);
   EXPECT_EQ(stats.retries, 1u);
   // The backoff is real simulated time: it shows up in the clock, in the
-  // per-label charge sums, and in elapsed_s -- all in exact agreement.
-  EXPECT_DOUBLE_EQ(tl.charged("mac.retry_backoff"), 0.1);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.downlink"), 0.4);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.turnaround"), 0.04);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.uplink"), 0.08);
+  // logged charges, and in elapsed_s -- all in exact agreement.
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.retry_backoff"), 0.1);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.downlink"), 0.4);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.turnaround"), 0.04);
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.uplink"), 0.08);
   EXPECT_DOUBLE_EQ(tl.now(), stats.elapsed_s);
   EXPECT_DOUBLE_EQ(stats.elapsed_s, 0.4 + 0.04 + 0.08 + 0.1);
   // Markers: one retry, one no-response, payload bits on the success.
-  EXPECT_DOUBLE_EQ(tl.charged("mac.payload_bits"), 8.0);
-  EXPECT_EQ(tl.charged("mac.retry"), 0.0);  // marker, value 0
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.payload_bits"), 8.0);
+  EXPECT_EQ(logged_sum(tl.log(), "mac.retry"), 0.0);  // marker, value 0
 }
 
 TEST(TimedScheduler, QueryTimeoutCapsAirtime) {
@@ -249,7 +269,7 @@ TEST(TimedInventory, MatchesUntimedWhenAlwaysAvailable) {
                       defaults.frame_announce_s +
                   static_cast<double>(timed_stats.slots) * defaults.slot_s,
               1e-12);
-  EXPECT_DOUBLE_EQ(tl.charged("mac.inventory.slot"),
+  EXPECT_DOUBLE_EQ(logged_sum(tl.log(), "mac.inventory.slot"),
                    static_cast<double>(timed_stats.slots) * defaults.slot_s);
 }
 
@@ -329,7 +349,7 @@ TEST(Lifecycle, BrownoutMidInventoryAndRejoin) {
   EXPECT_EQ(power_up_events, 2u);
   EXPECT_EQ(brownout_events, 1u);
   // Energy mirrored into the log agrees with the node's ledger.
-  EXPECT_NEAR(tl.charged("energy.harvested"),
+  EXPECT_NEAR(logged_sum(tl.log(), "energy.harvested"),
               node.harvester().ledger().harvested(), 1e-15);
 }
 
@@ -419,7 +439,7 @@ TEST(Lifecycle, BrownedOutNodeRejoinsMidZonedRoundOnTheMasterTimeline) {
   // The wall accounts both rounds end to end, and the master clock agrees.
   EXPECT_EQ(round_walls, (std::vector<double>{0.75, 0.75}));
   EXPECT_EQ(result.simulated_s, 1.5);
-  EXPECT_EQ(tl.charged("mac.zone.round"), result.simulated_s);
+  EXPECT_EQ(logged_sum(tl.log(), "mac.zone.round"), result.simulated_s);
   EXPECT_EQ(tl.now(), result.simulated_s);
 }
 

@@ -237,13 +237,13 @@ TEST(ZeroAlloc, BatchDispatchStartsNoThreads) {
 }
 
 // A scheduled event is one entry in the queue's heap, whose vector keeps its
-// capacity; its label is interned once per Timeline and a short callback
+// capacity; its label is a pointer to a string literal and a short callback
 // stays in std::function's inline buffer.  A steady-state event allocates
 // nothing.
 TEST(ZeroAlloc, ScheduledTimelineEventAllocatesNothing) {
   sim::Timeline tl;
   tl.set_logging(false);
-  tl.schedule_in(0.1, "slot");  // warm: the label is interned
+  tl.schedule_in(0.1, "slot");  // warm: the heap's vector takes its capacity
   tl.run();
 
   constexpr std::uint64_t kEvents = 1000;
@@ -258,6 +258,31 @@ TEST(ZeroAlloc, ScheduledTimelineEventAllocatesNothing) {
   EXPECT_EQ(allocations, 0u);
 }
 
+// A logged event views its label's literal and copies no string.  This label
+// is longer than std::string's inline buffer, so a log entry that owned a
+// copy would allocate once per event; only the log vector's geometric growth
+// may allocate.
+TEST(ZeroAlloc, LoggedTimelineEventCopiesNoLabel) {
+  sim::Timeline tl;
+  tl.schedule_in(0.1, "mac.zone.inventory.busy_s");  // warm the heap's vector
+  tl.run();
+
+  constexpr std::uint64_t kEvents = 1000;
+  std::uint64_t fired = 0;
+  std::uint64_t log_growths = 0;
+  const obs::AllocScope scope;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const std::size_t capacity = tl.log().capacity();
+    tl.schedule_in(0.1, "mac.zone.inventory.busy_s");
+    fired += tl.step() ? 1 : 0;
+    log_growths += tl.log().capacity() != capacity ? 1 : 0;
+  }
+  const std::uint64_t allocations = scope.allocations();
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_EQ(tl.log().size(), kEvents + 1);
+  EXPECT_EQ(allocations, log_growths);
+}
+
 // A warm lifecycle tick books its joules into running totals and reschedules
 // itself into the capacity its own entry just freed.
 TEST(ZeroAlloc, WarmLifecycleTickAllocatesNothing) {
@@ -268,8 +293,8 @@ TEST(ZeroAlloc, WarmLifecycleTickAllocatesNothing) {
   node::NodeLifecycle life(
       1, energy::Harvester{circuit::Supercapacitor(1000e-6)}, lc);
   life.attach(tl, 1e9);
-  // Warm past the cold start (~3.1 s at 10 ms ticks), so every label a tick
-  // charges is already interned.
+  // Warm past the cold start (~3.1 s at 10 ms ticks), so every measured tick
+  // is a powered node's steady state.
   for (int i = 0; i < 500; ++i) ASSERT_TRUE(tl.step());
   ASSERT_TRUE(life.powered());
 
